@@ -9,7 +9,7 @@
 
 import numpy as np
 
-from semiheat import Mesh, builtin, run_fixed, total_bound
+from semiheat import Mesh, builtin, run_fixed
 
 prob = builtin("heat_decay")
 mesh = Mesh.uniform(prob.rect, 4)
@@ -24,7 +24,7 @@ print("steps:", res.steps, " final |U|:", round(res.final_norm, 6),
 print("all delta == 1:", all(d == 1.0 for d in L.delta),
       "  all r == 1:", all(r == 1.0 for r in L.r))
 
-bound = total_bound(L)
+bound = L.bound_through()
 print("total bound:", bound)
 print("  initial error      ", L.e0)
 print("  sum eta_T          ", sum(L.eta_T))

@@ -10,11 +10,10 @@ from .mesh import Rectangle, Mesh, DomainMismatchError, face_set
 from .fespace import Space, Field, SampleRule, interpolate
 from .linalg import assemble_mass, assemble_stiffness, solve_spd, SolverFailure
 from .scheme import (TimeSlab, Trajectory, project_initial, imex_step,
-                     interpolant_at, discrete_laplacian)
+                     interpolant_at)
 from .estimators import (EstimatorLedger, LipschitzModulus, log_factor,
-                         initial_space_estimator, xi_value, eta_initial,
-                         fixed_point_delta, gronwall_factor, total_bound,
-                         SlabWorkspace)
+                         initial_space_estimator, xi_value,
+                         fixed_point_delta, gronwall_factor, SlabWorkspace)
 from .problems import ProblemSpec, builtin, modulus_check
 from .driver import (Tolerances, DriverOptions, RunResult, run_adaptive,
                      run_fixed, time_indicator, space_indicator,
@@ -26,10 +25,10 @@ __all__ = [
     "Space", "Field", "SampleRule", "interpolate",
     "assemble_mass", "assemble_stiffness", "solve_spd", "SolverFailure",
     "TimeSlab", "Trajectory", "project_initial", "imex_step",
-    "interpolant_at", "discrete_laplacian",
+    "interpolant_at",
     "EstimatorLedger", "LipschitzModulus", "log_factor",
-    "initial_space_estimator", "xi_value", "eta_initial",
-    "fixed_point_delta", "gronwall_factor", "total_bound", "SlabWorkspace",
+    "initial_space_estimator", "xi_value",
+    "fixed_point_delta", "gronwall_factor", "SlabWorkspace",
     "ProblemSpec", "builtin", "modulus_check",
     "Tolerances", "DriverOptions", "RunResult", "run_adaptive", "run_fixed",
     "time_indicator", "space_indicator", "extrapolate_blowup",

@@ -4,8 +4,9 @@ The loop controls the time step with a scaled time indicator, marks cells
 against a scaled space indicator, multiplies all four tolerances by the
 fixed-point parameter of the previous slab, and stops either at the final
 time or when the fixed-point parameter stops existing (the blow-up
-signal).  A non-adaptive fixed-mesh runner shares the same estimator
-bookkeeping for convergence studies.
+signal).  A non-adaptive fixed-mesh runner for convergence studies
+certifies its slabs through the same chain (`_Slab`); the two runners
+differ only in how they choose the step size and the mesh.
 """
 
 import os
@@ -175,6 +176,107 @@ def _tinf_from_ledger(ledger):
         return None
 
 
+class _Slab:
+    """Certification of one slab (t, t + k] from the certified state at t.
+
+    `u` is the field at t, `A` its discrete-Laplacian closure and `eta_S`
+    its per-cell space estimator.  `solve` tries a candidate (space, k):
+    the IMEX step and the time estimator.  `space_estimates` evaluates the
+    candidate's space side once.  `certify` computes psi, delta and r,
+    records the slab and returns the slab that follows it.
+    """
+
+    def __init__(self, problem, opts, m, t, u, A, eta_S, face_derivs=None):
+        self.problem = problem
+        self.opts = opts
+        self.m = m
+        self.t = t
+        self.u = u
+        self.A = A
+        self.eta_S = eta_S
+        self.face_derivs = face_derivs  # of u, from the previous workspace
+        self.ws = None
+
+    def solve(self, space, k):
+        """IMEX step of size k onto `space`; returns the time estimator."""
+        u_next, u_hat = sc.imex_step(self.problem, self.u, space, k, self.t)
+        if self.ws is None or self.ws.space_next is not space:
+            self.ws = est.SlabWorkspace(
+                self.problem, self.u, self.A, space, self.t,
+                q=self.opts.time_quadrature,
+                prev_face_derivs=self.face_derivs)
+        self.ws.set_state(u_next, u_hat, k)
+        self.k = k
+        self.eta_T = self.ws.eta_time()
+        self._space_estimates = None
+        return self.eta_T
+
+    def space_estimates(self):
+        """(eta_S map, eta_dot map, xi', xi) of the current candidate."""
+        if self._space_estimates is None:
+            ws = self.ws
+            eta_S = ws.eta_space_map()
+            dot_map, xi_prime = ws.eta_dot_maps()
+            xi = est.xi_value(self.eta_S, ws.hmin_prev, eta_S, ws.hmin_next)
+            self._space_estimates = (eta_S, dot_map, xi_prime, xi)
+        return self._space_estimates
+
+    def certify(self, ledger, traj, t_next, keep_uncertified=False):
+        """Close the current candidate as the slab ending at t_next.
+
+        Records it in the ledger and trajectory and returns the next
+        slab.  Without a delta it records nothing and returns None, unless
+        keep_uncertified is set.
+        """
+        problem, opts, ws, k, t = (self.problem, self.opts, self.ws, self.k,
+                                   self.t)
+        modulus, c_inf, q = problem.modulus, opts.c_inf, opts.time_quadrature
+        eta_S, dot_map, xi_prime, xi = self.space_estimates()
+        psi = est.psi_update(ledger, self.m, self.eta_T, xi, xi_prime,
+                             modulus, ws)
+        delta = est.fixed_point_delta(psi, xi, k, t, modulus, ws.u_norm,
+                                      c_inf, q)
+        if delta is None and not keep_uncertified:
+            return None
+        r = None if delta is None else est.gronwall_factor(
+            delta, psi, xi, k, t, modulus, ws.u_norm, c_inf, q)
+        slab = sc.make_slab(problem, self.m, t, k, self.u, ws.u_next,
+                            ws.u_hat, self.A)
+        slab.t_next = t_next
+        slab.overlay_dofs = ws.overlay_free_dofs()
+        traj.slabs.append(slab)
+        ledger.add_step(self.m, t_next, k, ws.space_next.n_free,
+                        ws.u_next.linf_norm(), self.eta_T, xi, xi_prime, psi,
+                        delta, r, eta_S, ws.hmin_next, dot_map)
+        _maybe_dump(opts, self.m, ws.mesh_next, ws.u_next)
+        return _Slab(problem, opts, self.m + 1, t_next, ws.u_next,
+                     slab.A_next, eta_S, ws.next_face_derivs)
+
+
+def _first_slab(problem, opts, space):
+    """Slab 1, starting from the elliptic projection of u0 onto `space`."""
+    U0 = sc.project_initial(problem, space)
+    return _Slab(problem, opts, 1, 0.0, U0,
+                 sc.InitialLaplacian(problem.a, problem.lap_u0),
+                 est.initial_space_estimator(problem, U0))
+
+
+def _open_ledger(problem, opts, first):
+    """Empty ledger and trajectory starting from slab 1's initial state."""
+    ledger = est.EstimatorLedger(c_inf=opts.c_inf,
+                                 modulus_is_zero=problem.modulus.is_zero)
+    ledger.set_initial(problem, first.u, first.eta_S)
+    return ledger, sc.Trajectory(first.u)
+
+
+def _result(traj, ledger, stop, t, u, **extra):
+    return RunResult(
+        trajectory=traj, ledger=ledger, stop_reason=stop,
+        steps=len(ledger.m), final_time=t, final_norm=u.linf_norm(),
+        tinf_estimate=_tinf_from_ledger(ledger),
+        avg_dofs=weighted_average_dofs(traj) if traj.slabs else 0.0, **extra)
+
+
 def run_adaptive(problem, tolerances, degree, initial_mesh, k1, options=None):
     """Adaptive run; returns a RunResult with trajectory and ledger.
 
@@ -184,8 +286,6 @@ def run_adaptive(problem, tolerances, degree, initial_mesh, k1, options=None):
     """
     opts = options or DriverOptions()
     modulus = problem.modulus
-    q = opts.time_quadrature
-    c_inf = opts.c_inf
     T = problem.T
     if k1 <= 0:
         raise ValueError("k1 must be positive")
@@ -201,91 +301,59 @@ def run_adaptive(problem, tolerances, degree, initial_mesh, k1, options=None):
     k = k1
     passes = 0
     while True:
-        space = fe.Space(mesh, degree)
-        hmin = mesh.min_diameter()
-        U0 = sc.project_initial(problem, space)
-        U1, Uhat = sc.imex_step(problem, U0, space, k, 0.0)
-        ws = est.SlabWorkspace(
-            problem, U0, sc.InitialLaplacian(problem.a, problem.lap_u0),
-            space, 0.0, q=q)
-        ws.set_state(U1, Uhat, k)
-        eta_T = ws.eta_time()
-        eta_S0 = est.initial_space_estimator(problem, U0)
-        eta_S1 = ws.eta_space_map()
-        dot1, xi_prime = ws.eta_dot_maps()
-        e0_map = est.initial_error_map(problem, U0)
-        xi = est.xi_value(eta_S0, hmin, eta_S1, hmin)
-        alpha = alpha_value(modulus, ws, xi, 1.0, k)
-        ref_T = eta_T
-        ref_S = first_space_indicator(e0_map, eta_S0, eta_S1, dot1, alpha)
-        if ref_T <= ttol_p and ref_S.max() <= stol_p:
+        slab = _first_slab(problem, opts, fe.Space(mesh, degree))
+        eta_T = slab.solve(slab.u.space, k)
+        eta_S1, dot1, _, xi = slab.space_estimates()
+        e0_map = est.initial_error_map(problem, slab.u)
+        alpha = alpha_value(modulus, slab.ws, xi, 1.0, k)
+        ref_S = first_space_indicator(e0_map, slab.eta_S, eta_S1, dot1, alpha)
+        if eta_T <= ttol_p and ref_S.max() <= stol_p:
             break
         if passes >= opts.first_interval_cap:
             caps.append(("first_interval", passes))
             break
         mesh = _modify_mesh(mesh, ref_S, stol_p, stol_m)
-        if ref_T > ttol_p:
+        if eta_T > ttol_p:
             k *= 0.5
         passes += 1
 
-    ledger = est.EstimatorLedger(c_inf=c_inf, modulus_is_zero=modulus.is_zero)
-    ledger.set_initial(problem, U0, eta_S0)
-    psi = est.psi_update(ledger, 1, eta_T, xi, xi_prime, modulus, ws)
-    delta = est.fixed_point_delta(psi, xi, k, 0.0, modulus, ws.u_norm,
-                                  c_inf, q)
-    traj = sc.Trajectory(U0)
-    if delta is None:
-        return RunResult(
-            trajectory=traj, ledger=ledger,
-            stop_reason="delta_nonexistent at step 1", steps=0,
-            final_time=0.0, final_norm=U0.linf_norm(), caps_hit=caps,
-            final_tolerances=(stol_p, stol_m, ttol_p, ttol_m))
-    r = est.gronwall_factor(delta, psi, xi, k, 0.0, modulus, ws.u_norm,
-                            c_inf, q)
-    slab = sc.make_slab(problem, 1, 0.0, k, U0, U1, Uhat)
-    slab.overlay_dofs = ws.overlay_free_dofs()
-    traj.slabs.append(slab)
-    ledger.add_step(1, k, k, space.n_free, U1.linf_norm(), eta_T, xi,
-                    xi_prime, psi, delta, r, eta_S1, mesh.min_diameter(),
-                    dot1)
-    _maybe_dump(opts, 1, mesh, U1)
-
-    t = k
-    m = 1
-    u_cur = U1
-    stop = None
+    ledger, traj = _open_ledger(problem, opts, slab)
+    t = 0.0
+    clipped = False
     while True:
+        # k and clipped belong to the candidate `slab` holds.
+        t_next = T if clipped else t + k
+        following = slab.certify(ledger, traj, t_next)
+        if following is None:
+            stop = "delta_nonexistent at step %d" % slab.m
+            break
+        slab, t = following, t_next
         if T is not None and t >= T * (1.0 - 1e-14):
             stop = "final_time"
             break
-        if m >= opts.max_steps:
+        if len(ledger.m) >= opts.max_steps:
             stop = "max_steps"
-            caps.append(("max_steps", m))
+            caps.append(("max_steps", len(ledger.m)))
             break
         if opts.scale_tolerances:
+            delta = ledger.delta[-1]
             ttol_p *= delta
             ttol_m *= delta
             stol_p *= delta
             stol_m *= delta
 
+        # Time-step control on the current mesh.
         r_tilde_prev = ledger.r_tilde[-1]
-        A_prev = slab.A_next
-        space_prev = space
-        prev_map = ledger.eta_S_maps[-1]
-        hmin_prev = mesh.min_diameter()
+        space = slab.u.space
         clipped = False
         if T is not None and t + k >= T * (1.0 - 1e-12):
             k = T - t
             clipped = True
-        u_next, u_hat = sc.imex_step(problem, u_cur, space, k, t)
-        ws = est.SlabWorkspace(problem, u_cur, A_prev, space, t, q=q)
-        ws.set_state(u_next, u_hat, k)
-        eta_T = ws.eta_time()
-        ref_T = time_indicator(eta_T, r_tilde_prev)
+        ref_T = time_indicator(slab.solve(space, k), r_tilde_prev)
         adjusts = 0
         while not (ttol_m <= ref_T <= ttol_p):
             if adjusts >= opts.step_adjust_cap:
-                caps.append(("step_adjust", m + 1))
+                caps.append(("step_adjust", slab.m))
                 break
             if ref_T > ttol_p:
                 k *= 0.5
@@ -298,57 +366,19 @@ def run_adaptive(problem, tolerances, degree, initial_mesh, k1, options=None):
                     clipped = True
                 else:
                     k *= 2.0
-            u_next, u_hat = sc.imex_step(problem, u_cur, space, k, t)
-            ws.set_state(u_next, u_hat, k)
-            eta_T = ws.eta_time()
-            ref_T = time_indicator(eta_T, r_tilde_prev)
+            ref_T = time_indicator(slab.solve(space, k), r_tilde_prev)
             adjusts += 1
 
         # One spatial refine/coarsen pass, then re-solve if the mesh moved.
-        eta_S = ws.eta_space_map()
-        dot_map, xi_prime = ws.eta_dot_maps()
-        xi = est.xi_value(prev_map, hmin_prev, eta_S, mesh.min_diameter())
-        alpha = alpha_value(modulus, ws, xi, r_tilde_prev, k)
+        eta_S, dot_map, _, xi = slab.space_estimates()
+        alpha = alpha_value(modulus, slab.ws, xi, r_tilde_prev, k)
         ref_S = space_indicator(eta_S, dot_map, alpha, r_tilde_prev)
-        new_mesh = _modify_mesh(mesh, ref_S, stol_p, stol_m)
-        if new_mesh.leafset != mesh.leafset:
-            mesh = new_mesh
-            space = fe.Space(mesh, degree)
-            u_next, u_hat = sc.imex_step(problem, u_cur, space, k, t)
-            ws = est.SlabWorkspace(problem, u_cur, A_prev, space, t, q=q)
-            ws.set_state(u_next, u_hat, k)
-            eta_T = ws.eta_time()
-            eta_S = ws.eta_space_map()
-            dot_map, xi_prime = ws.eta_dot_maps()
-            xi = est.xi_value(prev_map, hmin_prev, eta_S, mesh.min_diameter())
+        new_mesh = _modify_mesh(space.mesh, ref_S, stol_p, stol_m)
+        if new_mesh.leafset != space.mesh.leafset:
+            slab.solve(fe.Space(new_mesh, degree), k)
 
-        psi = est.psi_update(ledger, m + 1, eta_T, xi, xi_prime, modulus, ws)
-        delta = est.fixed_point_delta(psi, xi, k, t, modulus, ws.u_norm,
-                                      c_inf, q)
-        if delta is None:
-            stop = "delta_nonexistent at step %d" % (m + 1)
-            break
-        r = est.gronwall_factor(delta, psi, xi, k, t, modulus, ws.u_norm,
-                                c_inf, q)
-        slab = sc.make_slab(problem, m + 1, t, k, u_cur, u_next, u_hat)
-        slab.A_prev = A_prev
-        slab.overlay_dofs = ws.overlay_free_dofs()
-        traj.slabs.append(slab)
-        t = T if clipped else t + k
-        slab.t_next = t
-        m += 1
-        ledger.add_step(m, t, k, space.n_free, u_next.linf_norm(), eta_T,
-                        xi, xi_prime, psi, delta, r, eta_S,
-                        mesh.min_diameter(), dot_map)
-        u_cur = u_next
-        _maybe_dump(opts, m, mesh, u_cur)
-
-    return RunResult(
-        trajectory=traj, ledger=ledger, stop_reason=stop, steps=m,
-        final_time=t, final_norm=u_cur.linf_norm(),
-        tinf_estimate=_tinf_from_ledger(ledger),
-        avg_dofs=weighted_average_dofs(traj) if traj.slabs else 0.0,
-        caps_hit=caps, final_tolerances=(stol_p, stol_m, ttol_p, ttol_m))
+    return _result(traj, ledger, stop, t, slab.u, caps_hit=caps,
+                   final_tolerances=(stol_p, stol_m, ttol_p, ttol_m))
 
 
 def run_fixed(problem, mesh, degree, k, T=None, options=None):
@@ -360,58 +390,17 @@ def run_fixed(problem, mesh, degree, k, T=None, options=None):
     unavailable from that step on).
     """
     opts = options or DriverOptions()
-    modulus = problem.modulus
-    q = opts.time_quadrature
-    c_inf = opts.c_inf
     if T is None:
         T = problem.T
     if T is None:
         raise ValueError("run_fixed needs a finite final time")
     space = fe.Space(mesh, degree)
-    hmin = mesh.min_diameter()
-    U0 = sc.project_initial(problem, space)
-    eta_S0 = est.initial_space_estimator(problem, U0)
-    ledger = est.EstimatorLedger(c_inf=c_inf, modulus_is_zero=modulus.is_zero)
-    ledger.set_initial(problem, U0, eta_S0)
-    traj = sc.Trajectory(U0)
-
+    slab = _first_slab(problem, opts, space)
+    ledger, traj = _open_ledger(problem, opts, slab)
     t = 0.0
-    m = 0
-    u_cur = U0
-    A_prev = sc.InitialLaplacian(problem.a, problem.lap_u0)
-    prev_map = eta_S0
     while t < T * (1.0 - 1e-14):
         clipped = t + k >= T * (1.0 - 1e-12)
-        k_step = (T - t) if clipped else k
-        u_next, u_hat = sc.imex_step(problem, u_cur, space, k_step, t)
-        ws = est.SlabWorkspace(problem, u_cur, A_prev, space, t, q=q)
-        ws.set_state(u_next, u_hat, k_step)
-        eta_T = ws.eta_time()
-        eta_S = ws.eta_space_map()
-        dot_map, xi_prime = ws.eta_dot_maps()
-        xi = est.xi_value(prev_map, hmin, eta_S, hmin)
-        psi = est.psi_update(ledger, m + 1, eta_T, xi, xi_prime, modulus, ws)
-        delta = est.fixed_point_delta(psi, xi, k_step, t, modulus, ws.u_norm,
-                                      c_inf, q)
-        r = None if delta is None else est.gronwall_factor(
-            delta, psi, xi, k_step, t, modulus, ws.u_norm, c_inf, q)
-        slab = sc.make_slab(problem, m + 1, t, k_step, u_cur, u_next, u_hat)
-        slab.A_prev = A_prev
-        slab.overlay_dofs = space.n_free
-        traj.slabs.append(slab)
-        t = T if clipped else t + k_step
-        slab.t_next = t
-        m += 1
-        ledger.add_step(m, t, k_step, space.n_free, u_next.linf_norm(),
-                        eta_T, xi, xi_prime, psi, delta, r, eta_S, hmin,
-                        dot_map)
-        u_cur = u_next
-        A_prev = slab.A_next
-        prev_map = eta_S
-        _maybe_dump(opts, m, mesh, u_cur)
-
-    return RunResult(
-        trajectory=traj, ledger=ledger, stop_reason="final_time", steps=m,
-        final_time=t, final_norm=u_cur.linf_norm(),
-        tinf_estimate=_tinf_from_ledger(ledger),
-        avg_dofs=weighted_average_dofs(traj) if traj.slabs else 0.0)
+        slab.solve(space, (T - t) if clipped else k)
+        t = T if clipped else t + slab.k
+        slab = slab.certify(ledger, traj, t, keep_uncertified=True)
+    return _result(traj, ledger, "final_time", t, slab.u)

@@ -18,7 +18,7 @@ import numpy as np
 from . import fespace as fe
 from .fespace import gauss_legendre
 from .mesh import face_set
-from .scheme import DiscreteLaplacian, InitialLaplacian
+from .scheme import DiscreteLaplacian
 
 
 class EstimatorError(RuntimeError):
@@ -120,18 +120,7 @@ def xi_value(prev_map, hmin_prev, next_map, hmin_next):
     return max(left, right)
 
 
-def eta_initial(problem, u0_field, eta0_map, c_inf=1.0):
-    """Initial-condition estimator: ||e(0)|| plus the logged space term."""
-    e0 = float(initial_error_map(problem, u0_field).max())
-    hmin = u0_field.space.mesh.min_diameter()
-    return e0 + c_inf * log_factor(hmin) * float(np.max(eta0_map))
-
-
 # -- slab workspace ----------------------------------------------------------------
-
-
-class _FaceBatch:
-    __slots__ = ("sel", "x", "y", "left", "right", "ns", "deriv")
 
 
 class SlabWorkspace:
@@ -141,9 +130,16 @@ class SlabWorkspace:
     candidate (U_next, U_hat, k) cheaply so time-step adjustment loops only
     pay for value re-evaluation.  Laplacians and face gradients are
     computed lazily when the space estimators are first requested.
+
+    Face normal derivatives are kept per field as {FaceSet: derivatives}
+    (`prev_face_derivs`, `next_face_derivs`), so each (field, face set)
+    pair is evaluated once.  A workspace can start from the
+    `next_face_derivs` of the previous slab's workspace, whose end field
+    is this slab's u_prev.
     """
 
-    def __init__(self, problem, u_prev, A_prev, space_next, t_prev, q=3):
+    def __init__(self, problem, u_prev, A_prev, space_next, t_prev, q=3,
+                 prev_face_derivs=None):
         if u_prev.space.degree != space_next.degree:
             raise ValueError("slab endpoint spaces must share the degree")
         self.problem = problem
@@ -182,25 +178,21 @@ class SlabWorkspace:
 
         t = space_next.rule.sample1d
         ns = len(t)
-        self._t1d = t
         tx = np.tile(t, ns)
         ty = np.repeat(t, ns)
         self.Xs = self.vee.x0[:, None] + self.vee.hx[:, None] * tx[None, :]
         self.Ys = self.vee.y0[:, None] + self.vee.hy[:, None] * ty[None, :]
 
         self._classes = {
-            "prev": self._build_classes(mesh_prev, self.src_prev),
-            "next": self._build_classes(mesh_next, self.src_next)}
-        self._tensor_cache = {}
-        self._face_batches = None
+            "prev": self._subcell_classes(mesh_prev, self.src_prev),
+            "next": self._subcell_classes(mesh_next, self.src_next)}
+        self.prev_face_derivs = {} if prev_face_derivs is None \
+            else prev_face_derivs
 
         # Static per-slab arrays.
         self.Uprev = self._grid_eval(u_prev, "prev", "val")
-        self.f_prev = np.asarray(
-            problem.f(self.Xs, self.Ys, t_prev, self.Uprev), dtype=float)
         self._lapUprev = None
         self._A_prev_vals = None
-        self._grad_prev_faces = None
 
         # Per-state arrays (set_state).
         self.u_next = None
@@ -209,29 +201,17 @@ class SlabWorkspace:
         self.Unext = None
         self._A_next_vals = None
         self._lapUnext = None
-        self._grad_next_faces = None
+        self.next_face_derivs = {}
 
     # -- structured evaluation ---------------------------------------------
 
-    def _build_classes(self, mesh_src, srcmap):
-        classes = {}
-        for vi, key in enumerate(self.vee.leaves):
-            skey = mesh_src.leaves[int(srcmap[vi])]
-            dl = key[0] - skey[0]
-            offx = key[1] - (skey[1] << dl)
-            offy = key[2] - (skey[2] << dl)
-            classes.setdefault((dl, offx, offy), []).append(vi)
-        return {ck: np.array(v, dtype=np.int64) for ck, v in classes.items()}
-
-    def _tensor(self, dl, ox, oy, dx, dy):
-        key = (dl, ox, oy, dx, dy)
-        if key not in self._tensor_cache:
-            ref = self.space_next.ref
-            scale = float(1 << dl)
-            Bx = ref.eval((ox + self._t1d) / scale, dx)
-            By = ref.eval((oy + self._t1d) / scale, dy)
-            self._tensor_cache[key] = np.kron(By, Bx)
-        return self._tensor_cache[key]
+    def _subcell_classes(self, mesh_src, srcmap):
+        """Overlay cells grouped by their (dl, ox, oy) in the source cell."""
+        offs = np.stack(fe.subcell_offsets(self.vee, mesh_src, srcmap), axis=1)
+        keys, inv = np.unique(offs, axis=0, return_inverse=True)
+        inv = inv.ravel()
+        return {tuple(ck): np.flatnonzero(inv == j)
+                for j, ck in enumerate(keys.tolist())}
 
     def _grid_eval(self, field, channel, deriv):
         """Field values/derivatives at the overlay sample grid."""
@@ -240,15 +220,15 @@ class SlabWorkspace:
         classes = self._classes[channel]
         out = np.empty_like(self.Xs)
         mesh_src = space.mesh
-        for (dl, ox, oy), vis in classes.items():
+        for ck, vis in classes.items():
             cells = srcmap[vis]
             C = field.coeffs[space.dofmap[cells]]
             if deriv == "val":
-                V = C @ self._tensor(dl, ox, oy, 0, 0).T
+                V = C @ space.tensor_basis("sample", 0, 0, ck).T
             elif deriv == "lap":
-                V = (C @ self._tensor(dl, ox, oy, 2, 0).T) \
+                V = (C @ space.tensor_basis("sample", 2, 0, ck).T) \
                     / (mesh_src.hx[cells] ** 2)[:, None] \
-                    + (C @ self._tensor(dl, ox, oy, 0, 2).T) \
+                    + (C @ space.tensor_basis("sample", 0, 2, ck).T) \
                     / (mesh_src.hy[cells] ** 2)[:, None]
             else:
                 raise ValueError(deriv)
@@ -279,30 +259,27 @@ class SlabWorkspace:
             if u_hat is not u_next else self.Unext
         self._A_next_vals = None
         self._lapUnext = None
-        self._grad_next_faces = None
+        self.next_face_derivs = {}
 
     # -- driving terms ---------------------------------------------------------
 
     def A_prev_values(self):
         if self._A_prev_vals is None:
             A = self.A_prev
-            if isinstance(A, InitialLaplacian):
-                vals = A(self.Xs, self.Ys)
-            elif isinstance(A, DiscreteLaplacian):
-                up = self._eval_any(A.u_prev)
-                un = self._eval_any(A.u_next)
-                uh = self._eval_any(A.u_hat)
-                vals = np.asarray(
-                    self.problem.f(self.Xs, self.Ys, A.t_prev, up),
-                    dtype=float) - (un - uh) / A.k
-            else:
-                vals = np.asarray(A(self.Xs, self.Ys), dtype=float)
-            self._A_prev_vals = vals
+            if isinstance(A, DiscreteLaplacian):
+                self._A_prev_vals = A.values(
+                    self.Xs, self.Ys, self._eval_any(A.u_prev),
+                    self._eval_any(A.u_next), self._eval_any(A.u_hat))
+            else:  # analytic, e.g. the InitialLaplacian of slab 1
+                self._A_prev_vals = A(self.Xs, self.Ys)
         return self._A_prev_vals
 
     def A_next_values(self):
         if self._A_next_vals is None:
-            self._A_next_vals = self.f_prev - (self.Unext - self._Uhat) / self.k
+            A = DiscreteLaplacian(self.problem.f, self.t_prev, self.k,
+                                  self.u_prev, self.u_next, self.u_hat)
+            self._A_next_vals = A.values(self.Xs, self.Ys, self.Uprev,
+                                         self.Unext, self._Uhat)
         return self._A_next_vals
 
     # -- time estimator ----------------------------------------------------------
@@ -312,10 +289,6 @@ class SlabWorkspace:
         lb = (s - self.t_prev) / self.k
         la = 1.0 - lb
         return float(np.abs(la * self.Uprev + lb * self.Unext).max())
-
-    def u_norm_integral(self):
-        nodes, wts = _time_rule(self.t_prev, self.k, self.q)
-        return float(sum(w * self.u_norm(s) for s, w in zip(nodes, wts)))
 
     def modulus_integral(self, modulus, c):
         """Integral over the slab of L(s, ||U(s)||, ||U(s)|| + c)."""
@@ -357,51 +330,19 @@ class SlabWorkspace:
         a = self.problem.a
         vol_vee = np.abs(self.A_next_values() + a * self._lap_next()).max(axis=1)
         vol = self._scatter_next_max(vol_vee)
-        jump = self.u_next.jump_max_per_cell()
+        jump = self.u_next.jump_max_per_cell(
+            self._face_derivs("next", face_set(self.mesh_next), None))
         h = self.mesh_next.h
         return h * h / a * vol + h * jump
 
-    def _faces(self):
-        if self._face_batches is None:
-            fs = face_set(self.vee)
-            t = self._t1d
-            ns = len(t)
-            batches = []
-            seg = fs.lo[:, None] + (fs.hi - fs.lo)[:, None] * t[None, :]
-            for o in (0, 1):
-                sel = np.flatnonzero(fs.orient == o)
-                if len(sel) == 0:
-                    continue
-                b = _FaceBatch()
-                b.sel = sel
-                b.ns = ns
-                b.deriv = (1, 0) if o == 0 else (0, 1)
-                if o == 0:
-                    b.x = np.repeat(fs.coord[sel], ns)
-                    b.y = seg[sel].ravel()
-                else:
-                    b.x = seg[sel].ravel()
-                    b.y = np.repeat(fs.coord[sel], ns)
-                b.left = fs.left[sel]
-                b.right = fs.right[sel]
-                batches.append(b)
-            self._face_batches = (fs, batches)
-        return self._face_batches
-
-    def _face_grads(self, field, channel):
-        """Normal derivative of a field on both sides of every overlay face."""
-        srcmap = self.src_prev if channel == "prev" else self.src_next
-        _, batches = self._faces()
-        out = []
-        for b in batches:
-            gl = fe.evaluate_in_cells(
-                [field], np.repeat(srcmap[b.left], b.ns), b.x, b.y,
-                [b.deriv])[0].reshape(len(b.left), b.ns)
-            gr = fe.evaluate_in_cells(
-                [field], np.repeat(srcmap[b.right], b.ns), b.x, b.y,
-                [b.deriv])[0].reshape(len(b.right), b.ns)
-            out.append((gl, gr))
-        return out
+    def _face_derivs(self, channel, fs, cells):
+        """fe.face_normal_derivs of u_prev or u_next on fs, computed once."""
+        memo = self.prev_face_derivs if channel == "prev" \
+            else self.next_face_derivs
+        if fs not in memo:
+            field = self.u_prev if channel == "prev" else self.u_next
+            memo[fs] = fe.face_normal_derivs(field, fs, cells)
+        return memo[fs]
 
     def eta_dot_maps(self):
         """Space-derivative estimator: (per-cell map on the end mesh, xi').
@@ -414,17 +355,12 @@ class SlabWorkspace:
         k = self.k
         vol_vee = np.abs(self.A_next_values() - self.A_prev_values()
                          + a * (self._lap_next() - self._lap_prev())).max(axis=1)
-        if self._grad_prev_faces is None:
-            self._grad_prev_faces = self._face_grads(self.u_prev, "prev")
-        if self._grad_next_faces is None:
-            self._grad_next_faces = self._face_grads(self.u_next, "next")
-        jump_vee = np.zeros(len(self.vee))
-        _, batches = self._faces()
-        for b, (gpl, gpr), (gnl, gnr) in zip(
-                batches, self._grad_prev_faces, self._grad_next_faces):
-            d = np.abs((gnl - gpl) - (gnr - gpr)).max(axis=1)
-            np.maximum.at(jump_vee, b.left, d)
-            np.maximum.at(jump_vee, b.right, d)
+        fs = face_set(self.vee)
+        jump_vee = fe.faces_to_cells(fs, len(self.vee), [
+            (sel, np.abs((gnl - gpl) - (gnr - gpr)).max(axis=1))
+            for (sel, gpl, gpr), (_, gnl, gnr) in zip(
+                self._face_derivs("prev", fs, self.src_prev),
+                self._face_derivs("next", fs, self.src_next))])
         hw = self.h_wedge
         etadot_vee = hw * hw / (k * a) * vol_vee + hw / k * jump_vee
         xi_prime = log_factor(min(self.hmin_prev, self.hmin_next)) * k \
@@ -748,8 +684,3 @@ class EstimatorLedger:
                 fmt(self.r_tilde[i]), fmt(self.bound[i])]))
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
-
-
-def total_bound(ledger, upto=None):
-    """Total bound of a completed run; raises when some delta is absent."""
-    return ledger.bound_through(upto)

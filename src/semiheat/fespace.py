@@ -68,6 +68,15 @@ class _Ref1D:
                             tensor=True)
         return vals.T * (2.0 ** deriv)
 
+    def eval_sub(self, pts, dl, off, deriv=0):
+        """eval at (off + pts) / 2**dl.
+
+        pts are reference coordinates of a descendant cell dl levels down
+        at integer offset `off` inside the cell, so this is the cell's
+        basis (derivatives in the cell's own coordinate) seen from there.
+        """
+        return self.eval((off + pts) / float(1 << dl), deriv)
+
 
 _REF_CACHE = {}
 
@@ -261,12 +270,7 @@ class Space:
         self._slave_mat = csr_matrix((svals, (srows, scols)),
                                      shape=(self.n_global, self.n_global))
 
-    # -- dimension bookkeeping ------------------------------------------------
-
-    @property
-    def dim(self):
-        """Number of free (unconstrained interior) degrees of freedom."""
-        return self.n_free
+    # -- coefficient maps -----------------------------------------------------
 
     def conform(self, raw_values):
         """Nodal values -> coefficients with zero boundary trace.
@@ -292,18 +296,20 @@ class Space:
     def _pts1d(self, kind):
         return self.rule.sample1d if kind == "sample" else self.rule.quad1d
 
-    def tensor_basis(self, kind, dx, dy):
+    def tensor_basis(self, kind, dx, dy, sub=(0, 0, 0)):
         """Basis matrix on the reference tensor grid.
 
         Rows run over grid points (y-major), columns over local dofs
-        (y-major), entries l_i^(dx)(xi) * l_j^(dy)(eta).
+        (y-major), entries l_i^(dx)(xi) * l_j^(dy)(eta).  With
+        sub = (dl, ox, oy) the grid is that of the descendant cell dl
+        levels down at offset (ox, oy) (see `_Ref1D.eval_sub`).
         """
-        key = (kind, dx, dy)
+        key = (kind, dx, dy) + tuple(sub)
         if key not in self._tensor_cache:
             t = self._pts1d(kind)
-            Bx = self.ref.eval(t, dx)
-            By = self.ref.eval(t, dy)
-            self._tensor_cache[key] = np.kron(By, Bx)
+            dl, ox, oy = sub
+            self._tensor_cache[key] = np.kron(self.ref.eval_sub(t, dl, oy, dy),
+                                              self.ref.eval_sub(t, dl, ox, dx))
         return self._tensor_cache[key]
 
     def _grid(self, kind):
@@ -333,18 +339,6 @@ class Space:
         """Integrate per-quadrature-point values (ncells, n_quad) over the mesh."""
         _, _, W = self.quadrature_points()
         return float((values * W).sum())
-
-    def cell_max_abs(self, fn):
-        """Per-cell max of |fn| over the sample grid; fn(x, y) vectorized."""
-        X, Y = self.sample_points()
-        return np.abs(np.asarray(fn(X, Y), dtype=float)).max(axis=1)
-
-    def cell_linf(self, fn, cell):
-        """Sampled max of |fn| over one cell (index or key)."""
-        if not isinstance(cell, (int, np.integer)):
-            cell = self.mesh.index_of(cell)
-        X, Y = self.sample_points()
-        return float(np.abs(np.asarray(fn(X[cell], Y[cell]), dtype=float)).max())
 
 
 class Field:
@@ -423,21 +417,20 @@ class Field:
     def __call__(self, x, y):
         return self.eval(x, y)
 
-    def jump_max_per_cell(self):
-        """Per-cell max of |[[grad u]] . n| over interior faces."""
+    def jump_max_per_cell(self, derivs=None):
+        """Per-cell max of |[[grad u]] . n| over interior faces.
+
+        `derivs` may pass in this field's `face_normal_derivs` on its own
+        mesh's faces when the caller already has them.
+        """
         if self._jump_cache is None:
-            self._jump_cache = _own_face_jumps(self)
+            fs = face_set(self.space.mesh)
+            if derivs is None:
+                derivs = face_normal_derivs(self, fs)
+            self._jump_cache = faces_to_cells(
+                fs, len(self.space.mesh),
+                [(sel, np.abs(gl - gr).max(axis=1)) for sel, gl, gr in derivs])
         return self._jump_cache
-
-    def jump_linf(self, cell):
-        """Sampled max gradient jump on the interior faces of one cell."""
-        if not isinstance(cell, (int, np.integer)):
-            cell = self.space.mesh.index_of(cell)
-        return float(self.jump_max_per_cell()[cell])
-
-
-def linf_norm(field):
-    return field.linf_norm()
 
 
 # -- scattered evaluation -------------------------------------------------------
@@ -501,43 +494,63 @@ def evaluate_multi(fields, x, y, derivs):
     return evaluate_in_cells(fields, cells, x, y, derivs)
 
 
-def _own_face_jumps(field):
-    """Max |[[grad u]] . n| per cell over the mesh's own interior faces."""
-    space = field.space
-    mesh = space.mesh
-    fs = face_set(mesh)
-    out = np.zeros(len(mesh))
-    if fs.nfaces == 0:
-        return out
-    t = space.rule.sample1d
+def face_normal_derivs(field, fs, cells=None):
+    """Normal derivative of a field on both sides of every face of a FaceSet.
+
+    Each face is sampled at the field's 1-D sample points.  `cells` maps
+    the cells of the face set's mesh to the field's cells (identity when
+    None).  Returns one (face indices, left values, right values) triple
+    per face orientation present, values shaped (faces, samples).
+    """
+    t = field.space.rule.sample1d
     ns = len(t)
     seg = fs.lo[:, None] + (fs.hi - fs.lo)[:, None] * t[None, :]
+    out = []
     for o, dv in ((0, (1, 0)), (1, (0, 1))):
         sel = np.flatnonzero(fs.orient == o)
         if len(sel) == 0:
             continue
-        if o == 0:
-            xpt = np.repeat(fs.coord[sel], ns)
-            ypt = seg[sel].ravel()
-        else:
-            xpt = seg[sel].ravel()
-            ypt = np.repeat(fs.coord[sel], ns)
-        lcells = np.repeat(fs.left[sel], ns)
-        rcells = np.repeat(fs.right[sel], ns)
-        gl = evaluate_in_cells([field], lcells, xpt, ypt, [dv])[0]
-        gr = evaluate_in_cells([field], rcells, xpt, ypt, [dv])[0]
-        fmax = np.abs(gl - gr).reshape(len(sel), ns).max(axis=1)
-        np.maximum.at(out, fs.left[sel], fmax)
-        np.maximum.at(out, fs.right[sel], fmax)
+        across = np.repeat(fs.coord[sel], ns)
+        along = seg[sel].ravel()
+        x, y = (across, along) if o == 0 else (along, across)
+        sides = []
+        for side in (fs.left[sel], fs.right[sel]):
+            c = side if cells is None else cells[side]
+            vals = evaluate_in_cells([field], np.repeat(c, ns), x, y, [dv])[0]
+            sides.append(vals.reshape(len(sel), ns))
+        out.append((sel, sides[0], sides[1]))
+    return out
+
+
+def faces_to_cells(fs, ncells, per_face):
+    """Per-cell max over a cell's faces of per-face values.
+
+    per_face is a list of (face indices, values); cells without a listed
+    face get 0.
+    """
+    out = np.zeros(ncells)
+    for sel, vals in per_face:
+        np.maximum.at(out, fs.left[sel], vals)
+        np.maximum.at(out, fs.right[sel], vals)
     return out
 
 
 # -- inter-mesh transfer ------------------------------------------------------
 
 
-def _subcell_matrix(ref, dl, off, pts):
-    """1-D cardinal values at (off + pts) / 2**dl."""
-    return ref.eval((off + pts) / float(1 << dl), 0)
+def subcell_offsets(fine, coarse, host):
+    """Where each cell of `fine` sits inside its host cell of `coarse`.
+
+    host[i] is the index of the coarse cell holding fine cell i.  Returns
+    integer arrays (dl, ox, oy): the level difference and the offset of
+    cell i from the host's lower-left corner, in cells of cell i's level.
+    dl < 0 marks cells coarser than their host; their offsets mean nothing.
+    """
+    dl = fine.levels - coarse.levels[host]
+    up = np.maximum(dl, 0)
+    ox = fine.ix - (coarse.ix[host] << up)
+    oy = fine.iy - (coarse.iy[host] << up)
+    return dl, ox, oy
 
 
 def interpolate(field, target_space):
@@ -560,27 +573,23 @@ def interpolate(field, target_space):
     centers_x = tmesh.x0 + 0.5 * tmesh.hx
     centers_y = tmesh.y0 + 0.5 * tmesh.hy
     host = smesh.locate(centers_x, centers_y)
-    sub_cache = {}
+    offsets = np.stack(subcell_offsets(tmesh, smesh, host), axis=1).tolist()
+    factors = {}
     scatter_cells = []
 
-    for ci, key in enumerate(tmesh.leaves):
+    for ci, (dl, offx, offy) in enumerate(offsets):
         si = int(host[ci])
-        skey = smesh.leaves[si]
-        dl = key[0] - skey[0]
         if dl < 0:
             scatter_cells.append(ci)
             continue
         if dl == 0 and same_p:
             raw[tgt.dofmap[ci]] = field.coeffs[src.dofmap[si]]
             continue
-        offx = key[1] - (skey[1] << dl)
-        offy = key[2] - (skey[2] << dl)
         ck = (dl, offx, offy)
-        if ck not in sub_cache:
-            Bx = _subcell_matrix(src.ref, dl, offx, tgt.ref.nodes)
-            By = _subcell_matrix(src.ref, dl, offy, tgt.ref.nodes)
-            sub_cache[ck] = (Bx, By)
-        Bx, By = sub_cache[ck]
+        if ck not in factors:
+            factors[ck] = (src.ref.eval_sub(tgt.ref.nodes, dl, offx),
+                           src.ref.eval_sub(tgt.ref.nodes, dl, offy))
+        Bx, By = factors[ck]
         C2 = field.coeffs[src.dofmap[si]].reshape(src.degree + 1, src.degree + 1)
         raw[tgt.dofmap[ci]] = (By @ C2 @ Bx.T).ravel()
 

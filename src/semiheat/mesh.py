@@ -151,16 +151,21 @@ class Mesh:
         self.hy = h * scale
         self.x0 = self.rect.x_min + ix * self.hx
         self.y0 = self.rect.y_min + iy * self.hy
+        self.ix = ix
+        self.iy = iy
         self.h = np.hypot(self.hx, self.hy)
         self.max_level = int(lv.max()) if len(lv) else 0
-        # Per-level sorted encoded keys for vectorized point location.
+        # Per-level tables for vectorized point location.  A level-l cell
+        # is keyed (rank of its ix among the level's columns) << l | iy,
+        # exact in int64 for fewer than 2**(63 - l) columns, where
+        # (ix << l) | iy itself would overflow past level 31.
         self._level_keys = {}
         for l in np.unique(lv):
-            sel = lv == l
-            enc = (ix[sel] << 32) | iy[sel]
+            sel = np.flatnonzero(lv == l)
+            cols = np.unique(ix[sel])
+            enc = (np.searchsorted(cols, ix[sel]) << l) | iy[sel]
             order = np.argsort(enc)
-            self._level_keys[int(l)] = (np.sort(enc),
-                                        np.flatnonzero(sel)[order])
+            self._level_keys[int(l)] = (cols, enc[order], sel[order])
 
     def __len__(self):
         return len(self.leaves)
@@ -315,12 +320,14 @@ class Mesh:
                 break
             if l not in self._level_keys:
                 continue
-            enc_sorted, idx = self._level_keys[l]
+            cols, enc_sorted, idx = self._level_keys[l]
             shift = LMAX - l
-            enc = ((iu[todo] >> shift) << 32) | (iv[todo] >> shift)
+            qx = iu[todo] >> shift
+            col = np.minimum(np.searchsorted(cols, qx), len(cols) - 1)
+            enc = (col << l) | (iv[todo] >> shift)
             pos = np.searchsorted(enc_sorted, enc)
             pos_c = np.minimum(pos, len(enc_sorted) - 1)
-            hit = enc_sorted[pos_c] == enc
+            hit = (cols[col] == qx) & (enc_sorted[pos_c] == enc)
             out[todo[hit]] = idx[pos_c[hit]]
             todo = todo[~hit]
             if todo.size == 0:

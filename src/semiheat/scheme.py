@@ -44,6 +44,11 @@ class DiscreteLaplacian:
         self.u_next = u_next
         self.u_hat = u_hat
 
+    def values(self, x, y, up, un, uh):
+        """The closure at points (x, y) from the three fields' values there."""
+        return np.asarray(self.f(x, y, self.t_prev, up), dtype=float) \
+            - (un - uh) / self.k
+
     def __call__(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -52,9 +57,7 @@ class DiscreteLaplacian:
         up = fe.evaluate_multi([self.u_prev], xf, yf, [(0, 0)])[0]
         un, uh = fe.evaluate_multi([self.u_next, self.u_hat], xf, yf,
                                    [(0, 0), (0, 0)])
-        vals = np.asarray(self.f(xf, yf, self.t_prev, up), dtype=float) \
-            - (un - uh) / self.k
-        return vals.reshape(shape)
+        return self.values(xf, yf, up, un, uh).reshape(shape)
 
 
 @dataclass
@@ -127,26 +130,14 @@ def imex_step(problem, u_prev, space_next, k, t_prev):
     return fe.Field.from_free(space_next, x), u_hat
 
 
-def make_slab(problem, m, t_prev, k, u_prev, u_next, u_hat):
-    """Assemble a TimeSlab with its discrete-Laplacian closures."""
-    if m == 1:
-        A_prev = InitialLaplacian(problem.a, problem.lap_u0)
-    else:
-        A_prev = None  # filled by the caller from the previous slab
+def make_slab(problem, m, t_prev, k, u_prev, u_next, u_hat, A_prev):
+    """Assemble a TimeSlab; A_prev is the closure at t_prev (the previous
+    slab's A_next, or the InitialLaplacian for slab 1)."""
     A_next = DiscreteLaplacian(problem.f, t_prev, k, u_prev, u_next, u_hat)
     return TimeSlab(m=m, t_prev=t_prev, t_next=t_prev + k, k=k,
                     space_prev=u_prev.space, space_next=u_next.space,
                     u_prev=u_prev, u_next=u_next, u_hat=u_hat,
                     A_prev=A_prev, A_next=A_next)
-
-
-def discrete_laplacian(slab, which):
-    """The pointwise-evaluable driving term at either slab endpoint."""
-    if which == "prev":
-        return slab.A_prev
-    if which == "next":
-        return slab.A_next
-    raise ValueError("which must be 'prev' or 'next'")
 
 
 class TimeInterpolant:

@@ -72,9 +72,9 @@ def test_criterion_1_zero_modulus_degeneration():
                        all(d == 1.0 for d in L.delta)))
         checks.append(("%s: every r == 1.0 bit-exactly" % name,
                        all(r == 1.0 for r in L.r)))
-        lhs = est.total_bound(L)
+        lhs = L.bound_through()
         rhs = _telescoped_sum(L)
-        checks.append(("%s: total_bound matches the telescoped sum "
+        checks.append(("%s: bound_through matches the telescoped sum "
                        "(rel %.2e)" % (name, abs(lhs - rhs) / rhs),
                        abs(lhs - rhs) <= 1e-12 * rhs))
     _verdict(1, "zero-modulus degeneration is exact", checks)
@@ -93,7 +93,7 @@ def test_criterion_2_manufactured_reliability():
             res = dr.run_fixed(prob, Mesh.uniform(prob.rect, level), p,
                                k=1e-3, T=0.05)
             err = _measured_error(prob, res)
-            bound = est.total_bound(res.ledger)
+            bound = res.ledger.bound_through()
             checks.append(
                 ("p=%d h=1/%d: error %.3e <= bound %.3e"
                  % (p, 2 ** level, err, bound), err <= bound))

@@ -1,5 +1,7 @@
 """Adaptive loop: indicators, tolerance management, stops, post-processing."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -100,11 +102,11 @@ def test_weighted_average_dofs_formula():
     prob = builtin("heat_decay")
     sp = fe.Space(Mesh.uniform(prob.rect, 2), 1)
     z = fe.Field.zeros(sp)
-    s1 = sc.make_slab(prob, 1, 0.0, 0.5, z, z, z)
+    s1 = sc.make_slab(prob, 1, 0.0, 0.5, z, z, z, None)
     s1.overlay_dofs = 100
     traj = sc.Trajectory(z, [s1])
     assert dr.weighted_average_dofs(traj) == pytest.approx(100.0)
-    s2 = sc.make_slab(prob, 2, 0.5, 0.5, z, z, z)
+    s2 = sc.make_slab(prob, 2, 0.5, 0.5, z, z, z, None)
     s2.overlay_dofs = 200
     traj.slabs.append(s2)
     assert dr.weighted_average_dofs(traj) == pytest.approx(150.0)
@@ -120,7 +122,8 @@ def test_weighted_average_dofs_overlay_exceeds_endpoints():
     spo = fe.Space(other, 2)
     za = fe.Field.zeros(spf)
     zb = fe.Field.zeros(spo)
-    slab = sc.make_slab(prob, 1, 0.0, 1.0, za, zb, fe.interpolate(za, spo))
+    slab = sc.make_slab(prob, 1, 0.0, 1.0, za, zb, fe.interpolate(za, spo),
+                        None)
     traj = sc.Trajectory(za, [slab])
     lam = dr.weighted_average_dofs(traj)
     assert lam > max(spf.n_free, spo.n_free)
@@ -215,3 +218,23 @@ def test_dumps_written(tmp_path):
     assert len(dumps) >= 1
     text = dumps[0].read_text()
     assert "u_center" in text and "u_maxabs" in text
+
+
+@pytest.mark.parametrize("name", ["heat_decay", "example3"])
+def test_idle_adaptive_run_matches_fixed_run(name):
+    # controllers that never act leave run_adaptive on run_fixed's path
+    prob = replace(builtin(name), T=0.05)
+    mesh = Mesh.uniform(prob.rect, 3)
+    fixed = dr.run_fixed(prob, mesh, 2, 0.01, T=0.05).ledger
+    idle = dr.run_adaptive(
+        prob, dr.Tolerances(1e300, 1e-300, 1e300, 1e-300), 2, mesh, 0.01,
+        dr.DriverOptions(scale_tolerances=False)).ledger
+    n = len(idle.m)
+    assert n == (len(fixed.m) if prob.modulus.is_zero else 2)
+    assert (idle.e0, idle.eta_I) == (fixed.e0, fixed.eta_I)
+    for col in ("m", "t", "k", "dofs", "linf_u", "eta_T", "xi", "xi_prime",
+                "psi", "delta", "r", "r_tilde", "log_eta_S", "hmin", "bound"):
+        assert getattr(idle, col) == getattr(fixed, col)[:n], col
+    for col in ("eta_S_maps", "eta_dot_maps"):
+        for a, b in zip(getattr(idle, col), getattr(fixed, col)[:n]):
+            assert np.array_equal(a, b), col

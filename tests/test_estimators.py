@@ -214,8 +214,9 @@ def test_eta_initial_near_zero_for_member_data():
                      lap_u0=lambda x, y: 2 * y * (y - 1) + 2 * x * (x - 1))
     sp = fe.Space(Mesh.uniform(UNIT, 3), 2)
     U0 = sc.project_initial(member, sp)
-    eta0 = est.initial_space_estimator(member, U0)
-    eta_I = est.eta_initial(member, U0, eta0)
+    led = est.EstimatorLedger()
+    led.set_initial(member, U0, est.initial_space_estimator(member, U0))
+    eta_I = led.eta_I
     assert eta_I < 1e-7
 
 
@@ -223,8 +224,9 @@ def test_eta_initial_dominates_e0():
     prob = builtin("example1")
     sp = fe.Space(Mesh.uniform(prob.rect, 2), 1)
     U0 = sc.project_initial(prob, sp)
-    eta0 = est.initial_space_estimator(prob, U0)
-    eta_I = est.eta_initial(prob, U0, eta0)
+    led = est.EstimatorLedger()
+    led.set_initial(prob, U0, est.initial_space_estimator(prob, U0))
+    eta_I = led.eta_I
     e0 = est.initial_error_map(prob, U0).max()
     assert eta_I >= e0
     # a 4x4 p=1 mesh cannot resolve the Gaussian: the estimator sees it
@@ -384,7 +386,7 @@ def _ledger_with_steps(modulus_is_zero, steps, eta_I=0.0, e0=0.0):
 
 def test_total_bound_zero_case():
     led = _ledger_with_steps(True, [(0.1, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0)])
-    assert est.total_bound(led) == 0.0
+    assert led.bound_through() == 0.0
 
 
 def test_total_bound_zero_modulus_telescoping():
@@ -392,7 +394,7 @@ def test_total_bound_zero_modulus_telescoping():
         True,
         [(0.1, 0.1, 0.0, 0.0, 0.1, 1.0, 1.0, 0.0),
          (0.1, 0.2, 0.0, 0.0, 0.3, 1.0, 1.0, 0.0)])
-    assert est.total_bound(led) == pytest.approx(0.3, abs=1e-15)
+    assert led.bound_through() == pytest.approx(0.3, abs=1e-15)
 
 
 def test_total_bound_dominates_psi():
@@ -400,7 +402,7 @@ def test_total_bound_dominates_psi():
         False,
         [(0.1, 0.1, 0.2, 0.0, 0.5, 1.2, 1.1, 0.3),
          (0.1, 0.2, 0.2, 0.1, 0.9, 1.3, 1.2, 0.4)])
-    bound = est.total_bound(led)
+    bound = led.bound_through()
     assert bound >= 1.2 * 0.9 >= 0.9
 
 
@@ -408,7 +410,7 @@ def test_total_bound_requires_delta():
     led = _ledger_with_steps(
         False, [(0.1, 0.1, 0.2, 0.0, 0.5, None, None, 0.3)])
     with pytest.raises(est.BoundUnavailableError):
-        est.total_bound(led)
+        led.bound_through()
 
 
 def test_r_tilde_accumulates_product():
@@ -466,8 +468,7 @@ def test_psi_monotone_accumulation_in_runs():
         assert delta is not None and delta >= 1.0
         r = est.gronwall_factor(delta, psi, xi, k, t, prob.modulus, ws.u_norm)
         assert r >= 1.0
-        slab = sc.make_slab(prob, m, t, k, u, u_next, hat)
-        slab.A_prev = A_prev
+        slab = sc.make_slab(prob, m, t, k, u, u_next, hat, A_prev)
         t += k
         led.add_step(m, t, k, sp.n_free, u_next.linf_norm(), eta_T, xi,
                      xi_prime, psi, delta, r, eta_S, mesh.min_diameter(),

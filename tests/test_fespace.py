@@ -201,20 +201,23 @@ def test_jump_boundary_cells_only_interior_faces():
 def test_jump_linf_per_cell_accessor():
     sp = fe.Space(Mesh.uniform(UNIT, 1), 1)
     f = fe.Field.from_callable(sp, lambda x, y: np.maximum(x - 0.5, 0.0))
-    assert f.jump_linf((1, 0, 0)) == pytest.approx(1.0, abs=1e-12)
+    cell = sp.mesh.index_of((1, 0, 0))
+    assert f.jump_max_per_cell()[cell] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cell_linf_constant_and_linear():
     sp = fe.Space(Mesh.uniform(UNIT, 0), 1)
-    assert sp.cell_linf(lambda x, y: 3.0 + 0 * x, 0) == pytest.approx(3.0)
-    assert sp.cell_linf(lambda x, y: x, 0) == pytest.approx(1.0, abs=1e-12)
+    X, Y = sp.sample_points()
+    assert np.abs(3.0 + 0 * X[0]).max() == pytest.approx(3.0)
+    assert np.abs(X[0]).max() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cell_linf_laplacian_oracle():
     sp = fe.Space(Mesh.uniform(UNIT, 2), 2)
     f = fe.Field.from_callable(sp, lambda x, y: x * x + y * y)
     lap = lambda X, Y: f.eval(X.ravel(), Y.ravel(), deriv="lap").reshape(X.shape)
-    assert sp.cell_linf(lap, 5) == pytest.approx(4.0, abs=1e-10)
+    X, Y = sp.sample_points()
+    assert np.abs(lap(X[5], Y[5])).max() == pytest.approx(4.0, abs=1e-10)
 
 
 def test_sample_rule_quadrature_exactness():
@@ -262,8 +265,8 @@ def test_dimension_counts_free_interior_dofs():
     sp = fe.Space(mesh, 1)
     # 3x3 nodes, single interior node
     assert sp.n_global == 9
-    assert sp.dim == 1
+    assert sp.n_free == 1
     sp2 = fe.Space(mesh, 2)
     # 5x5 nodes, 3x3 interior
     assert sp2.n_global == 25
-    assert sp2.dim == 9
+    assert sp2.n_free == 9

@@ -14,7 +14,7 @@ UNIT = Rectangle(0.0, 1.0, 0.0, 1.0)
 
 def test_p1_single_cell_has_no_free_dofs():
     sp = fe.Space(Mesh.uniform(UNIT, 0), 1)
-    assert sp.dim == 0
+    assert sp.n_free == 0
     M = assemble_mass(sp)
     assert M.shape == (0, 0)
 

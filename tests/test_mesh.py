@@ -208,6 +208,18 @@ def test_locate_points():
         mesh.locate([1.5], [0.5])
 
 
+def test_locate_below_max_level():
+    # cell keys past level 31 used to overflow the int64 location keys
+    mesh = Mesh.uniform(Rectangle(0, 1, 0, 1), 1)
+    x = y = 1 - 1e-12
+    for l in range(1, 39):
+        mesh = mesh.refine([(l, 2 ** l - 1, 2 ** l - 1)])
+        i = int(mesh.locate(x, y)[0])
+        assert mesh.x0[i] <= x <= mesh.x0[i] + mesh.hx[i]
+        assert mesh.y0[i] <= y <= mesh.y0[i] + mesh.hy[i]
+    assert mesh.leaves[i] == (39, 2 ** 39 - 1, 2 ** 39 - 1)
+
+
 def test_face_set_covers_interior():
     mesh = Mesh.uniform(UNIT, 1).refine([(1, 0, 0)])
     fs = face_set(mesh)

@@ -145,8 +145,8 @@ def test_reconstruction_identity():
     U0 = sc.project_initial(prob, sp)
     k = 0.01
     U1, hat = sc.imex_step(prob, U0, sp, k, 0.0)
-    slab = sc.make_slab(prob, 1, 0.0, k, U0, U1, hat)
-    A = sc.discrete_laplacian(slab, "next")
+    A0 = sc.InitialLaplacian(prob.a, prob.lap_u0)
+    A = sc.make_slab(prob, 1, 0.0, k, U0, U1, hat, A0).A_next
     Xq, Yq, _ = sp.quadrature_points()
     b = load_vector(sp, A(Xq, Yq))
     S = assemble_stiffness(sp, prob.a)
@@ -160,7 +160,7 @@ def test_interpolant_endpoint_and_midpoint():
     U0 = sc.project_initial(prob, sp)
     k = 0.02
     U1, hat = sc.imex_step(prob, U0, sp, k, 0.0)
-    traj = sc.Trajectory(U0, [sc.make_slab(prob, 1, 0.0, k, U0, U1, hat)])
+    traj = sc.Trajectory(U0, [sc.make_slab(prob, 1, 0.0, k, U0, U1, hat, None)])
     pts = np.random.default_rng(3).random((30, 2))
     at_end = sc.interpolant_at(traj, k)
     assert np.abs(at_end(pts[:, 0], pts[:, 1])
@@ -176,7 +176,7 @@ def test_interpolant_convexity_of_norms():
     U0 = sc.project_initial(prob, sp)
     k = 0.02
     U1, hat = sc.imex_step(prob, U0, sp, k, 0.0)
-    traj = sc.Trajectory(U0, [sc.make_slab(prob, 1, 0.0, k, U0, U1, hat)])
+    traj = sc.Trajectory(U0, [sc.make_slab(prob, 1, 0.0, k, U0, U1, hat, None)])
     X, Y = sp.sample_points()
     cap = max(U0.linf_norm(), U1.linf_norm())
     rng = np.random.default_rng(4)
