@@ -7,7 +7,7 @@ adaptivity whose stop signal doubles as a blow-up detector.
 """
 
 from .mesh import Rectangle, Mesh, DomainMismatchError, face_set
-from .fespace import Space, Field, SampleRule, interpolate
+from .fespace import Space, Field, interpolate
 from .linalg import assemble_mass, assemble_stiffness, solve_spd, SolverFailure
 from .scheme import (TimeSlab, Trajectory, project_initial, imex_step,
                      interpolant_at)
@@ -22,7 +22,7 @@ from .cli import RunConfig, parse_config, emit_config, run_sweep, fit_slope
 
 __all__ = [
     "Rectangle", "Mesh", "DomainMismatchError", "face_set",
-    "Space", "Field", "SampleRule", "interpolate",
+    "Space", "Field", "interpolate",
     "assemble_mass", "assemble_stiffness", "solve_spd", "SolverFailure",
     "TimeSlab", "Trajectory", "project_initial", "imex_step",
     "interpolant_at",

@@ -17,6 +17,7 @@ import numpy as np
 from . import fespace as fe
 from . import scheme as sc
 from . import estimators as est
+from .mesh import face_set
 
 
 class ExtrapolationError(ValueError):
@@ -51,13 +52,16 @@ class Tolerances:
         return cls(stol_plus, stol_plus / ratio, ttol_plus, ttol_plus / ratio)
 
 
+# Most first-interval passes, and most step-size adjustments per step.
+FIRST_INTERVAL_CAP = 40
+STEP_ADJUST_CAP = 30
+
+
 @dataclass
 class DriverOptions:
     c_inf: float = 1.0
     time_quadrature: int = 3
     scale_tolerances: bool = True
-    first_interval_cap: int = 40
-    step_adjust_cap: int = 30
     max_steps: int = 100000
     dump_every: int = 0
     out_dir: str = "."
@@ -124,22 +128,10 @@ def extrapolate_blowup(t_prev, norm_prev, t_last, norm_last):
 
 def weighted_average_dofs(trajectory):
     """Time-step weighted mean of the overlay-space dofs of each slab."""
-    slabs = trajectory.slabs
-    if not slabs:
+    if not trajectory.slabs:
         raise ValueError("empty trajectory")
-    total = 0.0
-    for s in slabs:
-        lam = s.overlay_dofs
-        if not lam:
-            mp, mn = s.space_prev.mesh, s.space_next.mesh
-            if mp.leafset == mn.leafset:
-                lam = s.space_next.n_free
-            else:
-                lam = fe.Space(mp.overlay_finest(mn),
-                               s.space_next.degree).n_free
-            s.overlay_dofs = lam
-        total += s.k * lam
-    return total / trajectory.final_time
+    return sum(s.k * s.overlay_dofs
+               for s in trajectory.slabs) / trajectory.final_time
 
 
 def _modify_mesh(mesh, indicator, stol_plus, stol_minus):
@@ -256,16 +248,19 @@ class _Slab:
 def _first_slab(problem, opts, space):
     """Slab 1, starting from the elliptic projection of u0 onto `space`."""
     U0 = sc.project_initial(problem, space)
+    fs = face_set(space.mesh)
+    derivs = fe.face_normal_derivs(U0, fs)
     return _Slab(problem, opts, 1, 0.0, U0,
                  sc.InitialLaplacian(problem.a, problem.lap_u0),
-                 est.initial_space_estimator(problem, U0))
+                 est.initial_space_estimator(problem, U0, derivs),
+                 {fs: derivs})
 
 
-def _open_ledger(problem, opts, first):
+def _open_ledger(problem, opts, first, e0_map=None):
     """Empty ledger and trajectory starting from slab 1's initial state."""
     ledger = est.EstimatorLedger(c_inf=opts.c_inf,
                                  modulus_is_zero=problem.modulus.is_zero)
-    ledger.set_initial(problem, first.u, first.eta_S)
+    ledger.set_initial(problem, first.u, first.eta_S, e0_map)
     return ledger, sc.Trajectory(first.u)
 
 
@@ -309,7 +304,7 @@ def run_adaptive(problem, tolerances, degree, initial_mesh, k1, options=None):
         ref_S = first_space_indicator(e0_map, slab.eta_S, eta_S1, dot1, alpha)
         if eta_T <= ttol_p and ref_S.max() <= stol_p:
             break
-        if passes >= opts.first_interval_cap:
+        if passes >= FIRST_INTERVAL_CAP:
             caps.append(("first_interval", passes))
             break
         mesh = _modify_mesh(mesh, ref_S, stol_p, stol_m)
@@ -317,7 +312,7 @@ def run_adaptive(problem, tolerances, degree, initial_mesh, k1, options=None):
             k *= 0.5
         passes += 1
 
-    ledger, traj = _open_ledger(problem, opts, slab)
+    ledger, traj = _open_ledger(problem, opts, slab, e0_map)
     t = 0.0
     clipped = False
     while True:
@@ -352,7 +347,7 @@ def run_adaptive(problem, tolerances, degree, initial_mesh, k1, options=None):
         ref_T = time_indicator(slab.solve(space, k), r_tilde_prev)
         adjusts = 0
         while not (ttol_m <= ref_T <= ttol_p):
-            if adjusts >= opts.step_adjust_cap:
+            if adjusts >= STEP_ADJUST_CAP:
                 caps.append(("step_adjust", slab.m))
                 break
             if ref_T > ttol_p:

@@ -90,16 +90,18 @@ def _time_rule(t_prev, k, q):
 # -- single-mesh space estimator (slab zero) ------------------------------------
 
 
-def initial_space_estimator(problem, u0_field):
+def initial_space_estimator(problem, u0_field, face_derivs=None):
     """Per-cell space estimator of the projected initial field.
 
     Volume residual uses the analytic driving term -a*lap(u0).
+    `face_derivs` are the field's `face_normal_derivs` on its mesh's
+    faces when the caller already has them.
     """
     space = u0_field.space
     X, Y = space.sample_points()
     A0 = -problem.a * np.asarray(problem.lap_u0(X, Y), dtype=float)
     vol = np.abs(A0 + problem.a * u0_field.sample_values("lap")).max(axis=1)
-    jump = u0_field.jump_max_per_cell()
+    jump = u0_field.jump_max_per_cell(face_derivs)
     h = space.mesh.h
     return h * h / problem.a * vol + h * jump
 
@@ -153,30 +155,25 @@ class SlabWorkspace:
         mesh_next = space_next.mesh
         self.mesh_prev = mesh_prev
         self.mesh_next = mesh_next
-        self.same_mesh = mesh_prev is mesh_next \
-            or mesh_prev.leafset == mesh_next.leafset
-        if self.same_mesh:
-            self.vee = mesh_next
-            self.wedge = mesh_next
-        else:
-            self.vee = mesh_prev.overlay_finest(mesh_next)
-            self.wedge = mesh_prev.overlay_coarsest(mesh_next)
-        nvee = len(self.vee)
+        # Nested meshes overlay to one of themselves; a mesh that is the
+        # finest overlay maps onto it by the identity.
+        self.vee = mesh_prev.overlay_finest(mesh_next)
+        self.wedge = mesh_prev.overlay_coarsest(mesh_next)
         cx = self.vee.x0 + 0.5 * self.vee.hx
         cy = self.vee.y0 + 0.5 * self.vee.hy
-        if self.same_mesh:
-            ident = np.arange(nvee)
-            self.src_prev = ident
-            self.src_next = ident
-            self.h_wedge = self.vee.h
-        else:
-            self.src_prev = mesh_prev.locate(cx, cy)
-            self.src_next = mesh_next.locate(cx, cy)
-            self.h_wedge = self.wedge.h[self.wedge.locate(cx, cy)]
+
+        def host(mesh):
+            if mesh is self.vee:
+                return np.arange(len(mesh))
+            return mesh.locate(cx, cy)
+
+        self.src_prev = host(mesh_prev)
+        self.src_next = host(mesh_next)
+        self.h_wedge = self.wedge.h[host(self.wedge)]
         self.hmin_prev = mesh_prev.min_diameter()
         self.hmin_next = mesh_next.min_diameter()
 
-        t = space_next.rule.sample1d
+        t = space_next.ref.sample1d
         ns = len(t)
         tx = np.tile(t, ns)
         ty = np.repeat(t, ns)
@@ -235,15 +232,14 @@ class SlabWorkspace:
             out[vis] = V
         return out
 
-    def _eval_any(self, field, deriv="val"):
-        """Structured when the field lives on a slab space, scattered otherwise."""
+    def _eval_any(self, field):
+        """Values on the overlay sample grid, structured on slab spaces."""
         if field.space is self.space_prev:
-            return self._grid_eval(field, "prev", deriv)
+            return self._grid_eval(field, "prev", "val")
         if field.space is self.space_next:
-            return self._grid_eval(field, "next", deriv)
-        dv = (0, 0) if deriv == "val" else deriv
+            return self._grid_eval(field, "next", "val")
         flat = fe.evaluate_multi([field], self.Xs.ravel(), self.Ys.ravel(),
-                                 [dv if deriv != "lap" else "lap"])[0]
+                                 [(0, 0)])[0]
         return flat.reshape(self.Xs.shape)
 
     # -- state ----------------------------------------------------------------
@@ -368,9 +364,10 @@ class SlabWorkspace:
         return self._scatter_next_max(etadot_vee), xi_prime
 
     def overlay_free_dofs(self):
-        """Free dofs of the degree-p space on the overlay mesh."""
-        if self.same_mesh:
-            return self.space_next.n_free
+        """Free dofs of the degree-p space on the finest overlay mesh."""
+        for space in (self.space_next, self.space_prev):
+            if self.vee is space.mesh:
+                return space.n_free
         return fe.Space(self.vee, self.space_next.degree).n_free
 
 
@@ -578,9 +575,12 @@ class EstimatorLedger:
         self.eta_dot_maps = []
         self.bound = []
 
-    def set_initial(self, problem, u0_field, eta0_map):
+    def set_initial(self, problem, u0_field, eta0_map, e0_map=None):
+        """Record slab zero (`e0_map`: its `initial_error_map`, if known)."""
+        if e0_map is None:
+            e0_map = initial_error_map(problem, u0_field)
         self.eta_S0_map = np.asarray(eta0_map, dtype=float)
-        self.e0 = float(initial_error_map(problem, u0_field).max())
+        self.e0 = float(e0_map.max())
         hmin = u0_field.space.mesh.min_diameter()
         self.log_eta_S0 = log_factor(hmin) * float(self.eta_S0_map.max())
         self.eta_I = self.e0 + self.c_inf * self.log_eta_S0

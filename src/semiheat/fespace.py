@@ -87,19 +87,6 @@ def _ref(p):
     return _REF_CACHE[p]
 
 
-class SampleRule:
-    """Per-cell sampling and quadrature layout for degree p."""
-
-    def __init__(self, p):
-        ref = _ref(p)
-        self.degree = p
-        self.sample1d = ref.sample1d
-        self.quad1d = ref.quad1d
-        self.quadw1d = ref.quadw1d
-        self.n_sample = len(self.sample1d) ** 2
-        self.n_quad = len(self.quad1d) ** 2
-
-
 class Space:
     """Degree-p conforming space on a quadtree mesh with zero boundary trace."""
 
@@ -109,7 +96,6 @@ class Space:
         self.mesh = mesh
         self.degree = int(degree)
         self.ref = _ref(self.degree)
-        self.rule = SampleRule(self.degree)
         self._build_dofs()
         self._build_constraints()
         self._tensor_cache = {}
@@ -272,14 +258,6 @@ class Space:
 
     # -- coefficient maps -----------------------------------------------------
 
-    def conform(self, raw_values):
-        """Nodal values -> coefficients with zero boundary trace.
-
-        Keeps the free entries, zeros the boundary and recomputes every
-        constrained entry from its masters.
-        """
-        return self.P @ np.asarray(raw_values, dtype=float)[self.free_gids]
-
     def resolve(self, raw_values):
         """Nodal values -> continuous coefficients, boundary values kept.
 
@@ -294,7 +272,7 @@ class Space:
     # -- tensor bases -----------------------------------------------------------
 
     def _pts1d(self, kind):
-        return self.rule.sample1d if kind == "sample" else self.rule.quad1d
+        return self.ref.sample1d if kind == "sample" else self.ref.quad1d
 
     def tensor_basis(self, kind, dx, dy, sub=(0, 0, 0)):
         """Basis matrix on the reference tensor grid.
@@ -330,7 +308,7 @@ class Space:
     def quadrature_points(self):
         """(X, Y, W) with W the physical quadrature weights per cell."""
         X, Y = self._grid("quad")
-        w = self.rule.quadw1d
+        w = self.ref.quadw1d
         wflat = np.kron(w, w)
         W = (self.mesh.hx * self.mesh.hy)[:, None] * wflat[None, :]
         return X, Y, W
@@ -382,16 +360,12 @@ class Field:
     # -- structured evaluation on the cell sample grid -----------------------
 
     def sample_values(self, deriv="val"):
-        """Values (or derivatives) on the per-cell sample grid (ncells, npts)."""
+        """Per-cell sample-grid values, "val" or "lap" (ncells, npts)."""
         if deriv not in self._sample_cache:
             sp = self.space
             C = self.coeffs[sp.dofmap]
             if deriv == "val":
                 V = C @ sp.tensor_basis("sample", 0, 0).T
-            elif deriv == "dx":
-                V = (C @ sp.tensor_basis("sample", 1, 0).T) / sp.mesh.hx[:, None]
-            elif deriv == "dy":
-                V = (C @ sp.tensor_basis("sample", 0, 1).T) / sp.mesh.hy[:, None]
             elif deriv == "lap":
                 V = (C @ sp.tensor_basis("sample", 2, 0).T) / (sp.mesh.hx ** 2)[:, None] \
                     + (C @ sp.tensor_basis("sample", 0, 2).T) / (sp.mesh.hy ** 2)[:, None]
@@ -502,7 +476,7 @@ def face_normal_derivs(field, fs, cells=None):
     None).  Returns one (face indices, left values, right values) triple
     per face orientation present, values shaped (faces, samples).
     """
-    t = field.space.rule.sample1d
+    t = field.space.ref.sample1d
     ns = len(t)
     seg = fs.lo[:, None] + (fs.hi - fs.lo)[:, None] * t[None, :]
     out = []

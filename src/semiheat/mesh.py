@@ -3,8 +3,10 @@
 Cells are identified by integer root paths (level, ix, iy) with
 ix, iy in [0, 2**level), so containment, adjacency and the two mesh
 overlays reduce to integer arithmetic and set lookups.  Meshes are
-immutable: refine/coarsen/overlay return new Mesh objects.  All meshes
-are kept 1-irregular (edge-adjacent leaves differ by at most one level).
+immutable: refine/coarsen return new Mesh objects when something changes,
+and an overlay of two nested meshes (identical ones included) is one of
+its inputs, so it shares that input's cached FaceSet.  All meshes are
+kept 1-irregular (edge-adjacent leaves differ by at most one level).
 """
 
 import numpy as np
@@ -264,9 +266,22 @@ class Mesh:
         if self.rect != other.rect:
             raise DomainMismatchError("meshes live on different rectangles")
 
+    def _input_or_new(self, other, leaves):
+        """The input mesh with these leaves, else a new Mesh.
+
+        An overlay refines (or coarsens) both inputs, so one with an
+        input's leaf count has exactly that input's leaves.
+        """
+        for mesh in (other, self):
+            if len(leaves) == len(mesh):
+                return mesh
+        return Mesh(self.rect, leaves)
+
     def overlay_finest(self, other):
-        """Coarsest common refinement of the two meshes."""
+        """Coarsest common refinement; the finer input itself if nested."""
         self._check_same_domain(other)
+        if other is self:
+            return self
         ls1, ls2 = self.leafset, other.leafset
         out = []
         stack = [((0, 0, 0), False, False)]
@@ -278,11 +293,13 @@ class Mesh:
                 out.append(key)
             else:
                 stack.extend((ch, c1, c2) for ch in children(key))
-        return Mesh(self.rect, out)
+        return self._input_or_new(other, out)
 
     def overlay_coarsest(self, other):
-        """Finest common coarsening of the two meshes."""
+        """Finest common coarsening; the coarser input itself if nested."""
         self._check_same_domain(other)
+        if other is self:
+            return self
         ls1, ls2 = self.leafset, other.leafset
         out = []
         stack = [(0, 0, 0)]
@@ -292,7 +309,7 @@ class Mesh:
                 out.append(key)
             else:
                 stack.extend(children(key))
-        return Mesh(self.rect, out)
+        return self._input_or_new(other, out)
 
     # -- point location -------------------------------------------------------
 

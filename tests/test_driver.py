@@ -124,6 +124,8 @@ def test_weighted_average_dofs_overlay_exceeds_endpoints():
     zb = fe.Field.zeros(spo)
     slab = sc.make_slab(prob, 1, 0.0, 1.0, za, zb, fe.interpolate(za, spo),
                         None)
+    slab.overlay_dofs = est.SlabWorkspace(prob, za, None, spo,
+                                          0.0).overlay_free_dofs()
     traj = sc.Trajectory(za, [slab])
     lam = dr.weighted_average_dofs(traj)
     assert lam > max(spf.n_free, spo.n_free)

@@ -106,7 +106,6 @@ def test_eta_dot_vanishes_for_stationary_slab():
 def test_eta_dot_same_mesh_reduces_to_single_mesh():
     prob = builtin("heat_decay")
     sp, U0, U1, hat, ws = make_slab_workspace(prob)
-    assert ws.same_mesh
     assert ws.vee is sp.mesh
     assert np.array_equal(ws.h_wedge, sp.mesh.h)
 
@@ -125,6 +124,7 @@ def test_eta_dot_pure_refinement_weights_from_coarse_mesh():
     # wedge = coarse mesh; every vee cell's weight is its coarse ancestor's h
     assert set(ws.wedge.leaves) == set(mesh.leaves)
     assert set(ws.vee.leaves) == set(fine.leaves)
+    assert ws.vee is spf.mesh
     for vi, key in enumerate(ws.vee.leaves):
         cx = ws.vee.x0[vi] + 0.5 * ws.vee.hx[vi]
         cy = ws.vee.y0[vi] + 0.5 * ws.vee.hy[vi]

@@ -23,7 +23,7 @@ def test_mass_row_sums_match_quadrature():
     mesh = Mesh.uniform(UNIT, 2).refine([(2, 0, 0)])
     sp = fe.Space(mesh, 3)
     M_full = assemble_mass(sp, condensed=False)
-    ones = np.ones((len(mesh), sp.rule.n_quad))
+    ones = np.ones((len(mesh), len(sp.ref.quad1d) ** 2))
     b = load_vector(sp, ones, condensed=False)
     assert np.abs(np.asarray(M_full.sum(axis=1)).ravel() - b).max() < 1e-14
 

@@ -130,6 +130,11 @@ def test_overlay_refinement_dominates():
     finer = mesh.refine([(1, 1, 1)])
     assert set(mesh.overlay_finest(finer).leaves) == set(finer.leaves)
     assert set(mesh.overlay_coarsest(finer).leaves) == set(mesh.leaves)
+    # nested meshes overlay to the inputs themselves, in either order
+    assert mesh.overlay_finest(finer) is finer
+    assert finer.overlay_finest(mesh) is finer
+    assert mesh.overlay_coarsest(finer) is mesh
+    assert finer.overlay_coarsest(mesh) is mesh
 
 
 def test_overlay_quadrant_example():

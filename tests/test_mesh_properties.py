@@ -1,0 +1,84 @@
+"""Property tests of the mesh invariants over random refine/coarsen runs."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from semiheat import estimators as est
+from semiheat import fespace as fe
+from semiheat.mesh import Mesh, Rectangle, children, parent
+
+RECT = Rectangle(-1.0, 2.0, 0.0, 0.5)
+
+# (refine?, leaf picks): a pick is reduced modulo the leaf count; coarsening
+# marks all four siblings of each picked leaf.
+OPS = st.lists(st.tuples(st.booleans(),
+                         st.lists(st.integers(0, 1 << 20), min_size=1,
+                                  max_size=5)),
+               max_size=4)
+
+PROPERTY = settings(max_examples=30, deadline=None)
+
+
+def apply(mesh, op):
+    refine, picks = op
+    keys = [mesh.leaves[i % len(mesh)] for i in picks]
+    if refine:
+        return mesh.refine(keys)
+    return mesh.coarsen([k for key in keys if key[0] > 0
+                         for k in children(parent(key))])
+
+
+def build(ops):
+    mesh = Mesh.uniform(RECT, 1)
+    for op in ops:
+        mesh = apply(mesh, op)
+    return mesh
+
+
+@PROPERTY
+@given(OPS)
+def test_refine_coarsen_keep_tiling_and_one_irregularity(ops):
+    mesh = Mesh.uniform(RECT, 1)
+    for op in ops:
+        mesh = apply(mesh, op)
+        assert mesh.total_area() == pytest.approx(RECT.area, rel=1e-14)
+        assert mesh.is_one_irregular()
+
+
+@PROPERTY
+@given(OPS, OPS)
+def test_overlays_commute_and_are_idempotent(ops_a, ops_b):
+    a, b = build(ops_a), build(ops_b)
+    vee, wedge = a.overlay_finest(b), a.overlay_coarsest(b)
+    assert set(vee.leaves) == set(b.overlay_finest(a).leaves)
+    assert set(wedge.leaves) == set(b.overlay_coarsest(a).leaves)
+    assert a.overlay_finest(a) is a
+    assert a.overlay_coarsest(a) is a
+    assert vee.total_area() == pytest.approx(RECT.area, rel=1e-14)
+    assert wedge.total_area() == pytest.approx(RECT.area, rel=1e-14)
+    # the overlays nest with both inputs
+    for m in (a, b):
+        assert m.overlay_finest(vee) is vee
+        assert m.overlay_coarsest(wedge) is wedge
+
+
+@PROPERTY
+@given(OPS, st.lists(st.integers(0, 1 << 20), max_size=5))
+def test_nested_overlays_are_the_inputs(ops, picks):
+    a = build(ops)
+    b = a.refine([a.leaves[i % len(a)] for i in picks])
+    assert a.overlay_finest(b) is b
+    assert a.overlay_coarsest(b) is a
+    assert b.overlay_finest(a) is b
+    assert b.overlay_coarsest(a) is a
+
+
+@PROPERTY
+@given(OPS, OPS, st.integers(1, 2))
+def test_overlay_free_dofs_counts_the_finest_overlay_space(ops_a, ops_b, p):
+    a, b = build(ops_a), build(ops_b)
+    nested = b.refine([b.leaves[0]])
+    for prev, nxt in ((a, b), (b, nested), (nested, b)):
+        u_prev = fe.Field.zeros(fe.Space(prev, p))
+        ws = est.SlabWorkspace(None, u_prev, None, fe.Space(nxt, p), 0.0)
+        assert ws.overlay_free_dofs() == fe.Space(ws.vee, p).n_free
