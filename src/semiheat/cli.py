@@ -243,6 +243,11 @@ def _run_one(cfg, ttol_plus=None):
     return run_adaptive(prob, tol, cfg.degree, mesh, cfg.k1, opts)
 
 
+def _caps_text(caps):
+    """A run's hit caps as `name:value` items, e.g. `first_interval:40`."""
+    return ",".join("%s:%s" % cap for cap in caps)
+
+
 def run_sweep(cfg):
     """One adaptive run per sweep tolerance; returns the row dicts.
 
@@ -380,7 +385,12 @@ def main(argv=None):
             res.ledger.to_csv(os.path.join(cfg.out_dir, "ledger.csv"))
             with open(os.path.join(cfg.out_dir, "summary.txt"), "w") as fh:
                 fh.write(res.summary() + "\n")
+                if res.caps_hit:
+                    fh.write("caps_hit=%s\n" % _caps_text(res.caps_hit))
             print(res.summary())
+            if res.caps_hit:
+                print("warning: caps hit: %s" % _caps_text(res.caps_hit),
+                      file=sys.stderr)
             return 2 if res.stop_reason.startswith("delta_nonexistent") else 0
         # sweep
         rows = run_sweep(cfg)
@@ -388,9 +398,14 @@ def main(argv=None):
         with open(os.path.join(cfg.out_dir, "sweep.csv"), "w") as fh:
             fh.write(sweep_csv_text(rows))
         for i, row in enumerate(rows):
-            if row["result"] is not None:
-                row["result"].ledger.to_csv(
+            res = row["result"]
+            if res is not None:
+                res.ledger.to_csv(
                     os.path.join(cfg.out_dir, "ledger_%02d.csv" % (i + 1)))
+                if res.caps_hit:
+                    print("warning: row %d (ttol=%r): caps hit: %s"
+                          % (i + 1, row["ttol"], _caps_text(res.caps_hit)),
+                          file=sys.stderr)
         write_report(cfg.out_dir)
         return 0 if all(r["result"] is not None for r in rows) else 1
     except (ConfigError, FileNotFoundError, ValueError) as exc:

@@ -291,15 +291,19 @@ def run_adaptive(problem, tolerances, degree, initial_mesh, k1, options=None):
     stol_p, stol_m = tolerances.stol_plus, tolerances.stol_minus
 
     # First interval: refine mesh and halve k concurrently until both
-    # indicators sit below their refinement tolerances.
+    # indicators sit below their refinement tolerances.  A pass that keeps
+    # its mesh keeps its space and U0 (with U0's estimators) and only
+    # re-solves slab 1 with the halved k.
     mesh = initial_mesh
     k = k1
     passes = 0
+    slab = None
     while True:
-        slab = _first_slab(problem, opts, fe.Space(mesh, degree))
+        if slab is None or mesh.leafset != slab.u.space.mesh.leafset:
+            slab = _first_slab(problem, opts, fe.Space(mesh, degree))
+            e0_map = est.initial_error_map(problem, slab.u)
         eta_T = slab.solve(slab.u.space, k)
         eta_S1, dot1, _, xi = slab.space_estimates()
-        e0_map = est.initial_error_map(problem, slab.u)
         alpha = alpha_value(modulus, slab.ws, xi, 1.0, k)
         ref_S = first_space_indicator(e0_map, slab.eta_S, eta_S1, dot1, alpha)
         if eta_T <= ttol_p and ref_S.max() <= stol_p:

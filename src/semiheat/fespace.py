@@ -107,53 +107,61 @@ class Space:
     # -- enumeration --------------------------------------------------------
 
     def _build_dofs(self):
+        """Number each node shared by neighbouring cells once.
+
+        A local node's entity is a mesh vertex (X, Y), node i of the
+        horizontal edge (X0, Y, size s), node j of the vertical edge
+        (X, Y0, s), or interior node (i, j) of the cell (X0, Y0, s), in
+        integer coordinates of the level-LMAX grid.  Equal entity keys are
+        one global dof; dofs are numbered in order of first occurrence
+        over (cell, local node), and take their coordinates and boundary
+        flag from that occurrence.
+        """
         p = self.degree
         mesh = self.mesh
-        nloc = (p + 1) ** 2
-        ncells = len(mesh)
-        nodes = self.ref.nodes
+        n1 = p + 1
+        nloc = n1 * n1
         SB = 1 << LMAX
-        gid_of = {}
-        dofmap = np.empty((ncells, nloc), dtype=np.int64)
-        coords = []
-        boundary = []
+        s = (np.int64(1) << (LMAX - mesh.levels))[:, None]
+        X0 = mesh.ix[:, None] * s
+        Y0 = mesh.iy[:, None] * s
+        i = np.tile(np.arange(n1), n1)       # local node j * (p+1) + i
+        j = np.repeat(np.arange(n1), n1)
+        xe = (i == 0) | (i == p)              # on a vertical edge
+        ye = (j == 0) | (j == p)              # on a horizontal edge
+        X = np.where(xe, X0 + s * (i == p), X0)
+        Y = np.where(ye, Y0 + s * (j == p), Y0)
+        kind = np.where(xe, np.where(ye, 0, 2), np.where(ye, 1, 3))
+        size = np.where(kind == 0, 0, s)
+        along = np.choose(kind, (0, i, j, j * n1 + i))
+        boundary = (xe & ((X == 0) | (X == SB))) \
+            | (ye & ((Y == 0) | (Y == SB)))
 
-        for ci, key in enumerate(mesh.leaves):
-            l, ix, iy = key
-            s = 1 << (LMAX - l)
-            X0, Y0 = ix * s, iy * s
-            x0, y0, hx, hy = mesh.cell_box(ci)
-            for j in range(p + 1):
-                yb = 0 if j == 0 else (2 if j == p else 1)
-                for i in range(p + 1):
-                    xb = 0 if i == 0 else (2 if i == p else 1)
-                    if xb != 1 and yb != 1:
-                        X = X0 + (s if xb == 2 else 0)
-                        Y = Y0 + (s if yb == 2 else 0)
-                        ekey = ("v", X, Y)
-                        bnd = X == 0 or X == SB or Y == 0 or Y == SB
-                    elif yb != 1:
-                        Y = Y0 + (s if yb == 2 else 0)
-                        ekey = ("h", X0, Y, s, i)
-                        bnd = Y == 0 or Y == SB
-                    elif xb != 1:
-                        X = X0 + (s if xb == 2 else 0)
-                        ekey = ("u", X, Y0, s, j)
-                        bnd = X == 0 or X == SB
-                    else:
-                        ekey = ("c", l, ix, iy, i, j)
-                        bnd = False
-                    gid = gid_of.get(ekey)
-                    if gid is None:
-                        gid = len(gid_of)
-                        gid_of[ekey] = gid
-                        coords.append((x0 + hx * nodes[i], y0 + hy * nodes[j]))
-                        boundary.append(bnd)
-                    dofmap[ci, j * (p + 1) + i] = gid
-        self.dofmap = dofmap
-        self.n_global = len(gid_of)
-        self.node_coords = np.array(coords, dtype=float)
-        self.is_boundary = np.array(boundary, dtype=bool)
+        n = X.size
+        cols = [np.broadcast_to(c, X.shape).ravel()
+                for c in (kind, X, Y, size, along)]
+        order = np.lexsort(cols[::-1])          # stable: equal keys in flat order
+        starts = np.zeros(n, dtype=bool)
+        starts[0] = True
+        for c in cols:
+            c = c[order]
+            starts[1:] |= c[1:] != c[:-1]
+        first = order[starts]                 # first occurrence per entity
+        rank = np.argsort(first)
+        gid = np.empty(len(first), dtype=np.int64)
+        gid[rank] = np.arange(len(first))
+        dofmap = np.empty(n, dtype=np.int64)
+        dofmap[order] = gid[np.cumsum(starts) - 1]
+
+        firsts = first[rank]
+        cell, loc = np.divmod(firsts, nloc)
+        nodes = self.ref.nodes
+        self.dofmap = dofmap.reshape(len(mesh), nloc)
+        self.n_global = len(firsts)
+        self.node_coords = np.stack(
+            [mesh.x0[cell] + mesh.hx[cell] * nodes[loc % n1],
+             mesh.y0[cell] + mesh.hy[cell] * nodes[loc // n1]], axis=1)
+        self.is_boundary = boundary.ravel()[firsts]
 
     def _build_constraints(self):
         p = self.degree

@@ -125,11 +125,10 @@ def _neighbor_leaves(leafset, key, d):
 class Mesh:
     """Immutable 1-irregular quadtree mesh over a rectangle."""
 
-    def __init__(self, rect, leaves, generation=0):
+    def __init__(self, rect, leaves):
         self.rect = rect
         self.leaves = tuple(sorted(leaves))
         self.leafset = frozenset(self.leaves)
-        self.generation = generation
         if len(self.leafset) != len(self.leaves):
             raise ValueError("duplicate leaf keys")
         self._index = {k: i for i, k in enumerate(self.leaves)}
@@ -219,7 +218,7 @@ class Mesh:
 
         for key in sorted(marked, key=lambda k: -k[0]):
             split(key)
-        return Mesh(self.rect, ls, self.generation + 1)
+        return Mesh(self.rect, ls)
 
     def coarsen(self, marked):
         """Merge sibling quadruples whose 4 members are all marked.
@@ -258,7 +257,7 @@ class Mesh:
                 changed = True
         if not changed:
             return self
-        return Mesh(self.rect, ls, self.generation + 1)
+        return Mesh(self.rect, ls)
 
     # -- overlays -----------------------------------------------------------
 

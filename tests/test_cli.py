@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from semiheat import cli
+from semiheat import cli, driver
 from semiheat.cli import (parse_config, emit_config, ConfigError,
                           fit_slope, run_sweep, sweep_csv_text,
                           load_problem, main)
@@ -269,3 +269,34 @@ def test_cli_error_exit_code(tmp_path, capsys):
     bad.write_text("[problem]\nname = nope\n")
     assert main(["solve", "--config", str(bad)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_reports_hit_caps(tmp_path, capsys, monkeypatch):
+    # k1 = 0.05 fails the first pass's time tolerance, and a cap of 0
+    # passes stops the first interval there
+    monkeypatch.setattr(driver, "FIRST_INTERVAL_CAP", 0)
+    cfgpath = tmp_path / "run.cfg"
+    cfgpath.write_text("""
+[problem]
+name = heat_decay
+T = 0.05
+[discretization]
+degree = 1
+initial_refinement = 3
+k1 = 0.05
+[tolerances]
+ttol_plus = 0.01
+stol_plus = 10.0
+[output]
+out_dir = %s
+[sweep]
+sweep_ttols = 0.01 0.005
+""" % (tmp_path / "out"))
+    assert main(["solve", "--config", str(cfgpath)]) == 0
+    summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+    assert summary[1:] == ["caps_hit=first_interval:0"]
+    assert "caps hit: first_interval:0" in capsys.readouterr().err
+    assert main(["sweep", "--config", str(cfgpath)]) == 0
+    err = capsys.readouterr().err
+    assert "row 1 (ttol=0.01): caps hit: first_interval:0" in err
+    assert "row 2 (ttol=0.005): caps hit: first_interval:0" in err

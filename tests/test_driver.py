@@ -240,3 +240,46 @@ def test_idle_adaptive_run_matches_fixed_run(name):
     for col in ("eta_S_maps", "eta_dot_maps"):
         for a, b in zip(getattr(idle, col), getattr(fixed, col)[:n]):
             assert np.array_equal(a, b), col
+
+
+def _first_interval_halving_run(k1):
+    # stol_plus far above and stol_minus far below any space indicator:
+    # the first interval keeps its mesh and only halves k
+    prob = replace(builtin("heat_decay"), T=0.05)
+    return dr.run_adaptive(prob, dr.Tolerances(1e3, 1e-12, 0.01, 0.01 / 16),
+                           2, Mesh.uniform(prob.rect, 3), k1)
+
+
+def test_first_interval_projects_once_per_mesh(monkeypatch):
+    projected, first_solves = [], []
+    project, step = sc.project_initial, sc.imex_step
+
+    def counting_project(problem, space):
+        projected.append(space.mesh.leafset)
+        return project(problem, space)
+
+    def counting_step(problem, u, space, k, t):
+        if t == 0.0:
+            first_solves.append(k)
+        return step(problem, u, space, k, t)
+
+    monkeypatch.setattr(sc, "project_initial", counting_project)
+    monkeypatch.setattr(sc, "imex_step", counting_step)
+    res = _first_interval_halving_run(0.05)
+    assert res.ledger.k[0] < 0.05 / 4       # at least three passes
+    assert len(first_solves) >= 4
+    assert len(projected) == len(set(projected)) == 1
+
+
+def test_first_interval_halving_matches_run_from_halved_k1(tmp_path):
+    halved = _first_interval_halving_run(0.05)
+    direct = _first_interval_halving_run(halved.ledger.k[0])
+    assert halved.ledger.k[0] < 0.05
+    halved.ledger.to_csv(str(tmp_path / "halved.csv"))
+    direct.ledger.to_csv(str(tmp_path / "direct.csv"))
+    assert (tmp_path / "halved.csv").read_bytes() \
+        == (tmp_path / "direct.csv").read_bytes()
+    assert (halved.ledger.e0, halved.ledger.eta_I) \
+        == (direct.ledger.e0, direct.ledger.eta_I)
+    for a, b in zip(halved.ledger.eta_S_maps, direct.ledger.eta_S_maps):
+        assert np.array_equal(a, b)

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from semiheat.mesh import Mesh, Rectangle
+from semiheat.mesh import LMAX, Mesh, Rectangle
 from semiheat import fespace as fe
+from test_mesh_properties import OPS, PROPERTY, build
 
 UNIT = Rectangle(0.0, 1.0, 0.0, 1.0)
 
@@ -270,3 +272,59 @@ def test_dimension_counts_free_interior_dofs():
     # 5x5 nodes, 3x3 interior
     assert sp2.n_global == 25
     assert sp2.n_free == 9
+
+
+def loop_dofs(mesh, p):
+    """Per-node loop numbering of the dofs: the oracle of `_build_dofs`."""
+    nodes = fe.gauss_lobatto(p + 1)
+    SB = 1 << LMAX
+    gid_of = {}
+    dofmap = np.empty((len(mesh), (p + 1) ** 2), dtype=np.int64)
+    coords = []
+    boundary = []
+    for ci, key in enumerate(mesh.leaves):
+        l, ix, iy = key
+        s = 1 << (LMAX - l)
+        X0, Y0 = ix * s, iy * s
+        x0, y0, hx, hy = mesh.cell_box(ci)
+        for j in range(p + 1):
+            yb = 0 if j == 0 else (2 if j == p else 1)
+            for i in range(p + 1):
+                xb = 0 if i == 0 else (2 if i == p else 1)
+                if xb != 1 and yb != 1:
+                    X = X0 + (s if xb == 2 else 0)
+                    Y = Y0 + (s if yb == 2 else 0)
+                    ekey = ("v", X, Y)
+                    bnd = X == 0 or X == SB or Y == 0 or Y == SB
+                elif yb != 1:
+                    Y = Y0 + (s if yb == 2 else 0)
+                    ekey = ("h", X0, Y, s, i)
+                    bnd = Y == 0 or Y == SB
+                elif xb != 1:
+                    X = X0 + (s if xb == 2 else 0)
+                    ekey = ("u", X, Y0, s, j)
+                    bnd = X == 0 or X == SB
+                else:
+                    ekey = ("c", l, ix, iy, i, j)
+                    bnd = False
+                gid = gid_of.get(ekey)
+                if gid is None:
+                    gid = len(gid_of)
+                    gid_of[ekey] = gid
+                    coords.append((x0 + hx * nodes[i], y0 + hy * nodes[j]))
+                    boundary.append(bnd)
+                dofmap[ci, j * (p + 1) + i] = gid
+    return (dofmap, np.array(coords, dtype=float),
+            np.array(boundary, dtype=bool))
+
+
+@PROPERTY
+@given(OPS, st.integers(1, 4))
+def test_build_dofs_matches_loop_oracle(ops, p):
+    mesh = build(ops)
+    sp = fe.Space(mesh, p)
+    dofmap, coords, boundary = loop_dofs(mesh, p)
+    assert np.array_equal(sp.dofmap, dofmap)
+    assert np.array_equal(sp.node_coords, coords)
+    assert np.array_equal(sp.is_boundary, boundary)
+    assert sp.n_global == len(coords)
