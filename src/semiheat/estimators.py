@@ -211,25 +211,11 @@ class SlabWorkspace:
                 for j, ck in enumerate(keys.tolist())}
 
     def _grid_eval(self, field, channel, deriv):
-        """Field values/derivatives at the overlay sample grid."""
-        space = field.space
+        """Values ("val") or Laplacian ("lap") on the overlay sample grid."""
         srcmap = self.src_prev if channel == "prev" else self.src_next
-        classes = self._classes[channel]
         out = np.empty_like(self.Xs)
-        mesh_src = space.mesh
-        for ck, vis in classes.items():
-            cells = srcmap[vis]
-            C = field.coeffs[space.dofmap[cells]]
-            if deriv == "val":
-                V = C @ space.tensor_basis("sample", 0, 0, ck).T
-            elif deriv == "lap":
-                V = (C @ space.tensor_basis("sample", 2, 0, ck).T) \
-                    / (mesh_src.hx[cells] ** 2)[:, None] \
-                    + (C @ space.tensor_basis("sample", 0, 2, ck).T) \
-                    / (mesh_src.hy[cells] ** 2)[:, None]
-            else:
-                raise ValueError(deriv)
-            out[vis] = V
+        for ck, vis in self._classes[channel].items():
+            out[vis] = fe.sample_grid_values(field, srcmap[vis], deriv, ck)
         return out
 
     def _eval_any(self, field):
@@ -653,7 +639,7 @@ class EstimatorLedger:
             upto = len(self.m)
         if upto < 1:
             raise BoundUnavailableError("no steps recorded")
-        space_term = self.c_inf * self._log_max(upto)
+        space_term = self.space_bound_term(upto)
         if self.modulus_is_zero:
             return self.e0 + sum(self.eta_T[:upto]) \
                 + self.c_inf * sum(self.xi_prime[:upto]) + space_term

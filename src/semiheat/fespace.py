@@ -2,18 +2,18 @@
 
 Degree-p spaces use Gauss-Lobatto nodes per direction, hanging-node
 constraints keep functions H1-conforming across level jumps, and the
-boundary trace is fixed to zero.  Pointwise maxima (the working
-replacement for true sup-norms) are taken over a per-cell tensor grid of
-Gauss-Lobatto points of order p+3; integrals use tensor Gauss quadrature
-of order p+2, exact for polynomials of degree 2p+3 per direction.
+boundary trace is fixed to zero.  The constraints need a 1-irregular mesh
+(edge neighbours at most one level apart); `Space` rejects any other.
+Pointwise maxima (the working replacement for true sup-norms) are taken
+over a per-cell tensor grid of Gauss-Lobatto points of order p+3;
+integrals use tensor Gauss quadrature of order p+2, exact for polynomials
+of degree 2p+3 per direction.
 """
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
 from .mesh import LMAX, face_set
-
-_DIRS = ("E", "W", "N", "S")
 
 
 def gauss_lobatto(n):
@@ -56,8 +56,8 @@ class _Ref1D:
         self.mass1 = gB0.T @ (W * gB0)
         self.stiff1 = gB1.T @ (W * gB1)
         # Coarse-edge trace weights at the two dyadic half-edges.
-        self.half_trace = {
-            off: self.eval((off + self.nodes) / 2.0, 0) for off in (0, 1)}
+        self.half_trace = np.stack(
+            [self.eval((off + self.nodes) / 2.0, 0) for off in (0, 1)])
 
     def eval(self, pts, deriv=0):
         """(npts, p+1) matrix of cardinal values/derivatives at pts."""
@@ -102,7 +102,6 @@ class Space:
         self._grid_cache = {}
         self._mass_free = None
         self._stiff_free_unit = None
-        self._mass_full = None
 
     # -- enumeration --------------------------------------------------------
 
@@ -164,105 +163,65 @@ class Space:
         self.is_boundary = boundary.ravel()[firsts]
 
     def _build_constraints(self):
-        p = self.degree
+        """Hanging-node constraints from the hanging faces of the mesh.
+
+        On a face whose two cells differ by one level, the fine cell's edge
+        nodes (slaves) take the trace of the coarse cell's opposite edge
+        (masters) at their positions: `ref.half_trace[parity]`, the parity
+        of the fine cell's index along the face picking the half of the
+        coarse edge.  The vertex shared with the coarse edge is no slave;
+        the midpoint, on both fine cells' edges, is kept once.  On a
+        1-irregular mesh no master is a slave, so Q (identity rows for the
+        other dofs) maps nodal values to conforming ones in one product.
+        """
         mesh = self.mesh
-        dofmap = self.dofmap
-        W = self.ref.half_trace
-        raw = {}
+        if not mesh.is_one_irregular():
+            raise ValueError("hanging-node constraints need a 1-irregular "
+                             "mesh (edge neighbours at most one level apart)")
+        p = self.degree
+        n1 = p + 1
+        fs = face_set(mesh)
+        jump = mesh.levels[fs.left] - mesh.levels[fs.right]
+        hang = np.flatnonzero(jump != 0)
+        fine_left = jump[hang] > 0
+        fine = np.where(fine_left, fs.left[hang], fs.right[hang])
+        coarse = np.where(fine_left, fs.right[hang], fs.left[hang])
+        orient = fs.orient[hang]
+        # edge[o, side]: local nodes of the cell's high (E/N, side 0) or
+        # low (W/S, side 1) edge across a face of orientation o.
+        base = np.arange(n1)
+        edge = np.array([[base * n1 + p, base * n1],
+                         [p * n1 + base, base]])
+        side = np.where(fine_left, 0, 1)
+        slaves = self.dofmap[fine[:, None], edge[orient, side]]
+        masters = self.dofmap[coarse[:, None], edge[orient, 1 - side]]
+        off = np.where(orient == 0, mesh.iy[fine], mesh.ix[fine]) & 1
+        h, j = np.nonzero(base[None, :] != p * off[:, None])
+        gids, first = np.unique(slaves[h, j], return_index=True)
+        h, j = h[first], j[first]
+        w = self.ref.half_trace[off[h], j]        # (slaves, masters)
+        si, k = np.nonzero(w != 0.0)
+        rows, cols, vals = gids[si], masters[h[si], k], w[si, k]
 
-        def edge_gids(ci, d):
-            base = np.arange(p + 1)
-            if d == "E":
-                return dofmap[ci, base * (p + 1) + p]
-            if d == "W":
-                return dofmap[ci, base * (p + 1)]
-            if d == "N":
-                return dofmap[ci, p * (p + 1) + base]
-            return dofmap[ci, base]
-
-        opposite = {"E": "W", "W": "E", "N": "S", "S": "N"}
-        for ci, key in enumerate(mesh.leaves):
-            l, ix, iy = key
-            for d in _DIRS:
-                nbs = mesh.neighbors(key, d)
-                if len(nbs) != 1 or nbs[0][0] != l - 1:
-                    continue
-                nci = mesh.index_of(nbs[0])
-                slaves = edge_gids(ci, d)
-                masters = edge_gids(nci, opposite[d])
-                off = (iy if d in ("E", "W") else ix) & 1
-                trace = W[off]
-                skip = 0 if off == 0 else p
-                for j in range(p + 1):
-                    if j == skip:
-                        continue
-                    g = int(slaves[j])
-                    if g in raw:
-                        continue
-                    raw[g] = [(int(masters[k]), trace[j, k])
-                              for k in range(p + 1) if trace[j, k] != 0.0]
-
-        # Resolve chains: masters of a constrained dof must end up free
-        # or on the boundary.
-        for _ in range(60):
-            changed = False
-            for g, terms in raw.items():
-                if any(m in raw for m, _ in terms):
-                    acc = {}
-                    for m, w in terms:
-                        if m in raw:
-                            for mm, ww in raw[m]:
-                                acc[mm] = acc.get(mm, 0.0) + w * ww
-                        else:
-                            acc[m] = acc.get(m, 0.0) + w
-                    raw[g] = list(acc.items())
-                    changed = True
-            if not changed:
-                break
-        else:
-            raise RuntimeError("hanging-node constraint chains did not close")
-
-        self.constraints = raw
         is_slave = np.zeros(self.n_global, dtype=bool)
-        for g in raw:
-            if self.is_boundary[g]:
-                raise RuntimeError("constrained dof on the boundary")
-            is_slave[g] = True
+        is_slave[gids] = True
+        if self.is_boundary[gids].any():
+            raise RuntimeError("constrained dof on the boundary")
+        if is_slave[cols].any():
+            raise RuntimeError("a hanging-node master is itself constrained")
         self.is_slave = is_slave
-        free_mask = ~(self.is_boundary | is_slave)
-        self.free_gids = np.flatnonzero(free_mask)
+        self.free_gids = np.flatnonzero(~(self.is_boundary | is_slave))
         self.n_free = len(self.free_gids)
         self.free_index = np.full(self.n_global, -1, dtype=np.int64)
         self.free_index[self.free_gids] = np.arange(self.n_free)
 
-        rows, cols, vals = [], [], []
-        rows.extend(self.free_gids)
-        cols.extend(range(self.n_free))
-        vals.extend([1.0] * self.n_free)
-        for g, terms in raw.items():
-            for m, w in terms:
-                if self.is_boundary[m]:
-                    continue
-                fi = self.free_index[m]
-                if fi < 0:
-                    raise RuntimeError("unresolved constraint master")
-                rows.append(g)
-                cols.append(fi)
-                vals.append(w)
+        plain = np.flatnonzero(~is_slave)
         from scipy.sparse import csr_matrix
-        self.P = csr_matrix((vals, (rows, cols)),
-                            shape=(self.n_global, self.n_free))
-        # Slave resolution against all masters (boundary ones included),
-        # for nodal interpolation of functions with nonzero trace.
-        srows, scols, svals = [], [], []
-        for g, terms in raw.items():
-            for m, w in terms:
-                srows.append(g)
-                scols.append(m)
-                svals.append(w)
-        self._slave_gids = np.array(sorted(raw), dtype=np.int64)
-        self._slave_mat = csr_matrix((svals, (srows, scols)),
-                                     shape=(self.n_global, self.n_global))
+        self.Q = csr_matrix(
+            (np.concatenate([np.ones(len(plain)), vals]),
+             (np.concatenate([plain, rows]), np.concatenate([plain, cols]))),
+            shape=(self.n_global, self.n_global))
+        self.P = self.Q[:, self.free_gids]
 
     # -- coefficient maps -----------------------------------------------------
 
@@ -272,10 +231,7 @@ class Space:
         Only the hanging entries change: each is recomputed as the trace of
         the coarse neighbor at its node position.
         """
-        out = np.array(raw_values, dtype=float)
-        if len(self._slave_gids):
-            out[self._slave_gids] = (self._slave_mat @ out)[self._slave_gids]
-        return out
+        return self.Q @ np.asarray(raw_values, dtype=float)
 
     # -- tensor bases -----------------------------------------------------------
 
@@ -321,11 +277,6 @@ class Space:
         W = (self.mesh.hx * self.mesh.hy)[:, None] * wflat[None, :]
         return X, Y, W
 
-    def integrate(self, values):
-        """Integrate per-quadrature-point values (ncells, n_quad) over the mesh."""
-        _, _, W = self.quadrature_points()
-        return float((values * W).sum())
-
 
 class Field:
     """Finite element function: a Space plus one coefficient per global dof."""
@@ -370,16 +321,8 @@ class Field:
     def sample_values(self, deriv="val"):
         """Per-cell sample-grid values, "val" or "lap" (ncells, npts)."""
         if deriv not in self._sample_cache:
-            sp = self.space
-            C = self.coeffs[sp.dofmap]
-            if deriv == "val":
-                V = C @ sp.tensor_basis("sample", 0, 0).T
-            elif deriv == "lap":
-                V = (C @ sp.tensor_basis("sample", 2, 0).T) / (sp.mesh.hx ** 2)[:, None] \
-                    + (C @ sp.tensor_basis("sample", 0, 2).T) / (sp.mesh.hy ** 2)[:, None]
-            else:
-                raise ValueError("unknown derivative kind %r" % deriv)
-            self._sample_cache[deriv] = V
+            self._sample_cache[deriv] = sample_grid_values(
+                self, slice(None), deriv)
         return self._sample_cache[deriv]
 
     def linf_norm(self):
@@ -413,6 +356,25 @@ class Field:
                 fs, len(self.space.mesh),
                 [(sel, np.abs(gl - gr).max(axis=1)) for sel, gl, gr in derivs])
         return self._jump_cache
+
+
+def sample_grid_values(field, cells, deriv, sub=(0, 0, 0)):
+    """Values ("val") or Laplacian ("lap") of a field on sample grids.
+
+    One row per cell in `cells` (index array or slice) over its sample
+    grid, or over the grid of its descendant `sub` (see
+    `Space.tensor_basis`).
+    """
+    sp = field.space
+    C = field.coeffs[sp.dofmap[cells]]
+    if deriv == "val":
+        return C @ sp.tensor_basis("sample", 0, 0, sub).T
+    if deriv == "lap":
+        return (C @ sp.tensor_basis("sample", 2, 0, sub).T) \
+            / (sp.mesh.hx[cells] ** 2)[:, None] \
+            + (C @ sp.tensor_basis("sample", 0, 2, sub).T) \
+            / (sp.mesh.hy[cells] ** 2)[:, None]
+    raise ValueError("unknown derivative kind %r" % deriv)
 
 
 # -- scattered evaluation -------------------------------------------------------

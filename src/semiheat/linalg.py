@@ -38,15 +38,12 @@ def assemble_mass(space, condensed=True):
     """Mass matrix (phi_j, phi_i); condensed onto free dofs by default."""
     if condensed and space._mass_free is not None:
         return space._mass_free
-    if not condensed and space._mass_full is not None:
-        return space._mass_full
     ref = space.ref
     Mloc = np.kron(ref.mass1, ref.mass1)
     scale = space.mesh.hx * space.mesh.hy
     local = scale[:, None, None] * Mloc[None, :, :]
     M_full = _assemble_full(space, local)
     if not condensed:
-        space._mass_full = M_full
         return M_full
     M = (space.P.T @ M_full @ space.P).tocsr()
     space._mass_free = M

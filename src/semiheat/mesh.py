@@ -5,8 +5,9 @@ ix, iy in [0, 2**level), so containment, adjacency and the two mesh
 overlays reduce to integer arithmetic and set lookups.  Meshes are
 immutable: refine/coarsen return new Mesh objects when something changes,
 and an overlay of two nested meshes (identical ones included) is one of
-its inputs, so it shares that input's cached FaceSet.  All meshes are
-kept 1-irregular (edge-adjacent leaves differ by at most one level).
+its inputs, so it shares that input's cached FaceSet.  refine and
+coarsen keep meshes 1-irregular (edge-adjacent leaves differ by at most
+one level); `is_one_irregular` checks a mesh built from a leaf list.
 """
 
 import numpy as np
@@ -182,10 +183,6 @@ class Mesh:
         """Smallest cell diagonal over all leaves."""
         return float(self.h.min())
 
-    def neighbors(self, key, d):
-        """Leaf keys sharing a positive-length edge with `key` toward d."""
-        return _neighbor_leaves(self.leafset, key, d)
-
     # -- refinement / coarsening ------------------------------------------
 
     def refine(self, marked):
@@ -356,12 +353,9 @@ class Mesh:
 
     def is_one_irregular(self):
         """True when every edge-adjacent leaf pair differs by <= 1 level."""
-        for key in self.leaves:
-            for d in _DIRS:
-                for nb in self.neighbors(key, d):
-                    if abs(nb[0] - key[0]) > 1:
-                        return False
-        return True
+        fs = face_set(self)
+        return bool((np.abs(self.levels[fs.left] - self.levels[fs.right])
+                     <= 1).all())
 
     def total_area(self):
         return float((self.hx * self.hy).sum())
@@ -420,7 +414,7 @@ class FaceSet:
             i = mesh.index_of(key)
             x0, y0, hx, hy = mesh.cell_box(i)
             for d, o in (("E", 0), ("N", 1)):
-                for nb in mesh.neighbors(key, d):
+                for nb in _neighbor_leaves(mesh.leafset, key, d):
                     j = mesh.index_of(nb)
                     nx0, ny0, nhx, nhy = mesh.cell_box(j)
                     if o == 0:

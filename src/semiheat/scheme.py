@@ -152,23 +152,10 @@ class TimeInterpolant:
     def __call__(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        shape = x.shape
         xf, yf = x.ravel(), y.ravel()
-        if self.w_b == 0.0:
-            vals = self.w_a * fe.evaluate_multi(
-                [self.u_a], xf, yf, [(0, 0)])[0]
-        elif self.w_a == 0.0:
-            vals = self.w_b * fe.evaluate_multi(
-                [self.u_b], xf, yf, [(0, 0)])[0]
-        elif self.u_a.space is self.u_b.space:
-            va, vb = fe.evaluate_multi([self.u_a, self.u_b], xf, yf,
-                                       [(0, 0), (0, 0)])
-            vals = self.w_a * va + self.w_b * vb
-        else:
-            va = fe.evaluate_multi([self.u_a], xf, yf, [(0, 0)])[0]
-            vb = fe.evaluate_multi([self.u_b], xf, yf, [(0, 0)])[0]
-            vals = self.w_a * va + self.w_b * vb
-        return vals.reshape(shape)
+        vals = self.w_a * self.u_a.eval(xf, yf) \
+            + self.w_b * self.u_b.eval(xf, yf)
+        return vals.reshape(x.shape)
 
 
 def interpolant_at(traj, t):

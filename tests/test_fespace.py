@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from semiheat.mesh import LMAX, Mesh, Rectangle
+from semiheat.mesh import LMAX, Mesh, Rectangle, _neighbor_leaves
 from semiheat import fespace as fe
+from test_mesh import brute_force_one_irregular
 from test_mesh_properties import OPS, PROPERTY, build
 
 UNIT = Rectangle(0.0, 1.0, 0.0, 1.0)
@@ -328,3 +329,123 @@ def test_build_dofs_matches_loop_oracle(ops, p):
     assert np.array_equal(sp.node_coords, coords)
     assert np.array_equal(sp.is_boundary, boundary)
     assert sp.n_global == len(coords)
+
+
+def loop_constraints(sp):
+    """Per-cell loop over the leaves' neighbours, with constraint chains
+    resolved by a fixed point: the oracle of `_build_constraints`.
+
+    Returns (P, resolve) as the space should have them.
+    """
+    from scipy.sparse import csr_matrix
+
+    p = sp.degree
+    mesh = sp.mesh
+    dofmap = sp.dofmap
+    W = sp.ref.half_trace
+    raw = {}
+
+    def edge_gids(ci, d):
+        base = np.arange(p + 1)
+        if d == "E":
+            return dofmap[ci, base * (p + 1) + p]
+        if d == "W":
+            return dofmap[ci, base * (p + 1)]
+        if d == "N":
+            return dofmap[ci, p * (p + 1) + base]
+        return dofmap[ci, base]
+
+    opposite = {"E": "W", "W": "E", "N": "S", "S": "N"}
+    for ci, key in enumerate(mesh.leaves):
+        l, ix, iy = key
+        for d in ("E", "W", "N", "S"):
+            nbs = _neighbor_leaves(mesh.leafset, key, d)
+            if len(nbs) != 1 or nbs[0][0] != l - 1:
+                continue
+            nci = mesh.index_of(nbs[0])
+            slaves = edge_gids(ci, d)
+            masters = edge_gids(nci, opposite[d])
+            off = (iy if d in ("E", "W") else ix) & 1
+            trace = W[off]
+            skip = 0 if off == 0 else p
+            for j in range(p + 1):
+                if j == skip:
+                    continue
+                g = int(slaves[j])
+                if g in raw:
+                    continue
+                raw[g] = [(int(masters[k]), trace[j, k])
+                          for k in range(p + 1) if trace[j, k] != 0.0]
+
+    for _ in range(60):
+        changed = False
+        for g, terms in raw.items():
+            if any(m in raw for m, _ in terms):
+                acc = {}
+                for m, w in terms:
+                    if m in raw:
+                        for mm, ww in raw[m]:
+                            acc[mm] = acc.get(mm, 0.0) + w * ww
+                    else:
+                        acc[m] = acc.get(m, 0.0) + w
+                raw[g] = list(acc.items())
+                changed = True
+        if not changed:
+            break
+    else:
+        raise RuntimeError("hanging-node constraint chains did not close")
+
+    is_slave = np.zeros(sp.n_global, dtype=bool)
+    is_slave[list(raw)] = True
+    free_gids = np.flatnonzero(~(sp.is_boundary | is_slave))
+    free_index = np.full(sp.n_global, -1, dtype=np.int64)
+    free_index[free_gids] = np.arange(len(free_gids))
+    rows, cols, vals = list(free_gids), list(range(len(free_gids))), \
+        [1.0] * len(free_gids)
+    srows, scols, svals = [], [], []
+    for g, terms in raw.items():
+        for m, w in terms:
+            srows.append(g)
+            scols.append(m)
+            svals.append(w)
+            if not sp.is_boundary[m]:
+                rows.append(g)
+                cols.append(free_index[m])
+                vals.append(w)
+    P = csr_matrix((vals, (rows, cols)), shape=(sp.n_global, len(free_gids)))
+    slave_gids = np.array(sorted(raw), dtype=np.int64)
+    slave_mat = csr_matrix((svals, (srows, scols)),
+                           shape=(sp.n_global, sp.n_global))
+
+    def resolve(raw_values):
+        out = np.array(raw_values, dtype=float)
+        if len(slave_gids):
+            out[slave_gids] = (slave_mat @ out)[slave_gids]
+        return out
+
+    return P, resolve
+
+
+@PROPERTY
+@given(OPS, st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_build_constraints_matches_loop_oracle(ops, p, seed):
+    sp = fe.Space(build(ops), p)
+    P, resolve = loop_constraints(sp)
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(sp.P, name), getattr(P, name)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    assert sp.P.shape == P.shape
+    raw = np.random.default_rng(seed).standard_normal(sp.n_global)
+    assert np.array_equal(sp.resolve(raw), resolve(raw))
+
+
+def test_two_irregular_mesh_is_rejected():
+    leaves = [(1, 1, 0), (1, 0, 1), (1, 1, 1), (2, 0, 0), (2, 1, 0),
+              (2, 0, 1), (3, 2, 2), (3, 3, 2), (3, 2, 3), (3, 3, 3)]
+    mesh = Mesh(UNIT, leaves)
+    assert mesh.total_area() == pytest.approx(1.0, rel=1e-15)
+    assert not mesh.is_one_irregular()
+    assert not brute_force_one_irregular(mesh)
+    with pytest.raises(ValueError, match="1-irregular"):
+        fe.Space(mesh, 2)

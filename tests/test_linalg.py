@@ -56,7 +56,7 @@ def test_stiffness_constant_in_kernel():
     x = ones[sp.free_gids]
     bnd = ones.copy()
     bnd[sp.free_gids] = 0.0
-    bnd[sp._slave_gids] = 0.0
+    bnd[sp.is_slave] = 0.0
     S = assemble_stiffness(sp, 1.7)
     resid = S @ x + sp.P.T @ (S_full @ sp.resolve(bnd))
     assert np.abs(resid).max() < 1e-10
