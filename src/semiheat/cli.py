@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import Mesh
-from .driver import Tolerances, DriverOptions, run_adaptive
+from .driver import (Tolerances, DriverOptions, FirstIntervalCache,
+                     run_adaptive)
 from .problems import builtin, builtin_names
 
 
@@ -231,7 +232,7 @@ def load_problem(cfg):
     return prob
 
 
-def _run_one(cfg, ttol_plus=None):
+def _run_one(cfg, ttol_plus=None, first_interval=None):
     prob = load_problem(cfg)
     tol = cfg.resolved_tolerances(ttol_plus)
     opts = DriverOptions(c_inf=cfg.c_infinity,
@@ -240,7 +241,8 @@ def _run_one(cfg, ttol_plus=None):
                          dump_every=cfg.dump_every,
                          out_dir=cfg.out_dir)
     mesh = Mesh.uniform(prob.rect, cfg.initial_refinement)
-    return run_adaptive(prob, tol, cfg.degree, mesh, cfg.k1, opts)
+    return run_adaptive(prob, tol, cfg.degree, mesh, cfg.k1, opts,
+                        first_interval)
 
 
 def _caps_text(caps):
@@ -252,15 +254,19 @@ def run_sweep(cfg):
     """One adaptive run per sweep tolerance; returns the row dicts.
 
     Rows that fail are recorded with their error and the sweep continues.
+    The rows share one FirstIntervalCache, so a row does not repeat the
+    first-interval passes of an earlier row; each row's result is that of
+    its run alone.
     """
     ttols = cfg.sweep_list()
     if not ttols:
         raise ValueError("sweep list is empty")
+    cache = FirstIntervalCache()
     rows = []
     for ttol in ttols:
         row = {"ttol": ttol}
         try:
-            res = _run_one(cfg, ttol_plus=ttol)
+            res = _run_one(cfg, ttol_plus=ttol, first_interval=cache)
             row.update(steps=res.steps, final_time=res.final_time,
                        linf_u=res.final_norm, stop_reason=res.stop_reason,
                        tinf=res.tinf_estimate, avg_dofs=res.avg_dofs,

@@ -11,6 +11,7 @@ differ only in how they choose the step size and the mesh.
 
 import os
 from dataclasses import dataclass, field as dfield
+from typing import NamedTuple
 
 import numpy as np
 
@@ -245,23 +246,60 @@ class _Slab:
                      slab.A_next, eta_S, ws.next_face_derivs)
 
 
-def _first_slab(problem, opts, space):
-    """Slab 1, starting from the elliptic projection of u0 onto `space`."""
+class _Start(NamedTuple):
+    """Slab 1's start state on one space.
+
+    U0 (the elliptic projection of u0), its per-cell space estimator, its
+    face normal derivatives as a memo {FaceSet: derivatives} and its
+    per-cell error map.
+    """
+
+    u0: object
+    eta_S: object
+    face_derivs: dict
+    e0_map: object
+
+
+def _start(problem, space):
+    """Project u0 onto `space` and evaluate U0's start-state estimators."""
     U0 = sc.project_initial(problem, space)
     fs = face_set(space.mesh)
     derivs = fe.face_normal_derivs(U0, fs)
-    return _Slab(problem, opts, 1, 0.0, U0,
+    return _Start(U0, est.initial_space_estimator(problem, U0, derivs),
+                  {fs: derivs}, est.initial_error_map(problem, U0))
+
+
+def _first_slab(problem, opts, start):
+    """Slab 1 from a start state, with its own copy of the memo."""
+    return _Slab(problem, opts, 1, 0.0, start.u0,
                  sc.InitialLaplacian(problem.a, problem.lap_u0),
-                 est.initial_space_estimator(problem, U0, derivs),
-                 {fs: derivs})
+                 start.eta_S, dict(start.face_derivs))
 
 
-def _open_ledger(problem, opts, first, e0_map=None):
-    """Empty ledger and trajectory starting from slab 1's initial state."""
+class FirstIntervalCache:
+    """First-interval work shared by runs that differ only in tolerances.
+
+    A first-interval pass on a mesh with step k yields eta_T and the
+    per-cell space indicator; both depend on the mesh's leaves, k, the
+    degree, the time quadrature and the problem, and not on the
+    tolerances, which only decide what the run does next.  `passes` maps
+    (leafset, k) to that (eta_T, indicator) pair; `starts` maps each
+    leafset on which a run's first interval ended to slab 1's `_Start`,
+    which that run's result holds anyway.  One cache serves runs of one
+    problem, degree and time quadrature, such as the rows of a sweep.
+    """
+
+    def __init__(self):
+        self.passes = {}
+        self.starts = {}
+
+
+def _open_ledger(problem, opts, start):
+    """Empty ledger and trajectory starting from slab 1's start state."""
     ledger = est.EstimatorLedger(c_inf=opts.c_inf,
                                  modulus_is_zero=problem.modulus.is_zero)
-    ledger.set_initial(problem, first.u, first.eta_S, e0_map)
-    return ledger, sc.Trajectory(first.u)
+    ledger.set_initial(problem, start.u0, start.eta_S, start.e0_map)
+    return ledger, sc.Trajectory(start.u0)
 
 
 def _result(traj, ledger, stop, t, u, **extra):
@@ -272,14 +310,19 @@ def _result(traj, ledger, stop, t, u, **extra):
         avg_dofs=weighted_average_dofs(traj) if traj.slabs else 0.0, **extra)
 
 
-def run_adaptive(problem, tolerances, degree, initial_mesh, k1, options=None):
+def run_adaptive(problem, tolerances, degree, initial_mesh, k1, options=None,
+                 first_interval=None):
     """Adaptive run; returns a RunResult with trajectory and ledger.
 
     Stops at t = T for fixed-time problems, or on nonexistence of the
     slab's fixed-point parameter (expected near blow-up).  Uncertified
     trailing steps are discarded: every recorded step carries a delta.
+    `first_interval` is a FirstIntervalCache shared with other runs of
+    the same problem, degree and options; the result does not depend on
+    what it holds.
     """
     opts = options or DriverOptions()
+    cache = first_interval or FirstIntervalCache()
     modulus = problem.modulus
     T = problem.T
     if k1 <= 0:
@@ -290,23 +333,36 @@ def run_adaptive(problem, tolerances, degree, initial_mesh, k1, options=None):
     ttol_p, ttol_m = tolerances.ttol_plus, tolerances.ttol_minus
     stol_p, stol_m = tolerances.stol_plus, tolerances.stol_minus
 
+    def accepted(eta_T, ref_S):
+        return eta_T <= ttol_p and ref_S.max() <= stol_p
+
     # First interval: refine mesh and halve k concurrently until both
     # indicators sit below their refinement tolerances.  A pass that keeps
     # its mesh keeps its space and U0 (with U0's estimators) and only
-    # re-solves slab 1 with the halved k.
+    # re-solves slab 1 with the halved k.  A pass the cache knows stands
+    # in for the solve unless it may end the loop: the pass that ends it
+    # leaves its solved slab 1 to the run.
     mesh = initial_mesh
     k = k1
     passes = 0
     slab = None
     while True:
-        if slab is None or mesh.leafset != slab.u.space.mesh.leafset:
-            slab = _first_slab(problem, opts, fe.Space(mesh, degree))
-            e0_map = est.initial_error_map(problem, slab.u)
-        eta_T = slab.solve(slab.u.space, k)
-        eta_S1, dot1, _, xi = slab.space_estimates()
-        alpha = alpha_value(modulus, slab.ws, xi, 1.0, k)
-        ref_S = first_space_indicator(e0_map, slab.eta_S, eta_S1, dot1, alpha)
-        if eta_T <= ttol_p and ref_S.max() <= stol_p:
+        key = (mesh.leafset, k)
+        known = cache.passes.get(key)
+        if known is None or accepted(*known) or passes >= FIRST_INTERVAL_CAP:
+            if slab is None or mesh.leafset != slab.u.space.mesh.leafset:
+                start = cache.starts.get(mesh.leafset) \
+                    or _start(problem, fe.Space(mesh, degree))
+                slab = _first_slab(problem, opts, start)
+            eta_T = slab.solve(slab.u.space, k)
+            eta_S1, dot1, _, xi = slab.space_estimates()
+            alpha = alpha_value(modulus, slab.ws, xi, 1.0, k)
+            ref_S = first_space_indicator(start.e0_map, slab.eta_S, eta_S1,
+                                          dot1, alpha)
+            cache.passes[key] = (eta_T, ref_S)
+        else:
+            eta_T, ref_S = known
+        if accepted(eta_T, ref_S):
             break
         if passes >= FIRST_INTERVAL_CAP:
             caps.append(("first_interval", passes))
@@ -315,8 +371,9 @@ def run_adaptive(problem, tolerances, degree, initial_mesh, k1, options=None):
         if eta_T > ttol_p:
             k *= 0.5
         passes += 1
+    cache.starts.setdefault(start.u0.space.mesh.leafset, start)
 
-    ledger, traj = _open_ledger(problem, opts, slab, e0_map)
+    ledger, traj = _open_ledger(problem, opts, start)
     t = 0.0
     clipped = False
     while True:
@@ -394,8 +451,9 @@ def run_fixed(problem, mesh, degree, k, T=None, options=None):
     if T is None:
         raise ValueError("run_fixed needs a finite final time")
     space = fe.Space(mesh, degree)
-    slab = _first_slab(problem, opts, space)
-    ledger, traj = _open_ledger(problem, opts, slab)
+    start = _start(problem, space)
+    slab = _first_slab(problem, opts, start)
+    ledger, traj = _open_ledger(problem, opts, start)
     t = 0.0
     while t < T * (1.0 - 1e-14):
         clipped = t + k >= T * (1.0 - 1e-12)

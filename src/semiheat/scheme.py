@@ -14,7 +14,8 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from . import fespace as fe
-from .linalg import assemble_mass, assemble_stiffness, load_vector, solve_spd
+from .linalg import (assemble_mass, assemble_stiffness, load_vector,
+                     solve_direct, solve_spd)
 
 
 class InitialLaplacian:
@@ -96,12 +97,15 @@ class Trajectory:
 
 
 def project_initial(problem, space):
-    """Elliptic projection of the initial data onto the space."""
+    """Elliptic projection of the initial data onto the space.
+
+    Solved once per space, by sparse LU rather than by CG from zero.
+    """
     Xq, Yq, _ = space.quadrature_points()
     rhs = -np.asarray(problem.lap_u0(Xq, Yq), dtype=float)
     b = load_vector(space, rhs)
     S = assemble_stiffness(space, 1.0)
-    return fe.Field.from_free(space, solve_spd(S, b))
+    return fe.Field.from_free(space, solve_direct(S, b))
 
 
 def imex_step(problem, u_prev, space_next, k, t_prev):

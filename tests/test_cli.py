@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from semiheat import cli, driver
+from semiheat import scheme as sc
 from semiheat.cli import (parse_config, emit_config, ConfigError,
                           fit_slope, run_sweep, sweep_csv_text,
                           load_problem, main)
@@ -164,6 +165,51 @@ def test_run_sweep_rows_and_csv(tmp_path):
     lines = text.strip().splitlines()
     assert lines[0].startswith("ttol,steps,final_time")
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("degree, stol", [(2, 1.0), (1, 3.0)])
+def test_sweep_rows_share_first_interval_work_invisibly(tmp_path,
+                                                        monkeypatch,
+                                                        degree, stol):
+    # heat_decay from a 4x4 mesh: the first interval refines the mesh two
+    # or three times and halves k.  At p = 2 the first two rows end it on
+    # the same mesh; at p = 1 the second row ends it on a mesh of its own.
+    # The third row's tolerance lies between, so a pass the second row
+    # rejected ends the third row's first interval.
+    cfg = parse_config("""
+[problem]
+name = heat_decay
+T = 0.01
+[discretization]
+degree = %d
+initial_refinement = 2
+k1 = 0.01
+[tolerances]
+stol_plus = %r
+[output]
+out_dir = %s
+[sweep]
+sweep_ttols = 0.01 0.0025 0.005
+""" % (degree, stol, tmp_path))
+    projected = []
+    project = sc.project_initial
+
+    def counting_project(problem, space):
+        projected.append(len(space.mesh))
+        return project(problem, space)
+
+    monkeypatch.setattr(sc, "project_initial", counting_project)
+    rows = run_sweep(cfg)
+    in_sweep = len(projected)
+    del projected[:]
+    for i, row in enumerate(rows):
+        alone = cli._run_one(cfg, ttol_plus=row["ttol"])
+        shared_csv = tmp_path / ("shared_%d.csv" % i)
+        alone_csv = tmp_path / ("alone_%d.csv" % i)
+        row["result"].ledger.to_csv(str(shared_csv))
+        alone.ledger.to_csv(str(alone_csv))
+        assert shared_csv.read_bytes() == alone_csv.read_bytes()
+    assert in_sweep < len(projected)
 
 
 def test_cli_solve_and_exit_codes(tmp_path):

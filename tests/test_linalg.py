@@ -6,8 +6,9 @@ from scipy.sparse import csr_matrix
 
 from semiheat.mesh import Mesh, Rectangle
 from semiheat import fespace as fe
+from semiheat import linalg
 from semiheat.linalg import (assemble_mass, assemble_stiffness, load_vector,
-                             solve_spd, SolverFailure)
+                             solve_direct, solve_spd, SolverFailure)
 
 UNIT = Rectangle(0.0, 1.0, 0.0, 1.0)
 
@@ -156,3 +157,87 @@ def test_solve_reports_residual_on_failure():
     with pytest.raises(SolverFailure) as exc:
         solve_spd(A, np.array([1.0, -1.0]))
     assert not (exc.value.residual <= exc.value.tol)
+
+
+def _poisson_system(degree):
+    # the initial projection's system on a mesh with hanging nodes
+    mesh = Mesh.uniform(UNIT, 2).refine([(2, 1, 1), (2, 2, 1)])
+    mesh = mesh.refine([(3, 3, 3)])
+    sp = fe.Space(mesh, degree)
+    assert sp.is_slave.any()
+    Xq, Yq, _ = sp.quadrature_points()
+    rhs = np.sin(np.pi * Xq) * np.sin(2.0 * np.pi * Yq) + Xq * Yq
+    return assemble_stiffness(sp, 1.0), load_vector(sp, rhs)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_direct_solve_meets_the_residual_bound_and_matches_cg(degree):
+    S, b = _poisson_system(degree)
+    x = solve_direct(S, b)
+    assert np.linalg.norm(S @ x - b) <= 1e-10 * np.linalg.norm(b)
+    y = solve_spd(S, b)
+    assert np.abs(x - y).max() <= 1e-8 * np.abs(y).max()
+
+
+def test_direct_solve_rejects_a_bad_factor(monkeypatch):
+    S, b = _poisson_system(2)
+
+    class Garbage:
+        def __init__(self, A, **kwargs):
+            self.n = A.shape[0]
+
+        def solve(self, rhs):
+            return np.full(self.n, 1e3)
+
+    monkeypatch.setattr(linalg, "splu", Garbage)
+    with pytest.raises(SolverFailure) as exc:
+        solve_direct(S, b)
+    assert "sparse LU" in str(exc.value)
+    assert exc.value.residual > exc.value.tol
+
+
+def _spd_system():
+    rng = np.random.default_rng(2)
+    B = rng.standard_normal((40, 40))
+    A = B.T @ B + 40 * np.eye(40)
+    return csr_matrix(A), rng.standard_normal(40), A
+
+
+def _off_by(A_dense, b, factor, rtol=1e-10):
+    # an x whose residual is exactly `factor` times the bound rtol ||b||
+    direction = np.ones(len(b)) / np.sqrt(len(b))
+    return np.linalg.solve(A_dense, b + factor * rtol
+                           * np.linalg.norm(b) * direction)
+
+
+def test_cg_restarts_an_iterate_just_above_the_bound(monkeypatch):
+    A, b, A_dense = _spd_system()
+    calls = []
+    real_cg = linalg.cg
+
+    def first_call_off(*args, **kwargs):
+        calls.append(kwargs.get("x0"))
+        if len(calls) == 1:
+            return _off_by(A_dense, b, 1.005), 0
+        return real_cg(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "cg", first_call_off)
+    x = solve_spd(A, b)
+    assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+    assert len(calls) == 2
+
+
+def test_cg_fails_after_one_restart_and_names_itself(monkeypatch):
+    A, b, A_dense = _spd_system()
+    calls = []
+
+    def always_off(*args, **kwargs):
+        calls.append(1)
+        return _off_by(A_dense, b, 1.005), 0
+
+    monkeypatch.setattr(linalg, "cg", always_off)
+    with pytest.raises(SolverFailure) as exc:
+        solve_spd(A, b)
+    assert len(calls) == 2
+    assert str(exc.value).startswith("conjugate gradients stalled")
+    assert exc.value.residual > exc.value.tol
