@@ -284,8 +284,8 @@ class FirstIntervalCache:
     degree, the time quadrature and the problem, and not on the
     tolerances, which only decide what the run does next.  `passes` maps
     (leafset, k) to that (eta_T, indicator) pair; `starts` maps each
-    leafset on which a run's first interval ended to slab 1's `_Start`,
-    which that run's result holds anyway.  One cache serves runs of one
+    leafset on which a returned run's first interval ended to slab 1's
+    `_Start`, which that run's result holds anyway.  One cache serves runs of one
     problem, degree and time quadrature, such as the rows of a sweep.
     """
 
@@ -371,7 +371,6 @@ def run_adaptive(problem, tolerances, degree, initial_mesh, k1, options=None,
         if eta_T > ttol_p:
             k *= 0.5
         passes += 1
-    cache.starts.setdefault(start.u0.space.mesh.leafset, start)
 
     ledger, traj = _open_ledger(problem, opts, start)
     t = 0.0
@@ -433,6 +432,8 @@ def run_adaptive(problem, tolerances, degree, initial_mesh, k1, options=None,
         if new_mesh.leafset != space.mesh.leafset:
             slab.solve(fe.Space(new_mesh, degree), k)
 
+    # Only a run that returns shares its start: its result holds it anyway.
+    cache.starts.setdefault(start.u0.space.mesh.leafset, start)
     return _result(traj, ledger, stop, t, slab.u, caps_hit=caps,
                    final_tolerances=(stol_p, stol_m, ttol_p, ttol_m))
 
