@@ -1,10 +1,13 @@
-"""Sparse assembly and SPD solves for the mass/stiffness systems.
+"""Sparse assembly, the cell-by-cell step operator and SPD solves.
 
 Matrices are scipy CSR; hanging-node and boundary constraints are
 condensed through the space's constraint matrix P (A_free = P^T A P), so
 the solved systems stay symmetric positive definite.  The time-step
+matrix P^T (M/k + aS) P is never assembled: `StepOperator` applies it
+cell by cell, one dense local matrix per mesh level.  The time-step
 systems are solved with diagonally preconditioned conjugate gradients
-(`solve_spd`); the one Poisson system of the initial projection is
+(`solve_spd`, which takes a sparse matrix or any linear operator with a
+`diagonal()`); the one Poisson system of the initial projection is
 factored by sparse LU (`solve_direct`).  Both accept a solution only
 through one shared residual check, ||Ax - b|| <= 1e-10 ||b||.
 """
@@ -25,8 +28,35 @@ class SolverFailure(RuntimeError):
         self.tol = tol
 
 
+def _cell_matrices(ref, hx, hy, mass, stiff):
+    """mass * (phi_j, phi_i) + stiff * (grad phi_j, grad phi_i) per cell.
+
+    hx, hy are arrays of cell sizes; returns shape (len(hx), nloc, nloc).
+    Local dof j * (p+1) + i is 1D basis i in x times basis j in y, so
+    kron(m, s) is the d/dx part.  A zero coefficient drops its terms.
+    """
+    hx = np.asarray(hx, dtype=float)[:, None, None]
+    hy = np.asarray(hy, dtype=float)[:, None, None]
+    m, s = ref.mass1, ref.stiff1
+    terms = []
+    if mass:
+        terms.append((mass * hx * hy) * np.kron(m, m))
+    if stiff:
+        terms.append((stiff * hy / hx) * np.kron(m, s)
+                     + (stiff * hx / hy) * np.kron(s, m))
+    return sum(terms[1:], terms[0])
+
+
+def _scatter(dofmap, cellwise, n):
+    """Global vector summing cellwise[c, i] into entry dofmap[c, i].
+
+    Adds in flat order, as np.add.at does, in one bincount pass.
+    """
+    return np.bincount(dofmap.ravel(), weights=cellwise.ravel(), minlength=n)
+
+
 def _assemble_full(space, local):
-    """Scatter one reference local matrix, scaled per cell, into global COO."""
+    """Scatter per-cell local matrices into a global CSR matrix."""
     dofmap = space.dofmap
     ncells, nloc = dofmap.shape
     rows = np.repeat(dofmap, nloc, axis=1).ravel()
@@ -41,11 +71,9 @@ def assemble_mass(space, condensed=True):
     """Mass matrix (phi_j, phi_i); condensed onto free dofs by default."""
     if condensed and space._mass_free is not None:
         return space._mass_free
-    ref = space.ref
-    Mloc = np.kron(ref.mass1, ref.mass1)
-    scale = space.mesh.hx * space.mesh.hy
-    local = scale[:, None, None] * Mloc[None, :, :]
-    M_full = _assemble_full(space, local)
+    mesh = space.mesh
+    M_full = _assemble_full(
+        space, _cell_matrices(space.ref, mesh.hx, mesh.hy, 1.0, 0.0))
     if not condensed:
         return M_full
     M = (space.P.T @ M_full @ space.P).tocsr()
@@ -59,18 +87,59 @@ def assemble_stiffness(space, a, condensed=True):
     if condensed and space._stiff_free_unit is not None:
         return (a * space._stiff_free_unit).tocsr() if a != 1.0 \
             else space._stiff_free_unit
-    ref = space.ref
-    KM = np.kron(ref.mass1, ref.stiff1)   # d/dx part: rows (j, i)
-    MK = np.kron(ref.stiff1, ref.mass1)   # d/dy part
-    sx = space.mesh.hy / space.mesh.hx
-    sy = space.mesh.hx / space.mesh.hy
-    local = sx[:, None, None] * KM[None, :, :] + sy[:, None, None] * MK[None, :, :]
-    S_full = _assemble_full(space, local)
+    mesh = space.mesh
+    S_full = _assemble_full(
+        space, _cell_matrices(space.ref, mesh.hx, mesh.hy, 0.0, 1.0))
     if not condensed:
         return (a * S_full).tocsr() if a != 1.0 else S_full
     S_unit = (space.P.T @ S_full @ space.P).tocsr()
     space._stiff_free_unit = S_unit
     return (a * S_unit).tocsr() if a != 1.0 else S_unit
+
+
+class StepOperator(LinearOperator):
+    """The IMEX step matrix P^T (M/k + aS) P, applied cell by cell.
+
+    On a quadtree over a rectangle all cells of one level have the same
+    size, so each level gets one dense local matrix.  A product gathers
+    the constrained nodal values per cell, multiplies each level's block
+    of cells by its local matrix and scatters the sums back.  `nnz`
+    counts the local-matrix entries one product touches.
+    """
+
+    def __init__(self, space, k, a):
+        n = space.n_free
+        super().__init__(np.float64, (n, n))
+        self.space = space
+        self.k = k
+        self.a = a
+        levels = space.mesh.levels
+        order = np.argsort(levels, kind="stable")
+        _, starts = np.unique(levels[order], return_index=True)
+        first = order[starts]
+        local = _cell_matrices(space.ref, space.mesh.hx[first],
+                               space.mesh.hy[first], 1.0 / k, a)
+        bounds = np.append(starts, len(order))
+        self._blocks = list(zip(bounds[:-1], bounds[1:], local))
+        self._dofmap = space.dofmap[order]
+        self.nnz = self._dofmap.size * self._dofmap.shape[1]
+
+    def _matvec(self, x):
+        sp = self.space
+        u = (sp.P @ np.ravel(x))[self._dofmap]
+        v = np.empty_like(u)
+        for start, end, local in self._blocks:
+            np.matmul(u[start:end], local, out=v[start:end])
+        return sp.P.T @ _scatter(self._dofmap, v, sp.n_global)
+
+    def diagonal(self):
+        """Bitwise the diagonal of the assembled M/k + aS.
+
+        scipy divides a sparse matrix by k as a product with 1/k.
+        """
+        M = assemble_mass(self.space)
+        S_unit = assemble_stiffness(self.space, 1.0)
+        return M.diagonal() * (1.0 / self.k) + self.a * S_unit.diagonal()
 
 
 def load_vector(space, quad_values, condensed=True):
@@ -81,8 +150,7 @@ def load_vector(space, quad_values, condensed=True):
     _, _, W = space.quadrature_points()
     B = space.tensor_basis("quad", 0, 0)
     cellwise = (np.asarray(quad_values) * W) @ B
-    b = np.zeros(space.n_global)
-    np.add.at(b, space.dofmap, cellwise)
+    b = _scatter(space.dofmap, cellwise, space.n_global)
     if condensed:
         return space.P.T @ b
     return b
@@ -105,6 +173,8 @@ def _checked(solver, A, b, x, tol):
 
 def solve_spd(A, b, x0=None):
     """Solve SPD system with diagonally preconditioned CG.
+
+    A is a sparse matrix or any linear operator with a `diagonal()`.
 
     Guarantees ||Ax - b||_2 <= _RTOL * ||b||_2 or raises SolverFailure.
     CG's own stopping test watches its recursive residual, which can

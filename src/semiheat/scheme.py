@@ -3,7 +3,9 @@
 The initial field solves the discrete elliptic problem
 (grad U0, grad V) = (-lap u0, V); each step then solves
 (M/k + S) U_next = M(U_hat/k) + (f(., t_prev, U_prev), .) on the new
-space, where U_hat is the nodal transfer of U_prev.  The reaction
+space, where U_hat is the nodal transfer of U_prev.  The step matrix
+M/k + S is applied cell by cell (`linalg.StepOperator`) and never
+assembled; M stays assembled for the right-hand side.  The reaction
 functional is evaluated pointwise at quadrature points of the new mesh
 against the untransferred previous field, which is also what the
 discrete-Laplacian closures use.
@@ -14,8 +16,8 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from . import fespace as fe
-from .linalg import (assemble_mass, assemble_stiffness, load_vector,
-                     solve_direct, solve_spd)
+from .linalg import (StepOperator, assemble_mass, assemble_stiffness,
+                     load_vector, solve_direct, solve_spd)
 
 
 class InitialLaplacian:
@@ -119,7 +121,6 @@ def imex_step(problem, u_prev, space_next, k, t_prev):
     same_space = u_prev.space is space_next
     u_hat = u_prev if same_space else fe.interpolate(u_prev, space_next)
     M = assemble_mass(space_next)
-    S = assemble_stiffness(space_next, problem.a)
     Xq, Yq, _ = space_next.quadrature_points()
     if same_space:
         upq = u_prev.coeffs[space_next.dofmap] @ \
@@ -129,7 +130,7 @@ def imex_step(problem, u_prev, space_next, k, t_prev):
                                 [(0, 0)])[0].reshape(Xq.shape)
     fq = np.asarray(problem.f(Xq, Yq, t_prev, upq), dtype=float)
     b = (M @ u_hat.free_values) / k + load_vector(space_next, fq)
-    A = (M / k + S).tocsr()
+    A = StepOperator(space_next, k, problem.a)
     x = solve_spd(A, b, x0=u_hat.free_values)
     return fe.Field.from_free(space_next, x), u_hat
 

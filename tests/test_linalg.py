@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.sparse import csr_matrix
 
 from semiheat.mesh import Mesh, Rectangle
 from semiheat import fespace as fe
 from semiheat import linalg
-from semiheat.linalg import (assemble_mass, assemble_stiffness, load_vector,
-                             solve_direct, solve_spd, SolverFailure)
+from semiheat.linalg import (StepOperator, assemble_mass, assemble_stiffness,
+                             load_vector, solve_direct, solve_spd,
+                             SolverFailure)
+from test_mesh_properties import OPS, PROPERTY, build
 
 UNIT = Rectangle(0.0, 1.0, 0.0, 1.0)
 
@@ -241,3 +244,33 @@ def test_cg_fails_after_one_restart_and_names_itself(monkeypatch):
     assert len(calls) == 2
     assert str(exc.value).startswith("conjugate gradients stalled")
     assert exc.value.residual > exc.value.tol
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 9])
+@PROPERTY
+@given(OPS, st.sampled_from([1e-4, 0.01, 0.3]),
+       st.sampled_from([1.0, 0.07, 2.5]))
+def test_step_operator_is_the_assembled_step_matrix(degree, ops, k, a):
+    # random hanging-node meshes on a non-square rectangle (hx != hy)
+    sp = fe.Space(build(ops), degree)
+    op = StepOperator(sp, k, a)
+    A = assemble_mass(sp) / k + assemble_stiffness(sp, a)
+    x = np.random.default_rng(degree).standard_normal(sp.n_free)
+    y = A @ x
+    assert op.shape == A.shape
+    assert np.abs(op @ x - y).max(initial=0.0) \
+        <= 1e-13 * np.abs(y).max(initial=0.0)
+    assert np.array_equal(op.diagonal(), A.diagonal())
+    assert op.nnz == len(sp.mesh) * (degree + 1) ** 4
+
+
+def test_load_vector_scatter_adds_like_add_at():
+    mesh = Mesh.uniform(UNIT, 2).refine([(2, 1, 1)])
+    sp = fe.Space(mesh, 3)
+    rng = np.random.default_rng(4)
+    values = rng.standard_normal((len(mesh), len(sp.ref.quad1d) ** 2))
+    _, _, W = sp.quadrature_points()
+    cellwise = (values * W) @ sp.tensor_basis("quad", 0, 0)
+    oracle = np.zeros(sp.n_global)
+    np.add.at(oracle, sp.dofmap, cellwise)
+    assert np.array_equal(load_vector(sp, values, condensed=False), oracle)

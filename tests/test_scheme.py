@@ -6,7 +6,8 @@ import pytest
 from semiheat.mesh import Mesh, Rectangle
 from semiheat import fespace as fe
 from semiheat import scheme as sc
-from semiheat.linalg import assemble_stiffness, load_vector
+from semiheat.linalg import (assemble_mass, assemble_stiffness, load_vector,
+                             solve_direct)
 from semiheat.problems import builtin
 
 UNIT = Rectangle(0.0, 1.0, 0.0, 1.0)
@@ -193,3 +194,23 @@ def test_interpolant_range_check():
     traj = sc.Trajectory(U0)
     with pytest.raises(ValueError):
         sc.interpolant_at(traj, 0.5)
+
+
+@pytest.mark.parametrize("moved", [False, True])
+def test_imex_step_matches_a_direct_solve_of_the_assembled_system(moved):
+    # example3's a = 0.001 on a non-square rectangle with hanging nodes
+    from dataclasses import replace
+    prob = replace(builtin("example3"), rect=Rectangle(-1.0, 2.0, 0.0, 0.5))
+    mesh = Mesh.uniform(prob.rect, 2).refine([(2, 1, 1)])
+    sp_prev = fe.Space(mesh, 3)
+    sp = fe.Space(mesh.refine([(3, 2, 2)]), 3) if moved else sp_prev
+    rng = np.random.default_rng(5)
+    u_prev = fe.Field.from_free(sp_prev, rng.standard_normal(sp_prev.n_free))
+    k, t = 0.01, 0.1
+    u_next, u_hat = sc.imex_step(prob, u_prev, sp, k, t)
+    M = assemble_mass(sp)
+    Xq, Yq, _ = sp.quadrature_points()
+    upq = u_prev.eval(Xq.ravel(), Yq.ravel()).reshape(Xq.shape)
+    b = M @ u_hat.free_values / k + load_vector(sp, prob.f(Xq, Yq, t, upq))
+    x = solve_direct((M / k + assemble_stiffness(sp, prob.a)).tocsr(), b)
+    assert np.abs(u_next.free_values - x).max() <= 1e-8 * np.abs(x).max()
