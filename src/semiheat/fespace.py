@@ -100,8 +100,7 @@ class Space:
         self._build_constraints()
         self._tensor_cache = {}
         self._grid_cache = {}
-        self._mass_free = None
-        self._stiff_free_unit = None
+        self._condensation = None     # linalg's per-space maps, on first use
 
     # -- enumeration --------------------------------------------------------
 

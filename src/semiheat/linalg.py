@@ -1,15 +1,19 @@
 """Sparse assembly, the cell-by-cell step operator and SPD solves.
 
 Matrices are scipy CSR; hanging-node and boundary constraints are
-condensed through the space's constraint matrix P (A_free = P^T A P), so
-the solved systems stay symmetric positive definite.  The time-step
-matrix P^T (M/k + aS) P is never assembled: `StepOperator` applies it
-cell by cell, one dense local matrix per mesh level.  The time-step
-systems are solved with diagonally preconditioned conjugate gradients
-(`solve_spd`, which takes a sparse matrix or any linear operator with a
-`diagonal()`); the one Poisson system of the initial projection is
-factored by sparse LU (`solve_direct`).  Both accept a solution only
-through one shared residual check, ||Ax - b|| <= 1e-10 ||b||.
+condensed through the space's constraint matrix P (A_free = P^T A P, a
+CSR product throughout), so the solved systems stay symmetric positive
+definite.  What depends only on the space is built once per space, on
+first use (`_Condensation`): P^T, the cells sorted by level, the gather
+map G = P[dofmap] with G^T, the condensed M and S and their diagonals.
+The time-step matrix P^T (M/k + aS) P is never assembled:
+`StepOperator` applies it as G^T (blocks (G x)), one dense local matrix
+per mesh level.  The time-step systems are solved with diagonally
+preconditioned conjugate gradients (`solve_spd`, which takes a sparse
+matrix or any linear operator with a `diagonal()`); the one Poisson
+system of the initial projection is factored by sparse LU
+(`solve_direct`).  Both accept a solution only through one shared
+residual check, ||Ax - b|| <= 1e-10 ||b||.
 """
 
 import numpy as np
@@ -47,12 +51,41 @@ def _cell_matrices(ref, hx, hy, mass, stiff):
     return sum(terms[1:], terms[0])
 
 
-def _scatter(dofmap, cellwise, n):
-    """Global vector summing cellwise[c, i] into entry dofmap[c, i].
+class _Condensation:
+    """What assembly and the step products reuse on one Space.
 
-    Adds in flat order, as np.add.at does, in one bincount pass.
+    Built once per space, on first use (`_condensation`):
+    - `PT`, P^T as CSR.  scipy's `P.T` is a new CSC object on every
+      access, and a CSC left factor makes `P^T A P` convert A to CSC.
+    - The cells sorted stably by level: `level_cells` holds one cell of
+      each level and `bounds` the start of each level's block, then the
+      end.
+    - The gather G = P[dofmap[order]] and its transpose, both CSR.  Row
+      (c, i) of G maps free values to cell c's constrained value at
+      local node i, in level order, so G^T sums cellwise values back
+      onto the free dofs.
+    The condensed M and S (a = 1) and their diagonals are filled in the
+    first time they are asked for.
     """
-    return np.bincount(dofmap.ravel(), weights=cellwise.ravel(), minlength=n)
+
+    def __init__(self, space):
+        P = space.P
+        levels = space.mesh.levels
+        order = np.argsort(levels, kind="stable")
+        _, starts = np.unique(levels[order], return_index=True)
+        self.level_cells = order[starts]
+        self.bounds = np.append(starts, len(order))
+        self.PT = P.T.tocsr()
+        self.G = P[space.dofmap[order].ravel()]
+        self.GT = self.G.T.tocsr()
+        self.M = self.S_unit = self.diagonals = None
+
+
+def _condensation(space):
+    """The space's `_Condensation`, built on first use."""
+    if space._condensation is None:
+        space._condensation = _Condensation(space)
+    return space._condensation
 
 
 def _assemble_full(space, local):
@@ -67,93 +100,103 @@ def _assemble_full(space, local):
     return A.tocsr()
 
 
+def _assembled(space, mass, stiff, condensed):
+    """mass * M + stiff * S, as P^T A P (all CSR) if condensed."""
+    mesh = space.mesh
+    A = _assemble_full(
+        space, _cell_matrices(space.ref, mesh.hx, mesh.hy, mass, stiff))
+    return _condensation(space).PT @ A @ space.P if condensed else A
+
+
 def assemble_mass(space, condensed=True):
     """Mass matrix (phi_j, phi_i); condensed onto free dofs by default."""
-    if condensed and space._mass_free is not None:
-        return space._mass_free
-    mesh = space.mesh
-    M_full = _assemble_full(
-        space, _cell_matrices(space.ref, mesh.hx, mesh.hy, 1.0, 0.0))
     if not condensed:
-        return M_full
-    M = (space.P.T @ M_full @ space.P).tocsr()
-    space._mass_free = M
-    return M
+        return _assembled(space, 1.0, 0.0, False)
+    cond = _condensation(space)
+    if cond.M is None:
+        cond.M = _assembled(space, 1.0, 0.0, True)
+    return cond.M
+
 
 def assemble_stiffness(space, a, condensed=True):
     """Stiffness matrix a*(grad phi_j, grad phi_i), condensed by default."""
     if a <= 0:
         raise ValueError("diffusion coefficient must be positive")
-    if condensed and space._stiff_free_unit is not None:
-        return (a * space._stiff_free_unit).tocsr() if a != 1.0 \
-            else space._stiff_free_unit
-    mesh = space.mesh
-    S_full = _assemble_full(
-        space, _cell_matrices(space.ref, mesh.hx, mesh.hy, 0.0, 1.0))
     if not condensed:
-        return (a * S_full).tocsr() if a != 1.0 else S_full
-    S_unit = (space.P.T @ S_full @ space.P).tocsr()
-    space._stiff_free_unit = S_unit
-    return (a * S_unit).tocsr() if a != 1.0 else S_unit
+        S = _assembled(space, 0.0, 1.0, False)
+    else:
+        cond = _condensation(space)
+        if cond.S_unit is None:
+            cond.S_unit = _assembled(space, 0.0, 1.0, True)
+        S = cond.S_unit
+    return a * S if a != 1.0 else S
 
 
 class StepOperator(LinearOperator):
     """The IMEX step matrix P^T (M/k + aS) P, applied cell by cell.
 
     On a quadtree over a rectangle all cells of one level have the same
-    size, so each level gets one dense local matrix.  A product gathers
-    the constrained nodal values per cell, multiplies each level's block
-    of cells by its local matrix and scatters the sums back.  `nnz`
-    counts the local-matrix entries one product touches.
+    size, so each level gets one dense local matrix; these are all an
+    operator builds for its (k, a).  Everything else is the space's
+    `_Condensation`, shared by every operator on the space.  A product is
+    G^T @ blocks(G @ x): gather each cell's constrained nodal values,
+    multiply each level's block of cells by its local matrix, and sum
+    back onto the free dofs.  `nnz` counts the local-matrix entries one
+    product touches.
     """
 
     def __init__(self, space, k, a):
+        if k <= 0:
+            raise ValueError("time step must be positive")
+        if a <= 0:
+            raise ValueError("diffusion coefficient must be positive")
         n = space.n_free
         super().__init__(np.float64, (n, n))
         self.space = space
         self.k = k
         self.a = a
-        levels = space.mesh.levels
-        order = np.argsort(levels, kind="stable")
-        _, starts = np.unique(levels[order], return_index=True)
-        first = order[starts]
-        local = _cell_matrices(space.ref, space.mesh.hx[first],
-                               space.mesh.hy[first], 1.0 / k, a)
-        bounds = np.append(starts, len(order))
-        self._blocks = list(zip(bounds[:-1], bounds[1:], local))
-        self._dofmap = space.dofmap[order]
-        self.nnz = self._dofmap.size * self._dofmap.shape[1]
+        self._cond = cond = _condensation(space)
+        cells = cond.level_cells
+        local = _cell_matrices(space.ref, space.mesh.hx[cells],
+                               space.mesh.hy[cells], 1.0 / k, a)
+        self._blocks = list(zip(cond.bounds[:-1], cond.bounds[1:], local))
+        self._nloc = space.dofmap.shape[1]
+        self.nnz = space.dofmap.size * self._nloc
 
     def _matvec(self, x):
-        sp = self.space
-        u = (sp.P @ np.ravel(x))[self._dofmap]
+        cond = self._cond
+        u = (cond.G @ np.ravel(x)).reshape(-1, self._nloc)
         v = np.empty_like(u)
         for start, end, local in self._blocks:
             np.matmul(u[start:end], local, out=v[start:end])
-        return sp.P.T @ _scatter(self._dofmap, v, sp.n_global)
+        return cond.GT @ v.ravel()
 
     def diagonal(self):
         """Bitwise the diagonal of the assembled M/k + aS.
 
         scipy divides a sparse matrix by k as a product with 1/k.
         """
-        M = assemble_mass(self.space)
-        S_unit = assemble_stiffness(self.space, 1.0)
-        return M.diagonal() * (1.0 / self.k) + self.a * S_unit.diagonal()
+        cond = self._cond
+        if cond.diagonals is None:
+            cond.diagonals = (assemble_mass(self.space).diagonal(),
+                              assemble_stiffness(self.space, 1.0).diagonal())
+        dM, dS = cond.diagonals
+        return dM * (1.0 / self.k) + self.a * dS
 
 
 def load_vector(space, quad_values, condensed=True):
     """Functional (g, phi_i) from pointwise values at the quadrature grid.
 
     quad_values has shape (ncells, n_quad) matching space.quadrature_points().
+    The cellwise sums are added in flat order, as np.add.at does, in one
+    bincount pass.
     """
     _, _, W = space.quadrature_points()
     B = space.tensor_basis("quad", 0, 0)
     cellwise = (np.asarray(quad_values) * W) @ B
-    b = _scatter(space.dofmap, cellwise, space.n_global)
-    if condensed:
-        return space.P.T @ b
-    return b
+    b = np.bincount(space.dofmap.ravel(), weights=cellwise.ravel(),
+                    minlength=space.n_global)
+    return _condensation(space).PT @ b if condensed else b
 
 
 # Both solvers guarantee ||Ax - b||_2 <= _RTOL * ||b||_2.

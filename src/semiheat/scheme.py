@@ -116,8 +116,7 @@ def imex_step(problem, u_prev, space_next, k, t_prev):
     U_hat is the nodal transfer of u_prev onto space_next (identical to
     u_prev when the space is unchanged).
     """
-    if k <= 0:
-        raise ValueError("time step must be positive")
+    A = StepOperator(space_next, k, problem.a)     # checks k > 0 and a > 0
     same_space = u_prev.space is space_next
     u_hat = u_prev if same_space else fe.interpolate(u_prev, space_next)
     M = assemble_mass(space_next)
@@ -130,7 +129,6 @@ def imex_step(problem, u_prev, space_next, k, t_prev):
                                 [(0, 0)])[0].reshape(Xq.shape)
     fq = np.asarray(problem.f(Xq, Yq, t_prev, upq), dtype=float)
     b = (M @ u_hat.free_values) / k + load_vector(space_next, fq)
-    A = StepOperator(space_next, k, problem.a)
     x = solve_spd(A, b, x0=u_hat.free_values)
     return fe.Field.from_free(space_next, x), u_hat
 

@@ -274,3 +274,47 @@ def test_load_vector_scatter_adds_like_add_at():
     oracle = np.zeros(sp.n_global)
     np.add.at(oracle, sp.dofmap, cellwise)
     assert np.array_equal(load_vector(sp, values, condensed=False), oracle)
+
+
+def _hanging_space(degree=3):
+    # hanging nodes at two levels on a non-square rectangle
+    mesh = Mesh.uniform(Rectangle(-1.0, 2.0, 0.0, 0.5), 2)
+    return fe.Space(mesh.refine([(2, 1, 1)]).refine([(3, 2, 2)]), degree)
+
+
+def test_step_operators_share_one_space_cache_without_going_stale():
+    sp = _hanging_space()
+    x = np.random.default_rng(7).standard_normal(sp.n_free)
+    pairs = [(0.3, 1.0), (1e-4, 2.5), (0.3, 0.07), (0.01, 1.0)]
+    ops = [StepOperator(sp, k, a) for k, a in pairs]
+    cond = sp._condensation
+    assert cond is not None and all(op._cond is cond for op in ops)
+    for op, (k, a) in zip(ops, pairs):
+        A = assemble_mass(sp) / k + assemble_stiffness(sp, a)
+        y = A @ x
+        assert np.abs(op @ x - y).max() <= 1e-13 * np.abs(y).max()
+        assert np.array_equal(op.diagonal(), A.diagonal())
+    assert sp._condensation is cond
+    assert StepOperator(sp, 0.5, 3.0)._cond is cond
+
+
+def test_condensation_equals_p_transpose_a_p():
+    sp = _hanging_space()
+    P = sp.P
+    for A, A_full in [(assemble_mass(sp), assemble_mass(sp, condensed=False)),
+                      (assemble_stiffness(sp, 1.0),
+                       assemble_stiffness(sp, 1.0, condensed=False))]:
+        old = (P.T @ A_full @ P).toarray()
+        assert np.abs(A.toarray() - old).max() <= 1e-14 * np.abs(old).max()
+    values = np.random.default_rng(8).standard_normal(
+        (len(sp.mesh), len(sp.ref.quad1d) ** 2))
+    b_full = load_vector(sp, values, condensed=False)
+    assert np.array_equal(load_vector(sp, values), P.T @ b_full)
+
+
+@pytest.mark.parametrize("k, a", [(0.0, 1.0), (-0.01, 1.0),
+                                  (0.01, 0.0), (0.01, -0.001)])
+def test_step_operator_rejects_nonpositive_k_or_a(k, a):
+    sp = fe.Space(Mesh.uniform(UNIT, 1), 2)
+    with pytest.raises(ValueError, match="must be positive"):
+        StepOperator(sp, k, a)

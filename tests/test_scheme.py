@@ -214,3 +214,12 @@ def test_imex_step_matches_a_direct_solve_of_the_assembled_system(moved):
     b = M @ u_hat.free_values / k + load_vector(sp, prob.f(Xq, Yq, t, upq))
     x = solve_direct((M / k + assemble_stiffness(sp, prob.a)).tocsr(), b)
     assert np.abs(u_next.free_values - x).max() <= 1e-8 * np.abs(x).max()
+
+
+@pytest.mark.parametrize("a", [0.0, -0.001])
+def test_imex_rejects_nonpositive_diffusion(a):
+    from dataclasses import replace
+    prob = replace(builtin("example3"), a=a)
+    sp = fe.Space(Mesh.uniform(prob.rect, 2), 2)
+    with pytest.raises(ValueError, match="diffusion coefficient"):
+        sc.imex_step(prob, fe.Field.zeros(sp), sp, 0.01, 0.0)
