@@ -144,7 +144,7 @@ def _modify_mesh(mesh, indicator, stol_plus, stol_minus):
     if refine_keys:
         out = out.refine(refine_keys)
     if coarsen_keys:
-        out = out.coarsen([k for k in coarsen_keys if k in out.leafset])
+        out = out.coarsen(coarsen_keys)
     return out
 
 

@@ -2,20 +2,19 @@
 
 Cells are identified by integer root paths (level, ix, iy) with
 ix, iy in [0, 2**level), so containment, adjacency and the two mesh
-overlays reduce to integer arithmetic and set lookups.  Meshes are
-immutable: refine/coarsen return new Mesh objects when something changes,
-and an overlay of two nested meshes (identical ones included) is one of
-its inputs, so it shares that input's cached FaceSet.  refine and
-coarsen keep meshes 1-irregular (edge-adjacent leaves differ by at most
-one level); `is_one_irregular` checks a mesh built from a leaf list.
+overlays reduce to integer arithmetic and sorted integer-key lookups.
+Meshes are immutable: refine/coarsen return new Mesh objects when
+something changes, and an overlay of two nested meshes (identical ones
+included) is one of its inputs, so it shares that input's cached
+FaceSet.  refine and coarsen keep meshes 1-irregular (edge-adjacent
+leaves differ by at most one level); `is_one_irregular` checks a mesh
+built from a leaf list.
 """
 
 import numpy as np
 
 # Integer grid resolution used for exact corner/edge coordinates.
 LMAX = 40
-
-_DIRS = ("E", "W", "N", "S")
 
 
 class DomainMismatchError(ValueError):
@@ -71,58 +70,6 @@ def children(key):
             (l + 1, 2 * ix, 2 * iy + 1), (l + 1, 2 * ix + 1, 2 * iy + 1))
 
 
-def _same_level_neighbor(key, d):
-    """Neighbor key at the same level, or None at the domain boundary."""
-    l, ix, iy = key
-    n = 1 << l
-    if d == "E":
-        return (l, ix + 1, iy) if ix + 1 < n else None
-    if d == "W":
-        return (l, ix - 1, iy) if ix > 0 else None
-    if d == "N":
-        return (l, ix, iy + 1) if iy + 1 < n else None
-    return (l, ix, iy - 1) if iy > 0 else None
-
-
-def _near_children(key, d):
-    """The two children of `key` adjacent to the face seen from direction d.
-
-    d is the direction of travel from the querying cell, so the relevant
-    children of the neighbor candidate lie on the opposite side.
-    """
-    l, ix, iy = key
-    if d == "E":   # querying cell looks east -> neighbor's west children
-        return ((l + 1, 2 * ix, 2 * iy), (l + 1, 2 * ix, 2 * iy + 1))
-    if d == "W":
-        return ((l + 1, 2 * ix + 1, 2 * iy), (l + 1, 2 * ix + 1, 2 * iy + 1))
-    if d == "N":
-        return ((l + 1, 2 * ix, 2 * iy), (l + 1, 2 * ix + 1, 2 * iy))
-    return ((l + 1, 2 * ix, 2 * iy + 1), (l + 1, 2 * ix + 1, 2 * iy + 1))
-
-
-def _neighbor_leaves(leafset, key, d):
-    """All leaves in `leafset` sharing a positive-length edge with key."""
-    cand = _same_level_neighbor(key, d)
-    if cand is None:
-        return []
-    # Equal or coarser neighbor: walk up the ancestor chain.
-    k = cand
-    while k[0] >= 0:
-        if k in leafset:
-            return [k]
-        k = parent(k)
-    # Finer neighbors: collect the leaves covering the shared face.
-    out = []
-    stack = [cand]
-    while stack:
-        k = stack.pop()
-        if k in leafset:
-            out.append(k)
-        else:
-            stack.extend(_near_children(k, d))
-    return out
-
-
 class Mesh:
     """Immutable 1-irregular quadtree mesh over a rectangle."""
 
@@ -157,10 +104,10 @@ class Mesh:
         self.iy = iy
         self.h = np.hypot(self.hx, self.hy)
         self.max_level = int(lv.max()) if len(lv) else 0
-        # Per-level tables for vectorized point location.  A level-l cell
-        # is keyed (rank of its ix among the level's columns) << l | iy,
-        # exact in int64 for fewer than 2**(63 - l) columns, where
-        # (ix << l) | iy itself would overflow past level 31.
+        # Per-level tables for `_find`.  A level-l cell is keyed (rank of
+        # its ix among the level's columns) << l | iy, exact in int64 for
+        # fewer than 2**(63 - l) columns, where (ix << l) | iy itself
+        # would overflow past level 31.
         self._level_keys = {}
         for l in np.unique(lv):
             sel = np.flatnonzero(lv == l)
@@ -171,6 +118,29 @@ class Mesh:
 
     def __len__(self):
         return len(self.leaves)
+
+    def _find(self, X, Y):
+        """Indices of the leaves covering integer points, vectorized.
+
+        (X, Y) lie on the grid [0, 2**LMAX)**2, where cell (l, ix, iy) has
+        its low corner at (ix << (LMAX - l), iy << (LMAX - l)); points
+        outside the grid give -1.
+        """
+        out = np.full(X.shape, -1, dtype=np.int64)
+        big = 1 << LMAX
+        todo = np.flatnonzero((X >= 0) & (X < big) & (Y >= 0) & (Y < big))
+        for l, (cols, enc_sorted, idx) in self._level_keys.items():
+            if todo.size == 0:
+                break
+            qx, qy = X[todo] >> (LMAX - l), Y[todo] >> (LMAX - l)
+            col = np.minimum(np.searchsorted(cols, qx), len(cols) - 1)
+            enc = (col << l) | qy
+            pos = np.searchsorted(enc_sorted, enc)
+            pos = np.minimum(pos, len(enc_sorted) - 1)
+            hit = (cols[col] == qx) & (enc_sorted[pos] == enc)
+            out[todo[hit]] = idx[pos[hit]]
+            todo = todo[~hit]
+        return out
 
     def index_of(self, key):
         return self._index[key]
@@ -187,35 +157,30 @@ class Mesh:
 
     def refine(self, marked):
         """Split every marked leaf into 4 children, restoring 1-irregularity."""
-        marked = [k for k in marked if k in self.leafset]
+        marked = [self._index[k] for k in marked if k in self.leafset]
         if not marked:
             return self
-        ls = set(self.leaves)
-
-        def split(key):
-            if key not in ls:
-                return
-            l = key[0]
-            if l + 1 >= LMAX:
-                raise ValueError("refinement exceeds maximum level")
-            # Coarser edge neighbors must split first.
-            for d in _DIRS:
-                cand = _same_level_neighbor(key, d)
-                if cand is None:
-                    continue
-                k = cand
-                while k[0] >= 0:
-                    if k in ls:
-                        if k[0] < l:
-                            split(k)
-                        break
-                    k = parent(k)
-            ls.discard(key)
-            ls.update(children(key))
-
-        for key in sorted(marked, key=lambda k: -k[0]):
-            split(key)
-        return Mesh(self.rect, ls)
+        split = np.zeros(len(self), dtype=bool)
+        split[marked] = True
+        # A split leaf's coarser edge neighbours must split too: iterate
+        # over the faces between unequal levels to a fixed point.
+        fs = face_set(self)
+        lv = self.levels
+        finer = lv[fs.left] > lv[fs.right]
+        coarser = lv[fs.left] < lv[fs.right]
+        fine = np.concatenate([fs.left[finer], fs.right[coarser]])
+        coarse = np.concatenate([fs.right[finer], fs.left[coarser]])
+        while True:
+            grow = coarse[split[fine] & ~split[coarse]]
+            if not grow.size:
+                break
+            split[grow] = True
+        if (lv[split] + 1 >= LMAX).any():
+            raise ValueError("refinement exceeds maximum level")
+        leaves = [k for k, cut in zip(self.leaves, split) if not cut]
+        for i in np.flatnonzero(split):
+            leaves.extend(children(self.leaves[i]))
+        return Mesh(self.rect, leaves)
 
     def coarsen(self, marked):
         """Merge sibling quadruples whose 4 members are all marked.
@@ -229,32 +194,36 @@ class Mesh:
             if k[0] == 0:
                 continue
             groups.setdefault(parent(k), []).append(k)
-        candidates = [(par, kids) for par, kids in groups.items()
-                      if len(kids) == 4]
-        if not candidates:
+        families = [par for par, kids in groups.items() if len(kids) == 4]
+        if not families:
             return self
-        ls = set(self.leaves)
-        changed = False
-        for par, kids in sorted(candidates, key=lambda t: (-t[0][0],) + t[0][1:]):
-            if not all(k in ls for k in kids):
-                continue
-            # Merged parent at level l-1 must not touch a leaf at level > l.
-            l = par[0] + 1
-            ok = True
-            for d in _DIRS:
-                for nb in _neighbor_leaves(ls, par, d):
-                    if nb[0] > l:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                ls.difference_update(kids)
-                ls.add(par)
-                changed = True
-        if not changed:
+        # Level of the leaf covering each original leaf after the merges
+        # so far.  Merges run from the finest families down; families at
+        # one level are independent, since a merge there only lowers
+        # leaves to one level below theirs.
+        level = self.levels.copy()
+        parents = []
+        for l in sorted({par[0] + 1 for par in families}, reverse=True):
+            pars = [par for par in families if par[0] + 1 == l]
+            kids = np.array([[self._index[c] for c in children(par)]
+                             for par in pars], dtype=np.int64)
+            # A merged parent at level l-1 must not touch a leaf finer than
+            # l: look up the leaf now covering each kid's neighbour cells.
+            ix, iy = self.ix[kids].ravel(), self.iy[kids].ravel()
+            finer = np.zeros(kids.size, dtype=bool)
+            for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                j = self._find((ix + dx) << (LMAX - l),
+                               (iy + dy) << (LMAX - l))
+                finer |= (j >= 0) & (level[j] > l)
+            bad = finer.reshape(kids.shape).any(axis=1)
+            kids = kids[~bad]
+            level[kids] = l - 1
+            parents.extend(par for par, b in zip(pars, bad) if not b)
+        if not parents:
             return self
-        return Mesh(self.rect, ls)
+        kept = level == self.levels
+        leaves = [k for k, keep in zip(self.leaves, kept) if keep]
+        return Mesh(self.rect, leaves + parents)
 
     # -- overlays -----------------------------------------------------------
 
@@ -326,26 +295,8 @@ class Mesh:
         big = 1 << LMAX
         iu = np.clip((u * big).astype(np.int64), 0, big - 1)
         iv = np.clip((v * big).astype(np.int64), 0, big - 1)
-        out = np.full(x.shape, -1, dtype=np.int64)
-        todo = np.arange(x.size)
-        for l in range(self.max_level + 1):
-            if todo.size == 0:
-                break
-            if l not in self._level_keys:
-                continue
-            cols, enc_sorted, idx = self._level_keys[l]
-            shift = LMAX - l
-            qx = iu[todo] >> shift
-            col = np.minimum(np.searchsorted(cols, qx), len(cols) - 1)
-            enc = (col << l) | (iv[todo] >> shift)
-            pos = np.searchsorted(enc_sorted, enc)
-            pos_c = np.minimum(pos, len(enc_sorted) - 1)
-            hit = (cols[col] == qx) & (enc_sorted[pos_c] == enc)
-            out[todo[hit]] = idx[pos_c[hit]]
-            todo = todo[~hit]
-            if todo.size == 0:
-                break
-        if todo.size:
+        out = self._find(iu, iv)
+        if (out < 0).any():
             raise RuntimeError("point location failed; mesh does not tile?")
         return out
 
@@ -404,38 +355,48 @@ class FaceSet:
     Arrays (length nfaces): cell index on the low-coordinate side (`left`),
     on the high side (`right`), orientation (0 = normal along x, 1 = normal
     along y), the face coordinate and the segment [lo, hi] in the transverse
-    direction.  Hanging faces appear piecewise: one face per fine-side edge.
+    direction.  Hanging faces appear piecewise: one face per fine-side edge,
+    found from that finer side.  Faces are ordered by left cell, then
+    orientation, then descending lo.
     """
 
     def __init__(self, mesh):
         self.mesh = mesh
-        left, right, orient, coord, lo, hi = [], [], [], [], [], []
-        for key in mesh.leaves:
-            i = mesh.index_of(key)
-            x0, y0, hx, hy = mesh.cell_box(i)
-            for d, o in (("E", 0), ("N", 1)):
-                for nb in _neighbor_leaves(mesh.leafset, key, d):
-                    j = mesh.index_of(nb)
-                    nx0, ny0, nhx, nhy = mesh.cell_box(j)
-                    if o == 0:
-                        a = max(y0, ny0)
-                        b = min(y0 + hy, ny0 + nhy)
-                        coord.append(x0 + hx)
-                    else:
-                        a = max(x0, nx0)
-                        b = min(x0 + hx, nx0 + nhx)
-                        coord.append(y0 + hy)
-                    left.append(i)
-                    right.append(j)
-                    orient.append(o)
-                    lo.append(a)
-                    hi.append(b)
-        self.left = np.array(left, dtype=np.int64)
-        self.right = np.array(right, dtype=np.int64)
-        self.orient = np.array(orient, dtype=np.int64)
-        self.coord = np.array(coord, dtype=float)
-        self.lo = np.array(lo, dtype=float)
-        self.hi = np.array(hi, dtype=float)
+        lv = mesh.levels
+        shift = LMAX - lv
+        cells = np.arange(len(mesh))
+        left, right, orient = [], [], []
+        for o, dx, dy in ((0, 1, 0), (1, 0, 1)):
+            for sign in (1, -1):
+                # The leaf covering each leaf's same-level neighbour cell
+                # on the high (sign 1) or low side; -1 at the boundary.
+                j = mesh._find((mesh.ix + sign * dx) << shift,
+                               (mesh.iy + sign * dy) << shift)
+                # Keep coarser neighbours on both sides and equal ones on
+                # the high side; a finer neighbour finds the face itself.
+                nb = lv[j]
+                hit = (j >= 0) & ((nb < lv) | (nb == lv) & (sign == 1))
+                a, b = cells[hit], j[hit]
+                left.append(a if sign == 1 else b)
+                right.append(b if sign == 1 else a)
+                orient.append(np.full(len(a), o))
+        left = np.concatenate(left)
+        right = np.concatenate(right)
+        orient = np.concatenate(orient)
+        pos = np.stack([mesh.x0, mesh.y0])
+        size = np.stack([mesh.hx, mesh.hy])
+        t = 1 - orient
+        coord = pos[orient, left] + size[orient, left]
+        lo = np.maximum(pos[t, left], pos[t, right])
+        hi = np.minimum(pos[t, left] + size[t, left],
+                        pos[t, right] + size[t, right])
+        order = np.lexsort((-lo, orient, left))
+        self.left = left[order]
+        self.right = right[order]
+        self.orient = orient[order]
+        self.coord = coord[order]
+        self.lo = lo[order]
+        self.hi = hi[order]
         self.nfaces = len(left)
 
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from semiheat.mesh import LMAX, Mesh, Rectangle, _neighbor_leaves
+from semiheat.mesh import LMAX, Mesh, Rectangle
 from semiheat import fespace as fe
-from test_mesh import brute_force_one_irregular
+from test_mesh import (TWO_IRREGULAR, _neighbor_leaves,
+                       brute_force_one_irregular)
 from test_mesh_properties import OPS, PROPERTY, build
 
 UNIT = Rectangle(0.0, 1.0, 0.0, 1.0)
@@ -441,9 +442,7 @@ def test_build_constraints_matches_loop_oracle(ops, p, seed):
 
 
 def test_two_irregular_mesh_is_rejected():
-    leaves = [(1, 1, 0), (1, 0, 1), (1, 1, 1), (2, 0, 0), (2, 1, 0),
-              (2, 0, 1), (3, 2, 2), (3, 3, 2), (3, 2, 3), (3, 3, 3)]
-    mesh = Mesh(UNIT, leaves)
+    mesh = Mesh(UNIT, TWO_IRREGULAR)
     assert mesh.total_area() == pytest.approx(1.0, rel=1e-15)
     assert not mesh.is_one_irregular()
     assert not brute_force_one_irregular(mesh)

@@ -3,9 +3,173 @@
 import numpy as np
 import pytest
 
-from semiheat.mesh import Mesh, Rectangle, DomainMismatchError, face_set
+from semiheat.mesh import (LMAX, Mesh, Rectangle, DomainMismatchError,
+                           children, face_set, parent)
 
 UNIT = Rectangle(0.0, 1.0, 0.0, 1.0)
+
+# A tiling with a level-3 leaf next to a level-1 leaf, which refine and
+# coarsen never produce.
+TWO_IRREGULAR = [(1, 1, 0), (1, 0, 1), (1, 1, 1), (2, 0, 0), (2, 1, 0),
+                 (2, 0, 1), (3, 2, 2), (3, 3, 2), (3, 2, 3), (3, 3, 3)]
+
+# -- set-walk oracles ---------------------------------------------------------
+# Per-key Python walks over leaf sets: the reference that the mesh's
+# integer-key adjacency (FaceSet, refine, coarsen) is compared against.
+
+_DIRS = ("E", "W", "N", "S")
+
+
+def _same_level_neighbor(key, d):
+    """Neighbor key at the same level, or None at the domain boundary."""
+    l, ix, iy = key
+    n = 1 << l
+    if d == "E":
+        return (l, ix + 1, iy) if ix + 1 < n else None
+    if d == "W":
+        return (l, ix - 1, iy) if ix > 0 else None
+    if d == "N":
+        return (l, ix, iy + 1) if iy + 1 < n else None
+    return (l, ix, iy - 1) if iy > 0 else None
+
+
+def _near_children(key, d):
+    """The two children of `key` adjacent to the face seen from direction d.
+
+    d is the direction of travel from the querying cell, so the relevant
+    children of the neighbor candidate lie on the opposite side.
+    """
+    l, ix, iy = key
+    if d == "E":   # querying cell looks east -> neighbor's west children
+        return ((l + 1, 2 * ix, 2 * iy), (l + 1, 2 * ix, 2 * iy + 1))
+    if d == "W":
+        return ((l + 1, 2 * ix + 1, 2 * iy), (l + 1, 2 * ix + 1, 2 * iy + 1))
+    if d == "N":
+        return ((l + 1, 2 * ix, 2 * iy), (l + 1, 2 * ix + 1, 2 * iy))
+    return ((l + 1, 2 * ix, 2 * iy + 1), (l + 1, 2 * ix + 1, 2 * iy + 1))
+
+
+def _neighbor_leaves(leafset, key, d):
+    """All leaves in `leafset` sharing a positive-length edge with key."""
+    cand = _same_level_neighbor(key, d)
+    if cand is None:
+        return []
+    # Equal or coarser neighbor: walk up the ancestor chain.
+    k = cand
+    while k[0] >= 0:
+        if k in leafset:
+            return [k]
+        k = parent(k)
+    # Finer neighbors: collect the leaves covering the shared face.
+    out = []
+    stack = [cand]
+    while stack:
+        k = stack.pop()
+        if k in leafset:
+            out.append(k)
+        else:
+            stack.extend(_near_children(k, d))
+    return out
+
+
+def walk_faces(mesh):
+    """(left, right, orient, coord, lo, hi) of FaceSet by a per-leaf walk."""
+    left, right, orient, coord, lo, hi = [], [], [], [], [], []
+    for key in mesh.leaves:
+        i = mesh.index_of(key)
+        x0, y0, hx, hy = mesh.cell_box(i)
+        for d, o in (("E", 0), ("N", 1)):
+            for nb in _neighbor_leaves(mesh.leafset, key, d):
+                j = mesh.index_of(nb)
+                nx0, ny0, nhx, nhy = mesh.cell_box(j)
+                if o == 0:
+                    a = max(y0, ny0)
+                    b = min(y0 + hy, ny0 + nhy)
+                    coord.append(x0 + hx)
+                else:
+                    a = max(x0, nx0)
+                    b = min(x0 + hx, nx0 + nhx)
+                    coord.append(y0 + hy)
+                left.append(i)
+                right.append(j)
+                orient.append(o)
+                lo.append(a)
+                hi.append(b)
+    return (np.array(left, dtype=np.int64), np.array(right, dtype=np.int64),
+            np.array(orient, dtype=np.int64), np.array(coord, dtype=float),
+            np.array(lo, dtype=float), np.array(hi, dtype=float))
+
+
+def walk_refine(mesh, marked):
+    """Mesh.refine by a recursive split over a leaf set."""
+    marked = [k for k in marked if k in mesh.leafset]
+    if not marked:
+        return mesh
+    ls = set(mesh.leaves)
+
+    def split(key):
+        if key not in ls:
+            return
+        l = key[0]
+        if l + 1 >= LMAX:
+            raise ValueError("refinement exceeds maximum level")
+        # Coarser edge neighbors must split first.
+        for d in _DIRS:
+            cand = _same_level_neighbor(key, d)
+            if cand is None:
+                continue
+            k = cand
+            while k[0] >= 0:
+                if k in ls:
+                    if k[0] < l:
+                        split(k)
+                    break
+                k = parent(k)
+        ls.discard(key)
+        ls.update(children(key))
+
+    for key in sorted(marked, key=lambda k: -k[0]):
+        split(key)
+    return Mesh(mesh.rect, ls)
+
+
+def walk_coarsen(mesh, marked):
+    """Mesh.coarsen by sequential merges checked with set walks."""
+    marked = set(k for k in marked if k in mesh.leafset)
+    groups = {}
+    for k in marked:
+        if k[0] == 0:
+            continue
+        groups.setdefault(parent(k), []).append(k)
+    candidates = [(par, kids) for par, kids in groups.items()
+                  if len(kids) == 4]
+    if not candidates:
+        return mesh
+    ls = set(mesh.leaves)
+    changed = False
+    for par, kids in sorted(candidates, key=lambda t: (-t[0][0],) + t[0][1:]):
+        if not all(k in ls for k in kids):
+            continue
+        # Merged parent at level l-1 must not touch a leaf at level > l.
+        l = par[0] + 1
+        ok = True
+        for d in _DIRS:
+            for nb in _neighbor_leaves(ls, par, d):
+                if nb[0] > l:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            ls.difference_update(kids)
+            ls.add(par)
+            changed = True
+    if not changed:
+        return mesh
+    return Mesh(mesh.rect, ls)
+
+
+# -- tests --------------------------------------------------------------------
 
 
 def leaf_boxes(mesh):
@@ -223,6 +387,32 @@ def test_locate_below_max_level():
         assert mesh.x0[i] <= x <= mesh.x0[i] + mesh.hx[i]
         assert mesh.y0[i] <= y <= mesh.y0[i] + mesh.hy[i]
     assert mesh.leaves[i] == (39, 2 ** 39 - 1, 2 ** 39 - 1)
+
+
+def test_refine_level_cap():
+    mesh = Mesh.uniform(UNIT, 1)
+    for l in range(1, 39):
+        mesh = mesh.refine([(l, 2 ** l - 1, 2 ** l - 1)])
+    deepest = (39, 2 ** 39 - 1, 2 ** 39 - 1)
+    assert deepest in mesh.leafset
+    with pytest.raises(ValueError, match="refinement exceeds maximum level"):
+        mesh.refine([deepest])
+    key = (38, 2 ** 38 - 2, 2 ** 38 - 1)
+    out = mesh.refine([key])
+    assert set(children(key)) <= out.leafset
+    assert out.is_one_irregular()
+
+
+def test_refine_closure_splits_input_leaves_only():
+    # The closure is taken over the input mesh's faces: the marked level-3
+    # leaf pulls in its coarser neighbours (2, 0, 1) and (1, 0, 1), but not
+    # the child (2, 1, 2) of (1, 0, 1), so a 2-irregular input stays so.
+    mesh = Mesh(UNIT, TWO_IRREGULAR)
+    out = mesh.refine([(3, 2, 3)])
+    split = {(3, 2, 3), (2, 0, 1), (1, 0, 1)}
+    want = (set(TWO_IRREGULAR) - split) | {c for k in split
+                                            for c in children(k)}
+    assert set(out.leaves) == want
 
 
 def test_face_set_covers_interior():

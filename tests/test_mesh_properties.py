@@ -1,11 +1,13 @@
 """Property tests of the mesh invariants over random refine/coarsen runs."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from semiheat import estimators as est
 from semiheat import fespace as fe
-from semiheat.mesh import Mesh, Rectangle, children, parent
+from semiheat.mesh import Mesh, Rectangle, children, face_set, parent
+from test_mesh import TWO_IRREGULAR, walk_coarsen, walk_faces, walk_refine
 
 RECT = Rectangle(-1.0, 2.0, 0.0, 0.5)
 
@@ -82,3 +84,32 @@ def test_overlay_free_dofs_counts_the_finest_overlay_space(ops_a, ops_b, p):
         u_prev = fe.Field.zeros(fe.Space(prev, p))
         ws = est.SlabWorkspace(None, u_prev, None, fe.Space(nxt, p), 0.0)
         assert ws.overlay_free_dofs() == fe.Space(ws.vee, p).n_free
+
+
+@PROPERTY
+@given(st.one_of(OPS.map(build), st.just(Mesh(RECT, TWO_IRREGULAR))))
+def test_face_set_matches_set_walk(mesh):
+    fs = face_set(mesh)
+    got = (fs.left, fs.right, fs.orient, fs.coord, fs.lo, fs.hi)
+    for a, b in zip(got, walk_faces(mesh)):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+    assert fs.nfaces == len(fs.left)
+
+
+@PROPERTY
+@given(OPS, st.lists(st.integers(0, 1 << 20), max_size=8), st.booleans())
+def test_refine_coarsen_match_set_walks(ops, picks, two_irregular):
+    mesh = Mesh(RECT, TWO_IRREGULAR) if two_irregular else build(ops)
+    keys = [mesh.leaves[i % len(mesh)] for i in picks]
+    families = [k for key in keys if key[0] > 0
+                for k in children(parent(key))]
+    runs = [(Mesh.coarsen, walk_coarsen, families + keys)]
+    # On a 2-irregular input the recursive walk may also split leaves it
+    # created itself (test_refine_closure_splits_input_leaves_only).
+    if not two_irregular:
+        runs.append((Mesh.refine, walk_refine, keys))
+    for method, walk, marks in runs:
+        got, want = method(mesh, marks), walk(mesh, marks)
+        assert got.leaves == want.leaves
+        assert (got is mesh) == (want is mesh)
