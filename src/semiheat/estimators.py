@@ -133,6 +133,11 @@ class SlabWorkspace:
     pay for value re-evaluation.  Laplacians and face gradients are
     computed lazily when the space estimators are first requested.
 
+    Fields are evaluated on the finest overlay's sample grid through one
+    `fespace.Transfer` per endpoint mesh (`transfers`): each overlay cell
+    applies its host cell's sub-cell basis.  A field of another mesh (the
+    previous slab's start field in A_prev) gets a Transfer of its own.
+
     Face normal derivatives are kept per field as {FaceSet: derivatives}
     (`prev_face_derivs`, `next_face_derivs`), so each (field, face set)
     pair is evaluated once.  A workspace can start from the
@@ -159,35 +164,20 @@ class SlabWorkspace:
         # finest overlay maps onto it by the identity.
         self.vee = mesh_prev.overlay_finest(mesh_next)
         self.wedge = mesh_prev.overlay_coarsest(mesh_next)
-        cx = self.vee.x0 + 0.5 * self.vee.hx
-        cy = self.vee.y0 + 0.5 * self.vee.hy
-
-        def host(mesh):
-            if mesh is self.vee:
-                return np.arange(len(mesh))
-            return mesh.locate(cx, cy)
-
-        self.src_prev = host(mesh_prev)
-        self.src_next = host(mesh_next)
-        self.h_wedge = self.wedge.h[host(self.wedge)]
+        self.transfers = {mesh: fe.transfer(self.vee, mesh)
+                          for mesh in (mesh_prev, mesh_next)}
+        self.src_prev = self.transfers[mesh_prev].host
+        self.src_next = self.transfers[mesh_next].host
+        self.h_wedge = self.wedge.h[fe.transfer(self.vee, self.wedge).host]
         self.hmin_prev = mesh_prev.min_diameter()
         self.hmin_next = mesh_next.min_diameter()
-
-        t = space_next.ref.sample1d
-        ns = len(t)
-        tx = np.tile(t, ns)
-        ty = np.repeat(t, ns)
-        self.Xs = self.vee.x0[:, None] + self.vee.hx[:, None] * tx[None, :]
-        self.Ys = self.vee.y0[:, None] + self.vee.hy[:, None] * ty[None, :]
-
-        self._classes = {
-            "prev": self._subcell_classes(mesh_prev, self.src_prev),
-            "next": self._subcell_classes(mesh_next, self.src_next)}
+        self.Xs, self.Ys = fe.tensor_grid(self.vee, slice(None),
+                                          space_next.ref.sample1d)
         self.prev_face_derivs = {} if prev_face_derivs is None \
             else prev_face_derivs
 
         # Static per-slab arrays.
-        self.Uprev = self._grid_eval(u_prev, "prev", "val")
+        self.Uprev = self._grid_eval(u_prev)
         self._lapUprev = None
         self._A_prev_vals = None
 
@@ -200,33 +190,13 @@ class SlabWorkspace:
         self._lapUnext = None
         self.next_face_derivs = {}
 
-    # -- structured evaluation ---------------------------------------------
-
-    def _subcell_classes(self, mesh_src, srcmap):
-        """Overlay cells grouped by their (dl, ox, oy) in the source cell."""
-        offs = np.stack(fe.subcell_offsets(self.vee, mesh_src, srcmap), axis=1)
-        keys, inv = np.unique(offs, axis=0, return_inverse=True)
-        inv = inv.ravel()
-        return {tuple(ck): np.flatnonzero(inv == j)
-                for j, ck in enumerate(keys.tolist())}
-
-    def _grid_eval(self, field, channel, deriv):
+    def _grid_eval(self, field, deriv="val"):
         """Values ("val") or Laplacian ("lap") on the overlay sample grid."""
-        srcmap = self.src_prev if channel == "prev" else self.src_next
-        out = np.empty_like(self.Xs)
-        for ck, vis in self._classes[channel].items():
-            out[vis] = fe.sample_grid_values(field, srcmap[vis], deriv, ck)
-        return out
-
-    def _eval_any(self, field):
-        """Values on the overlay sample grid, structured on slab spaces."""
-        if field.space is self.space_prev:
-            return self._grid_eval(field, "prev", "val")
-        if field.space is self.space_next:
-            return self._grid_eval(field, "next", "val")
-        flat = fe.evaluate_multi([field], self.Xs.ravel(), self.Ys.ravel(),
-                                 [(0, 0)])[0]
-        return flat.reshape(self.Xs.shape)
+        mesh = field.space.mesh
+        tr = self.transfers.get(mesh)
+        if tr is None:      # e.g. a field of the previous slab's A_prev
+            tr = fe.transfer(self.vee, mesh)
+        return fe.grid_values(field, tr, "sample", deriv)
 
     # -- state ----------------------------------------------------------------
 
@@ -236,8 +206,8 @@ class SlabWorkspace:
         self.u_next = u_next
         self.u_hat = u_hat
         self.k = float(k)
-        self.Unext = self._grid_eval(u_next, "next", "val")
-        self._Uhat = self._grid_eval(u_hat, "next", "val") \
+        self.Unext = self._grid_eval(u_next)
+        self._Uhat = self._grid_eval(u_hat) \
             if u_hat is not u_next else self.Unext
         self._A_next_vals = None
         self._lapUnext = None
@@ -250,8 +220,8 @@ class SlabWorkspace:
             A = self.A_prev
             if isinstance(A, DiscreteLaplacian):
                 self._A_prev_vals = A.values(
-                    self.Xs, self.Ys, self._eval_any(A.u_prev),
-                    self._eval_any(A.u_next), self._eval_any(A.u_hat))
+                    self.Xs, self.Ys, self._grid_eval(A.u_prev),
+                    self._grid_eval(A.u_next), self._grid_eval(A.u_hat))
             else:  # analytic, e.g. the InitialLaplacian of slab 1
                 self._A_prev_vals = A(self.Xs, self.Ys)
         return self._A_prev_vals
@@ -294,12 +264,12 @@ class SlabWorkspace:
 
     def _lap_prev(self):
         if self._lapUprev is None:
-            self._lapUprev = self._grid_eval(self.u_prev, "prev", "lap")
+            self._lapUprev = self._grid_eval(self.u_prev, "lap")
         return self._lapUprev
 
     def _lap_next(self):
         if self._lapUnext is None:
-            self._lapUnext = self._grid_eval(self.u_next, "next", "lap")
+            self._lapUnext = self._grid_eval(self.u_next, "lap")
         return self._lapUnext
 
     def _scatter_next_max(self, per_vee):

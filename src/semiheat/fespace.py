@@ -10,6 +10,8 @@ integrals use tensor Gauss quadrature of order p+2, exact for polynomials
 of degree 2p+3 per direction.
 """
 
+from collections import namedtuple
+
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
@@ -76,6 +78,11 @@ class _Ref1D:
         basis (derivatives in the cell's own coordinate) seen from there.
         """
         return self.eval((off + pts) / float(1 << dl), deriv)
+
+    def points(self, kind):
+        """1-D points of the "sample", "quad" or "nodes" tensor grid."""
+        return {"sample": self.sample1d, "quad": self.quad1d,
+                "nodes": self.nodes}[kind]
 
 
 _REF_CACHE = {}
@@ -234,9 +241,6 @@ class Space:
 
     # -- tensor bases -----------------------------------------------------------
 
-    def _pts1d(self, kind):
-        return self.ref.sample1d if kind == "sample" else self.ref.quad1d
-
     def tensor_basis(self, kind, dx, dy, sub=(0, 0, 0)):
         """Basis matrix on the reference tensor grid.
 
@@ -247,7 +251,7 @@ class Space:
         """
         key = (kind, dx, dy) + tuple(sub)
         if key not in self._tensor_cache:
-            t = self._pts1d(kind)
+            t = self.ref.points(kind)
             dl, ox, oy = sub
             self._tensor_cache[key] = np.kron(self.ref.eval_sub(t, dl, oy, dy),
                                               self.ref.eval_sub(t, dl, ox, dx))
@@ -256,13 +260,8 @@ class Space:
     def _grid(self, kind):
         """Physical coordinates of the per-cell tensor grid (ncells, npts)."""
         if kind not in self._grid_cache:
-            t = self._pts1d(kind)
-            n = len(t)
-            tx = np.tile(t, n)
-            ty = np.repeat(t, n)
-            X = self.mesh.x0[:, None] + self.mesh.hx[:, None] * tx[None, :]
-            Y = self.mesh.y0[:, None] + self.mesh.hy[:, None] * ty[None, :]
-            self._grid_cache[kind] = (X, Y)
+            self._grid_cache[kind] = tensor_grid(
+                self.mesh, slice(None), self.ref.points(kind))
         return self._grid_cache[kind]
 
     def sample_points(self):
@@ -357,21 +356,35 @@ class Field:
         return self._jump_cache
 
 
-def sample_grid_values(field, cells, deriv, sub=(0, 0, 0)):
-    """Values ("val") or Laplacian ("lap") of a field on sample grids.
+def tensor_grid(mesh, cells, t):
+    """Physical points of the tensor grid of 1-D points t on mesh cells.
 
-    One row per cell in `cells` (index array or slice) over its sample
-    grid, or over the grid of its descendant `sub` (see
-    `Space.tensor_basis`).
+    One row per cell in `cells` (index array or slice), points y-major:
+    returns (X, Y), each (ncells, len(t)**2).
+    """
+    n = len(t)
+    tx = np.tile(t, n)
+    ty = np.repeat(t, n)
+    X = mesh.x0[cells, None] + mesh.hx[cells, None] * tx[None, :]
+    Y = mesh.y0[cells, None] + mesh.hy[cells, None] * ty[None, :]
+    return X, Y
+
+
+def sample_grid_values(field, cells, deriv, sub=(0, 0, 0), kind="sample"):
+    """Values ("val") or Laplacian ("lap") of a field on tensor grids.
+
+    One row per cell in `cells` (index array or slice) over its `kind`
+    grid ("sample", "quad" or "nodes"), or over the grid of its
+    descendant `sub` (see `Space.tensor_basis`).
     """
     sp = field.space
     C = field.coeffs[sp.dofmap[cells]]
     if deriv == "val":
-        return C @ sp.tensor_basis("sample", 0, 0, sub).T
+        return C @ sp.tensor_basis(kind, 0, 0, sub).T
     if deriv == "lap":
-        return (C @ sp.tensor_basis("sample", 2, 0, sub).T) \
+        return (C @ sp.tensor_basis(kind, 2, 0, sub).T) \
             / (sp.mesh.hx[cells] ** 2)[:, None] \
-            + (C @ sp.tensor_basis("sample", 0, 2, sub).T) \
+            + (C @ sp.tensor_basis(kind, 0, 2, sub).T) \
             / (sp.mesh.hy[cells] ** 2)[:, None]
     raise ValueError("unknown derivative kind %r" % deriv)
 
@@ -481,64 +494,79 @@ def faces_to_cells(fs, ncells, per_face):
 # -- inter-mesh transfer ------------------------------------------------------
 
 
-def subcell_offsets(fine, coarse, host):
-    """Where each cell of `fine` sits inside its host cell of `coarse`.
+# Class key of the cells coarser than their host cell.
+COARSER = (-1, 0, 0)
 
-    host[i] is the index of the coarse cell holding fine cell i.  Returns
-    integer arrays (dl, ox, oy): the level difference and the offset of
-    cell i from the host's lower-left corner, in cells of cell i's level.
-    dl < 0 marks cells coarser than their host; their offsets mean nothing.
+Transfer = namedtuple("Transfer", "mesh src_mesh host classes")
+
+
+def transfer(mesh, src_mesh):
+    """Where each cell of `mesh` sits in the cells of `src_mesh`.
+
+    Returns a Transfer: `host[i]` is the cell of `src_mesh` holding the
+    centre of cell i (one `locate` of the centres; the identity when
+    `mesh is src_mesh`), and `classes` maps (dl, ox, oy) to the cells that
+    are the descendant dl levels below their host at integer offset
+    (ox, oy) from its lower-left corner, in cells of their own level.
+    Cells coarser than their host share the key COARSER.
     """
-    dl = fine.levels - coarse.levels[host]
+    if mesh.rect != src_mesh.rect:
+        raise ValueError("meshes live on different rectangles")
+    if mesh is src_mesh:
+        host = np.arange(len(mesh))
+        return Transfer(mesh, src_mesh, host, {(0, 0, 0): host})
+    host = src_mesh.locate(mesh.x0 + 0.5 * mesh.hx, mesh.y0 + 0.5 * mesh.hy)
+    dl = mesh.levels - src_mesh.levels[host]
     up = np.maximum(dl, 0)
-    ox = fine.ix - (coarse.ix[host] << up)
-    oy = fine.iy - (coarse.iy[host] << up)
-    return dl, ox, oy
+    keys = np.stack([dl, mesh.ix - (src_mesh.ix[host] << up),
+                     mesh.iy - (src_mesh.iy[host] << up)], axis=1)
+    keys[dl < 0] = COARSER
+    uniq, inv = np.unique(keys, axis=0, return_inverse=True)
+    inv = inv.ravel()
+    classes = {tuple(ck): np.flatnonzero(inv == j)
+               for j, ck in enumerate(uniq.tolist())}
+    return Transfer(mesh, src_mesh, host, classes)
+
+
+def grid_values(field, tr, kind, deriv="val"):
+    """A field of `tr.src_mesh` on the `kind` grids of `tr.mesh`'s cells.
+
+    kind is "sample", "quad" or "nodes" (of the field's degree), deriv
+    "val" or "lap"; returns (ncells, npts) like `Space.tensor_basis`.
+    Each class of cells is one product with its host's sub-cell basis;
+    only cells coarser than their host locate their grid points.
+    """
+    if field.space.mesh is not tr.src_mesh:
+        raise ValueError("field does not live on the transfer's source mesh")
+    t = field.space.ref.points(kind)
+    out = np.empty((len(tr.mesh), len(t) ** 2))
+    for ck, cells in tr.classes.items():
+        if ck != COARSER:
+            out[cells] = sample_grid_values(field, tr.host[cells], deriv, ck,
+                                            kind)
+        else:
+            X, Y = tensor_grid(tr.mesh, cells, t)
+            x, y = X.ravel(), Y.ravel()
+            dv = "lap" if deriv == "lap" else (0, 0)
+            vals = evaluate_in_cells([field], tr.src_mesh.locate(x, y),
+                                     x, y, [dv])[0]
+            out[cells] = vals.reshape(X.shape)
+    return out
 
 
 def interpolate(field, target_space):
-    """Nodal interpolation onto another space over the same rectangle.
+    """Nodal interpolation onto a space of the same degree and rectangle.
 
-    Exact (pointwise) when the target mesh refines the source mesh at equal
-    degree; on coarsened regions only nodal values are preserved.
+    Exact (pointwise) when the target mesh refines the source mesh; on
+    coarsened regions only nodal values are preserved.
     """
     src = field.space
     tgt = target_space
-    if src.mesh.rect != tgt.mesh.rect:
-        raise ValueError("spaces live on different rectangles")
+    if src.degree != tgt.degree:
+        raise ValueError("spaces have different degrees")
     if tgt is src:
         return Field(tgt, field.coeffs.copy())
-
-    p = tgt.degree
-    same_p = src.degree == p
-    raw = np.zeros(tgt.n_global)
-    smesh, tmesh = src.mesh, tgt.mesh
-    centers_x = tmesh.x0 + 0.5 * tmesh.hx
-    centers_y = tmesh.y0 + 0.5 * tmesh.hy
-    host = smesh.locate(centers_x, centers_y)
-    offsets = np.stack(subcell_offsets(tmesh, smesh, host), axis=1).tolist()
-    factors = {}
-    scatter_cells = []
-
-    for ci, (dl, offx, offy) in enumerate(offsets):
-        si = int(host[ci])
-        if dl < 0:
-            scatter_cells.append(ci)
-            continue
-        if dl == 0 and same_p:
-            raw[tgt.dofmap[ci]] = field.coeffs[src.dofmap[si]]
-            continue
-        ck = (dl, offx, offy)
-        if ck not in factors:
-            factors[ck] = (src.ref.eval_sub(tgt.ref.nodes, dl, offx),
-                           src.ref.eval_sub(tgt.ref.nodes, dl, offy))
-        Bx, By = factors[ck]
-        C2 = field.coeffs[src.dofmap[si]].reshape(src.degree + 1, src.degree + 1)
-        raw[tgt.dofmap[ci]] = (By @ C2 @ Bx.T).ravel()
-
-    if scatter_cells:
-        # Target cell coarser than the source: evaluate node by node.
-        gids = np.unique(tgt.dofmap[scatter_cells])
-        xy = tgt.node_coords[gids]
-        raw[gids] = evaluate_multi([field], xy[:, 0], xy[:, 1], [(0, 0)])[0]
+    raw = np.empty(tgt.n_global)
+    raw[tgt.dofmap] = grid_values(field, transfer(tgt.mesh, src.mesh),
+                                  "nodes")
     return Field(tgt, tgt.resolve(raw))

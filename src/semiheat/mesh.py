@@ -6,9 +6,11 @@ overlays reduce to integer arithmetic and sorted integer-key lookups.
 Meshes are immutable: refine/coarsen return new Mesh objects when
 something changes, and an overlay of two nested meshes (identical ones
 included) is one of its inputs, so it shares that input's cached
-FaceSet.  refine and coarsen keep meshes 1-irregular (edge-adjacent
-leaves differ by at most one level); `is_one_irregular` checks a mesh
-built from a leaf list.
+FaceSet.  `Mesh(rect, leaves)` trusts its leaf list: it checks neither
+that the leaves tile the rectangle nor that they are 1-irregular
+(edge-adjacent leaves differ by at most one level).  refine and coarsen
+keep a 1-irregular mesh 1-irregular; `is_one_irregular` checks a mesh,
+and `fespace.Space` rejects any mesh that fails it.
 """
 
 import numpy as np
@@ -71,7 +73,10 @@ def children(key):
 
 
 class Mesh:
-    """Immutable 1-irregular quadtree mesh over a rectangle."""
+    """Immutable quadtree mesh over a rectangle, from a trusted leaf list.
+
+    Nothing here enforces 1-irregularity; see the module docstring.
+    """
 
     def __init__(self, rect, leaves):
         self.rect = rect
@@ -103,7 +108,6 @@ class Mesh:
         self.ix = ix
         self.iy = iy
         self.h = np.hypot(self.hx, self.hy)
-        self.max_level = int(lv.max()) if len(lv) else 0
         # Per-level tables for `_find`.  A level-l cell is keyed (rank of
         # its ix among the level's columns) << l | iy, exact in int64 for
         # fewer than 2**(63 - l) columns, where (ix << l) | iy itself
@@ -156,7 +160,12 @@ class Mesh:
     # -- refinement / coarsening ------------------------------------------
 
     def refine(self, marked):
-        """Split every marked leaf into 4 children, restoring 1-irregularity."""
+        """Split every marked leaf into 4 children.
+
+        Coarser edge neighbours of split leaves are split too, until no
+        split leaf has one.  So a 1-irregular mesh stays 1-irregular; the
+        result of refining any other mesh need not be 1-irregular.
+        """
         marked = [self._index[k] for k in marked if k in self.leafset]
         if not marked:
             return self

@@ -6,9 +6,11 @@ The initial field solves the discrete elliptic problem
 space, where U_hat is the nodal transfer of U_prev.  The step matrix
 M/k + S is applied cell by cell (`linalg.StepOperator`) and never
 assembled; M stays assembled for the right-hand side.  The reaction
-functional is evaluated pointwise at quadrature points of the new mesh
-against the untransferred previous field, which is also what the
-discrete-Laplacian closures use.
+functional takes the untransferred previous field, which is also what
+the discrete-Laplacian closures use, at the quadrature points of the new
+mesh: each new cell evaluates it with its host cell's sub-cell basis
+(`fespace.grid_values`), so only the quadrature points of cells coarser
+than their host are point-located.
 """
 
 from dataclasses import dataclass, field as dfield
@@ -117,16 +119,12 @@ def imex_step(problem, u_prev, space_next, k, t_prev):
     u_prev when the space is unchanged).
     """
     A = StepOperator(space_next, k, problem.a)     # checks k > 0 and a > 0
-    same_space = u_prev.space is space_next
-    u_hat = u_prev if same_space else fe.interpolate(u_prev, space_next)
+    u_hat = u_prev if u_prev.space is space_next \
+        else fe.interpolate(u_prev, space_next)
     M = assemble_mass(space_next)
     Xq, Yq, _ = space_next.quadrature_points()
-    if same_space:
-        upq = u_prev.coeffs[space_next.dofmap] @ \
-            space_next.tensor_basis("quad", 0, 0).T
-    else:
-        upq = fe.evaluate_multi([u_prev], Xq.ravel(), Yq.ravel(),
-                                [(0, 0)])[0].reshape(Xq.shape)
+    upq = fe.grid_values(u_prev, fe.transfer(space_next.mesh,
+                                             u_prev.space.mesh), "quad")
     fq = np.asarray(problem.f(Xq, Yq, t_prev, upq), dtype=float)
     b = (M @ u_hat.free_values) / k + load_vector(space_next, fq)
     x = solve_spd(A, b, x0=u_hat.free_values)

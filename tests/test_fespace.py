@@ -171,6 +171,91 @@ def test_interpolate_coarsening_keeps_nodal_values():
     assert g.linf_norm() < bump.linf_norm()
 
 
+def moved_mesh_pair():
+    """(source, target) meshes with hanging faces on a non-square domain.
+
+    The target refines one source cell twice (cells two levels below
+    their host) and keeps as one cell a source cell that the source
+    splits (a cell coarser than its host).
+    """
+    base = Mesh.uniform(Rectangle(0.0, 2.0, -1.0, 0.5), 2)
+    src = base.refine([base.leaves[5]])
+    tgt = base.refine([base.leaves[10]])
+    tgt = tgt.refine([k for k in tgt.leaves if k[0] == 3][:1])
+    return src, tgt
+
+
+def test_moved_mesh_pair_has_every_class():
+    src, tgt = moved_mesh_pair()
+    tr = fe.transfer(tgt, src)
+    dls = {ck[0] for ck in tr.classes}
+    assert fe.COARSER in tr.classes and 0 in dls and 2 in dls
+    for mesh in (src, tgt):
+        assert fe.Space(mesh, 1).is_slave.any()      # hanging faces
+
+
+@pytest.mark.parametrize("p", [1, 2, 4])
+def test_grid_values_match_pointwise_evaluation(p):
+    """grid_values on a moved mesh agrees with evaluate_multi at its points.
+
+    "val" uses a random conforming field; "lap" a random polynomial of
+    degree p per direction, which the space reproduces, so its Laplacian
+    is continuous and a point on a cell boundary has one value.
+    """
+    rng = np.random.default_rng(20 + p)
+    src, tgt = moved_mesh_pair()
+    sp = fe.Space(src, p)
+    coef = rng.standard_normal((p + 1, p + 1))
+    fields = {
+        "val": fe.Field.from_free(sp, rng.standard_normal(sp.n_free)),
+        "lap": fe.Field.from_callable(
+            sp, lambda x, y: np.polynomial.polynomial.polyval2d(x, y, coef))}
+    tr = fe.transfer(tgt, src)
+    for kind in ("sample", "quad", "nodes"):
+        X, Y = fe.tensor_grid(tgt, slice(None), sp.ref.points(kind))
+        for deriv, field in fields.items():
+            got = fe.grid_values(field, tr, kind, deriv)
+            dv = "lap" if deriv == "lap" else (0, 0)
+            want = fe.evaluate_multi([field], X.ravel(), Y.ravel(), [dv])[0]
+            scale = max(np.abs(want).max(), 1.0)
+            assert got.shape == X.shape
+            assert np.abs(got.ravel() - want).max() <= 1e-12 * scale, \
+                (kind, deriv)
+
+
+def test_grid_values_identity_transfer_is_the_cell_basis():
+    rng = np.random.default_rng(9)
+    sp = fe.Space(hanging_mesh(), 3)
+    f = fe.Field.from_free(sp, rng.standard_normal(sp.n_free))
+    tr = fe.transfer(sp.mesh, sp.mesh)
+    assert np.array_equal(fe.grid_values(f, tr, "sample"),
+                          f.sample_values("val"))
+    assert np.array_equal(fe.grid_values(f, tr, "sample", "lap"),
+                          f.sample_values("lap"))
+    with pytest.raises(ValueError):
+        fe.grid_values(f, fe.transfer(sp.mesh, Mesh.uniform(UNIT, 1)),
+                       "sample")
+
+
+def test_interpolate_rejects_other_degree():
+    mesh = hanging_mesh()
+    f = fe.Field.zeros(fe.Space(mesh, 2))
+    with pytest.raises(ValueError):
+        fe.interpolate(f, fe.Space(mesh, 3))
+
+
+@pytest.mark.parametrize("p", [1, 3])
+def test_interpolate_refining_and_coarsening_keeps_free_nodes(p):
+    rng = np.random.default_rng(30 + p)
+    src, tgt = moved_mesh_pair()
+    sp, tsp = fe.Space(src, p), fe.Space(tgt, p)
+    f = fe.Field.from_free(sp, rng.standard_normal(sp.n_free))
+    g = fe.interpolate(f, tsp)
+    xy = tsp.node_coords[tsp.free_gids]
+    want = f.eval(xy[:, 0], xy[:, 1])
+    assert np.abs(g.free_values - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_jump_zero_for_reproduced_polynomial():
     sp = fe.Space(hanging_mesh(2, 1), 2)
     f = fe.Field.from_callable(sp, lambda x, y: x * x + y * y - x * y)
