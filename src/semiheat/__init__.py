@@ -9,8 +9,7 @@ adaptivity whose stop signal doubles as a blow-up detector.
 from .mesh import Rectangle, Mesh, DomainMismatchError, face_set
 from .fespace import Space, Field, interpolate
 from .linalg import assemble_mass, assemble_stiffness, solve_spd, SolverFailure
-from .scheme import (TimeSlab, Trajectory, project_initial, imex_step,
-                     interpolant_at)
+from .scheme import TimeSlab, Trajectory, project_initial, imex_step
 from .estimators import (EstimatorLedger, LipschitzModulus, log_factor,
                          initial_space_estimator, xi_value,
                          fixed_point_delta, gronwall_factor, SlabWorkspace)
@@ -25,7 +24,6 @@ __all__ = [
     "Space", "Field", "interpolate",
     "assemble_mass", "assemble_stiffness", "solve_spd", "SolverFailure",
     "TimeSlab", "Trajectory", "project_initial", "imex_step",
-    "interpolant_at",
     "EstimatorLedger", "LipschitzModulus", "log_factor",
     "initial_space_estimator", "xi_value",
     "fixed_point_delta", "gronwall_factor", "SlabWorkspace",

@@ -168,7 +168,10 @@ def _validate(cfg):
             raise ConfigError("%s must be positive" % key)
     if cfg.a is not None and cfg.a <= 0:
         raise ConfigError("a must be positive")
-    cfg.resolved_tolerances()  # raises on a bad band
+    try:
+        cfg.resolved_tolerances()
+    except ValueError as exc:     # a bad refine/coarsen band
+        raise ConfigError(str(exc)) from None
 
 
 def emit_config(cfg):

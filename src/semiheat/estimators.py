@@ -133,10 +133,12 @@ class SlabWorkspace:
     pay for value re-evaluation.  Laplacians and face gradients are
     computed lazily when the space estimators are first requested.
 
-    Fields are evaluated on the finest overlay's sample grid through one
-    `fespace.Transfer` per endpoint mesh (`transfers`): each overlay cell
-    applies its host cell's sub-cell basis.  A field of another mesh (the
-    previous slab's start field in A_prev) gets a Transfer of its own.
+    Fields are evaluated on the finest overlay's sample grid through the
+    `fespace.transfer` of (overlay, field's mesh), which each mesh pair
+    builds once: each overlay cell applies its host cell's sub-cell basis.
+    The same transfers place the overlay's face samples in the endpoint
+    fields' cells and weight each overlay cell by its coarsest-overlay
+    cell's size.
 
     Face normal derivatives are kept per field as {FaceSet: derivatives}
     (`prev_face_derivs`, `next_face_derivs`), so each (field, face set)
@@ -164,10 +166,7 @@ class SlabWorkspace:
         # finest overlay maps onto it by the identity.
         self.vee = mesh_prev.overlay_finest(mesh_next)
         self.wedge = mesh_prev.overlay_coarsest(mesh_next)
-        self.transfers = {mesh: fe.transfer(self.vee, mesh)
-                          for mesh in (mesh_prev, mesh_next)}
-        self.src_prev = self.transfers[mesh_prev].host
-        self.src_next = self.transfers[mesh_next].host
+        self.src_next = fe.transfer(self.vee, mesh_next).host
         self.h_wedge = self.wedge.h[fe.transfer(self.vee, self.wedge).host]
         self.hmin_prev = mesh_prev.min_diameter()
         self.hmin_next = mesh_next.min_diameter()
@@ -192,11 +191,8 @@ class SlabWorkspace:
 
     def _grid_eval(self, field, deriv="val"):
         """Values ("val") or Laplacian ("lap") on the overlay sample grid."""
-        mesh = field.space.mesh
-        tr = self.transfers.get(mesh)
-        if tr is None:      # e.g. a field of the previous slab's A_prev
-            tr = fe.transfer(self.vee, mesh)
-        return fe.grid_values(field, tr, "sample", deriv)
+        return fe.grid_values(field, fe.transfer(self.vee, field.space.mesh),
+                              "sample", deriv)
 
     # -- state ----------------------------------------------------------------
 
@@ -283,17 +279,17 @@ class SlabWorkspace:
         vol_vee = np.abs(self.A_next_values() + a * self._lap_next()).max(axis=1)
         vol = self._scatter_next_max(vol_vee)
         jump = self.u_next.jump_max_per_cell(
-            self._face_derivs("next", face_set(self.mesh_next), None))
+            self._face_derivs("next", face_set(self.mesh_next)))
         h = self.mesh_next.h
         return h * h / a * vol + h * jump
 
-    def _face_derivs(self, channel, fs, cells):
+    def _face_derivs(self, channel, fs):
         """fe.face_normal_derivs of u_prev or u_next on fs, computed once."""
         memo = self.prev_face_derivs if channel == "prev" \
             else self.next_face_derivs
         if fs not in memo:
             field = self.u_prev if channel == "prev" else self.u_next
-            memo[fs] = fe.face_normal_derivs(field, fs, cells)
+            memo[fs] = fe.face_normal_derivs(field, fs)
         return memo[fs]
 
     def eta_dot_maps(self):
@@ -311,8 +307,8 @@ class SlabWorkspace:
         jump_vee = fe.faces_to_cells(fs, len(self.vee), [
             (sel, np.abs((gnl - gpl) - (gnr - gpr)).max(axis=1))
             for (sel, gpl, gpr), (_, gnl, gnr) in zip(
-                self._face_derivs("prev", fs, self.src_prev),
-                self._face_derivs("next", fs, self.src_next))])
+                self._face_derivs("prev", fs),
+                self._face_derivs("next", fs))])
         hw = self.h_wedge
         etadot_vee = hw * hw / (k * a) * vol_vee + hw / k * jump_vee
         xi_prime = log_factor(min(self.hmin_prev, self.hmin_next)) * k \

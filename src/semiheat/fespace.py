@@ -324,8 +324,11 @@ class Field:
         return self._sample_cache[deriv]
 
     def linf_norm(self):
-        """Sampled max of |u| over all cells (approximate sup norm)."""
-        return float(np.abs(self.sample_values("val")).max())
+        """Sampled max of |u| over all cells (approximate sup norm).
+
+        The sample grid is not cached: a run keeps the fields it certifies.
+        """
+        return float(np.abs(sample_grid_values(self, slice(None), "val")).max())
 
     # -- pointwise evaluation ---------------------------------------------------
 
@@ -450,14 +453,16 @@ def evaluate_multi(fields, x, y, derivs):
     return evaluate_in_cells(fields, cells, x, y, derivs)
 
 
-def face_normal_derivs(field, fs, cells=None):
+def face_normal_derivs(field, fs):
     """Normal derivative of a field on both sides of every face of a FaceSet.
 
-    Each face is sampled at the field's 1-D sample points.  `cells` maps
-    the cells of the face set's mesh to the field's cells (identity when
-    None).  Returns one (face indices, left values, right values) triple
-    per face orientation present, values shaped (faces, samples).
+    Each face is sampled at the field's 1-D sample points, and each side in
+    the host cell of its face-set cell (`transfer(fs.mesh, field's mesh)`),
+    so the face set's mesh must be the field's mesh or refine it.  Returns
+    one (face indices, left values, right values) triple per face
+    orientation present, values shaped (faces, samples).
     """
+    host = transfer(fs.mesh, field.space.mesh).host
     t = field.space.ref.sample1d
     ns = len(t)
     seg = fs.lo[:, None] + (fs.hi - fs.lo)[:, None] * t[None, :]
@@ -471,8 +476,8 @@ def face_normal_derivs(field, fs, cells=None):
         x, y = (across, along) if o == 0 else (along, across)
         sides = []
         for side in (fs.left[sel], fs.right[sel]):
-            c = side if cells is None else cells[side]
-            vals = evaluate_in_cells([field], np.repeat(c, ns), x, y, [dv])[0]
+            vals = evaluate_in_cells([field], np.repeat(host[side], ns),
+                                     x, y, [dv])[0]
             sides.append(vals.reshape(len(sel), ns))
         out.append((sel, sides[0], sides[1]))
     return out
@@ -508,10 +513,18 @@ def transfer(mesh, src_mesh):
     `mesh is src_mesh`), and `classes` maps (dl, ox, oy) to the cells that
     are the descendant dl levels below their host at integer offset
     (ox, oy) from its lower-left corner, in cells of their own level.
-    Cells coarser than their host share the key COARSER.
+    Cells coarser than their host share the key COARSER.  Meshes are
+    immutable, so each pair is built once and cached on `mesh`.
     """
     if mesh.rect != src_mesh.rect:
         raise ValueError("meshes live on different rectangles")
+    tr = mesh._transfers.get(src_mesh)
+    if tr is None:
+        tr = mesh._transfers[src_mesh] = _build_transfer(mesh, src_mesh)
+    return tr
+
+
+def _build_transfer(mesh, src_mesh):
     if mesh is src_mesh:
         host = np.arange(len(mesh))
         return Transfer(mesh, src_mesh, host, {(0, 0, 0): host})

@@ -87,6 +87,7 @@ class Mesh:
         self._index = {k: i for i, k in enumerate(self.leaves)}
         self._geometry()
         self._faces = None
+        self._transfers = {}    # fespace.transfer's, by source mesh
 
     @classmethod
     def uniform(cls, rect, level):
@@ -251,39 +252,39 @@ class Mesh:
                 return mesh
         return Mesh(self.rect, leaves)
 
-    def overlay_finest(self, other):
-        """Coarsest common refinement; the finer input itself if nested."""
+    def _levels_at_centres(self, other):
+        """Level of the leaf of `other` holding each leaf centre of self.
+
+        A leaf centre is the integer point ((2*ix+1), (2*iy+1)) << (LMAX-l-1),
+        exact for every level below LMAX.
+        """
+        shift = LMAX - 1 - self.levels
+        j = other._find((2 * self.ix + 1) << shift, (2 * self.iy + 1) << shift)
+        return other.levels[j]
+
+    def _overlay(self, other, sign):
+        """Overlay from the two meshes' levels at each other's leaf centres.
+
+        With sign 1 (finest) a leaf is kept where the other mesh is no
+        finer at its centre, with sign -1 (coarsest) where it is no
+        coarser; a leaf of both meshes is taken from self only.
+        """
         self._check_same_domain(other)
         if other is self:
             return self
-        ls1, ls2 = self.leafset, other.leafset
-        out = []
-        stack = [((0, 0, 0), False, False)]
-        while stack:
-            key, c1, c2 = stack.pop()
-            c1 = c1 or key in ls1
-            c2 = c2 or key in ls2
-            if c1 and c2:
-                out.append(key)
-            else:
-                stack.extend((ch, c1, c2) for ch in children(key))
-        return self._input_or_new(other, out)
+        gap = sign * (self.levels - self._levels_at_centres(other))
+        gap_other = sign * (other.levels - other._levels_at_centres(self))
+        leaves = [self.leaves[i] for i in np.flatnonzero(gap >= 0)]
+        leaves += [other.leaves[i] for i in np.flatnonzero(gap_other > 0)]
+        return self._input_or_new(other, leaves)
+
+    def overlay_finest(self, other):
+        """Coarsest common refinement; the finer input itself if nested."""
+        return self._overlay(other, 1)
 
     def overlay_coarsest(self, other):
         """Finest common coarsening; the coarser input itself if nested."""
-        self._check_same_domain(other)
-        if other is self:
-            return self
-        ls1, ls2 = self.leafset, other.leafset
-        out = []
-        stack = [(0, 0, 0)]
-        while stack:
-            key = stack.pop()
-            if key in ls1 or key in ls2:
-                out.append(key)
-            else:
-                stack.extend(children(key))
-        return self._input_or_new(other, out)
+        return self._overlay(other, -1)
 
     # -- point location -------------------------------------------------------
 

@@ -91,11 +91,6 @@ class Trajectory:
     slabs: list = dfield(default_factory=list)
 
     @property
-    def times(self):
-        return [0.0 if not self.slabs else self.slabs[0].t_prev] + \
-            [s.t_next for s in self.slabs]
-
-    @property
     def final_time(self):
         return self.slabs[-1].t_next if self.slabs else 0.0
 
@@ -140,38 +135,3 @@ def make_slab(problem, m, t_prev, k, u_prev, u_next, u_hat, A_prev):
                     u_prev=u_prev, u_next=u_next, u_hat=u_hat,
                     A_prev=A_prev, A_next=A_next)
 
-
-class TimeInterpolant:
-    """Linear-in-time blend of the two endpoint fields of a slab."""
-
-    def __init__(self, u_a, u_b, w_a, w_b):
-        self.u_a = u_a
-        self.u_b = u_b
-        self.w_a = w_a
-        self.w_b = w_b
-
-    def __call__(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        xf, yf = x.ravel(), y.ravel()
-        vals = self.w_a * self.u_a.eval(xf, yf) \
-            + self.w_b * self.u_b.eval(xf, yf)
-        return vals.reshape(x.shape)
-
-
-def interpolant_at(traj, t):
-    """The numerical solution at time t as a pointwise-evaluable function."""
-    times = traj.times
-    if not traj.slabs:
-        if t != times[0]:
-            raise ValueError("time outside the computed range")
-        return TimeInterpolant(traj.u0, traj.u0, 1.0, 0.0)
-    if t < times[0] - 1e-14 or t > times[-1] + 1e-14:
-        raise ValueError("time outside the computed range")
-    for slab in traj.slabs:
-        if t <= slab.t_next or slab is traj.slabs[-1]:
-            la = (slab.t_next - t) / slab.k
-            lb = (t - slab.t_prev) / slab.k
-            return TimeInterpolant(slab.u_prev, slab.u_next,
-                                   float(la), float(lb))
-    raise AssertionError("unreachable")

@@ -32,6 +32,15 @@ def test_defaults_and_ttol_minus_rule():
     assert tol.stol_minus == pytest.approx(cfg.stol_plus / 1024)
 
 
+def test_bad_tolerance_band_is_a_config_error():
+    # Invariants spanning several keys are checked after parsing, so the
+    # error names no line.
+    with pytest.raises(ConfigError, match="ratio must be >= 8") as exc:
+        parse_config("[problem]\nname = heat_decay\n[tolerances]\n"
+                     "ttol_plus = 0.25\nttol_minus = 0.1\n")
+    assert exc.value.line is None
+
+
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(ConfigError) as exc:
         parse_config("[problem]\nname = heat_decay\nwhatsthis = 3\n")

@@ -132,6 +132,35 @@ def test_eta_dot_pure_refinement_weights_from_coarse_mesh():
         assert ws.h_wedge[vi] == pytest.approx(mesh.h[host])
 
 
+def test_refine_only_mesh_change_locates_once(monkeypatch):
+    # One (new mesh, old mesh) Transfer serves the step's interpolation
+    # and reaction term, the workspace's grids, faces and wedge sizes.
+    prob = builtin("heat_decay")
+    mesh = Mesh.uniform(UNIT, 2)
+    sp = fe.Space(mesh, 2)
+    U0 = sc.project_initial(prob, sp)
+    k = 0.01
+    U1, hat = sc.imex_step(prob, U0, sp, k, 0.0)
+    A1 = sc.make_slab(prob, 1, 0.0, k, U0, U1, hat, None).A_next
+    spf = fe.Space(mesh.refine([mesh.leaves[0], mesh.leaves[5]]), 2)
+    calls = []
+    locate = Mesh.locate
+
+    def counted(self, x, y):
+        calls.append(np.size(x))
+        return locate(self, x, y)
+
+    monkeypatch.setattr(Mesh, "locate", counted)
+    U2, hat2 = sc.imex_step(prob, U1, spf, k, k)
+    ws = est.SlabWorkspace(prob, U1, A1, spf, k)
+    ws.set_state(U2, hat2, k)
+    ws.eta_time()
+    ws.eta_space_map()
+    ws.eta_dot_maps()
+    assert ws.vee is spf.mesh and ws.wedge is mesh
+    assert calls == [len(spf.mesh)]
+
+
 # -- time estimator --------------------------------------------------------------
 
 

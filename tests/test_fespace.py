@@ -135,6 +135,15 @@ def test_linf_norm_axioms_on_sample_lattice():
     assert total.linf_norm() <= u.linf_norm() + v.linf_norm()
 
 
+def test_linf_norm_caches_no_sample_grid():
+    rng = np.random.default_rng(5)
+    sp = fe.Space(hanging_mesh(), 3)
+    u = fe.Field.from_free(sp, rng.standard_normal(sp.n_free))
+    val = u.linf_norm()
+    assert u._sample_cache == {}
+    assert val == float(np.abs(u.sample_values("val")).max())
+
+
 def test_interpolate_identity():
     rng = np.random.default_rng(5)
     sp = fe.Space(hanging_mesh(), 2)
@@ -188,6 +197,9 @@ def moved_mesh_pair():
 def test_moved_mesh_pair_has_every_class():
     src, tgt = moved_mesh_pair()
     tr = fe.transfer(tgt, src)
+    assert fe.transfer(tgt, src) is tr
+    assert fe.transfer(src, tgt) is not tr
+    assert fe.transfer(tgt, tgt) is fe.transfer(tgt, tgt)
     dls = {ck[0] for ck in tr.classes}
     assert fe.COARSER in tr.classes and 0 in dls and 2 in dls
     for mesh in (src, tgt):

@@ -15,7 +15,8 @@ TWO_IRREGULAR = [(1, 1, 0), (1, 0, 1), (1, 1, 1), (2, 0, 0), (2, 1, 0),
 
 # -- set-walk oracles ---------------------------------------------------------
 # Per-key Python walks over leaf sets: the reference that the mesh's
-# integer-key adjacency (FaceSet, refine, coarsen) is compared against.
+# integer-key adjacency (FaceSet, refine, coarsen, overlays) is compared
+# against.
 
 _DIRS = ("E", "W", "N", "S")
 
@@ -167,6 +168,36 @@ def walk_coarsen(mesh, marked):
     if not changed:
         return mesh
     return Mesh(mesh.rect, ls)
+
+
+def walk_overlay_finest(m1, m2):
+    """Leaves of Mesh.overlay_finest by a tree walk from the root."""
+    ls1, ls2 = m1.leafset, m2.leafset
+    out = []
+    stack = [((0, 0, 0), False, False)]
+    while stack:
+        key, c1, c2 = stack.pop()
+        c1 = c1 or key in ls1
+        c2 = c2 or key in ls2
+        if c1 and c2:
+            out.append(key)
+        else:
+            stack.extend((ch, c1, c2) for ch in children(key))
+    return tuple(sorted(out))
+
+
+def walk_overlay_coarsest(m1, m2):
+    """Leaves of Mesh.overlay_coarsest by a tree walk from the root."""
+    ls1, ls2 = m1.leafset, m2.leafset
+    out = []
+    stack = [(0, 0, 0)]
+    while stack:
+        key = stack.pop()
+        if key in ls1 or key in ls2:
+            out.append(key)
+        else:
+            stack.extend(children(key))
+    return tuple(sorted(out))
 
 
 # -- tests --------------------------------------------------------------------

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from semiheat import estimators as est
 from semiheat import fespace as fe
 from semiheat.mesh import Mesh, Rectangle, children, face_set, parent
-from test_mesh import TWO_IRREGULAR, walk_coarsen, walk_faces, walk_refine
+from test_mesh import (TWO_IRREGULAR, walk_coarsen, walk_faces,
+                       walk_overlay_coarsest, walk_overlay_finest, walk_refine)
 
 RECT = Rectangle(-1.0, 2.0, 0.0, 0.5)
 
@@ -62,6 +63,29 @@ def test_overlays_commute_and_are_idempotent(ops_a, ops_b):
     for m in (a, b):
         assert m.overlay_finest(vee) is vee
         assert m.overlay_coarsest(wedge) is wedge
+
+
+@PROPERTY
+@given(OPS, OPS)
+def test_overlays_match_tree_walks(ops_a, ops_b):
+    a, b = build(ops_a), build(ops_b)
+    assert a.overlay_finest(b).leaves == walk_overlay_finest(a, b)
+    assert a.overlay_coarsest(b).leaves == walk_overlay_coarsest(a, b)
+
+
+def test_overlays_match_tree_walks_at_level_39():
+    # Two meshes graded down to level 39 at opposite corners of RECT.
+    a = b = Mesh.uniform(RECT, 1)
+    for l in range(1, 39):
+        n = (1 << l) - 1
+        a = a.refine([(l, n, n)])
+        b = b.refine([(l, 0, 0)])
+    assert (39, 0, 0) in b.leafset and (39, n * 2 + 1, n * 2 + 1) in a.leafset
+    for m1, m2 in ((a, b), (b, a), (a, a.refine([(38, n - 1, n)]))):
+        vee, wedge = m1.overlay_finest(m2), m1.overlay_coarsest(m2)
+        assert vee.leaves == walk_overlay_finest(m1, m2)
+        assert wedge.leaves == walk_overlay_coarsest(m1, m2)
+        assert vee.total_area() == pytest.approx(RECT.area, rel=1e-14)
 
 
 @PROPERTY

@@ -155,47 +155,6 @@ def test_reconstruction_identity():
     assert resid < 1e-8 * max(1.0, np.abs(b).max())
 
 
-def test_interpolant_endpoint_and_midpoint():
-    prob = builtin("heat_decay")
-    sp = fe.Space(Mesh.uniform(UNIT, 3), 2)
-    U0 = sc.project_initial(prob, sp)
-    k = 0.02
-    U1, hat = sc.imex_step(prob, U0, sp, k, 0.0)
-    traj = sc.Trajectory(U0, [sc.make_slab(prob, 1, 0.0, k, U0, U1, hat, None)])
-    pts = np.random.default_rng(3).random((30, 2))
-    at_end = sc.interpolant_at(traj, k)
-    assert np.abs(at_end(pts[:, 0], pts[:, 1])
-                  - U1.eval(pts[:, 0], pts[:, 1])).max() < 1e-13
-    at_mid = sc.interpolant_at(traj, 0.5 * k)
-    mid = 0.5 * (U0.eval(pts[:, 0], pts[:, 1]) + U1.eval(pts[:, 0], pts[:, 1]))
-    assert np.abs(at_mid(pts[:, 0], pts[:, 1]) - mid).max() < 1e-13
-
-
-def test_interpolant_convexity_of_norms():
-    prob = builtin("heat_decay")
-    sp = fe.Space(Mesh.uniform(UNIT, 3), 2)
-    U0 = sc.project_initial(prob, sp)
-    k = 0.02
-    U1, hat = sc.imex_step(prob, U0, sp, k, 0.0)
-    traj = sc.Trajectory(U0, [sc.make_slab(prob, 1, 0.0, k, U0, U1, hat, None)])
-    X, Y = sp.sample_points()
-    cap = max(U0.linf_norm(), U1.linf_norm())
-    rng = np.random.default_rng(4)
-    for t in rng.uniform(0.0, k, 10):
-        u_t = sc.interpolant_at(traj, t)
-        val = np.abs(u_t(X.ravel(), Y.ravel())).max()
-        assert val <= cap + 1e-12
-
-
-def test_interpolant_range_check():
-    prob = builtin("heat_decay")
-    sp = fe.Space(Mesh.uniform(UNIT, 2), 1)
-    U0 = sc.project_initial(prob, sp)
-    traj = sc.Trajectory(U0)
-    with pytest.raises(ValueError):
-        sc.interpolant_at(traj, 0.5)
-
-
 @pytest.mark.parametrize("moved", [False, True])
 def test_imex_step_matches_a_direct_solve_of_the_assembled_system(moved):
     # example3's a = 0.001 on a non-square rectangle with hanging nodes
