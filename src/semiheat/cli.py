@@ -1,18 +1,21 @@
 """Command-line front end: solve, sweep and report.
 
 Configs are flat `key = value` files with `#` comments and section
-headers in square brackets; see the shipped files under configs/.  The
-`solve` command runs one adaptive computation, `sweep` repeats it over a
-list of decreasing time tolerances and writes a table-shaped CSV, and
-`report` post-processes a sweep directory into summary lines and
-convergence slopes.  Exit codes: 0 completed, 2 stopped by fixed-point
-nonexistence (the expected blow-up signal), 1 error.
+headers in square brackets; see the shipped files under configs/.  Each
+key is a `RunConfig` field listed under its section in `_SECTIONS`; the
+field's type says how its text parses, `_BOUNDS` its range, and
+`emit_config` writes text that parses back to an equal RunConfig.
+`solve` runs one adaptive computation, `sweep` repeats it over a list of
+decreasing time tolerances and writes a table-shaped CSV, and `report`
+post-processes a sweep directory into summary lines and convergence
+slopes.  Exit codes: 0 completed, 2 stopped by fixed-point nonexistence
+(the expected blow-up signal), 1 error.
 """
 
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -49,21 +52,30 @@ class RunConfig:
     stol_minus: float = None  # default stol_plus/1024
     scale_tolerances: bool = True
     out_dir: str = "runs"
-    dump_every: int = 0
+    dump_every: int = 0       # 0 = no dumps
     sweep_depth: int = 0      # rows with ttol+ = base**j, j = 1..depth
     sweep_base: float = 0.25
     sweep_ttols: tuple = ()   # explicit list overrides depth/base
 
-    def resolved_tolerances(self, ttol_plus=None):
-        tp = self.ttol_plus if ttol_plus is None else ttol_plus
-        tm = self.ttol_minus
-        if tm is None:
-            tm = tp / 16.0
-        elif ttol_plus is not None:
-            tm = tp * (self.ttol_minus / self.ttol_plus)
+    def with_plus_tolerances(self, ttol_plus=None, stol_plus=None):
+        """A copy with new plus tolerances; set minus ones keep their ratio."""
+        changes = {}
+        for kind, plus in (("ttol", ttol_plus), ("stol", stol_plus)):
+            if plus is None:
+                continue
+            minus = getattr(self, kind + "_minus")
+            changes[kind + "_plus"] = plus
+            if minus is not None:
+                changes[kind + "_minus"] = \
+                    plus * (minus / getattr(self, kind + "_plus"))
+        return replace(self, **changes)
+
+    def resolved_tolerances(self):
+        tm = self.ttol_minus if self.ttol_minus is not None \
+            else self.ttol_plus / 16.0
         sm = self.stol_minus if self.stol_minus is not None \
             else self.stol_plus / 1024.0
-        return Tolerances(self.stol_plus, sm, tp, tm)
+        return Tolerances(self.stol_plus, sm, self.ttol_plus, tm)
 
     def sweep_list(self):
         if self.sweep_ttols:
@@ -71,25 +83,43 @@ class RunConfig:
         return [self.sweep_base ** j for j in range(1, self.sweep_depth + 1)]
 
 
+# section -> its keys, in the order emit_config writes them.  A key names
+# the RunConfig field of the same name, except `name` (see _KEY_FIELD).
 _SECTIONS = {
-    "problem": {"name", "a", "T", "blowup"},
-    "discretization": {"degree", "initial_refinement", "k1", "c_infinity",
-                       "time_quadrature"},
-    "tolerances": {"ttol_plus", "ttol_minus", "stol_plus", "stol_minus",
-                   "scale_tolerances"},
-    "output": {"out_dir", "dump_every"},
-    "sweep": {"sweep_depth", "sweep_base", "sweep_ttols"},
+    "problem": ("name", "a", "T", "blowup"),
+    "discretization": ("degree", "initial_refinement", "k1", "c_infinity",
+                       "time_quadrature"),
+    "tolerances": ("ttol_plus", "ttol_minus", "stol_plus", "stol_minus",
+                   "scale_tolerances"),
+    "output": ("out_dir", "dump_every"),
+    "sweep": ("sweep_depth", "sweep_base", "sweep_ttols"),
 }
 _KEY_SECTION = {k: s for s, ks in _SECTIONS.items() for k in ks}
+_KEY_FIELD = {"name": "problem"}
+_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_BOOLS = {"true": True, "on": True, "yes": True, "1": True,
+          "false": False, "off": False, "no": False, "0": False}
+
+# (bound, test, keys): the range of every numeric key, tested on each
+# entry of a list and not on a key left unset (None).
+_BOUNDS = (
+    ("positive", lambda v: v > 0,
+     ("a", "T", "k1", "c_infinity", "ttol_plus", "ttol_minus", "stol_plus",
+      "stol_minus", "sweep_ttols")),
+    ("in (0, 1)", lambda v: 0 < v < 1, ("sweep_base",)),
+    (">= 1", lambda v: v >= 1, ("degree", "time_quadrature")),
+    (">= 0", lambda v: v >= 0,
+     ("initial_refinement", "dump_every", "sweep_depth")),
+)
 
 
-def _parse_bool(text, lineno):
-    v = text.strip().lower()
-    if v in ("true", "on", "yes", "1"):
-        return True
-    if v in ("false", "off", "no", "0"):
-        return False
-    raise ConfigError("expected a boolean, got %r" % text, lineno)
+def _parse_value(typ, text):
+    """`text` as a value of a RunConfig field of type `typ`."""
+    if typ is bool:
+        return _BOOLS[text.lower()]
+    if typ is tuple:
+        return tuple(float(p) for p in text.replace(",", " ").split())
+    return typ(text)
 
 
 def parse_config(text):
@@ -109,40 +139,20 @@ def parse_config(text):
         if "=" not in line:
             raise ConfigError("expected `key = value`", lineno)
         key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key == "name":
-            want = "problem"
-        elif key not in _KEY_SECTION:
+        key, value = key.strip(), value.strip()
+        if key not in _KEY_SECTION:
             raise ConfigError("unknown key %r" % key, lineno)
-        else:
-            want = _KEY_SECTION[key]
+        want = _KEY_SECTION[key]
         if section is not None and section != want:
             raise ConfigError("key %r belongs to section [%s]" % (key, want),
                               lineno)
         try:
-            if key == "name":
-                cfg.problem = value
-                seen_problem = True
-            elif key in ("a", "T", "k1", "c_infinity", "ttol_plus",
-                         "ttol_minus", "stol_plus", "stol_minus",
-                         "sweep_base"):
-                setattr(cfg, key, float(value))
-            elif key in ("degree", "initial_refinement", "time_quadrature",
-                         "dump_every", "sweep_depth"):
-                setattr(cfg, key, int(value))
-            elif key in ("blowup", "scale_tolerances"):
-                setattr(cfg, key, _parse_bool(value, lineno))
-            elif key == "out_dir":
-                cfg.out_dir = value
-            elif key == "sweep_ttols":
-                parts = value.replace(",", " ").split()
-                cfg.sweep_ttols = tuple(float(p) for p in parts)
-        except ConfigError:
-            raise
-        except ValueError:
+            field = _KEY_FIELD.get(key, key)
+            setattr(cfg, field, _parse_value(_FIELD_TYPES[field], value))
+        except (KeyError, ValueError):
             raise ConfigError("malformed value %r for %r" % (value, key),
                               lineno)
+        seen_problem = seen_problem or key == "name"
     if not seen_problem:
         raise ConfigError("missing required key `name` in section [problem]")
     _validate(cfg)
@@ -153,69 +163,37 @@ def _validate(cfg):
     if cfg.problem not in builtin_names():
         raise ConfigError("unknown problem %r (have: %s)"
                           % (cfg.problem, ", ".join(builtin_names())))
-    if cfg.degree < 1:
-        raise ConfigError("degree must be >= 1")
-    if cfg.k1 <= 0:
-        raise ConfigError("k1 must be positive")
-    if cfg.initial_refinement < 0:
-        raise ConfigError("initial_refinement must be >= 0")
-    for key in ("ttol_plus", "stol_plus"):
-        if getattr(cfg, key) <= 0:
-            raise ConfigError("%s must be positive" % key)
-    for key in ("ttol_minus", "stol_minus"):
-        v = getattr(cfg, key)
-        if v is not None and v <= 0:
-            raise ConfigError("%s must be positive" % key)
-    if cfg.a is not None and cfg.a <= 0:
-        raise ConfigError("a must be positive")
+    for bound, holds, keys in _BOUNDS:
+        for key in keys:
+            v = getattr(cfg, key)
+            values = v if isinstance(v, tuple) else [] if v is None else [v]
+            if not all(map(holds, values)):
+                raise ConfigError("%s must be %s, got %s"
+                                  % (key, bound, _format(v)))
     try:
         cfg.resolved_tolerances()
     except ValueError as exc:     # a bad refine/coarsen band
         raise ConfigError(str(exc)) from None
 
 
-def emit_config(cfg):
-    """Config text that parses back to an equal RunConfig."""
-    def fmt(v):
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        if isinstance(v, float):
-            return repr(v)
-        return str(v)
+def _format(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return " ".join(repr(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
 
-    lines = ["[problem]", "name = %s" % cfg.problem]
-    if cfg.a is not None:
-        lines.append("a = %s" % fmt(cfg.a))
-    if cfg.T is not None:
-        lines.append("T = %s" % fmt(cfg.T))
-    if cfg.blowup is not None:
-        lines.append("blowup = %s" % fmt(cfg.blowup))
-    lines += ["", "[discretization]",
-              "degree = %d" % cfg.degree,
-              "initial_refinement = %d" % cfg.initial_refinement,
-              "k1 = %s" % fmt(cfg.k1),
-              "c_infinity = %s" % fmt(cfg.c_infinity),
-              "time_quadrature = %d" % cfg.time_quadrature,
-              "", "[tolerances]",
-              "ttol_plus = %s" % fmt(cfg.ttol_plus)]
-    if cfg.ttol_minus is not None:
-        lines.append("ttol_minus = %s" % fmt(cfg.ttol_minus))
-    lines.append("stol_plus = %s" % fmt(cfg.stol_plus))
-    if cfg.stol_minus is not None:
-        lines.append("stol_minus = %s" % fmt(cfg.stol_minus))
-    lines.append("scale_tolerances = %s" % fmt(cfg.scale_tolerances))
-    lines += ["", "[output]",
-              "out_dir = %s" % cfg.out_dir,
-              "dump_every = %d" % cfg.dump_every]
-    if cfg.sweep_ttols or cfg.sweep_depth:
-        lines += ["", "[sweep]"]
-        if cfg.sweep_ttols:
-            lines.append("sweep_ttols = %s"
-                         % " ".join(repr(t) for t in cfg.sweep_ttols))
-        else:
-            lines.append("sweep_depth = %d" % cfg.sweep_depth)
-            lines.append("sweep_base = %s" % fmt(cfg.sweep_base))
-    return "\n".join(lines) + "\n"
+
+def emit_config(cfg):
+    """Config text, every key but unset ones, that parses back equal."""
+    lines = []
+    for section, keys in _SECTIONS.items():
+        lines += ["", "[%s]" % section]
+        for key in keys:
+            value = getattr(cfg, _KEY_FIELD.get(key, key))
+            if value is not None and value != ():
+                lines.append("%s = %s" % (key, _format(value)))
+    return "\n".join(lines[1:]) + "\n"
 
 
 def load_problem(cfg):
@@ -230,14 +208,13 @@ def load_problem(cfg):
     elif cfg.T is not None:
         changes["T"] = cfg.T
     if changes:
-        from dataclasses import replace
         prob = replace(prob, **changes)
     return prob
 
 
 def _run_one(cfg, ttol_plus=None, first_interval=None):
     prob = load_problem(cfg)
-    tol = cfg.resolved_tolerances(ttol_plus)
+    tol = cfg.with_plus_tolerances(ttol_plus).resolved_tolerances()
     opts = DriverOptions(c_inf=cfg.c_infinity,
                          time_quadrature=cfg.time_quadrature,
                          scale_tolerances=cfg.scale_tolerances,
@@ -378,14 +355,7 @@ def main(argv=None):
         if args.out:
             cfg.out_dir = args.out
         if args.command == "solve":
-            if args.ttol is not None:
-                if cfg.ttol_minus is not None:
-                    cfg.ttol_minus *= args.ttol / cfg.ttol_plus
-                cfg.ttol_plus = args.ttol
-            if args.stol is not None:
-                if cfg.stol_minus is not None:
-                    cfg.stol_minus *= args.stol / cfg.stol_plus
-                cfg.stol_plus = args.stol
+            cfg = cfg.with_plus_tolerances(args.ttol, args.stol)
             if args.degree is not None:
                 cfg.degree = args.degree
             _validate(cfg)

@@ -151,6 +151,10 @@ class SlabWorkspace:
                  prev_face_derivs=None):
         if u_prev.space.degree != space_next.degree:
             raise ValueError("slab endpoint spaces must share the degree")
+        # A_prev_values reads the closure's end field as self.Uprev
+        if isinstance(A_prev, DiscreteLaplacian) \
+                and A_prev.u_next is not u_prev:
+            raise ValueError("a discrete A_prev must end at u_prev")
         self.problem = problem
         self.u_prev = u_prev
         self.A_prev = A_prev
@@ -216,8 +220,8 @@ class SlabWorkspace:
             A = self.A_prev
             if isinstance(A, DiscreteLaplacian):
                 self._A_prev_vals = A.values(
-                    self.Xs, self.Ys, self._grid_eval(A.u_prev),
-                    self._grid_eval(A.u_next), self._grid_eval(A.u_hat))
+                    self.Xs, self.Ys, self._grid_eval(A.u_prev), self.Uprev,
+                    self._grid_eval(A.u_hat))
             else:  # analytic, e.g. the InitialLaplacian of slab 1
                 self._A_prev_vals = A(self.Xs, self.Ys)
         return self._A_prev_vals

@@ -285,7 +285,6 @@ class Field:
             raise ValueError("coefficient vector has wrong length")
         self.space = space
         self.coeffs = coeffs
-        self._sample_cache = {}
         self._jump_cache = None
 
     @classmethod
@@ -317,18 +316,16 @@ class Field:
     # -- structured evaluation on the cell sample grid -----------------------
 
     def sample_values(self, deriv="val"):
-        """Per-cell sample-grid values, "val" or "lap" (ncells, npts)."""
-        if deriv not in self._sample_cache:
-            self._sample_cache[deriv] = sample_grid_values(
-                self, slice(None), deriv)
-        return self._sample_cache[deriv]
+        """Per-cell sample-grid values, "val" or "lap" (ncells, npts).
+
+        Not cached: a run keeps the fields it certifies, and reads each
+        grid once.
+        """
+        return sample_grid_values(self, slice(None), deriv)
 
     def linf_norm(self):
-        """Sampled max of |u| over all cells (approximate sup norm).
-
-        The sample grid is not cached: a run keeps the fields it certifies.
-        """
-        return float(np.abs(sample_grid_values(self, slice(None), "val")).max())
+        """Sampled max of |u| over all cells (approximate sup norm)."""
+        return float(np.abs(self.sample_values("val")).max())
 
     # -- pointwise evaluation ---------------------------------------------------
 

@@ -1,6 +1,7 @@
 """Config parsing, sweep table, slope fits, CLI entry points."""
 
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -60,6 +61,53 @@ def test_parse_errors_carry_line_numbers():
     assert exc.value.line == 3
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("problem", "T", "-1"),
+    ("discretization", "c_infinity", "0"),
+    ("discretization", "time_quadrature", "0"),
+    ("output", "dump_every", "-2"),
+    ("sweep", "sweep_depth", "-1"),
+    ("sweep", "sweep_base", "0"),
+    ("sweep", "sweep_base", "4"),
+    ("sweep", "sweep_ttols", "0 -1"),
+])
+def test_out_of_range_values_are_rejected(tmp_path, capsys, section, key,
+                                          value):
+    text = "[problem]\nname = heat_decay\n[%s]\n%s = %s\n" % (section, key,
+                                                              value)
+    with pytest.raises(ConfigError, match="%s must be" % key) as exc:
+        parse_config(text)
+    assert exc.value.line is None
+    cfgpath = tmp_path / "run.cfg"
+    cfgpath.write_text(text)
+    assert main(["solve", "--config", str(cfgpath)]) == 1
+    assert capsys.readouterr().err.startswith("error: %s must be " % key)
+
+
+def test_each_field_is_one_key_and_each_number_has_a_bound():
+    names = sorted(f.name for f in fields(cli.RunConfig))
+    assert sorted(cli._KEY_FIELD.get(k, k) for k in cli._KEY_SECTION) \
+        == names
+    numeric = [f.name for f in fields(cli.RunConfig)
+               if f.type in (int, float, tuple)]
+    assert sorted(k for _, _, keys in cli._BOUNDS for k in keys) \
+        == sorted(numeric)
+
+
+def test_plus_tolerance_overrides_keep_the_configured_ratios():
+    cfg = parse_config("[problem]\nname = heat_decay\n[tolerances]\n"
+                       "ttol_plus = 0.25\nttol_minus = 0.001\n"
+                       "stol_plus = 0.5\n")
+    new = cfg.with_plus_tolerances(ttol_plus=0.1, stol_plus=0.2)
+    assert (cfg.ttol_plus, cfg.ttol_minus, cfg.stol_plus) == (0.25, 0.001,
+                                                              0.5)
+    assert new.ttol_plus == 0.1 and new.stol_plus == 0.2
+    assert new.ttol_minus == 0.1 * (0.001 / 0.25)
+    assert new.stol_minus is None  # still the default stol_plus/1024
+    assert new.resolved_tolerances().stol_minus == 0.2 / 1024
+    assert cfg.with_plus_tolerances() == cfg
+
+
 def test_comments_and_blank_lines():
     cfg = parse_config("# a comment\n\n[problem]\nname = heat_decay  # tail\n")
     assert cfg.problem == "heat_decay"
@@ -91,12 +139,20 @@ sweep_base = 0.5
 """)
     again = parse_config(emit_config(cfg))
     assert again == cfg
+    # sweep_base round-trips when sweep_depth is 0
+    cfg = parse_config("[problem]\nname = heat_decay\n"
+                       "[sweep]\nsweep_depth = 0\nsweep_base = 0.5\n")
+    assert parse_config(emit_config(cfg)) == cfg
 
 
 def test_roundtrip_with_explicit_sweep_list():
     cfg = parse_config("[problem]\nname = heat_decay\n"
                        "[sweep]\nsweep_ttols = 0.5, 0.125 0.03125\n")
     assert cfg.sweep_ttols == (0.5, 0.125, 0.03125)
+    assert parse_config(emit_config(cfg)) == cfg
+    # sweep_depth round-trips when an explicit list overrides it
+    cfg = parse_config("[problem]\nname = heat_decay\n[sweep]\n"
+                       "sweep_depth = 3\nsweep_ttols = 0.5 0.25\n")
     assert parse_config(emit_config(cfg)) == cfg
 
 
@@ -107,6 +163,7 @@ def test_shipped_presets_parse():
         assert cfg.problem == name
         assert cfg.degree == degree
         cfg.resolved_tolerances()
+        assert parse_config(emit_config(cfg)) == cfg
     ex1 = parse_config(open(os.path.join(REPO, "configs", "example1.cfg")).read())
     assert ex1.blowup is True
     assert ex1.sweep_list() == pytest.approx([0.25 ** j for j in range(1, 6)])

@@ -161,6 +161,25 @@ def test_refine_only_mesh_change_locates_once(monkeypatch):
     assert calls == [len(spf.mesh)]
 
 
+def test_discrete_A_prev_must_end_at_u_prev():
+    # A slab's A_prev closure ends at its u_prev, whose overlay values the
+    # workspace already holds; a closure that ends elsewhere is refused.
+    prob = builtin("heat_decay")
+    mesh = Mesh.uniform(UNIT, 2)
+    sp = fe.Space(mesh, 2)
+    U0 = sc.project_initial(prob, sp)
+    k = 0.01
+    U1, hat = sc.imex_step(prob, U0, sp, k, 0.0)
+    A1 = sc.DiscreteLaplacian(prob.f, 0.0, k, U0, U1, hat)
+    spf = fe.Space(mesh.refine([mesh.leaves[0], mesh.leaves[5]]), 2)
+    ws = est.SlabWorkspace(prob, U1, A1, spf, k)
+    grids = [ws._grid_eval(u) for u in (U0, U1, hat)]
+    assert np.array_equal(ws.A_prev_values(),
+                          A1.values(ws.Xs, ws.Ys, *grids))
+    with pytest.raises(ValueError, match="end at u_prev"):
+        est.SlabWorkspace(prob, U0, A1, spf, k)
+
+
 # -- time estimator --------------------------------------------------------------
 
 
