@@ -4,7 +4,8 @@ Configs are flat `key = value` files with `#` comments and section
 headers in square brackets; see the shipped files under configs/.  Each
 key is a `RunConfig` field listed under its section in `_SECTIONS`; the
 field's type says how its text parses, `_BOUNDS` its range, and
-`emit_config` writes text that parses back to an equal RunConfig.
+`emit_config` writes text that parses back to an equal RunConfig (or
+refuses a string value that could not).
 `solve` runs one adaptive computation, `sweep` repeats it over a list of
 decreasing time tolerances and writes a table-shaped CSV, and `report`
 post-processes a sweep directory into summary lines and convergence
@@ -185,12 +186,22 @@ def _format(value):
 
 
 def emit_config(cfg):
-    """Config text, every key but unset ones, that parses back equal."""
+    """Config text, every key but unset ones, that parses back equal.
+
+    The format has no quoting, so a string value holding `#`, a line
+    break or leading or trailing whitespace raises ConfigError.
+    """
     lines = []
     for section, keys in _SECTIONS.items():
         lines += ["", "[%s]" % section]
         for key in keys:
             value = getattr(cfg, _KEY_FIELD.get(key, key))
+            if isinstance(value, str) and ("#" in value
+                                           or value != value.strip()
+                                           or len(value.splitlines()) > 1):
+                raise ConfigError("%s %r cannot be written: values hold no "
+                                  "`#`, line break or edge whitespace"
+                                  % (key, value))
             if value is not None and value != ():
                 lines.append("%s = %s" % (key, _format(value)))
     return "\n".join(lines[1:]) + "\n"

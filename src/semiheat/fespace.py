@@ -107,7 +107,7 @@ class Space:
         self._build_constraints()
         self._tensor_cache = {}
         self._grid_cache = {}
-        self._condensation = None     # linalg's per-space maps, on first use
+        self._condensation = None     # linalg's maps; one space holds them
 
     # -- enumeration --------------------------------------------------------
 

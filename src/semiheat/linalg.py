@@ -3,9 +3,11 @@
 Matrices are scipy CSR; hanging-node and boundary constraints are
 condensed through the space's constraint matrix P (A_free = P^T A P, a
 CSR product throughout), so the solved systems stay symmetric positive
-definite.  What depends only on the space is built once per space, on
-first use (`_Condensation`): P^T, the cells sorted by level, the gather
-map G = P[dofmap] with G^T, the condensed M and S and their diagonals.
+definite.  What depends only on the space is built on first use
+(`_Condensation`): P^T, the cells sorted by level, the gather map
+G = P[dofmap] with G^T, the condensed M and S and their diagonals.  One
+space holds one at a time: building it for a new space frees the
+previous space's, which is rebuilt if that space is used again.
 The time-step matrix P^T (M/k + aS) P is never assembled:
 `StepOperator` applies it as G^T (blocks (G x)), one dense local matrix
 per mesh level.  The time-step systems are solved with diagonally
@@ -15,6 +17,8 @@ system of the initial projection is factored by sparse LU
 (`solve_direct`).  Both accept a solution only through one shared
 residual check, ||Ax - b|| <= 1e-10 ||b||.
 """
+
+import weakref
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -54,7 +58,8 @@ def _cell_matrices(ref, hx, hy, mass, stiff):
 class _Condensation:
     """What assembly and the step products reuse on one Space.
 
-    Built once per space, on first use (`_condensation`):
+    Built on first use and held by one space at a time
+    (`_condensation`):
     - `PT`, P^T as CSR.  scipy's `P.T` is a new CSC object on every
       access, and a CSC left factor makes `P^T A P` convert A to CSC.
     - The cells sorted stably by level: `level_cells` holds one cell of
@@ -81,16 +86,40 @@ class _Condensation:
         self.M = self.S_unit = self.diagonals = None
 
 
+# The one space that holds a _Condensation, by weak reference so that it
+# is not kept alive here.
+_live = None
+
+
 def _condensation(space):
-    """The space's `_Condensation`, built on first use."""
-    if space._condensation is None:
-        space._condensation = _Condensation(space)
-    return space._condensation
+    """The space's `_Condensation`, built on first use.
+
+    Before building one, the previous holder's is dropped, so the
+    condensed matrices of spaces a run has moved past are freed (a
+    `Trajectory` keeps the spaces themselves).  Operators built earlier
+    keep their own reference and keep working; a space used again
+    builds its condensation again.
+    """
+    global _live
+    cond = space._condensation
+    if cond is None:
+        previous = _live() if _live is not None else None
+        if previous is not None:
+            previous._condensation = None
+        cond = space._condensation = _Condensation(space)
+        _live = weakref.ref(space)
+    return cond
 
 
 def _assemble_full(space, local):
-    """Scatter per-cell local matrices into a global CSR matrix."""
-    dofmap = space.dofmap
+    """Scatter per-cell local matrices into a global CSR matrix.
+
+    The COO indices are int32 when the dofs fit, so scipy does not keep
+    an int32 copy of int64 index arrays alongside them.
+    """
+    index = np.int32 if space.n_global <= np.iinfo(np.int32).max \
+        else np.int64
+    dofmap = space.dofmap.astype(index, copy=False)
     ncells, nloc = dofmap.shape
     rows = np.repeat(dofmap, nloc, axis=1).ravel()
     cols = np.tile(dofmap, (1, nloc)).ravel()
@@ -203,12 +232,12 @@ def load_vector(space, quad_values, condensed=True):
 _RTOL = 1e-10
 
 
-def _checked(solver, A, b, x, tol):
-    """x if ||Ax - b||_2 <= tol, else SolverFailure naming `solver`.
+def _checked(solver, x, res, tol):
+    """x if its residual ||Ax - b||_2, `res`, is <= tol, else a
+    SolverFailure naming `solver`.
 
     A non-finite residual fails.
     """
-    res = np.linalg.norm(A @ x - b)
     if not res <= tol:
         raise SolverFailure(solver, res, tol)
     return x
@@ -240,10 +269,13 @@ def solve_spd(A, b, x0=None):
             return cg(A, b, x0=start, rtol=_RTOL, atol=0.0, maxiter=10 * n,
                       M=prec)[0]
 
+    tol = _RTOL * nb
     x = run(x0)
-    if not np.linalg.norm(A @ x - b) <= _RTOL * nb:
+    res = np.linalg.norm(A @ x - b)
+    if not res <= tol:
         x = run(x)
-    return _checked("conjugate gradients", A, b, x, _RTOL * nb)
+        res = np.linalg.norm(A @ x - b)
+    return _checked("conjugate gradients", x, res, tol)
 
 
 def solve_direct(A, b):
@@ -260,4 +292,4 @@ def solve_direct(A, b):
     lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
     x = lu.solve(b)
     x = x + lu.solve(b - A @ x)
-    return _checked("sparse LU", A, b, x, _RTOL * nb)
+    return _checked("sparse LU", x, np.linalg.norm(A @ x - b), _RTOL * nb)

@@ -156,18 +156,31 @@ def test_roundtrip_with_explicit_sweep_list():
     assert parse_config(emit_config(cfg)) == cfg
 
 
+def test_emit_config_rejects_values_it_cannot_write():
+    with pytest.raises(ConfigError, match="out_dir"):
+        emit_config(cli.RunConfig(problem="heat_decay", out_dir="runs/a#1 "))
+    for out_dir in ("runs/a#1", " runs", "runs\n", "a\nb", "a\rb"):
+        with pytest.raises(ConfigError, match="out_dir"):
+            emit_config(cli.RunConfig(problem="heat_decay", out_dir=out_dir))
+    cfg = cli.RunConfig(problem="heat_decay", out_dir="runs/a b")
+    assert parse_config(emit_config(cfg)) == cfg
+
+
 def test_shipped_presets_parse():
     for name, degree in (("example1", 9), ("example2", 6), ("example3", 3)):
         path = os.path.join(REPO, "configs", "%s.cfg" % name)
-        cfg = parse_config(open(path).read())
+        with open(path) as f:
+            cfg = parse_config(f.read())
         assert cfg.problem == name
         assert cfg.degree == degree
         cfg.resolved_tolerances()
         assert parse_config(emit_config(cfg)) == cfg
-    ex1 = parse_config(open(os.path.join(REPO, "configs", "example1.cfg")).read())
+    with open(os.path.join(REPO, "configs", "example1.cfg")) as f:
+        ex1 = parse_config(f.read())
     assert ex1.blowup is True
     assert ex1.sweep_list() == pytest.approx([0.25 ** j for j in range(1, 6)])
-    ex3 = parse_config(open(os.path.join(REPO, "configs", "example3.cfg")).read())
+    with open(os.path.join(REPO, "configs", "example3.cfg")) as f:
+        ex3 = parse_config(f.read())
     assert ex3.T == 0.75
 
 

@@ -1,5 +1,6 @@
 """Adaptive loop: indicators, tolerance management, stops, post-processing."""
 
+import gc
 from dataclasses import replace
 
 import numpy as np
@@ -164,6 +165,20 @@ def test_example1_blowup_stop():
     assert res.steps <= 8
     assert res.final_norm == pytest.approx(11.0, abs=1.0)
     assert res.final_time < 0.12
+
+
+def test_adaptive_run_keeps_one_condensation():
+    # the trajectory keeps every space the run used; only the last one
+    # may keep its condensed M and S
+    prob = builtin("example3")
+    tol = dr.Tolerances(0.02, 0.02 / 2 ** 10, 0.01, 0.01 / 16)
+    res = dr.run_adaptive(prob, tol, 2, Mesh.uniform(prob.rect, 3), 0.01,
+                          dr.DriverOptions(max_steps=4))
+    assert len({id(s.space_next) for s in res.trajectory.slabs}) > 1
+    gc.collect()
+    condensed = [o for o in gc.get_objects()
+                 if isinstance(o, fe.Space) and o._condensation is not None]
+    assert len(condensed) == 1
 
 
 def test_run_times_strictly_increase_and_r_tilde_is_product():

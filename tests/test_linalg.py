@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.sparse import csr_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 
 from semiheat.mesh import Mesh, Rectangle
 from semiheat import fespace as fe
@@ -310,6 +310,47 @@ def test_condensation_equals_p_transpose_a_p():
         (len(sp.mesh), len(sp.ref.quad1d) ** 2))
     b_full = load_vector(sp, values, condensed=False)
     assert np.array_equal(load_vector(sp, values), P.T @ b_full)
+
+
+def test_condensing_a_second_space_frees_the_first():
+    first, second = _hanging_space(), _hanging_space(2)
+    x = np.random.default_rng(9).standard_normal(first.n_free)
+    op = StepOperator(first, 0.02, 1.5)
+    M, S = assemble_mass(first), assemble_stiffness(first, 1.0)
+    assemble_mass(second)
+    assert first._condensation is None
+    assert second._condensation is not None
+    # the operator keeps its own condensation
+    y = (M / 0.02 + 1.5 * S) @ x
+    assert np.abs(op @ x - y).max() <= 1e-13 * np.abs(y).max()
+    # the first space rebuilds its matrices when used again
+    P = first.P
+    for A, A_full in [(assemble_mass(first),
+                       assemble_mass(first, condensed=False)),
+                      (assemble_stiffness(first, 1.0),
+                       assemble_stiffness(first, 1.0, condensed=False))]:
+        oracle = (P.T @ A_full @ P).toarray()
+        assert np.abs(A.toarray() - oracle).max() \
+            <= 1e-14 * np.abs(oracle).max()
+    assert first._condensation is not None
+    assert second._condensation is None
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 9])
+def test_assembly_matches_int64_index_oracle_bitwise(degree):
+    sp = _hanging_space(degree)
+    dofmap = sp.dofmap.astype(np.int64)
+    nloc = dofmap.shape[1]
+    rows = np.repeat(dofmap, nloc, axis=1).ravel()
+    cols = np.tile(dofmap, (1, nloc)).ravel()
+    for mass, stiff in [(1.0, 0.0), (0.0, 1.0)]:
+        local = linalg._cell_matrices(sp.ref, sp.mesh.hx, sp.mesh.hy,
+                                      mass, stiff)
+        A = linalg._assemble_full(sp, local)
+        oracle = coo_matrix((local.ravel(), (rows, cols)),
+                            shape=(sp.n_global, sp.n_global)).tocsr()
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(A, attr), getattr(oracle, attr))
 
 
 @pytest.mark.parametrize("k, a", [(0.0, 1.0), (-0.01, 1.0),
