@@ -18,6 +18,7 @@ import numpy as np
 from . import fespace as fe
 from . import scheme as sc
 from . import estimators as est
+from .linalg import one_blas_thread
 from .mesh import face_set
 
 
@@ -310,6 +311,7 @@ def _result(traj, ledger, stop, t, u, **extra):
         avg_dofs=weighted_average_dofs(traj) if traj.slabs else 0.0, **extra)
 
 
+@one_blas_thread()
 def run_adaptive(problem, tolerances, degree, initial_mesh, k1, options=None,
                  first_interval=None):
     """Adaptive run; returns a RunResult with trajectory and ledger.
@@ -438,6 +440,7 @@ def run_adaptive(problem, tolerances, degree, initial_mesh, k1, options=None,
                    final_tolerances=(stol_p, stol_m, ttol_p, ttol_m))
 
 
+@one_blas_thread()
 def run_fixed(problem, mesh, degree, k, T=None, options=None):
     """Uniform-step run on a fixed mesh with full estimator bookkeeping.
 

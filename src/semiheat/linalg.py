@@ -16,11 +16,24 @@ matrix or any linear operator with a `diagonal()`); the one Poisson
 system of the initial projection is factored by sparse LU
 (`solve_direct`).  Both accept a solution only through one shared
 residual check, ||Ax - b|| <= 1e-10 ||b||.
+
+The products and the LU solves run on the OpenBLAS that numpy and scipy
+ship, whose default pools spin a second thread on these vector sizes
+and make CG's last bits depend on the thread count.  `one_blas_thread`
+caps both pools at one thread for its duration and restores them; the
+driver's runs wrap themselves in it.
 """
 
+import contextlib
+import ctypes
+import glob
+import os
+import threading
 import weakref
+from typing import Callable, NamedTuple
 
 import numpy as np
+import scipy
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import cg, splu, LinearOperator
 
@@ -293,3 +306,84 @@ def solve_direct(A, b):
     x = lu.solve(b)
     x = x + lu.solve(b - A @ x)
     return _checked("sparse LU", x, np.linalg.norm(A @ x - b), _RTOL * nb)
+
+
+class _BlasPool(NamedTuple):
+    """One bundled OpenBLAS library and its thread-count functions."""
+    path: str
+    get: Callable[[], int]
+    set: Callable[[int], None]
+
+
+def _pool(path):
+    """The _BlasPool of the OpenBLAS library at `path`, or None."""
+    try:
+        lib = ctypes.CDLL(path)
+    except OSError:
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):   # 64-bit and 32-bit integer builds
+            get = getattr(lib, prefix + "_get_num_threads" + suffix, None)
+            put = getattr(lib, prefix + "_set_num_threads" + suffix, None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                put.argtypes, put.restype = (ctypes.c_int,), None
+                return _BlasPool(path, get, put)
+    return None
+
+
+_pools = None
+
+
+def _blas_pools():
+    """The OpenBLAS pools numpy and scipy ship, looked up once.
+
+    numpy's (numpy.libs) serves its vector products; scipy's (scipy.libs)
+    is a separate library with its own pool and serves SuperLU.  Empty
+    where neither ships one, e.g. a build against a system BLAS.
+    """
+    global _pools
+    if _pools is None:
+        paths = []
+        for package in (np, scipy):
+            libs = os.path.join(os.path.dirname(package.__file__), os.pardir,
+                                package.__name__ + ".libs")
+            paths += glob.glob(os.path.join(libs, "*openblas*"))
+        _pools = [p for p in map(_pool, paths) if p is not None]
+    return _pools
+
+
+# Scopes of one_blas_thread open in this process, and the counts the
+# outermost one found.  The pools are process-wide, so scopes in
+# different threads share one cap.
+_blas_lock = threading.Lock()
+_blas_depth = 0
+_blas_saved = []
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Cap every bundled OpenBLAS pool at one thread for the duration.
+
+    Usable as `with one_blas_thread():` or as `@one_blas_thread()`.  The
+    first scope to open saves the counts it finds and the last to close
+    restores them, also when a body raises, so nested scopes and scopes
+    overlapping in several threads leave the caller's counts as they
+    were.  The counts are per process: other threads of the caller also
+    see one BLAS thread meanwhile.  Does nothing where no pool is found.
+    """
+    global _blas_depth, _blas_saved
+    with _blas_lock:
+        if _blas_depth == 0:
+            _blas_saved = [(pool, pool.get()) for pool in _blas_pools()]
+            for pool, _ in _blas_saved:
+                pool.set(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                for pool, count in _blas_saved:
+                    pool.set(count)

@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 
 from semiheat.mesh import Mesh
+from semiheat import cli
 from semiheat import fespace as fe
+from semiheat import linalg
 from semiheat import scheme as sc
 from semiheat import estimators as est
 from semiheat import driver as dr
 from semiheat.problems import builtin
+from test_cli import _tiny_sweep_cfg
 
 
 def test_tolerances_validation():
@@ -298,3 +301,67 @@ def test_first_interval_halving_matches_run_from_halved_k1(tmp_path):
         == (direct.ledger.e0, direct.ledger.eta_I)
     for a, b in zip(halved.ledger.eta_S_maps, direct.ledger.eta_S_maps):
         assert np.array_equal(a, b)
+
+
+def _blas_counts_in_steps(monkeypatch, counts_are, n):
+    """Patches imex_step to record, per call, whether the pools run n threads."""
+    seen, step = [], sc.imex_step
+
+    def observing_step(*args):
+        seen.append(counts_are(n))
+        return step(*args)
+
+    monkeypatch.setattr(sc, "imex_step", observing_step)
+    return seen
+
+
+def _small_adaptive_run():
+    prob = replace(builtin("heat_decay"), T=0.05)
+    return dr.run_adaptive(prob, dr.Tolerances.from_plus(1.0, 0.05), 2,
+                           Mesh.uniform(prob.rect, 3), 0.02)
+
+
+def _small_fixed_run():
+    prob = builtin("manufactured_linear")
+    return dr.run_fixed(prob, Mesh.uniform(prob.rect, 3), 2, k=0.01, T=0.03)
+
+
+@pytest.mark.parametrize("run", [_small_adaptive_run, _small_fixed_run])
+def test_runs_hold_one_blas_thread_and_restore_the_callers(monkeypatch,
+                                                           blas_counts_are,
+                                                           run):
+    seen = _blas_counts_in_steps(monkeypatch, blas_counts_are, 1)
+    assert run().stop_reason == "final_time"
+    assert seen and all(seen)
+    assert blas_counts_are(2)
+
+
+def test_run_restores_the_callers_blas_threads_when_it_raises(
+        monkeypatch, blas_counts_are):
+    seen = []
+
+    def failing_step(*args):
+        seen.append(blas_counts_are(1))
+        raise linalg.SolverFailure("CG", 1.0, 0.5)
+
+    monkeypatch.setattr(sc, "imex_step", failing_step)
+    with pytest.raises(linalg.SolverFailure):
+        _small_adaptive_run()
+    assert seen == [True]
+    assert blas_counts_are(2)
+
+
+def test_sweep_restores_the_callers_blas_threads(monkeypatch, tmp_path,
+                                                 blas_counts_are):
+    seen = _blas_counts_in_steps(monkeypatch, blas_counts_are, 1)
+    rows = cli.run_sweep(_tiny_sweep_cfg(tmp_path))
+    assert [r["stop_reason"] for r in rows] == ["final_time"] * 2
+    assert seen and all(seen)
+    assert blas_counts_are(2)
+
+
+def test_run_without_blas_pools_sets_nothing(monkeypatch, blas_counts_are):
+    monkeypatch.setattr(linalg, "_blas_pools", lambda: [])
+    seen = _blas_counts_in_steps(monkeypatch, blas_counts_are, 2)
+    assert _small_adaptive_run().stop_reason == "final_time"
+    assert seen and all(seen)

@@ -1,7 +1,12 @@
 """Assembly and SPD solves against quadrature and dense oracles."""
 
+import glob
+import os
+import threading
+
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, strategies as st
 from scipy.sparse import coo_matrix, csr_matrix
 
@@ -9,8 +14,8 @@ from semiheat.mesh import Mesh, Rectangle
 from semiheat import fespace as fe
 from semiheat import linalg
 from semiheat.linalg import (StepOperator, assemble_mass, assemble_stiffness,
-                             load_vector, solve_direct, solve_spd,
-                             SolverFailure)
+                             load_vector, one_blas_thread, solve_direct,
+                             solve_spd, SolverFailure)
 from test_mesh_properties import OPS, PROPERTY, build
 
 UNIT = Rectangle(0.0, 1.0, 0.0, 1.0)
@@ -359,3 +364,51 @@ def test_step_operator_rejects_nonpositive_k_or_a(k, a):
     sp = fe.Space(Mesh.uniform(UNIT, 1), 2)
     with pytest.raises(ValueError, match="must be positive"):
         StepOperator(sp, k, a)
+
+
+def test_nested_one_blas_thread_restores_the_outer_value(blas_counts_are):
+    with one_blas_thread():
+        with one_blas_thread():
+            assert blas_counts_are(1)
+        assert blas_counts_are(1)
+    assert blas_counts_are(2)
+
+
+def test_overlapping_scopes_in_two_threads_restore_the_callers_count(
+        blas_counts_are):
+    # thread a opens first and closes first, while b's scope is open
+    a_in, b_in, a_out = (threading.Event() for _ in range(3))
+    seen = []
+
+    def a():
+        with one_blas_thread():
+            a_in.set()
+            b_in.wait(10)
+        a_out.set()
+
+    def b():
+        a_in.wait(10)
+        with one_blas_thread():
+            b_in.set()
+            a_out.wait(10)
+            seen.append(blas_counts_are(1))
+
+    threads = [threading.Thread(target=f) for f in (a, b)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(10)
+    assert not any(t.is_alive() for t in threads)
+    assert seen == [True]
+    assert blas_counts_are(2)
+
+
+def test_every_bundled_openblas_has_a_pool():
+    # a renamed thread-count symbol in a new numpy or scipy wheel must
+    # fail here instead of turning one_blas_thread into a silent no-op
+    found = {os.path.realpath(pool.path) for pool in linalg._blas_pools()}
+    for package in (np, scipy):
+        libs = os.path.join(os.path.dirname(package.__file__), os.pardir,
+                            package.__name__ + ".libs")
+        for path in glob.glob(os.path.join(libs, "*openblas*")):
+            assert os.path.realpath(path) in found, path
