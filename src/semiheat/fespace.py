@@ -61,14 +61,31 @@ class _Ref1D:
         self.half_trace = np.stack(
             [self.eval((off + self.nodes) / 2.0, 0) for off in (0, 1)])
 
+    def _series(self, deriv):
+        """Legendre series of the cardinals' deriv-th derivatives."""
+        if deriv not in self._dcoeffs:
+            self._dcoeffs[deriv] = npleg.legder(self.coeffs, deriv)
+        return self._dcoeffs[deriv]
+
     def eval(self, pts, deriv=0):
         """(npts, p+1) matrix of cardinal values/derivatives at pts."""
         pts = np.asarray(pts, dtype=float).ravel()
-        if deriv not in self._dcoeffs:
-            self._dcoeffs[deriv] = npleg.legder(self.coeffs, deriv)
-        vals = npleg.legval(2.0 * pts - 1.0, self._dcoeffs[deriv],
-                            tensor=True)
+        vals = npleg.legval(2.0 * pts - 1.0, self._series(deriv), tensor=True)
         return vals.T * (2.0 ** deriv)
+
+    def eval_orders(self, pts, orders):
+        """{deriv: eval(pts, deriv)} for each deriv in orders.
+
+        One Legendre-Vandermonde matrix of the points serves every
+        order, one small product each; equal to `eval` up to rounding.
+        """
+        pts = np.asarray(pts, dtype=float).ravel()
+        V = npleg.legvander(2.0 * pts - 1.0, self.p)
+        out = {}
+        for d in orders:
+            series = self._series(d)      # one zero term when d > p
+            out[d] = (V[:, :len(series)] @ series) * (2.0 ** d)
+        return out
 
     def eval_sub(self, pts, dl, off, deriv=0):
         """eval at (off + pts) / 2**dl.
@@ -397,8 +414,9 @@ def evaluate_in_cells(fields, cells, x, y, derivs):
 
     fields: list of Field on the same space; cells, x, y: flat arrays;
     derivs: list of (dx, dy) or 'lap' matching fields.  Returns one value
-    array per field.  Fully vectorized: one 1-D basis evaluation per
-    derivative order over all points, then per-point contractions.
+    array per field.  Fully vectorized: the 1-D bases of every needed
+    derivative order from one Vandermonde matrix per direction
+    (`_Ref1D.eval_orders`), then per-point contractions over x, then y.
     """
     space = fields[0].space
     mesh = space.mesh
@@ -417,9 +435,14 @@ def evaluate_in_cells(fields, cells, x, y, derivs):
             orders.update((0, 2))
         else:
             orders.update(d)
-    BX = {o: ref.eval(xi, o) for o in orders}
-    BY = {o: ref.eval(eta, o) for o in orders}
+    BX = ref.eval_orders(xi, orders)
+    BY = ref.eval_orders(eta, orders)
     local = space.dofmap[cells]
+
+    def contract(C, dx, dy):
+        return np.einsum("pj,pj->p", np.einsum("pji,pi->pj", C, BX[dx]),
+                         BY[dy])
+
     outs = []
     cached = {}
     for fld, dv in zip(fields, derivs):
@@ -428,11 +451,10 @@ def evaluate_in_cells(fields, cells, x, y, derivs):
             C = fld.coeffs[local].reshape(len(x), p + 1, p + 1)
             cached[id(fld)] = C
         if dv == "lap":
-            v = np.einsum("pji,pj,pi->p", C, BY[0], BX[2]) / (hx * hx) \
-                + np.einsum("pji,pj,pi->p", C, BY[2], BX[0]) / (hy * hy)
+            v = contract(C, 2, 0) / (hx * hx) + contract(C, 0, 2) / (hy * hy)
         else:
             dx, dy = dv
-            v = np.einsum("pji,pj,pi->p", C, BY[dy], BX[dx])
+            v = contract(C, dx, dy)
             if dx:
                 v = v / hx ** dx
             if dy:

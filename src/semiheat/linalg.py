@@ -1,21 +1,25 @@
 """Sparse assembly, the cell-by-cell step operator and SPD solves.
 
 Matrices are scipy CSR; hanging-node and boundary constraints are
-condensed through the space's constraint matrix P (A_free = P^T A P, a
-CSR product throughout), so the solved systems stay symmetric positive
-definite.  What depends only on the space is built on first use
-(`_Condensation`): P^T, the cells sorted by level, the gather map
+condensed onto the free dofs, so the solved systems stay symmetric
+positive definite.  What depends only on the space is built on first
+use (`_Condensation`): P^T, the cells sorted by level, the gather map
 G = P[dofmap] with G^T, the condensed M and S and their diagonals.  One
 space holds one at a time: building it for a new space frees the
 previous space's, which is rebuilt if that space is used again.
-The time-step matrix P^T (M/k + aS) P is never assembled:
-`StepOperator` applies it as G^T (blocks (G x)), one dense local matrix
-per mesh level.  The time-step systems are solved with diagonally
+On a quadtree over a rectangle the cells of one level share their local
+matrices, so everything is built from one dense matrix per level and
+the block diagonal `_level_blocks` of them over the cells: the
+condensed M and S are G^T (blocks G), and the time-step matrix
+P^T (M/k + aS) P is never assembled: `StepOperator` applies it as
+G^T (blocks (G x)).  The time-step systems are solved with diagonally
 preconditioned conjugate gradients (`solve_spd`, which takes a sparse
-matrix or any linear operator with a `diagonal()`); the one Poisson
-system of the initial projection is factored by sparse LU
-(`solve_direct`).  Both accept a solution only through one shared
-residual check, ||Ax - b|| <= 1e-10 ||b||.
+matrix or any linear operator with a `diagonal()`).  The one Poisson
+system of the initial projection is solved by static condensation
+(`solve_skeleton`): each level's cell interiors are eliminated through
+a dense Schur complement and only the matrix on the cell edges, the
+skeleton, is factored by sparse LU.  Both accept a solution only
+through one shared residual check, ||Ax - b|| <= 1e-10 ||b||.
 
 The products and the LU solves run on the OpenBLAS that numpy and scipy
 ship, whose default pools spin a second thread on these vector sizes
@@ -34,7 +38,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.linalg import cg, splu, LinearOperator
 
 
@@ -73,11 +77,11 @@ class _Condensation:
 
     Built on first use and held by one space at a time
     (`_condensation`):
-    - `PT`, P^T as CSR.  scipy's `P.T` is a new CSC object on every
-      access, and a CSC left factor makes `P^T A P` convert A to CSC.
-    - The cells sorted stably by level: `level_cells` holds one cell of
-      each level and `bounds` the start of each level's block, then the
-      end.
+    - `PT`, P^T as CSR, which condenses load vectors.  scipy's `P.T` is
+      a new CSC object on every access.
+    - The cells sorted stably by level (`order`): `level_cells` holds
+      one cell of each level and `bounds` the start of each level's
+      block, then the end.
     - The gather G = P[dofmap[order]] and its transpose, both CSR.  Row
       (c, i) of G maps free values to cell c's constrained value at
       local node i, in level order, so G^T sums cellwise values back
@@ -91,6 +95,7 @@ class _Condensation:
         levels = space.mesh.levels
         order = np.argsort(levels, kind="stable")
         _, starts = np.unique(levels[order], return_index=True)
+        self.order = order
         self.level_cells = order[starts]
         self.bounds = np.append(starts, len(order))
         self.PT = P.T.tocsr()
@@ -142,12 +147,42 @@ def _assemble_full(space, local):
     return A.tocsr()
 
 
+def _level_blocks(cond, local):
+    """CSR block diagonal of one dense n x n matrix per mesh level.
+
+    `local[l]` is the block of every cell of level block l, in the
+    cells' level order (`cond.bounds`).  The index arrays are written
+    directly: row r of cell c holds columns c*n .. c*n + n - 1, so there
+    is no COO list to sort.
+    """
+    n = local.shape[-1]
+    counts = np.diff(cond.bounds)
+    ncells = int(counts.sum())
+    index = np.int32 if ncells * n * n <= np.iinfo(np.int32).max \
+        else np.int64
+    cols = np.arange(ncells * n, dtype=index).reshape(ncells, 1, n)
+    indices = np.broadcast_to(cols, (ncells, n, n)).ravel()
+    indptr = np.arange(0, ncells * n * n + 1, n, dtype=index)
+    data = np.repeat(local, counts, axis=0).ravel()
+    return csr_matrix((data, indices, indptr),
+                      shape=(ncells * n, ncells * n))
+
+
 def _assembled(space, mass, stiff, condensed):
-    """mass * M + stiff * S, as P^T A P (all CSR) if condensed."""
+    """mass * M + stiff * S; condensed, G^T (blocks G) (all CSR).
+
+    Uncondensed, every cell's local matrix is scattered onto the global
+    dofs (`_assemble_full`).
+    """
     mesh = space.mesh
-    A = _assemble_full(
-        space, _cell_matrices(space.ref, mesh.hx, mesh.hy, mass, stiff))
-    return _condensation(space).PT @ A @ space.P if condensed else A
+    if not condensed:
+        return _assemble_full(
+            space, _cell_matrices(space.ref, mesh.hx, mesh.hy, mass, stiff))
+    cond = _condensation(space)
+    cells = cond.level_cells
+    local = _cell_matrices(space.ref, mesh.hx[cells], mesh.hy[cells],
+                           mass, stiff)
+    return cond.GT @ (_level_blocks(cond, local) @ cond.G)
 
 
 def assemble_mass(space, condensed=True):
@@ -241,7 +276,7 @@ def load_vector(space, quad_values, condensed=True):
     return _condensation(space).PT @ b if condensed else b
 
 
-# Both solvers guarantee ||Ax - b||_2 <= _RTOL * ||b||_2.
+# Every solver here guarantees ||Ax - b||_2 <= _RTOL * ||b||_2.
 _RTOL = 1e-10
 
 
@@ -297,6 +332,8 @@ def solve_direct(A, b):
     The factorization orders A + A^T by multiple minimum degree, which
     fills far less than column orderings on these symmetric systems.
     Guarantees ||Ax - b||_2 <= _RTOL * ||b||_2 or raises SolverFailure.
+    No caller in the package: the projection uses `solve_skeleton`.  It
+    stays as the tests' oracle for that solve.
     """
     b = np.asarray(b, dtype=float)
     nb = np.linalg.norm(b)
@@ -306,6 +343,66 @@ def solve_direct(A, b):
     x = lu.solve(b)
     x = x + lu.solve(b - A @ x)
     return _checked("sparse LU", x, np.linalg.norm(A @ x - b), _RTOL * nb)
+
+
+def solve_skeleton(space, S, b):
+    """Solve S x = b, S = assemble_stiffness(space, 1.0).
+
+    Static condensation: cell-interior nodes are never constrained, so
+    each interior dof belongs to one cell.  Per level, the interior
+    block K_ii of the local stiffness is inverted and the Schur
+    complement K_ee - K_ei K_ii^-1 K_ie formed on the 4p edge nodes.
+    The skeleton matrix G_b^T (blocks G_b), with G_b the edge rows of G
+    on the non-interior free dofs, is factored by sparse LU (MMD on
+    A + A^T, as `solve_direct`), and the interiors are recovered cell by
+    cell.  S itself serves one step of iterative refinement and the
+    residual check.  Nothing is kept after the call.
+    Guarantees ||Sx - b||_2 <= _RTOL * ||b||_2 or raises SolverFailure.
+    """
+    b = np.asarray(b, dtype=float)
+    nb = np.linalg.norm(b)
+    if nb == 0.0:
+        return np.zeros(space.n_free)
+    cond = _condensation(space)
+    mesh = space.mesh
+    p = space.degree
+    nloc = (p + 1) ** 2
+    i, j = np.divmod(np.arange(nloc), p + 1)
+    inside = (i % p != 0) & (j % p != 0)
+    inner, edge = np.flatnonzero(inside), np.flatnonzero(~inside)
+    cells = cond.level_cells
+    K = _cell_matrices(space.ref, mesh.hx[cells], mesh.hy[cells], 0.0, 1.0)
+    Kii_inv = np.linalg.inv(K[:, inner[:, None], inner])
+    Kei = K[:, edge[:, None], inner]
+    schur = K[:, edge[:, None], edge] - Kei @ Kii_inv @ Kei.transpose(0, 2, 1)
+    interior = space.free_index[space.dofmap[cond.order][:, inner]]
+    on_skeleton = np.ones(space.n_free, dtype=bool)
+    on_skeleton[interior] = False
+    skeleton = np.flatnonzero(on_skeleton)
+    edge_rows = (np.arange(len(cond.order))[:, None] * nloc + edge).ravel()
+    Gb = cond.G[edge_rows][:, skeleton]
+    GbT = Gb.T.tocsr()
+    lu = splu((GbT @ (_level_blocks(cond, schur) @ Gb)).tocsc(),
+              permc_spec="MMD_AT_PLUS_A")
+    blocks = list(zip(cond.bounds[:-1], cond.bounds[1:], Kei, Kii_inv))
+
+    def solve(r):
+        rI = r[interior]
+        moved = np.empty((len(rI), len(edge)))     # K_ei K_ii^-1 r_I
+        for start, end, kei, inv in blocks:
+            moved[start:end] = rI[start:end] @ inv @ kei.T
+        xB = lu.solve(r[skeleton] - GbT @ moved.ravel())
+        uE = (Gb @ xB).reshape(len(rI), len(edge))
+        x = np.empty_like(r)
+        x[skeleton] = xB
+        for start, end, kei, inv in blocks:
+            x[interior[start:end]] = (rI[start:end]
+                                      - uE[start:end] @ kei) @ inv
+        return x
+
+    x = solve(b)
+    x = x + solve(b - S @ x)
+    return _checked("skeleton LU", x, np.linalg.norm(S @ x - b), _RTOL * nb)
 
 
 class _BlasPool(NamedTuple):

@@ -1,7 +1,8 @@
 """First-order IMEX evolution: implicit diffusion, explicit reaction.
 
 The initial field solves the discrete elliptic problem
-(grad U0, grad V) = (-lap u0, V); each step then solves
+(grad U0, grad V) = (-lap u0, V), by static condensation onto the cell
+skeleton (`linalg.solve_skeleton`); each step then solves
 (M/k + S) U_next = M(U_hat/k) + (f(., t_prev, U_prev), .) on the new
 space, where U_hat is the nodal transfer of U_prev.  The step matrix
 M/k + S is applied cell by cell (`linalg.StepOperator`) and never
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import fespace as fe
 from .linalg import (StepOperator, assemble_mass, assemble_stiffness,
-                     load_vector, solve_direct, solve_spd)
+                     load_vector, solve_skeleton, solve_spd)
 
 
 class InitialLaplacian:
@@ -98,13 +99,14 @@ class Trajectory:
 def project_initial(problem, space):
     """Elliptic projection of the initial data onto the space.
 
-    Solved once per space, by sparse LU rather than by CG from zero.
+    Solved once per space, by static condensation onto the cell
+    skeleton (`linalg.solve_skeleton`) rather than by CG from zero.
     """
     Xq, Yq, _ = space.quadrature_points()
     rhs = -np.asarray(problem.lap_u0(Xq, Yq), dtype=float)
     b = load_vector(space, rhs)
     S = assemble_stiffness(space, 1.0)
-    return fe.Field.from_free(space, solve_direct(S, b))
+    return fe.Field.from_free(space, solve_skeleton(space, S, b))
 
 
 def imex_step(problem, u_prev, space_next, k, t_prev):

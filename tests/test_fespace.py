@@ -344,6 +344,21 @@ def test_high_degree_space():
     assert np.abs(vals - expect).max() < 1e-9
 
 
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 9])
+def test_eval_orders_from_one_vandermonde_match_eval(p):
+    # evaluate_in_cells' 1-D bases, including orders above the degree
+    ref = fe._ref(p)
+    pts = np.concatenate([[0.0, 1.0], np.random.default_rng(p).random(50)])
+    orders = range(p + 2)
+    got = ref.eval_orders(pts, orders)
+    assert sorted(got) == list(orders)
+    for d in orders:
+        want = ref.eval(pts, d)
+        assert got[d].shape == want.shape == (len(pts), p + 1)
+        assert np.abs(got[d] - want).max() \
+            <= 1e-13 * max(np.abs(want).max(), 1.0)
+
+
 def test_eval_at_domain_corners():
     sp = fe.Space(Mesh.uniform(UNIT, 2), 2)
     f = fe.Field.from_callable(sp, lambda x, y: x + y)

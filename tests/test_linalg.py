@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 import scipy
 from hypothesis import given, strategies as st
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import block_diag, coo_matrix, csr_matrix
 
 from semiheat.mesh import Mesh, Rectangle
 from semiheat import fespace as fe
 from semiheat import linalg
 from semiheat.linalg import (StepOperator, assemble_mass, assemble_stiffness,
                              load_vector, one_blas_thread, solve_direct,
-                             solve_spd, SolverFailure)
+                             solve_skeleton, solve_spd, SolverFailure)
 from test_mesh_properties import OPS, PROPERTY, build
 
 UNIT = Rectangle(0.0, 1.0, 0.0, 1.0)
@@ -167,40 +167,75 @@ def test_solve_reports_residual_on_failure():
     assert not (exc.value.residual <= exc.value.tol)
 
 
-def _poisson_system(degree):
+def _poisson_system(degree, rect=UNIT):
     # the initial projection's system on a mesh with hanging nodes
-    mesh = Mesh.uniform(UNIT, 2).refine([(2, 1, 1), (2, 2, 1)])
+    mesh = Mesh.uniform(rect, 2).refine([(2, 1, 1), (2, 2, 1)])
     mesh = mesh.refine([(3, 3, 3)])
     sp = fe.Space(mesh, degree)
     assert sp.is_slave.any()
     Xq, Yq, _ = sp.quadrature_points()
     rhs = np.sin(np.pi * Xq) * np.sin(2.0 * np.pi * Yq) + Xq * Yq
-    return assemble_stiffness(sp, 1.0), load_vector(sp, rhs)
+    return sp, assemble_stiffness(sp, 1.0), load_vector(sp, rhs)
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 4])
 def test_direct_solve_meets_the_residual_bound_and_matches_cg(degree):
-    S, b = _poisson_system(degree)
+    _, S, b = _poisson_system(degree)
     x = solve_direct(S, b)
     assert np.linalg.norm(S @ x - b) <= 1e-10 * np.linalg.norm(b)
     y = solve_spd(S, b)
     assert np.abs(x - y).max() <= 1e-8 * np.abs(y).max()
 
 
+class _GarbageLU:
+    def __init__(self, A, **kwargs):
+        self.n = A.shape[0]
+
+    def solve(self, rhs):
+        return np.full(self.n, 1e3)
+
+
 def test_direct_solve_rejects_a_bad_factor(monkeypatch):
-    S, b = _poisson_system(2)
-
-    class Garbage:
-        def __init__(self, A, **kwargs):
-            self.n = A.shape[0]
-
-        def solve(self, rhs):
-            return np.full(self.n, 1e3)
-
-    monkeypatch.setattr(linalg, "splu", Garbage)
+    _, S, b = _poisson_system(2)
+    monkeypatch.setattr(linalg, "splu", _GarbageLU)
     with pytest.raises(SolverFailure) as exc:
         solve_direct(S, b)
     assert "sparse LU" in str(exc.value)
+    assert exc.value.residual > exc.value.tol
+
+
+@pytest.mark.parametrize("rect", [UNIT, Rectangle(-1.0, 2.0, 0.0, 0.5)])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 9])
+def test_skeleton_solve_matches_the_direct_solve(degree, rect):
+    # degree 1 has no cell interiors: the skeleton is every free dof
+    sp, S, b = _poisson_system(degree, rect)
+    cond = sp._condensation
+    kept = {name: id(value) for name, value in vars(cond).items()}
+    x = solve_skeleton(sp, S, b)
+    assert np.linalg.norm(S @ x - b) <= 1e-10 * np.linalg.norm(b)
+    y = solve_direct(S, b)
+    assert np.abs(x - y).max() <= 1e-11 * np.abs(y).max()
+    # the solve keeps nothing on the space
+    assert sp._condensation is cond
+    assert {name: id(value) for name, value in vars(cond).items()} == kept
+
+
+def test_skeleton_solve_of_a_cell_without_skeleton_dofs():
+    # one cell: every edge node is on the boundary, only interiors are free
+    sp = fe.Space(Mesh.uniform(UNIT, 0), 3)
+    S = assemble_stiffness(sp, 1.0)
+    b = np.arange(1.0, sp.n_free + 1)
+    assert np.abs(solve_skeleton(sp, S, b) - solve_direct(S, b)).max() \
+        <= 1e-14
+    assert np.array_equal(solve_skeleton(sp, S, 0 * b), 0 * b)
+
+
+def test_skeleton_solve_rejects_a_bad_factor(monkeypatch):
+    sp, S, b = _poisson_system(3)
+    monkeypatch.setattr(linalg, "splu", _GarbageLU)
+    with pytest.raises(SolverFailure) as exc:
+        solve_skeleton(sp, S, b)
+    assert str(exc.value).startswith("skeleton LU stalled")
     assert exc.value.residual > exc.value.tol
 
 
@@ -304,17 +339,36 @@ def test_step_operators_share_one_space_cache_without_going_stale():
 
 
 def test_condensation_equals_p_transpose_a_p():
-    sp = _hanging_space()
-    P = sp.P
-    for A, A_full in [(assemble_mass(sp), assemble_mass(sp, condensed=False)),
-                      (assemble_stiffness(sp, 1.0),
-                       assemble_stiffness(sp, 1.0, condensed=False))]:
-        old = (P.T @ A_full @ P).toarray()
-        assert np.abs(A.toarray() - old).max() <= 1e-14 * np.abs(old).max()
-    values = np.random.default_rng(8).standard_normal(
-        (len(sp.mesh), len(sp.ref.quad1d) ** 2))
-    b_full = load_vector(sp, values, condensed=False)
-    assert np.array_equal(load_vector(sp, values), P.T @ b_full)
+    # the level-block products G^T (blocks G) against scattering every
+    # cell's matrix and condensing, on a non-square rectangle
+    for degree in (1, 2, 3, 4, 9):
+        sp = _hanging_space(degree)
+        P = sp.P
+        for A, A_full in [(assemble_mass(sp),
+                           assemble_mass(sp, condensed=False)),
+                          (assemble_stiffness(sp, 1.0),
+                           assemble_stiffness(sp, 1.0, condensed=False))]:
+            old = (P.T @ A_full @ P).toarray()
+            assert np.abs(A.toarray() - old).max() \
+                <= 1e-14 * np.abs(old).max()
+        values = np.random.default_rng(8).standard_normal(
+            (len(sp.mesh), len(sp.ref.quad1d) ** 2))
+        b_full = load_vector(sp, values, condensed=False)
+        assert np.array_equal(load_vector(sp, values), P.T @ b_full)
+
+
+def test_level_blocks_are_the_block_diagonal_in_level_order():
+    sp = _hanging_space(2)
+    cond = linalg._condensation(sp)
+    local = np.random.default_rng(10).standard_normal(
+        (len(cond.level_cells), 5, 5))
+    counts = np.diff(cond.bounds)
+    B = linalg._level_blocks(cond, local)
+    oracle = block_diag([blk for blk, n in zip(local, counts)
+                         for _ in range(n)], format="csr")
+    assert B.has_sorted_indices
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(B, attr), getattr(oracle, attr))
 
 
 def test_condensing_a_second_space_frees_the_first():
