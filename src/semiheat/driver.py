@@ -177,10 +177,13 @@ class _Slab:
     its per-cell space estimator.  `solve` tries a candidate (space, k):
     the IMEX step and the time estimator.  `space_estimates` evaluates the
     candidate's space side once.  `certify` computes psi, delta and r,
-    records the slab and returns the slab that follows it.
+    records the slab and returns the slab that follows it, which holds the
+    certified workspace until its own first workspace has taken what it
+    can reuse.
     """
 
-    def __init__(self, problem, opts, m, t, u, A, eta_S, face_derivs=None):
+    def __init__(self, problem, opts, m, t, u, A, eta_S, face_derivs=None,
+                 previous=None):
         self.problem = problem
         self.opts = opts
         self.m = m
@@ -189,6 +192,7 @@ class _Slab:
         self.A = A
         self.eta_S = eta_S
         self.face_derivs = face_derivs  # of u, from the previous workspace
+        self.previous = previous        # that workspace, until self.ws
         self.ws = None
 
     def solve(self, space, k):
@@ -198,7 +202,8 @@ class _Slab:
             self.ws = est.SlabWorkspace(
                 self.problem, self.u, self.A, space, self.t,
                 q=self.opts.time_quadrature,
-                prev_face_derivs=self.face_derivs)
+                prev_face_derivs=self.face_derivs, previous=self.previous)
+            self.previous = None
         self.ws.set_state(u_next, u_hat, k)
         self.k = k
         self.eta_T = self.ws.eta_time()
@@ -244,7 +249,7 @@ class _Slab:
                         delta, r, eta_S, ws.hmin_next, dot_map)
         _maybe_dump(opts, self.m, ws.mesh_next, ws.u_next)
         return _Slab(problem, opts, self.m + 1, t_next, ws.u_next,
-                     slab.A_next, eta_S, ws.next_face_derivs)
+                     slab.A_next, eta_S, ws.next_face_derivs, ws)
 
 
 class _Start(NamedTuple):

@@ -145,10 +145,23 @@ class SlabWorkspace:
     pair is evaluated once.  A workspace can start from the
     `next_face_derivs` of the previous slab's workspace, whose end field
     is this slab's u_prev.
+
+    `previous` is that workspace itself, at the state its slab was
+    certified in.  When its finest overlay is this one's and its u_next
+    is this u_prev, its end-field arrays are this workspace's start-field
+    arrays, the same values the overlay would give: `Uprev` is its
+    `Unext`, the Laplacian its `_lapUnext` (if it was evaluated), and
+    `A_prev_values()` its `A_next_values()` when A_prev is the closure
+    its state defines.  Otherwise everything is evaluated here.  Only
+    the arrays are kept, not `previous`.
+
+    The sampled sup norm of the time interpolant is computed once per
+    time node and state (`u_norm`); `eta_time` records it at its Gauss
+    nodes, where the delta and Gronwall integrals read it.
     """
 
     def __init__(self, problem, u_prev, A_prev, space_next, t_prev, q=3,
-                 prev_face_derivs=None):
+                 prev_face_derivs=None, previous=None):
         if u_prev.space.degree != space_next.degree:
             raise ValueError("slab endpoint spaces must share the degree")
         # A_prev_values reads the closure's end field as self.Uprev
@@ -180,9 +193,16 @@ class SlabWorkspace:
             else prev_face_derivs
 
         # Static per-slab arrays.
-        self.Uprev = self._grid_eval(u_prev)
         self._lapUprev = None
         self._A_prev_vals = None
+        if previous is not None and previous.vee is self.vee \
+                and previous.u_next is u_prev:
+            self.Uprev = previous.Unext
+            self._lapUprev = previous._lapUnext
+            if _defines(previous, A_prev):
+                self._A_prev_vals = previous.A_next_values()
+        else:
+            self.Uprev = self._grid_eval(u_prev)
 
         # Per-state arrays (set_state).
         self.u_next = None
@@ -192,6 +212,7 @@ class SlabWorkspace:
         self._A_next_vals = None
         self._lapUnext = None
         self.next_face_derivs = {}
+        self._norms = {}
 
     def _grid_eval(self, field, deriv="val"):
         """Values ("val") or Laplacian ("lap") on the overlay sample grid."""
@@ -212,6 +233,7 @@ class SlabWorkspace:
         self._A_next_vals = None
         self._lapUnext = None
         self.next_face_derivs = {}
+        self._norms = {}
 
     # -- driving terms ---------------------------------------------------------
 
@@ -237,10 +259,17 @@ class SlabWorkspace:
     # -- time estimator ----------------------------------------------------------
 
     def u_norm(self, s):
-        """Sampled sup norm of the time interpolant at s in the slab."""
-        lb = (s - self.t_prev) / self.k
-        la = 1.0 - lb
-        return float(np.abs(la * self.Uprev + lb * self.Unext).max())
+        """Sampled sup norm of the time interpolant at s in the slab.
+
+        Computed once per s in each state.
+        """
+        norm = self._norms.get(s)
+        if norm is None:
+            lb = (s - self.t_prev) / self.k
+            la = 1.0 - lb
+            norm = self._norms[s] = float(
+                np.abs(la * self.Uprev + lb * self.Unext).max())
+        return norm
 
     def modulus_integral(self, modulus, c):
         """Integral over the slab of L(s, ||U(s)||, ||U(s)|| + c)."""
@@ -258,7 +287,7 @@ class SlabWorkspace:
         return eta_time_from_values(
             self.problem.f, self.Xs, self.Ys, self.t_prev, self.k,
             self.Uprev, self.Unext, self.A_prev_values(),
-            self.A_next_values(), q=self.q)
+            self.A_next_values(), q=self.q, norms=self._norms)
 
     # -- space estimators --------------------------------------------------------
 
@@ -328,12 +357,13 @@ class SlabWorkspace:
 
 
 def eta_time_from_values(f, Xs, Ys, t_prev, k, U_prev_vals, U_next_vals,
-                         A_prev_vals, A_next_vals, q=3):
+                         A_prev_vals, A_next_vals, q=3, norms=None):
     """Time estimator from sampled endpoint values.
 
     Integrates the sampled sup norm of
     f(x, s, U(s)) - l_a(s) A_prev - l_b(s) A_next - (U_next - U_prev)/k
-    with a q-node Gauss rule over the slab.
+    with a q-node Gauss rule over the slab.  A dict `norms` receives
+    max |U(s)| at each node s.
     """
     Ut = (U_next_vals - U_prev_vals) / k
     nodes, wts = _time_rule(t_prev, k, q)
@@ -342,10 +372,19 @@ def eta_time_from_values(f, Xs, Ys, t_prev, k, U_prev_vals, U_next_vals,
         lb = (s - t_prev) / k
         la = 1.0 - lb
         U = la * U_prev_vals + lb * U_next_vals
+        if norms is not None:
+            norms[s] = float(np.abs(U).max())
         R = np.asarray(f(Xs, Ys, s, U), dtype=float) \
             - la * A_prev_vals - lb * A_next_vals - Ut
         acc += w * float(np.abs(R).max())
     return acc
+
+
+def _defines(ws, A):
+    """True when closure A is the A_next of workspace ws's current state."""
+    return isinstance(A, DiscreteLaplacian) and (
+        A.f, A.t_prev, A.k, A.u_prev, A.u_next, A.u_hat) == (
+        ws.problem.f, ws.t_prev, ws.k, ws.u_prev, ws.u_next, ws.u_hat)
 
 
 # -- psi / delta / r -------------------------------------------------------------

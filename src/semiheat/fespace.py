@@ -31,10 +31,22 @@ def gauss_lobatto(n):
     return np.concatenate(([0.0], pts, [1.0]))
 
 
+_GAUSS_CACHE = {}
+
+
 def gauss_legendre(n):
-    """n-point Gauss rule on [0, 1]: (points, weights)."""
-    x, w = npleg.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+    """n-point Gauss rule on [0, 1]: (points, weights).
+
+    Built once per n and shared, so both arrays are read-only.
+    """
+    rule = _GAUSS_CACHE.get(n)
+    if rule is None:
+        x, w = npleg.leggauss(n)
+        rule = (0.5 * (x + 1.0), 0.5 * w)
+        for a in rule:
+            a.flags.writeable = False
+        _GAUSS_CACHE[n] = rule
+    return rule
 
 
 class _Ref1D:
@@ -50,6 +62,7 @@ class _Ref1D:
         V = npleg.legvander(2.0 * self.nodes - 1.0, p)
         self.coeffs = np.linalg.inv(V)  # column k: series of cardinal k
         self._dcoeffs = {0: self.coeffs}
+        self._point_tables = {}
         self.sample1d = gauss_lobatto(p + 3)
         self.quad1d, self.quadw1d = gauss_legendre(p + 2)
         gB0 = self.eval(self.quad1d, 0)
@@ -95,6 +108,22 @@ class _Ref1D:
         basis (derivatives in the cell's own coordinate) seen from there.
         """
         return self.eval((off + pts) / float(1 << dl), deriv)
+
+    def point_table(self, xi, eta, dx, dy):
+        """((p+1)**2, npts) table of the tensor basis at points (xi, eta).
+
+        Row j * (p+1) + i (the local dof order) holds
+        l_i^(dx)(xi) * l_j^(dy)(eta) at each point, so one cell's values
+        there are its coefficient row times the table.  Built from `eval`
+        and cached by the points' bytes and the orders.
+        """
+        key = (xi.tobytes(), eta.tobytes(), dx, dy)
+        table = self._point_tables.get(key)
+        if table is None:
+            bx, by = self.eval(xi, dx), self.eval(eta, dy)
+            table = (by[:, :, None] * bx[:, None, :]).reshape(len(xi), -1).T
+            self._point_tables[key] = table
+        return table
 
     def points(self, kind):
         """1-D points of the "sample", "quad" or "nodes" tensor grid."""
@@ -409,14 +438,23 @@ def sample_grid_values(field, cells, deriv, sub=(0, 0, 0), kind="sample"):
 # -- scattered evaluation -------------------------------------------------------
 
 
-def evaluate_in_cells(fields, cells, x, y, derivs):
+def evaluate_in_cells(fields, cells, x, y, derivs, shared=False):
     """Evaluate fields of one space at points with known containing cells.
 
-    fields: list of Field on the same space; cells, x, y: flat arrays;
-    derivs: list of (dx, dy) or 'lap' matching fields.  Returns one value
-    array per field.  Fully vectorized: the 1-D bases of every needed
-    derivative order from one Vandermonde matrix per direction
-    (`_Ref1D.eval_orders`), then per-point contractions over x, then y.
+    fields: list of Field on the same space; derivs: list of (dx, dy) or
+    'lap' matching fields.  Returns one value array per field.
+
+    Scattered points (the default): cells, x, y are flat arrays, one
+    physical point per cell entry, and each value array is flat.  The
+    1-D bases of every needed derivative order come from one Vandermonde
+    matrix per direction (`_Ref1D.eval_orders`), then per-point
+    contractions over x, then y.
+
+    shared=True: x, y are the reference coordinates in [0, 1]^2 of
+    points that every cell in `cells` shares, and each value array is
+    (cells, points): one gather of the cells' coefficients and one
+    product with the degree's cached table of those points
+    (`_Ref1D.point_table`).
     """
     space = fields[0].space
     mesh = space.mesh
@@ -427,29 +465,40 @@ def evaluate_in_cells(fields, cells, x, y, derivs):
     ref = space.ref
     hx = mesh.hx[cells]
     hy = mesh.hy[cells]
-    xi = np.clip((x - mesh.x0[cells]) / hx, 0.0, 1.0)
-    eta = np.clip((y - mesh.y0[cells]) / hy, 0.0, 1.0)
-    orders = set()
-    for d in derivs:
-        if d == "lap":
-            orders.update((0, 2))
-        else:
-            orders.update(d)
-    BX = ref.eval_orders(xi, orders)
-    BY = ref.eval_orders(eta, orders)
     local = space.dofmap[cells]
+    if shared:
+        hx, hy = hx[:, None], hy[:, None]
 
-    def contract(C, dx, dy):
-        return np.einsum("pj,pj->p", np.einsum("pji,pi->pj", C, BX[dx]),
-                         BY[dy])
+        def gather(fld):
+            return fld.coeffs[local]
+
+        def contract(C, dx, dy):
+            return C @ ref.point_table(x, y, dx, dy)
+    else:
+        xi = np.clip((x - mesh.x0[cells]) / hx, 0.0, 1.0)
+        eta = np.clip((y - mesh.y0[cells]) / hy, 0.0, 1.0)
+        orders = set()
+        for d in derivs:
+            if d == "lap":
+                orders.update((0, 2))
+            else:
+                orders.update(d)
+        BX = ref.eval_orders(xi, orders)
+        BY = ref.eval_orders(eta, orders)
+
+        def gather(fld):
+            return fld.coeffs[local].reshape(len(x), p + 1, p + 1)
+
+        def contract(C, dx, dy):
+            return np.einsum("pj,pj->p",
+                             np.einsum("pji,pi->pj", C, BX[dx]), BY[dy])
 
     outs = []
     cached = {}
     for fld, dv in zip(fields, derivs):
         C = cached.get(id(fld))
         if C is None:
-            C = fld.coeffs[local].reshape(len(x), p + 1, p + 1)
-            cached[id(fld)] = C
+            C = cached[id(fld)] = gather(fld)
         if dv == "lap":
             v = contract(C, 2, 0) / (hx * hx) + contract(C, 0, 2) / (hy * hy)
         else:
@@ -480,25 +529,51 @@ def face_normal_derivs(field, fs):
     so the face set's mesh must be the field's mesh or refine it.  Returns
     one (face indices, left values, right values) triple per face
     orientation present, values shaped (faces, samples).
+
+    A face is an edge of its finer cell, dl >= 0 levels below a side's
+    host cell, so the side sees the face at a dyadic position of the
+    host: across it at num / 2**dl, along it at (off + samples) / 2**dl,
+    with integers num in [0, 2**dl] and off in [0, 2**dl).  Face sides
+    are grouped by their class (orientation, dl, num, off), exact in
+    int64 integers at every level below LMAX, and each class is one
+    `evaluate_in_cells` call on its host cells with the class's shared
+    reference points.
     """
-    host = transfer(fs.mesh, field.space.mesh).host
+    src = field.space.mesh
+    mesh = fs.mesh
+    host = transfer(mesh, src).host
     t = field.space.ref.sample1d
-    ns = len(t)
-    seg = fs.lo[:, None] + (fs.hi - fs.lo)[:, None] * t[None, :]
+    lv = mesh.levels
+    fine_left = lv[fs.left] >= lv[fs.right]
+    fine = np.where(fine_left, fs.left, fs.right)
     out = []
     for o, dv in ((0, (1, 0)), (1, (0, 1))):
         sel = np.flatnonzero(fs.orient == o)
         if len(sel) == 0:
             continue
-        across = np.repeat(fs.coord[sel], ns)
-        along = seg[sel].ravel()
-        x, y = (across, along) if o == 0 else (along, across)
-        sides = []
-        for side in (fs.left[sel], fs.right[sel]):
-            vals = evaluate_in_cells([field], np.repeat(host[side], ns),
-                                     x, y, [dv])[0]
-            sides.append(vals.reshape(len(sel), ns))
-        out.append((sel, sides[0], sides[1]))
+        f = fine[sel]
+        pos = (mesh.ix, mesh.iy) if o == 0 else (mesh.iy, mesh.ix)
+        across = pos[0][f] + fine_left[sel]     # on the level of cell f
+        along = pos[1][f]
+        hosts = host[np.concatenate([fs.left[sel], fs.right[sel]])]
+        hpos = (src.ix, src.iy) if o == 0 else (src.iy, src.ix)
+        dl = np.tile(lv[f], 2) - src.levels[hosts]
+        keys = np.stack([dl, np.tile(across, 2) - (hpos[0][hosts] << dl),
+                         np.tile(along, 2) - (hpos[1][hosts] << dl)], axis=1)
+        order = np.lexsort(keys.T[::-1])
+        keys = keys[order]
+        starts = np.flatnonzero(np.concatenate(
+            ([True], (keys[1:] != keys[:-1]).any(axis=1))))
+        vals = np.empty((len(hosts), len(t)))
+        for (d, num, off), rows in zip(keys[starts].tolist(),
+                                       np.split(order, starts[1:])):
+            scale = float(1 << d)
+            a = np.full(len(t), num / scale)
+            b = (off + t) / scale
+            xi, eta = (a, b) if o == 0 else (b, a)
+            vals[rows] = evaluate_in_cells([field], hosts[rows], xi, eta,
+                                           [dv], shared=True)[0]
+        out.append((sel, vals[:len(sel)], vals[len(sel):]))
     return out
 
 

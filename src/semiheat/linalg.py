@@ -251,12 +251,27 @@ class StepOperator(LinearOperator):
     def diagonal(self):
         """Bitwise the diagonal of the assembled M/k + aS.
 
-        scipy divides a sparse matrix by k as a product with 1/k.
+        scipy divides a sparse matrix by k as a product with 1/k.  S is
+        not assembled for it (the projection's S is used when the space
+        has one): diag(G^T B G) holds the column sums of G o (B G), B the
+        level blocks of the unit stiffness, and `np.bincount` adds each
+        column's entries in row order, as the sparse product G^T (B G)
+        adds them.
         """
         cond = self._cond
         if cond.diagonals is None:
-            cond.diagonals = (assemble_mass(self.space).diagonal(),
-                              assemble_stiffness(self.space, 1.0).diagonal())
+            space = self.space
+            if cond.S_unit is not None:
+                dS = cond.S_unit.diagonal()
+            else:
+                cells = cond.level_cells
+                local = _cell_matrices(space.ref, space.mesh.hx[cells],
+                                       space.mesh.hy[cells], 0.0, 1.0)
+                GBG = cond.G.multiply(_level_blocks(cond, local) @ cond.G)
+                GBG = GBG.tocsr()
+                dS = np.bincount(GBG.indices, weights=GBG.data,
+                                 minlength=space.n_free)
+            cond.diagonals = (assemble_mass(space).diagonal(), dS)
         dM, dS = cond.diagonals
         return dM * (1.0 / self.k) + self.a * dS
 

@@ -180,6 +180,106 @@ def test_discrete_A_prev_must_end_at_u_prev():
         est.SlabWorkspace(prob, U0, A1, spf, k)
 
 
+# -- reuse across slabs ------------------------------------------------------------
+
+
+def _second_slab(refine):
+    """Slab 1's certified workspace and slab 2's inputs (p=3, hanging nodes).
+
+    With `refine`, slab 2 steps onto a refinement of slab 1's mesh, so the
+    two slabs' finest overlays differ.  Returns (problem, slab 1's
+    workspace, U1, U0, its closure A1, slab 2's space, slab 2's state).
+    """
+    prob = builtin("example1")
+    mesh = Mesh.uniform(prob.rect, 2).refine([(2, 1, 1)])
+    sp = fe.Space(mesh, 3)
+    k = 0.01
+    U0 = sc.project_initial(prob, sp)
+    U1, hat1 = sc.imex_step(prob, U0, sp, k, 0.0)
+    A0 = sc.InitialLaplacian(prob.a, prob.lap_u0)
+    ws1 = est.SlabWorkspace(prob, U0, A0, sp, 0.0)
+    ws1.set_state(U1, hat1, k)
+    ws1.eta_time()
+    ws1.eta_space_map()
+    A1 = sc.make_slab(prob, 1, 0.0, k, U0, U1, hat1, A0).A_next
+    sp2 = fe.Space(mesh.refine([(3, 2, 2)]), 3) if refine else sp
+    U2, hat2 = sc.imex_step(prob, U1, sp2, k, k)
+    return prob, ws1, U1, U0, A1, sp2, (U2, hat2, k)
+
+
+def _assert_same_start(warm, cold):
+    assert np.array_equal(warm.Uprev, cold.Uprev)
+    assert np.array_equal(warm._lap_prev(), cold._lap_prev())
+    assert np.array_equal(warm.A_prev_values(), cold.A_prev_values())
+
+
+def test_workspace_from_its_predecessor_equals_one_built_cold():
+    prob, ws1, U1, U0, A1, sp2, state = _second_slab(refine=False)
+    k = state[2]
+    warm = est.SlabWorkspace(prob, U1, A1, sp2, k, previous=ws1)
+    cold = est.SlabWorkspace(prob, U1, A1, sp2, k)
+    assert warm.vee is ws1.vee
+    assert warm.Uprev is ws1.Unext and warm._lapUprev is ws1._lapUnext
+    assert warm.A_prev_values() is ws1.A_next_values()
+    _assert_same_start(warm, cold)
+    # a closure other than slab 1's state: its values are evaluated
+    other = sc.DiscreteLaplacian(prob.f, 0.0, 2 * k, U0, U1, U1)
+    warm = est.SlabWorkspace(prob, U1, other, sp2, k, previous=ws1)
+    assert warm.Uprev is ws1.Unext
+    assert warm.A_prev_values() is not ws1.A_next_values()
+    _assert_same_start(warm, est.SlabWorkspace(prob, U1, other, sp2, k))
+    # u_norm: eta_time's values at its Gauss nodes, computed ones elsewhere
+    nodes, _ = est._time_rule(k, k, 3)
+    times = list(nodes) + [1.37 * k]
+    for ws in (warm, cold):
+        ws.set_state(*state)
+    warm.eta_time()
+    assert set(nodes) <= set(warm._norms)
+    assert [warm.u_norm(s) for s in times] == [cold.u_norm(s) for s in times]
+
+
+def test_workspace_after_a_mesh_change_evaluates_its_start_field():
+    prob, ws1, U1, _, A1, sp2, _ = _second_slab(refine=True)
+    k = 0.01
+    warm = est.SlabWorkspace(prob, U1, A1, sp2, k, previous=ws1)
+    assert warm.vee is not ws1.vee
+    assert warm.Uprev is not ws1.Unext and warm._lapUprev is None
+    assert warm.A_prev_values() is not ws1.A_next_values()
+    _assert_same_start(warm, est.SlabWorkspace(prob, U1, A1, sp2, k))
+
+
+def test_reusing_the_previous_workspace_leaves_the_ledger_bitwise(
+        monkeypatch):
+    from semiheat import driver as dr
+
+    def run():
+        prob = builtin("example3")
+        tol = dr.Tolerances(0.02, 0.02 / 2 ** 10, 0.01, 0.01 / 16)
+        return dr.run_adaptive(prob, tol, 2, Mesh.uniform(prob.rect, 3),
+                               0.01, dr.DriverOptions(max_steps=6)).ledger
+
+    init = est.SlabWorkspace.__init__
+    reused = []
+
+    def spy(self, *args, previous=None, **kwargs):
+        init(self, *args, previous=previous, **kwargs)
+        reused.append(previous is not None and self.Uprev is previous.Unext)
+
+    monkeypatch.setattr(est.SlabWorkspace, "__init__", spy)
+    warm = run()
+    assert any(reused) and not all(reused)
+    monkeypatch.setattr(est.SlabWorkspace, "__init__",
+                        lambda self, *a, previous=None, **kw:
+                        init(self, *a, **kw))
+    cold = run()
+    for name in ("t", "k", "dofs", "linf_u", "eta_T", "xi", "xi_prime",
+                 "psi", "delta", "r", "r_tilde", "bound"):
+        assert getattr(warm, name) == getattr(cold, name), name
+    for a, b in zip(warm.eta_dot_maps + warm.eta_S_maps,
+                    cold.eta_dot_maps + cold.eta_S_maps):
+        assert np.array_equal(a, b)
+
+
 # -- time estimator --------------------------------------------------------------
 
 

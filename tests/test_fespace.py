@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from semiheat.mesh import LMAX, Mesh, Rectangle
+from semiheat.mesh import LMAX, Mesh, Rectangle, face_set
 from semiheat import fespace as fe
 from test_mesh import (TWO_IRREGULAR, _neighbor_leaves,
                        brute_force_one_irregular)
@@ -357,6 +357,87 @@ def test_eval_orders_from_one_vandermonde_match_eval(p):
         assert got[d].shape == want.shape == (len(pts), p + 1)
         assert np.abs(got[d] - want).max() \
             <= 1e-13 * max(np.abs(want).max(), 1.0)
+
+
+def test_gauss_legendre_is_cached_and_read_only():
+    for n in (1, 3, 6):
+        x, w = np.polynomial.legendre.leggauss(n)
+        pts, wts = fe.gauss_legendre(n)
+        assert fe.gauss_legendre(n)[0] is pts
+        assert np.array_equal(pts, 0.5 * (x + 1.0))
+        assert np.array_equal(wts, 0.5 * w)
+        for a in (pts, wts):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+
+def loop_face_normal_derivs(field, fs):
+    """face_normal_derivs by evaluating each face point on its own.
+
+    The face's physical sample points along [lo, hi], each evaluated in
+    its side's host cell through `evaluate_in_cells`' scattered path.
+    """
+    host = fe.transfer(fs.mesh, field.space.mesh).host
+    t = field.space.ref.sample1d
+    ns = len(t)
+    seg = fs.lo[:, None] + (fs.hi - fs.lo)[:, None] * t[None, :]
+    out = []
+    for o, dv in ((0, (1, 0)), (1, (0, 1))):
+        sel = np.flatnonzero(fs.orient == o)
+        if len(sel) == 0:
+            continue
+        across = np.repeat(fs.coord[sel], ns)
+        along = seg[sel].ravel()
+        x, y = (across, along) if o == 0 else (along, across)
+        sides = []
+        for side in (fs.left[sel], fs.right[sel]):
+            vals = fe.evaluate_in_cells([field], np.repeat(host[side], ns),
+                                        x, y, [dv])[0]
+            sides.append(vals.reshape(len(sel), ns))
+        out.append((sel, sides[0], sides[1]))
+    return out
+
+
+def deep_mesh_pair():
+    """(source, deep) meshes; deep grades down to level 39 at one point.
+
+    The finest overlay of the two has faces up to 37 levels below their
+    host cell in the source mesh.
+    """
+    src, _ = moved_mesh_pair()
+    deep = Mesh.uniform(src.rect, 1)
+    for _ in range(38):
+        deep = deep.refine([deep.leaves[int(deep.locate(0.3, -0.2)[0])]])
+    return src, deep
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 9])
+def test_face_normal_derivs_by_class_match_the_pointwise_loop(p):
+    """On own-mesh and overlay face sets of hanging-node meshes of a
+    non-square rectangle, including a level-39 overlay."""
+    rng = np.random.default_rng(30 + p)
+    src, tgt = moved_mesh_pair()
+    _, deep = deep_mesh_pair()
+    assert max(deep.levels) == 39
+    cases = [(src, src), (tgt, tgt), (src, src.overlay_finest(tgt)),
+             (tgt, src.overlay_finest(tgt)), (src, src.overlay_finest(deep))]
+    dls = set()
+    for mesh, faces in cases:
+        sp = fe.Space(mesh, p)
+        f = fe.Field.from_free(sp, rng.standard_normal(sp.n_free))
+        fs = face_set(faces)
+        host = fe.transfer(faces, mesh).host
+        dls.update((faces.levels - mesh.levels[host]).tolist())
+        got = fe.face_normal_derivs(f, fs)
+        want = loop_face_normal_derivs(f, fs)
+        assert len(got) == len(want) == 2
+        for (sg, lg, rg), (sw, lw, rw) in zip(got, want):
+            assert np.array_equal(sg, sw)
+            scale = max(np.abs(lw).max(), np.abs(rw).max())
+            assert lg.shape == lw.shape and rg.shape == rw.shape
+            assert np.abs(lg - lw).max() <= 1e-12 * scale
+            assert np.abs(rg - rw).max() <= 1e-12 * scale
+    assert max(dls) >= 37
 
 
 def test_eval_at_domain_corners():

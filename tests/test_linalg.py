@@ -291,16 +291,22 @@ def test_cg_fails_after_one_restart_and_names_itself(monkeypatch):
 @given(OPS, st.sampled_from([1e-4, 0.01, 0.3]),
        st.sampled_from([1.0, 0.07, 2.5]))
 def test_step_operator_is_the_assembled_step_matrix(degree, ops, k, a):
-    # random hanging-node meshes on a non-square rectangle (hx != hy)
+    # random hanging-node meshes on a non-square rectangle (hx != hy);
+    # the diagonal is taken before S is assembled, so it comes from the
+    # level blocks
     sp = fe.Space(build(ops), degree)
     op = StepOperator(sp, k, a)
+    d = op.diagonal()
+    assert sp._condensation.S_unit is None
     A = assemble_mass(sp) / k + assemble_stiffness(sp, a)
     x = np.random.default_rng(degree).standard_normal(sp.n_free)
     y = A @ x
     assert op.shape == A.shape
     assert np.abs(op @ x - y).max(initial=0.0) \
         <= 1e-13 * np.abs(y).max(initial=0.0)
-    assert np.array_equal(op.diagonal(), A.diagonal())
+    assert np.array_equal(d, A.diagonal())
+    assert np.array_equal(sp._condensation.diagonals[1],
+                          assemble_stiffness(sp, 1).diagonal())
     assert op.nnz == len(sp.mesh) * (degree + 1) ** 4
 
 
