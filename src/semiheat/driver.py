@@ -182,8 +182,8 @@ class _Slab:
     can reuse.
     """
 
-    def __init__(self, problem, opts, m, t, u, A, eta_S, face_derivs=None,
-                 previous=None):
+    def __init__(self, problem, opts, m, t, u, A, eta_S, previous=None,
+                 face_derivs=None):
         self.problem = problem
         self.opts = opts
         self.m = m
@@ -191,8 +191,8 @@ class _Slab:
         self.u = u
         self.A = A
         self.eta_S = eta_S
-        self.face_derivs = face_derivs  # of u, from the previous workspace
-        self.previous = previous        # that workspace, until self.ws
+        self.previous = previous        # the workspace u ends, until self.ws
+        self.face_derivs = face_derivs  # of u, when it has no workspace
         self.ws = None
 
     def solve(self, space, k):
@@ -249,7 +249,7 @@ class _Slab:
                         delta, r, eta_S, ws.hmin_next, dot_map)
         _maybe_dump(opts, self.m, ws.mesh_next, ws.u_next)
         return _Slab(problem, opts, self.m + 1, t_next, ws.u_next,
-                     slab.A_next, eta_S, ws.next_face_derivs, ws)
+                     slab.A_next, eta_S, previous=ws)
 
 
 class _Start(NamedTuple):
@@ -279,7 +279,7 @@ def _first_slab(problem, opts, start):
     """Slab 1 from a start state, with its own copy of the memo."""
     return _Slab(problem, opts, 1, 0.0, start.u0,
                  sc.InitialLaplacian(problem.a, problem.lap_u0),
-                 start.eta_S, dict(start.face_derivs))
+                 start.eta_S, face_derivs=dict(start.face_derivs))
 
 
 class FirstIntervalCache:

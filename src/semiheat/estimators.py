@@ -142,18 +142,19 @@ class SlabWorkspace:
 
     Face normal derivatives are kept per field as {FaceSet: derivatives}
     (`prev_face_derivs`, `next_face_derivs`), so each (field, face set)
-    pair is evaluated once.  A workspace can start from the
-    `next_face_derivs` of the previous slab's workspace, whose end field
-    is this slab's u_prev.
+    pair is evaluated once.
 
-    `previous` is that workspace itself, at the state its slab was
-    certified in.  When its finest overlay is this one's and its u_next
-    is this u_prev, its end-field arrays are this workspace's start-field
-    arrays, the same values the overlay would give: `Uprev` is its
-    `Unext`, the Laplacian its `_lapUnext` (if it was evaluated), and
+    `previous` is the previous slab's workspace, at the state its slab
+    was certified in; its u_next must be this u_prev.  Its
+    `next_face_derivs` become this workspace's `prev_face_derivs` (a
+    start field without a workspace, such as U0, passes its memo as
+    `prev_face_derivs` instead).  When its finest overlay is also this
+    one's, its end-field arrays are this workspace's start-field arrays,
+    the same values the overlay would give: `Uprev` is its `Unext`, the
+    Laplacian its `_lapUnext` (if it was evaluated), and
     `A_prev_values()` its `A_next_values()` when A_prev is the closure
-    its state defines.  Otherwise everything is evaluated here.  Only
-    the arrays are kept, not `previous`.
+    its state defines.  Otherwise they are evaluated here.  Only the
+    arrays are kept, not `previous`.
 
     The sampled sup norm of the time interpolant is computed once per
     time node and state (`u_norm`); `eta_time` records it at its Gauss
@@ -189,14 +190,20 @@ class SlabWorkspace:
         self.hmin_next = mesh_next.min_diameter()
         self.Xs, self.Ys = fe.tensor_grid(self.vee, slice(None),
                                           space_next.ref.sample1d)
+        if previous is not None:
+            if previous.u_next is not u_prev:
+                raise ValueError("the previous workspace must end at u_prev")
+            if prev_face_derivs is not None:
+                raise ValueError("pass previous or prev_face_derivs, "
+                                 "not both")
+            prev_face_derivs = previous.next_face_derivs
         self.prev_face_derivs = {} if prev_face_derivs is None \
             else prev_face_derivs
 
         # Static per-slab arrays.
         self._lapUprev = None
         self._A_prev_vals = None
-        if previous is not None and previous.vee is self.vee \
-                and previous.u_next is u_prev:
+        if previous is not None and previous.vee is self.vee:
             self.Uprev = previous.Unext
             self._lapUprev = previous._lapUnext
             if _defines(previous, A_prev):

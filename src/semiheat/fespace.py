@@ -62,7 +62,6 @@ class _Ref1D:
         V = npleg.legvander(2.0 * self.nodes - 1.0, p)
         self.coeffs = np.linalg.inv(V)  # column k: series of cardinal k
         self._dcoeffs = {0: self.coeffs}
-        self._point_tables = {}
         self.sample1d = gauss_lobatto(p + 3)
         self.quad1d, self.quadw1d = gauss_legendre(p + 2)
         gB0 = self.eval(self.quad1d, 0)
@@ -108,22 +107,6 @@ class _Ref1D:
         basis (derivatives in the cell's own coordinate) seen from there.
         """
         return self.eval((off + pts) / float(1 << dl), deriv)
-
-    def point_table(self, xi, eta, dx, dy):
-        """((p+1)**2, npts) table of the tensor basis at points (xi, eta).
-
-        Row j * (p+1) + i (the local dof order) holds
-        l_i^(dx)(xi) * l_j^(dy)(eta) at each point, so one cell's values
-        there are its coefficient row times the table.  Built from `eval`
-        and cached by the points' bytes and the orders.
-        """
-        key = (xi.tobytes(), eta.tobytes(), dx, dy)
-        table = self._point_tables.get(key)
-        if table is None:
-            bx, by = self.eval(xi, dx), self.eval(eta, dy)
-            table = (by[:, :, None] * bx[:, None, :]).reshape(len(xi), -1).T
-            self._point_tables[key] = table
-        return table
 
     def points(self, kind):
         """1-D points of the "sample", "quad" or "nodes" tensor grid."""
@@ -438,56 +421,63 @@ def sample_grid_values(field, cells, deriv, sub=(0, 0, 0), kind="sample"):
 # -- scattered evaluation -------------------------------------------------------
 
 
-def evaluate_in_cells(fields, cells, x, y, derivs, shared=False):
+def evaluate_in_cells(fields, cells, x, y, derivs, grid=None):
     """Evaluate fields of one space at points with known containing cells.
 
     fields: list of Field on the same space; derivs: list of (dx, dy) or
-    'lap' matching fields.  Returns one value array per field.
+    'lap' matching fields.  Returns one value array per field.  The 1-D
+    bases of every needed derivative order come from one Vandermonde
+    matrix per direction (`_Ref1D.eval_orders`).
 
     Scattered points (the default): cells, x, y are flat arrays, one
-    physical point per cell entry, and each value array is flat.  The
-    1-D bases of every needed derivative order come from one Vandermonde
-    matrix per direction (`_Ref1D.eval_orders`), then per-point
+    physical point per cell entry, and each value array is flat: per-point
     contractions over x, then y.
 
-    shared=True: x, y are the reference coordinates in [0, 1]^2 of
-    points that every cell in `cells` shares, and each value array is
-    (cells, points): one gather of the cells' coefficients and one
-    product with the degree's cached table of those points
-    (`_Ref1D.point_table`).
+    Shared grids: x (grids, nx) and y (grids, ny) hold the 1-D reference
+    coordinates in [0, 1] of tensor grids, and `grid` gives each cell
+    the row of its grid.  Each value array is (cells, ny * nx), y-major:
+    one gather of the cells' coefficients and two contractions per cell,
+    first over the direction with fewer points, with no basis evaluated
+    per point.
     """
     space = fields[0].space
     mesh = space.mesh
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
     cells = np.asarray(cells, dtype=np.int64).ravel()
     p = space.degree
     ref = space.ref
     hx = mesh.hx[cells]
     hy = mesh.hy[cells]
     local = space.dofmap[cells]
-    if shared:
+    orders = set()
+    for d in derivs:
+        if d == "lap":
+            orders.update((0, 2))
+        else:
+            orders.update(d)
+    C_shape = (len(cells), p + 1, p + 1)
+    if grid is not None:
+        nx, ny = np.shape(x)[1], np.shape(y)[1]
+        BX = ref.eval_orders(x, orders)
+        BY = ref.eval_orders(y, orders)
         hx, hy = hx[:, None], hy[:, None]
 
-        def gather(fld):
-            return fld.coeffs[local]
-
         def contract(C, dx, dy):
-            return C @ ref.point_table(x, y, dx, dy)
+            bx = BX[dx].reshape(-1, nx, p + 1)[grid]
+            by = BY[dy].reshape(-1, ny, p + 1)[grid]
+            if nx <= ny:
+                V = np.einsum("nbj,nja->nba", by,
+                              np.einsum("nji,nai->nja", C, bx))
+            else:
+                V = np.einsum("nbi,nai->nba",
+                              np.einsum("nbj,nji->nbi", by, C), bx)
+            return V.reshape(len(C), -1)
     else:
+        x = np.asarray(x, dtype=float).ravel()
+        y = np.asarray(y, dtype=float).ravel()
         xi = np.clip((x - mesh.x0[cells]) / hx, 0.0, 1.0)
         eta = np.clip((y - mesh.y0[cells]) / hy, 0.0, 1.0)
-        orders = set()
-        for d in derivs:
-            if d == "lap":
-                orders.update((0, 2))
-            else:
-                orders.update(d)
         BX = ref.eval_orders(xi, orders)
         BY = ref.eval_orders(eta, orders)
-
-        def gather(fld):
-            return fld.coeffs[local].reshape(len(x), p + 1, p + 1)
 
         def contract(C, dx, dy):
             return np.einsum("pj,pj->p",
@@ -498,7 +488,7 @@ def evaluate_in_cells(fields, cells, x, y, derivs, shared=False):
     for fld, dv in zip(fields, derivs):
         C = cached.get(id(fld))
         if C is None:
-            C = cached[id(fld)] = gather(fld)
+            C = cached[id(fld)] = fld.coeffs[local].reshape(C_shape)
         if dv == "lap":
             v = contract(C, 2, 0) / (hx * hx) + contract(C, 0, 2) / (hy * hy)
         else:
@@ -535,9 +525,10 @@ def face_normal_derivs(field, fs):
     host: across it at num / 2**dl, along it at (off + samples) / 2**dl,
     with integers num in [0, 2**dl] and off in [0, 2**dl).  Face sides
     are grouped by their class (orientation, dl, num, off), exact in
-    int64 integers at every level below LMAX, and each class is one
-    `evaluate_in_cells` call on its host cells with the class's shared
-    reference points.
+    int64 integers at every level below LMAX.  Each class is one
+    reference grid of its host cells, the one across point by the along
+    points, and each orientation is one `evaluate_in_cells` call over
+    its classes' grids.
     """
     src = field.space.mesh
     mesh = fs.mesh
@@ -562,17 +553,15 @@ def face_normal_derivs(field, fs):
                          np.tile(along, 2) - (hpos[1][hosts] << dl)], axis=1)
         order = np.lexsort(keys.T[::-1])
         keys = keys[order]
-        starts = np.flatnonzero(np.concatenate(
-            ([True], (keys[1:] != keys[:-1]).any(axis=1))))
-        vals = np.empty((len(hosts), len(t)))
-        for (d, num, off), rows in zip(keys[starts].tolist(),
-                                       np.split(order, starts[1:])):
-            scale = float(1 << d)
-            a = np.full(len(t), num / scale)
-            b = (off + t) / scale
-            xi, eta = (a, b) if o == 0 else (b, a)
-            vals[rows] = evaluate_in_cells([field], hosts[rows], xi, eta,
-                                           [dv], shared=True)[0]
+        first = np.concatenate(([True], (keys[1:] != keys[:-1]).any(axis=1)))
+        grid = np.empty(len(order), dtype=np.intp)
+        grid[order] = np.cumsum(first) - 1
+        d, num, off = keys[first].T
+        scale = np.ldexp(1.0, d)[:, None]
+        a = num[:, None] / scale
+        b = (off[:, None] + t) / scale
+        xi, eta = (a, b) if o == 0 else (b, a)
+        vals = evaluate_in_cells([field], hosts, xi, eta, [dv], grid=grid)[0]
         out.append((sel, vals[:len(sel)], vals[len(sel):]))
     return out
 

@@ -252,28 +252,56 @@ class StepOperator(LinearOperator):
         """Bitwise the diagonal of the assembled M/k + aS.
 
         scipy divides a sparse matrix by k as a product with 1/k.  S is
-        not assembled for it (the projection's S is used when the space
-        has one): diag(G^T B G) holds the column sums of G o (B G), B the
-        level blocks of the unit stiffness, and `np.bincount` adds each
-        column's entries in row order, as the sparse product G^T (B G)
-        adds them.
+        not assembled for it (`_stiffness_diagonal`).
         """
         cond = self._cond
         if cond.diagonals is None:
-            space = self.space
-            if cond.S_unit is not None:
-                dS = cond.S_unit.diagonal()
-            else:
-                cells = cond.level_cells
-                local = _cell_matrices(space.ref, space.mesh.hx[cells],
-                                       space.mesh.hy[cells], 0.0, 1.0)
-                GBG = cond.G.multiply(_level_blocks(cond, local) @ cond.G)
-                GBG = GBG.tocsr()
-                dS = np.bincount(GBG.indices, weights=GBG.data,
-                                 minlength=space.n_free)
-            cond.diagonals = (assemble_mass(space).diagonal(), dS)
+            cond.diagonals = (assemble_mass(self.space).diagonal(),
+                              _stiffness_diagonal(self.space, cond))
         dM, dS = cond.diagonals
         return dM * (1.0 / self.k) + self.a * dS
+
+
+def _stiffness_diagonal(space, cond):
+    """Bitwise the diagonal of the condensed unit S = G^T (B G).
+
+    B is the level blocks of the unit stiffness.  The sparse product
+    G^T (B G) adds G[r, c] (B G)[r, c] over the rows r of G in order,
+    and B G adds B[r, s] G[s, c] over the rows s of r's cell in order.
+    Only the entries of B G on G's pattern are formed here, in the same
+    order: a stable sort groups G's entries by (cell, column), each
+    group holding its rows s in order, and `np.bincount` sums the
+    products down each column.
+    """
+    G = cond.G
+    n = space.dofmap.shape[1]
+    col = G.indices
+    cell, i = np.divmod(np.repeat(np.arange(G.shape[0]), np.diff(G.indptr)),
+                        n)
+    # (cell, column) as one int64 key: both are far below 2**31
+    key = cell * np.int64(space.n_free) + col
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    starts = np.flatnonzero(first)
+    size = np.diff(np.append(starts, len(order)))
+    group = np.cumsum(first) - 1
+    start, size_of = starts[group], size[group]
+    i, g = i[order], G.data[order]
+    cells = cond.level_cells
+    local = _cell_matrices(space.ref, space.mesh.hx[cells],
+                           space.mesh.hy[cells], 0.0, 1.0)
+    block = np.repeat(np.arange(len(cells)), np.diff(cond.bounds))[
+        cell[order]]
+    BG = local[block, i, i[start]] * g[start]
+    for t in range(1, size.max(initial=1)):    # the group's t-th row s
+        sel = np.flatnonzero(size_of > t)
+        s = start[sel] + t
+        BG[sel] = BG[sel] + local[block[sel], i[sel], i[s]] * g[s]
+    weights = np.empty_like(BG)
+    weights[order] = g * BG
+    return np.bincount(col, weights=weights, minlength=space.n_free)
 
 
 def load_vector(space, quad_values, condensed=True):

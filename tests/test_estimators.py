@@ -219,6 +219,7 @@ def test_workspace_from_its_predecessor_equals_one_built_cold():
     warm = est.SlabWorkspace(prob, U1, A1, sp2, k, previous=ws1)
     cold = est.SlabWorkspace(prob, U1, A1, sp2, k)
     assert warm.vee is ws1.vee
+    assert warm.prev_face_derivs is ws1.next_face_derivs
     assert warm.Uprev is ws1.Unext and warm._lapUprev is ws1._lapUnext
     assert warm.A_prev_values() is ws1.A_next_values()
     _assert_same_start(warm, cold)
@@ -243,9 +244,21 @@ def test_workspace_after_a_mesh_change_evaluates_its_start_field():
     k = 0.01
     warm = est.SlabWorkspace(prob, U1, A1, sp2, k, previous=ws1)
     assert warm.vee is not ws1.vee
+    assert warm.prev_face_derivs is ws1.next_face_derivs
     assert warm.Uprev is not ws1.Unext and warm._lapUprev is None
     assert warm.A_prev_values() is not ws1.A_next_values()
     _assert_same_start(warm, est.SlabWorkspace(prob, U1, A1, sp2, k))
+
+
+def test_workspace_rejects_a_predecessor_it_does_not_continue():
+    prob, ws1, U1, U0, A1, sp2, _ = _second_slab(refine=False)
+    k = 0.01
+    with pytest.raises(ValueError, match="end at u_prev"):
+        est.SlabWorkspace(prob, U0, sc.InitialLaplacian(prob.a, prob.lap_u0),
+                          sp2, k, previous=ws1)
+    with pytest.raises(ValueError, match="not both"):
+        est.SlabWorkspace(prob, U1, A1, sp2, k, prev_face_derivs={},
+                          previous=ws1)
 
 
 def test_reusing_the_previous_workspace_leaves_the_ledger_bitwise(

@@ -371,6 +371,33 @@ def test_gauss_legendre_is_cached_and_read_only():
                 a[0] = 0.0
 
 
+@pytest.mark.parametrize("p", [1, 3, 9])
+def test_shared_grid_evaluation_matches_scattered_points(p):
+    # two grids per shape, either direction contracted first, values
+    # y-major per cell
+    mesh, _ = moved_mesh_pair()
+    sp = fe.Space(mesh, p)
+    rng = np.random.default_rng(p)
+    f = fe.Field.from_free(sp, rng.standard_normal(sp.n_free))
+    cells = np.arange(0, len(mesh), 3)
+    grid = rng.integers(0, 2, len(cells))
+    derivs = [(0, 0), (1, 0), (0, 1), (2, 1), "lap"]
+    for nx, ny in ((1, 5), (5, 1), (3, 2), (2, 3)):
+        xi, eta = rng.random((2, nx)), rng.random((2, ny))
+        got = fe.evaluate_in_cells([f] * len(derivs), cells, xi, eta,
+                                   derivs, grid=grid)
+        gx = np.tile(xi, ny)[grid]
+        gy = np.repeat(eta, nx, axis=1)[grid]
+        c = np.repeat(cells, nx * ny)
+        x = (mesh.x0[cells, None] + mesh.hx[cells, None] * gx).ravel()
+        y = (mesh.y0[cells, None] + mesh.hy[cells, None] * gy).ravel()
+        want = fe.evaluate_in_cells([f] * len(derivs), c, x, y, derivs)
+        for g, w in zip(got, want):
+            assert g.shape == (len(cells), nx * ny)
+            assert np.abs(g.ravel() - w).max() \
+                <= 1e-12 * max(np.abs(w).max(), 1.0)
+
+
 def loop_face_normal_derivs(field, fs):
     """face_normal_derivs by evaluating each face point on its own.
 

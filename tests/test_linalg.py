@@ -292,8 +292,7 @@ def test_cg_fails_after_one_restart_and_names_itself(monkeypatch):
        st.sampled_from([1.0, 0.07, 2.5]))
 def test_step_operator_is_the_assembled_step_matrix(degree, ops, k, a):
     # random hanging-node meshes on a non-square rectangle (hx != hy);
-    # the diagonal is taken before S is assembled, so it comes from the
-    # level blocks
+    # the diagonal is taken without assembling S
     sp = fe.Space(build(ops), degree)
     op = StepOperator(sp, k, a)
     d = op.diagonal()
