@@ -10,6 +10,7 @@ integrals use tensor Gauss quadrature of order p+2, exact for polynomials
 of degree 2p+3 per direction.
 """
 
+import weakref
 from collections import namedtuple
 
 import numpy as np
@@ -520,33 +521,81 @@ def face_normal_derivs(field, fs):
     one (face indices, left values, right values) triple per face
     orientation present, values shaped (faces, samples).
 
-    A face is an edge of its finer cell, dl >= 0 levels below a side's
-    host cell, so the side sees the face at a dyadic position of the
-    host: across it at num / 2**dl, along it at (off + samples) / 2**dl,
-    with integers num in [0, 2**dl] and off in [0, 2**dl).  Face sides
-    are grouped by their class (orientation, dl, num, off), exact in
-    int64 integers at every level below LMAX.  Each class is one
-    reference grid of its host cells, the one across point by the along
-    points, and each orientation is one `evaluate_in_cells` call over
-    its classes' grids.
+    The face sides are grouped into classes, each one reference grid of
+    its host cells (`_face_classes`), and each orientation is one
+    `evaluate_in_cells` call over its classes' grids.
     """
-    src = field.space.mesh
+    host = transfer(fs.mesh, field.space.mesh).host
+    out = []
+    for o, dv, grid, xi, eta in _face_classes(fs, field.space):
+        sel, hosts = _face_sides(fs, host, o)
+        vals = evaluate_in_cells([field], hosts, xi, eta, [dv], grid=grid)[0]
+        out.append((sel, vals[:len(sel)], vals[len(sel):]))
+    return out
+
+
+def _face_sides(fs, host, o):
+    """The faces of orientation o, and the host cells of their left
+    then their right sides."""
+    sel = np.flatnonzero(fs.orient == o)
+    return sel, host[np.concatenate([fs.left[sel], fs.right[sel]])]
+
+
+# The face sets holding a `_face_classes` grouping, with its key, oldest
+# first, by weak reference so that they are not kept alive here.  A slab
+# evaluates at most three (face set, mesh) pairs and the next step on an
+# unmoved mesh repeats them, so three groupings catch every reuse, while
+# those of meshes a run has moved past (a `Trajectory` keeps the meshes)
+# are freed.
+_GROUPINGS_KEPT = 3
+_grouped = []
+
+
+def _face_classes(fs, space):
+    """The face sides of a FaceSet grouped by their place in host cells.
+
+    A face is an edge of its finer cell, dl >= 0 levels below a side's
+    host cell in `space`'s mesh, so the side sees the face at a dyadic
+    position of the host: across it at num / 2**dl, along it at
+    (off + samples) / 2**dl, with integers num in [0, 2**dl] and off in
+    [0, 2**dl).  Face sides are grouped by their class (orientation, dl,
+    num, off), exact in int64 integers at every level below LMAX.
+
+    Returns one (orientation, derivative, grid, xi, eta) tuple per
+    orientation present: the class row of each side in `grid`, in the
+    order of `_face_sides`, and the classes' reference grids, across
+    point by the space's sample points.  The grouping depends only on
+    the face set, the mesh and the degree, so it is cached, read-only,
+    on `fs` under (mesh, degree); `grid` takes the smallest integer type
+    that holds it.  Only the last `_GROUPINGS_KEPT` built are kept
+    (`_grouped`).
+    """
+    src = space.mesh
+    key = (src, space.degree)
+    classes = fs._classes.get(key)
+    if classes is not None:
+        return classes
+    _grouped.append((weakref.ref(fs), key))
+    while len(_grouped) > _GROUPINGS_KEPT:
+        ref, old = _grouped.pop(0)
+        holder = ref()
+        if holder is not None:
+            holder._classes.pop(old, None)
     mesh = fs.mesh
     host = transfer(mesh, src).host
-    t = field.space.ref.sample1d
+    t = space.ref.sample1d
     lv = mesh.levels
     fine_left = lv[fs.left] >= lv[fs.right]
     fine = np.where(fine_left, fs.left, fs.right)
     out = []
     for o, dv in ((0, (1, 0)), (1, (0, 1))):
-        sel = np.flatnonzero(fs.orient == o)
+        sel, hosts = _face_sides(fs, host, o)
         if len(sel) == 0:
             continue
         f = fine[sel]
         pos = (mesh.ix, mesh.iy) if o == 0 else (mesh.iy, mesh.ix)
         across = pos[0][f] + fine_left[sel]     # on the level of cell f
         along = pos[1][f]
-        hosts = host[np.concatenate([fs.left[sel], fs.right[sel]])]
         hpos = (src.ix, src.iy) if o == 0 else (src.iy, src.ix)
         dl = np.tile(lv[f], 2) - src.levels[hosts]
         keys = np.stack([dl, np.tile(across, 2) - (hpos[0][hosts] << dl),
@@ -554,15 +603,17 @@ def face_normal_derivs(field, fs):
         order = np.lexsort(keys.T[::-1])
         keys = keys[order]
         first = np.concatenate(([True], (keys[1:] != keys[:-1]).any(axis=1)))
-        grid = np.empty(len(order), dtype=np.intp)
+        grid = np.empty(len(order), dtype=np.min_scalar_type(len(order)))
         grid[order] = np.cumsum(first) - 1
         d, num, off = keys[first].T
         scale = np.ldexp(1.0, d)[:, None]
         a = num[:, None] / scale
         b = (off[:, None] + t) / scale
         xi, eta = (a, b) if o == 0 else (b, a)
-        vals = evaluate_in_cells([field], hosts, xi, eta, [dv], grid=grid)[0]
-        out.append((sel, vals[:len(sel)], vals[len(sel):]))
+        for arr in (grid, xi, eta):
+            arr.setflags(write=False)
+        out.append((o, dv, grid, xi, eta))
+    fs._classes[key] = out
     return out
 
 

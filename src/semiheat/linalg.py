@@ -4,9 +4,12 @@ Matrices are scipy CSR; hanging-node and boundary constraints are
 condensed onto the free dofs, so the solved systems stay symmetric
 positive definite.  What depends only on the space is built on first
 use (`_Condensation`): P^T, the cells sorted by level, the gather map
-G = P[dofmap] with G^T, the condensed M and S and their diagonals.  One
-space holds one at a time: building it for a new space frees the
-previous space's, which is rebuilt if that space is used again.
+G = P[dofmap] with G^T, the condensed M and the diagonals of M and S.
+One space holds one at a time: building it for a new space frees the
+previous space's, which is rebuilt if that space is used again.  S is
+not kept: the initial projection is its one user, and it is assembled
+for each call of `assemble_stiffness` and freed with the caller's
+reference.
 On a quadtree over a rectangle the cells of one level share their local
 matrices, so everything is built from one dense matrix per level and
 the block diagonal `_level_blocks` of them over the cells: the
@@ -86,8 +89,9 @@ class _Condensation:
       (c, i) of G maps free values to cell c's constrained value at
       local node i, in level order, so G^T sums cellwise values back
       onto the free dofs.
-    The condensed M and S (a = 1) and their diagonals are filled in the
-    first time they are asked for.
+    The condensed M and the diagonals of M and the unit S are filled in
+    the first time they are asked for.  The condensed S is not held
+    (`assemble_stiffness`).
     """
 
     def __init__(self, space):
@@ -101,7 +105,7 @@ class _Condensation:
         self.PT = P.T.tocsr()
         self.G = P[space.dofmap[order].ravel()]
         self.GT = self.G.T.tocsr()
-        self.M = self.S_unit = self.diagonals = None
+        self.M = self.diagonals = None
 
 
 # The one space that holds a _Condensation, by weak reference so that it
@@ -196,16 +200,15 @@ def assemble_mass(space, condensed=True):
 
 
 def assemble_stiffness(space, a, condensed=True):
-    """Stiffness matrix a*(grad phi_j, grad phi_i), condensed by default."""
+    """Stiffness matrix a*(grad phi_j, grad phi_i), condensed by default.
+
+    Assembled on every call and not kept: a run needs it only for the
+    initial projection (`solve_skeleton`), and holding it would keep a
+    matrix the size of M alive for as long as the space is.
+    """
     if a <= 0:
         raise ValueError("diffusion coefficient must be positive")
-    if not condensed:
-        S = _assembled(space, 0.0, 1.0, False)
-    else:
-        cond = _condensation(space)
-        if cond.S_unit is None:
-            cond.S_unit = _assembled(space, 0.0, 1.0, True)
-        S = cond.S_unit
+    S = _assembled(space, 0.0, 1.0, condensed)
     return a * S if a != 1.0 else S
 
 

@@ -408,6 +408,7 @@ class FaceSet:
         self.lo = lo[order]
         self.hi = hi[order]
         self.nfaces = len(left)
+        self._classes = {}      # fespace._face_classes', by (mesh, degree)
 
 
 def face_set(mesh):

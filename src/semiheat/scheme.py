@@ -101,6 +101,8 @@ def project_initial(problem, space):
 
     Solved once per space, by static condensation onto the cell
     skeleton (`linalg.solve_skeleton`) rather than by CG from zero.
+    The stiffness matrix is assembled for this call alone and freed
+    when it returns; the steps never assemble it.
     """
     Xq, Yq, _ = space.quadrature_points()
     rhs = -np.asarray(problem.lap_u0(Xq, Yq), dtype=float)

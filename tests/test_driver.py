@@ -172,7 +172,8 @@ def test_example1_blowup_stop():
 
 def test_adaptive_run_keeps_one_condensation():
     # the trajectory keeps every space the run used; only the last one
-    # may keep its condensed M and S
+    # may keep its condensation (P^T, G, G^T, the condensed M and the
+    # step diagonals)
     prob = builtin("example3")
     tol = dr.Tolerances(0.02, 0.02 / 2 ** 10, 0.01, 0.01 / 16)
     res = dr.run_adaptive(prob, tol, 2, Mesh.uniform(prob.rect, 3), 0.01,

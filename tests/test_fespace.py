@@ -1,10 +1,13 @@
 """Lagrange spaces on quadtrees: evaluation, norms, jumps, transfer."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from semiheat.mesh import LMAX, Mesh, Rectangle, face_set
+from semiheat.mesh import FaceSet, LMAX, Mesh, Rectangle, face_set
 from semiheat import fespace as fe
 from test_mesh import (TWO_IRREGULAR, _neighbor_leaves,
                        brute_force_one_irregular)
@@ -465,6 +468,49 @@ def test_face_normal_derivs_by_class_match_the_pointwise_loop(p):
             assert np.abs(lg - lw).max() <= 1e-12 * scale
             assert np.abs(rg - rw).max() <= 1e-12 * scale
     assert max(dls) >= 37
+
+
+def test_face_classes_are_cached_per_mesh_and_degree():
+    """Warm calls equal cold ones bitwise, on an own-mesh and an overlay
+    face set; another degree builds its own grids."""
+    rng = np.random.default_rng(41)
+    src, tgt = moved_mesh_pair()
+    for faces in (src, src.overlay_finest(tgt)):
+        fields = [fe.Field.from_free(sp, rng.standard_normal(sp.n_free))
+                  for sp in (fe.Space(src, 2), fe.Space(src, 3))
+                  for _ in range(2)]
+        # each cold call on a face set of its own, with nothing cached
+        cold = [fe.face_normal_derivs(f, FaceSet(faces)) for f in fields]
+        fs = face_set(faces)
+        for f, want in zip(fields, cold):
+            got = fe.face_normal_derivs(f, fs)
+            assert len(got) == len(want) == 2
+            for g, w in zip(got, want):
+                assert all(np.array_equal(a, b) for a, b in zip(g, w))
+        assert set(fs._classes) == {(src, 2), (src, 3)}
+        for c2, c3 in zip(fs._classes[(src, 2)], fs._classes[(src, 3)]):
+            assert np.array_equal(c2[2], c3[2])         # same grouping
+            # each degree's grids along the faces hold its sample points
+            for c, sp in ((c2, fields[0].space), (c3, fields[2].space)):
+                assert sorted(xy.shape[1] for xy in c[3:]) \
+                    == [1, len(sp.ref.sample1d)]
+                assert not any(a.flags.writeable for a in c[2:])
+
+
+def test_face_classes_keep_only_the_last_groupings():
+    src, _ = moved_mesh_pair()
+    sp = fe.Space(src, 2)
+    f = fe.Field.from_free(sp, np.ones(sp.n_free))
+    kept = fe._GROUPINGS_KEPT
+    sets = [FaceSet(src) for _ in range(kept + 1)]
+    for fs in sets:
+        fe.face_normal_derivs(f, fs)
+    assert [len(fs._classes) for fs in sets] == [0] + [1] * kept
+    # the cache does not keep a face set alive
+    ref = weakref.ref(sets[-1])
+    del sets, fs
+    gc.collect()
+    assert ref() is None
 
 
 def test_eval_at_domain_corners():

@@ -295,8 +295,20 @@ def test_step_operator_is_the_assembled_step_matrix(degree, ops, k, a):
     # the diagonal is taken without assembling S
     sp = fe.Space(build(ops), degree)
     op = StepOperator(sp, k, a)
-    d = op.diagonal()
-    assert sp._condensation.S_unit is None
+    assembled = linalg._assembled
+    stiff_calls = []
+
+    def spy(space, mass, stiff, condensed):
+        if stiff:
+            stiff_calls.append((mass, stiff, condensed))
+        return assembled(space, mass, stiff, condensed)
+
+    linalg._assembled = spy
+    try:
+        d = op.diagonal()
+    finally:
+        linalg._assembled = assembled
+    assert stiff_calls == []
     A = assemble_mass(sp) / k + assemble_stiffness(sp, a)
     x = np.random.default_rng(degree).standard_normal(sp.n_free)
     y = A @ x

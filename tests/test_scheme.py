@@ -1,13 +1,17 @@
 """IMEX stepping, initial projection, discrete Laplacians, interpolant."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from scipy.sparse import issparse
 
 from semiheat.mesh import Mesh, Rectangle
 from semiheat import fespace as fe
 from semiheat import scheme as sc
 from semiheat.linalg import (assemble_mass, assemble_stiffness, load_vector,
-                             solve_direct)
+                             solve_direct, solve_skeleton)
 from semiheat.problems import builtin
 
 UNIT = Rectangle(0.0, 1.0, 0.0, 1.0)
@@ -20,6 +24,34 @@ def test_project_initial_zero_data():
     sp = fe.Space(Mesh.uniform(UNIT, 2), 2)
     U0 = sc.project_initial(flat, sp)
     assert np.abs(U0.coeffs).max() == 0.0
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 9])
+def test_project_initial_frees_its_stiffness_matrix(degree, monkeypatch):
+    # S lives only for the projection: nothing holds it once the
+    # projection returns, and the result is bitwise the skeleton solve
+    prob = builtin("heat_decay")
+    mesh = Mesh.uniform(UNIT, 2).refine([(2, 1, 1), (2, 2, 1)])
+    sp = fe.Space(mesh.refine([(3, 3, 3)]), degree)
+    assert sp.is_slave.any()
+    refs = []
+
+    def keeping_a_ref(space, a, condensed=True):
+        S = assemble_stiffness(space, a, condensed)
+        refs.append(weakref.ref(S))
+        return S
+
+    monkeypatch.setattr(sc, "assemble_stiffness", keeping_a_ref)
+    U0 = sc.project_initial(prob, sp)
+    gc.collect()
+    assert len(refs) == 1 and refs[0]() is None
+    S = assemble_stiffness(sp, 1.0)
+    for name, value in vars(sp._condensation).items():
+        if issparse(value) and value.shape == S.shape:
+            assert (value != S).nnz > 0, name
+    Xq, Yq, _ = sp.quadrature_points()
+    b = load_vector(sp, -np.asarray(prob.lap_u0(Xq, Yq), dtype=float))
+    assert np.array_equal(U0.free_values, solve_skeleton(sp, S, b))
 
 
 def test_project_initial_ritz_accuracy():
