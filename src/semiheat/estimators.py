@@ -87,6 +87,18 @@ def _time_rule(t_prev, k, q):
     return t_prev + k * pts, k * wts
 
 
+def _time_sum(wts, values):
+    """Gauss-in-time sum of the values at the nodes of `_time_rule`.
+
+    Each w * value is added in node order, starting from 0.0; every
+    time integral here goes through this one order of additions.
+    """
+    acc = 0.0
+    for w, value in zip(wts, values):
+        acc += w * value
+    return acc
+
+
 # -- single-mesh space estimator (slab zero) ------------------------------------
 
 
@@ -282,12 +294,13 @@ class SlabWorkspace:
         """Integral over the slab of L(s, ||U(s)||, ||U(s)|| + c)."""
         if modulus.is_zero or self.k == 0.0:
             return 0.0
-        nodes, wts = _time_rule(self.t_prev, self.k, self.q)
-        acc = 0.0
-        for s, w in zip(nodes, wts):
+
+        def value(s):
             n = self.u_norm(s)
-            acc += w * float(modulus(s, n, n + c))
-        return acc
+            return float(modulus(s, n, n + c))
+
+        nodes, wts = _time_rule(self.t_prev, self.k, self.q)
+        return _time_sum(wts, map(value, nodes))
 
     def eta_time(self):
         """Gauss-in-time integral of the sampled sup norm of the residual."""
@@ -373,9 +386,8 @@ def eta_time_from_values(f, Xs, Ys, t_prev, k, U_prev_vals, U_next_vals,
     max |U(s)| at each node s.
     """
     Ut = (U_next_vals - U_prev_vals) / k
-    nodes, wts = _time_rule(t_prev, k, q)
-    acc = 0.0
-    for s, w in zip(nodes, wts):
+
+    def sup_residual(s):
         lb = (s - t_prev) / k
         la = 1.0 - lb
         U = la * U_prev_vals + lb * U_next_vals
@@ -383,8 +395,10 @@ def eta_time_from_values(f, Xs, Ys, t_prev, k, U_prev_vals, U_next_vals,
             norms[s] = float(np.abs(U).max())
         R = np.asarray(f(Xs, Ys, s, U), dtype=float) \
             - la * A_prev_vals - lb * A_next_vals - Ut
-        acc += w * float(np.abs(R).max())
-    return acc
+        return float(np.abs(R).max())
+
+    nodes, wts = _time_rule(t_prev, k, q)
+    return _time_sum(wts, map(sup_residual, nodes))
 
 
 def _defines(ws, A):
@@ -439,8 +453,7 @@ def fixed_point_delta(psi, xi, k, t_prev, modulus, u_norm, c_inf=1.0, q=3,
 
     def integral(delta):
         args = delta * psi + norms + c_inf * xi
-        return float(sum(w * modulus(s, ai, ai)
-                         for s, w, ai in zip(nodes, wts, args)))
+        return float(_time_sum(wts, map(modulus, nodes, args, args)))
 
     def phi(delta):
         return 1.0 + delta * (integral(delta) - 1.0)
@@ -537,13 +550,14 @@ def gronwall_factor(delta, psi, xi, k, t_prev, modulus, u_norm, c_inf=1.0, q=3):
     """Per-slab amplification factor exp(int L(s, delta psi + ., .) ds)."""
     if modulus.is_zero or k <= 0.0:
         return 1.0
-    nodes, wts = _time_rule(t_prev, k, q)
-    acc = 0.0
-    for s, w in zip(nodes, wts):
+
+    def value(s):
         n = u_norm(s)
-        acc += w * float(modulus(s, delta * psi + n + c_inf * xi,
-                                 n + c_inf * xi))
-    return math.exp(acc)
+        return float(modulus(s, delta * psi + n + c_inf * xi,
+                             n + c_inf * xi))
+
+    nodes, wts = _time_rule(t_prev, k, q)
+    return math.exp(_time_sum(wts, map(value, nodes)))
 
 
 # -- ledger -------------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 Matrices are scipy CSR; hanging-node and boundary constraints are
 condensed onto the free dofs, so the solved systems stay symmetric
-positive definite.  What depends only on the space is built on first
-use (`_Condensation`): P^T, the cells sorted by level, the gather map
-G = P[dofmap] with G^T, the condensed M and the diagonals of M and S.
+positive definite.  Only the condensed systems are built here; the
+tests keep their own oracles (every cell's matrix scattered onto the
+unconstrained dofs, scipy's `spsolve`).  What depends only on the space
+is built on first use (`_Condensation`): P^T, the cells sorted by
+level, the gather map G = P[dofmap] with G^T, the condensed M and the
+diagonals of M and S.
 One space holds one at a time: building it for a new space frees the
 previous space's, which is rebuilt if that space is used again.  S is
 not kept: the initial projection is its one user, and it is assembled
@@ -41,7 +44,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import cg, splu, LinearOperator
 
 
@@ -84,7 +87,8 @@ class _Condensation:
       a new CSC object on every access.
     - The cells sorted stably by level (`order`): `level_cells` holds
       one cell of each level and `bounds` the start of each level's
-      block, then the end.
+      block, then the end.  `level_matrices` gives the local matrices of
+      the level_cells.
     - The gather G = P[dofmap[order]] and its transpose, both CSR.  Row
       (c, i) of G maps free values to cell c's constrained value at
       local node i, in level order, so G^T sums cellwise values back
@@ -102,10 +106,17 @@ class _Condensation:
         self.order = order
         self.level_cells = order[starts]
         self.bounds = np.append(starts, len(order))
+        self.ref = space.ref
+        self.hx = space.mesh.hx[self.level_cells]
+        self.hy = space.mesh.hy[self.level_cells]
         self.PT = P.T.tocsr()
         self.G = P[space.dofmap[order].ravel()]
         self.GT = self.G.T.tocsr()
         self.M = self.diagonals = None
+
+    def level_matrices(self, mass, stiff):
+        """mass * M + stiff * S on one cell of each level, in level order."""
+        return _cell_matrices(self.ref, self.hx, self.hy, mass, stiff)
 
 
 # The one space that holds a _Condensation, by weak reference so that it
@@ -133,24 +144,6 @@ def _condensation(space):
     return cond
 
 
-def _assemble_full(space, local):
-    """Scatter per-cell local matrices into a global CSR matrix.
-
-    The COO indices are int32 when the dofs fit, so scipy does not keep
-    an int32 copy of int64 index arrays alongside them.
-    """
-    index = np.int32 if space.n_global <= np.iinfo(np.int32).max \
-        else np.int64
-    dofmap = space.dofmap.astype(index, copy=False)
-    ncells, nloc = dofmap.shape
-    rows = np.repeat(dofmap, nloc, axis=1).ravel()
-    cols = np.tile(dofmap, (1, nloc)).ravel()
-    data = local.reshape(ncells, nloc * nloc).ravel()
-    A = coo_matrix((data, (rows, cols)),
-                   shape=(space.n_global, space.n_global))
-    return A.tocsr()
-
-
 def _level_blocks(cond, local):
     """CSR block diagonal of one dense n x n matrix per mesh level.
 
@@ -172,35 +165,26 @@ def _level_blocks(cond, local):
                       shape=(ncells * n, ncells * n))
 
 
-def _assembled(space, mass, stiff, condensed):
-    """mass * M + stiff * S; condensed, G^T (blocks G) (all CSR).
+def _assembled(cond, mass, stiff):
+    """mass * M + stiff * S condensed, G^T (blocks G) (all CSR).
 
-    Uncondensed, every cell's local matrix is scattered onto the global
-    dofs (`_assemble_full`).
+    The block diagonal is a temporary of the inner product, so it is
+    freed before the outer one allocates.
     """
-    mesh = space.mesh
-    if not condensed:
-        return _assemble_full(
-            space, _cell_matrices(space.ref, mesh.hx, mesh.hy, mass, stiff))
-    cond = _condensation(space)
-    cells = cond.level_cells
-    local = _cell_matrices(space.ref, mesh.hx[cells], mesh.hy[cells],
-                           mass, stiff)
+    local = cond.level_matrices(mass, stiff)
     return cond.GT @ (_level_blocks(cond, local) @ cond.G)
 
 
-def assemble_mass(space, condensed=True):
-    """Mass matrix (phi_j, phi_i); condensed onto free dofs by default."""
-    if not condensed:
-        return _assembled(space, 1.0, 0.0, False)
+def assemble_mass(space):
+    """Mass matrix (phi_j, phi_i) on the free dofs."""
     cond = _condensation(space)
     if cond.M is None:
-        cond.M = _assembled(space, 1.0, 0.0, True)
+        cond.M = _assembled(cond, 1.0, 0.0)
     return cond.M
 
 
-def assemble_stiffness(space, a, condensed=True):
-    """Stiffness matrix a*(grad phi_j, grad phi_i), condensed by default.
+def assemble_stiffness(space, a):
+    """Stiffness matrix a*(grad phi_j, grad phi_i) on the free dofs.
 
     Assembled on every call and not kept: a run needs it only for the
     initial projection (`solve_skeleton`), and holding it would keep a
@@ -208,7 +192,7 @@ def assemble_stiffness(space, a, condensed=True):
     """
     if a <= 0:
         raise ValueError("diffusion coefficient must be positive")
-    S = _assembled(space, 0.0, 1.0, condensed)
+    S = _assembled(_condensation(space), 0.0, 1.0)
     return a * S if a != 1.0 else S
 
 
@@ -236,10 +220,8 @@ class StepOperator(LinearOperator):
         self.k = k
         self.a = a
         self._cond = cond = _condensation(space)
-        cells = cond.level_cells
-        local = _cell_matrices(space.ref, space.mesh.hx[cells],
-                               space.mesh.hy[cells], 1.0 / k, a)
-        self._blocks = list(zip(cond.bounds[:-1], cond.bounds[1:], local))
+        self._blocks = list(zip(cond.bounds[:-1], cond.bounds[1:],
+                                cond.level_matrices(1.0 / k, a)))
         self._nloc = space.dofmap.shape[1]
         self.nnz = space.dofmap.size * self._nloc
 
@@ -260,12 +242,12 @@ class StepOperator(LinearOperator):
         cond = self._cond
         if cond.diagonals is None:
             cond.diagonals = (assemble_mass(self.space).diagonal(),
-                              _stiffness_diagonal(self.space, cond))
+                              _stiffness_diagonal(cond))
         dM, dS = cond.diagonals
         return dM * (1.0 / self.k) + self.a * dS
 
 
-def _stiffness_diagonal(space, cond):
+def _stiffness_diagonal(cond):
     """Bitwise the diagonal of the condensed unit S = G^T (B G).
 
     B is the level blocks of the unit stiffness.  The sparse product
@@ -277,12 +259,13 @@ def _stiffness_diagonal(space, cond):
     products down each column.
     """
     G = cond.G
-    n = space.dofmap.shape[1]
+    local = cond.level_matrices(0.0, 1.0)
+    n = local.shape[-1]
     col = G.indices
     cell, i = np.divmod(np.repeat(np.arange(G.shape[0]), np.diff(G.indptr)),
                         n)
     # (cell, column) as one int64 key: both are far below 2**31
-    key = cell * np.int64(space.n_free) + col
+    key = cell * np.int64(G.shape[1]) + col
     order = np.argsort(key, kind="stable")
     key = key[order]
     first = np.ones(len(order), dtype=bool)
@@ -292,10 +275,7 @@ def _stiffness_diagonal(space, cond):
     group = np.cumsum(first) - 1
     start, size_of = starts[group], size[group]
     i, g = i[order], G.data[order]
-    cells = cond.level_cells
-    local = _cell_matrices(space.ref, space.mesh.hx[cells],
-                           space.mesh.hy[cells], 0.0, 1.0)
-    block = np.repeat(np.arange(len(cells)), np.diff(cond.bounds))[
+    block = np.repeat(np.arange(len(local)), np.diff(cond.bounds))[
         cell[order]]
     BG = local[block, i, i[start]] * g[start]
     for t in range(1, size.max(initial=1)):    # the group's t-th row s
@@ -304,13 +284,14 @@ def _stiffness_diagonal(space, cond):
         BG[sel] = BG[sel] + local[block[sel], i[sel], i[s]] * g[s]
     weights = np.empty_like(BG)
     weights[order] = g * BG
-    return np.bincount(col, weights=weights, minlength=space.n_free)
+    return np.bincount(col, weights=weights, minlength=G.shape[1])
 
 
-def load_vector(space, quad_values, condensed=True):
-    """Functional (g, phi_i) from pointwise values at the quadrature grid.
+def load_vector(space, quad_values):
+    """Functional (g, phi_i) on the free dofs from pointwise values.
 
-    quad_values has shape (ncells, n_quad) matching space.quadrature_points().
+    quad_values are at the quadrature grid, shape (ncells, n_quad) matching
+    space.quadrature_points().
     The cellwise sums are added in flat order, as np.add.at does, in one
     bincount pass.
     """
@@ -319,7 +300,7 @@ def load_vector(space, quad_values, condensed=True):
     cellwise = (np.asarray(quad_values) * W) @ B
     b = np.bincount(space.dofmap.ravel(), weights=cellwise.ravel(),
                     minlength=space.n_global)
-    return _condensation(space).PT @ b if condensed else b
+    return _condensation(space).PT @ b
 
 
 # Every solver here guarantees ||Ax - b||_2 <= _RTOL * ||b||_2.
@@ -372,25 +353,6 @@ def solve_spd(A, b, x0=None):
     return _checked("conjugate gradients", x, res, tol)
 
 
-def solve_direct(A, b):
-    """Solve SPD system by sparse LU plus one step of iterative refinement.
-
-    The factorization orders A + A^T by multiple minimum degree, which
-    fills far less than column orderings on these symmetric systems.
-    Guarantees ||Ax - b||_2 <= _RTOL * ||b||_2 or raises SolverFailure.
-    No caller in the package: the projection uses `solve_skeleton`.  It
-    stays as the tests' oracle for that solve.
-    """
-    b = np.asarray(b, dtype=float)
-    nb = np.linalg.norm(b)
-    if nb == 0.0:
-        return np.zeros(A.shape[0])
-    lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
-    x = lu.solve(b)
-    x = x + lu.solve(b - A @ x)
-    return _checked("sparse LU", x, np.linalg.norm(A @ x - b), _RTOL * nb)
-
-
 def solve_skeleton(space, S, b):
     """Solve S x = b, S = assemble_stiffness(space, 1.0).
 
@@ -399,10 +361,11 @@ def solve_skeleton(space, S, b):
     block K_ii of the local stiffness is inverted and the Schur
     complement K_ee - K_ei K_ii^-1 K_ie formed on the 4p edge nodes.
     The skeleton matrix G_b^T (blocks G_b), with G_b the edge rows of G
-    on the non-interior free dofs, is factored by sparse LU (MMD on
-    A + A^T, as `solve_direct`), and the interiors are recovered cell by
-    cell.  S itself serves one step of iterative refinement and the
-    residual check.  Nothing is kept after the call.
+    on the non-interior free dofs, is factored by sparse LU, ordered by
+    multiple minimum degree on A + A^T, which fills far less than column
+    orderings on these symmetric systems; the interiors are recovered
+    cell by cell.  S itself serves one step of iterative refinement and
+    the residual check.  Nothing is kept after the call.
     Guarantees ||Sx - b||_2 <= _RTOL * ||b||_2 or raises SolverFailure.
     """
     b = np.asarray(b, dtype=float)
@@ -410,14 +373,12 @@ def solve_skeleton(space, S, b):
     if nb == 0.0:
         return np.zeros(space.n_free)
     cond = _condensation(space)
-    mesh = space.mesh
     p = space.degree
     nloc = (p + 1) ** 2
     i, j = np.divmod(np.arange(nloc), p + 1)
     inside = (i % p != 0) & (j % p != 0)
     inner, edge = np.flatnonzero(inside), np.flatnonzero(~inside)
-    cells = cond.level_cells
-    K = _cell_matrices(space.ref, mesh.hx[cells], mesh.hy[cells], 0.0, 1.0)
+    K = cond.level_matrices(0.0, 1.0)
     Kii_inv = np.linalg.inv(K[:, inner[:, None], inner])
     Kei = K[:, edge[:, None], inner]
     schur = K[:, edge[:, None], edge] - Kei @ Kii_inv @ Kei.transpose(0, 2, 1)

@@ -9,16 +9,38 @@ import pytest
 import scipy
 from hypothesis import given, strategies as st
 from scipy.sparse import block_diag, coo_matrix, csr_matrix
+from scipy.sparse.linalg import spsolve
 
 from semiheat.mesh import Mesh, Rectangle
 from semiheat import fespace as fe
 from semiheat import linalg
 from semiheat.linalg import (StepOperator, assemble_mass, assemble_stiffness,
-                             load_vector, one_blas_thread, solve_direct,
-                             solve_skeleton, solve_spd, SolverFailure)
+                             load_vector, one_blas_thread, solve_skeleton,
+                             solve_spd, SolverFailure)
 from test_mesh_properties import OPS, PROPERTY, build
 
 UNIT = Rectangle(0.0, 1.0, 0.0, 1.0)
+
+
+def assemble_full(sp, mass, stiff):
+    """Oracle: mass * M + stiff * S on the unconstrained dofs, every cell's
+    local matrix scattered onto its dofs (duplicates summed)."""
+    dofmap = sp.dofmap
+    nloc = dofmap.shape[1]
+    rows = np.repeat(dofmap, nloc, axis=1).ravel()
+    cols = np.tile(dofmap, (1, nloc)).ravel()
+    local = linalg._cell_matrices(sp.ref, sp.mesh.hx, sp.mesh.hy, mass, stiff)
+    return coo_matrix((local.ravel(), (rows, cols)),
+                      shape=(sp.n_global, sp.n_global)).tocsr()
+
+
+def load_full(sp, values):
+    """Oracle: the load vector on the unconstrained dofs, by np.add.at."""
+    _, _, W = sp.quadrature_points()
+    cellwise = (values * W) @ sp.tensor_basis("quad", 0, 0)
+    b = np.zeros(sp.n_global)
+    np.add.at(b, sp.dofmap, cellwise)
+    return b
 
 
 def test_p1_single_cell_has_no_free_dofs():
@@ -31,16 +53,16 @@ def test_p1_single_cell_has_no_free_dofs():
 def test_mass_row_sums_match_quadrature():
     mesh = Mesh.uniform(UNIT, 2).refine([(2, 0, 0)])
     sp = fe.Space(mesh, 3)
-    M_full = assemble_mass(sp, condensed=False)
+    M_full = assemble_full(sp, 1.0, 0.0)
     ones = np.ones((len(mesh), len(sp.ref.quad1d) ** 2))
-    b = load_vector(sp, ones, condensed=False)
+    b = load_full(sp, ones)
     assert np.abs(np.asarray(M_full.sum(axis=1)).ravel() - b).max() < 1e-14
 
 
 def test_mass_total_sum_is_domain_area():
     rect = Rectangle(-2.0, 1.0, 0.0, 2.0)
     sp = fe.Space(Mesh.uniform(rect, 2), 2)
-    M_full = assemble_mass(sp, condensed=False)
+    M_full = assemble_full(sp, 1.0, 0.0)
     assert M_full.sum() == pytest.approx(rect.area, rel=1e-12)
 
 
@@ -57,7 +79,7 @@ def test_stiffness_constant_in_kernel():
     # boundary coupling, checked against the quadrature oracle
     mesh = Mesh.uniform(UNIT, 2).refine([(2, 3, 3)])
     sp = fe.Space(mesh, 2)
-    S_full = assemble_stiffness(sp, 1.7, condensed=False)
+    S_full = assemble_full(sp, 0.0, 1.7)
     ones = np.ones(sp.n_global)
     assert np.abs(S_full @ ones).max() < 1e-12
     # condensed residual for the interior part of the constant equals the
@@ -167,10 +189,12 @@ def test_solve_reports_residual_on_failure():
     assert not (exc.value.residual <= exc.value.tol)
 
 
-def _poisson_system(degree, rect=UNIT):
-    # the initial projection's system on a mesh with hanging nodes
-    mesh = Mesh.uniform(rect, 2).refine([(2, 1, 1), (2, 2, 1)])
-    mesh = mesh.refine([(3, 3, 3)])
+def _poisson_system(degree, rect=UNIT, mesh=None):
+    # the initial projection's system, by default on a mesh with hanging
+    # nodes
+    if mesh is None:
+        mesh = Mesh.uniform(rect, 2).refine([(2, 1, 1), (2, 2, 1)])
+        mesh = mesh.refine([(3, 3, 3)])
     sp = fe.Space(mesh, degree)
     assert sp.is_slave.any()
     Xq, Yq, _ = sp.quadrature_points()
@@ -181,7 +205,7 @@ def _poisson_system(degree, rect=UNIT):
 @pytest.mark.parametrize("degree", [1, 2, 3, 4])
 def test_direct_solve_meets_the_residual_bound_and_matches_cg(degree):
     _, S, b = _poisson_system(degree)
-    x = solve_direct(S, b)
+    x = spsolve(S.tocsc(), b)
     assert np.linalg.norm(S @ x - b) <= 1e-10 * np.linalg.norm(b)
     y = solve_spd(S, b)
     assert np.abs(x - y).max() <= 1e-8 * np.abs(y).max()
@@ -195,15 +219,6 @@ class _GarbageLU:
         return np.full(self.n, 1e3)
 
 
-def test_direct_solve_rejects_a_bad_factor(monkeypatch):
-    _, S, b = _poisson_system(2)
-    monkeypatch.setattr(linalg, "splu", _GarbageLU)
-    with pytest.raises(SolverFailure) as exc:
-        solve_direct(S, b)
-    assert "sparse LU" in str(exc.value)
-    assert exc.value.residual > exc.value.tol
-
-
 @pytest.mark.parametrize("rect", [UNIT, Rectangle(-1.0, 2.0, 0.0, 0.5)])
 @pytest.mark.parametrize("degree", [1, 2, 3, 4, 9])
 def test_skeleton_solve_matches_the_direct_solve(degree, rect):
@@ -213,11 +228,25 @@ def test_skeleton_solve_matches_the_direct_solve(degree, rect):
     kept = {name: id(value) for name, value in vars(cond).items()}
     x = solve_skeleton(sp, S, b)
     assert np.linalg.norm(S @ x - b) <= 1e-10 * np.linalg.norm(b)
-    y = solve_direct(S, b)
+    y = spsolve(S.tocsc(), b)
     assert np.abs(x - y).max() <= 1e-11 * np.abs(y).max()
     # the solve keeps nothing on the space
     assert sp._condensation is cond
     assert {name: id(value) for name, value in vars(cond).items()} == kept
+
+
+@pytest.mark.parametrize("degree", [2, 4])
+def test_skeleton_solve_on_a_mesh_graded_to_level_30(degree):
+    # one level block per level 1..30, hanging nodes at every level
+    mesh = Mesh.uniform(Rectangle(-1.0, 2.0, 0.0, 0.5), 1)
+    for level in range(1, 30):
+        mesh = mesh.refine([(level, 0, 0)])
+    assert (30, 0, 0) in mesh.leafset
+    sp, S, b = _poisson_system(degree, mesh=mesh)
+    x = solve_skeleton(sp, S, b)
+    assert np.linalg.norm(S @ x - b) <= 1e-10 * np.linalg.norm(b)
+    y = spsolve(S.tocsc(), b)
+    assert np.abs(x - y).max() <= 1e-11 * np.abs(y).max()
 
 
 def test_skeleton_solve_of_a_cell_without_skeleton_dofs():
@@ -225,7 +254,7 @@ def test_skeleton_solve_of_a_cell_without_skeleton_dofs():
     sp = fe.Space(Mesh.uniform(UNIT, 0), 3)
     S = assemble_stiffness(sp, 1.0)
     b = np.arange(1.0, sp.n_free + 1)
-    assert np.abs(solve_skeleton(sp, S, b) - solve_direct(S, b)).max() \
+    assert np.abs(solve_skeleton(sp, S, b) - spsolve(S.tocsc(), b)).max() \
         <= 1e-14
     assert np.array_equal(solve_skeleton(sp, S, 0 * b), 0 * b)
 
@@ -298,10 +327,10 @@ def test_step_operator_is_the_assembled_step_matrix(degree, ops, k, a):
     assembled = linalg._assembled
     stiff_calls = []
 
-    def spy(space, mass, stiff, condensed):
+    def spy(cond, mass, stiff):
         if stiff:
-            stiff_calls.append((mass, stiff, condensed))
-        return assembled(space, mass, stiff, condensed)
+            stiff_calls.append((mass, stiff))
+        return assembled(cond, mass, stiff)
 
     linalg._assembled = spy
     try:
@@ -326,11 +355,8 @@ def test_load_vector_scatter_adds_like_add_at():
     sp = fe.Space(mesh, 3)
     rng = np.random.default_rng(4)
     values = rng.standard_normal((len(mesh), len(sp.ref.quad1d) ** 2))
-    _, _, W = sp.quadrature_points()
-    cellwise = (values * W) @ sp.tensor_basis("quad", 0, 0)
-    oracle = np.zeros(sp.n_global)
-    np.add.at(oracle, sp.dofmap, cellwise)
-    assert np.array_equal(load_vector(sp, values, condensed=False), oracle)
+    assert np.array_equal(load_vector(sp, values),
+                          sp.P.T @ load_full(sp, values))
 
 
 def _hanging_space(degree=3):
@@ -361,17 +387,16 @@ def test_condensation_equals_p_transpose_a_p():
     for degree in (1, 2, 3, 4, 9):
         sp = _hanging_space(degree)
         P = sp.P
-        for A, A_full in [(assemble_mass(sp),
-                           assemble_mass(sp, condensed=False)),
+        for A, A_full in [(assemble_mass(sp), assemble_full(sp, 1.0, 0.0)),
                           (assemble_stiffness(sp, 1.0),
-                           assemble_stiffness(sp, 1.0, condensed=False))]:
+                           assemble_full(sp, 0.0, 1.0))]:
             old = (P.T @ A_full @ P).toarray()
             assert np.abs(A.toarray() - old).max() \
                 <= 1e-14 * np.abs(old).max()
         values = np.random.default_rng(8).standard_normal(
             (len(sp.mesh), len(sp.ref.quad1d) ** 2))
-        b_full = load_vector(sp, values, condensed=False)
-        assert np.array_equal(load_vector(sp, values), P.T @ b_full)
+        assert np.array_equal(load_vector(sp, values),
+                              P.T @ load_full(sp, values))
 
 
 def test_level_blocks_are_the_block_diagonal_in_level_order():
@@ -401,10 +426,9 @@ def test_condensing_a_second_space_frees_the_first():
     assert np.abs(op @ x - y).max() <= 1e-13 * np.abs(y).max()
     # the first space rebuilds its matrices when used again
     P = first.P
-    for A, A_full in [(assemble_mass(first),
-                       assemble_mass(first, condensed=False)),
+    for A, A_full in [(assemble_mass(first), assemble_full(first, 1.0, 0.0)),
                       (assemble_stiffness(first, 1.0),
-                       assemble_stiffness(first, 1.0, condensed=False))]:
+                       assemble_full(first, 0.0, 1.0))]:
         oracle = (P.T @ A_full @ P).toarray()
         assert np.abs(A.toarray() - oracle).max() \
             <= 1e-14 * np.abs(oracle).max()
@@ -414,17 +438,24 @@ def test_condensing_a_second_space_frees_the_first():
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 4, 9])
 def test_assembly_matches_int64_index_oracle_bitwise(degree):
+    # G^T (blocks G), whose level blocks have int32 indices and one local
+    # matrix per level, against G^T B G with B every cell's own local
+    # matrix on int64 COO indices
     sp = _hanging_space(degree)
-    dofmap = sp.dofmap.astype(np.int64)
-    nloc = dofmap.shape[1]
-    rows = np.repeat(dofmap, nloc, axis=1).ravel()
-    cols = np.tile(dofmap, (1, nloc)).ravel()
-    for mass, stiff in [(1.0, 0.0), (0.0, 1.0)]:
-        local = linalg._cell_matrices(sp.ref, sp.mesh.hx, sp.mesh.hy,
-                                      mass, stiff)
-        A = linalg._assemble_full(sp, local)
-        oracle = coo_matrix((local.ravel(), (rows, cols)),
-                            shape=(sp.n_global, sp.n_global)).tocsr()
+    cond = linalg._condensation(sp)
+    nloc = sp.dofmap.shape[1]
+    ncells = len(sp.mesh)
+    cell = np.repeat(np.arange(ncells, dtype=np.int64), nloc * nloc)
+    i, j = np.divmod(np.tile(np.arange(nloc * nloc, dtype=np.int64), ncells),
+                     nloc)
+    rows, cols = cell * nloc + i, cell * nloc + j
+    hx, hy = sp.mesh.hx[cond.order], sp.mesh.hy[cond.order]
+    for A, mass, stiff in [(assemble_mass(sp), 1.0, 0.0),
+                           (assemble_stiffness(sp, 1.0), 0.0, 1.0)]:
+        local = linalg._cell_matrices(sp.ref, hx, hy, mass, stiff)
+        B = coo_matrix((local.ravel(), (rows, cols)),
+                       shape=(ncells * nloc, ncells * nloc)).tocsr()
+        oracle = cond.GT @ (B @ cond.G)
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(A, attr), getattr(oracle, attr))
 

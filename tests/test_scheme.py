@@ -6,12 +6,13 @@ import weakref
 import numpy as np
 import pytest
 from scipy.sparse import issparse
+from scipy.sparse.linalg import spsolve
 
 from semiheat.mesh import Mesh, Rectangle
 from semiheat import fespace as fe
 from semiheat import scheme as sc
 from semiheat.linalg import (assemble_mass, assemble_stiffness, load_vector,
-                             solve_direct, solve_skeleton)
+                             solve_skeleton)
 from semiheat.problems import builtin
 
 UNIT = Rectangle(0.0, 1.0, 0.0, 1.0)
@@ -36,8 +37,8 @@ def test_project_initial_frees_its_stiffness_matrix(degree, monkeypatch):
     assert sp.is_slave.any()
     refs = []
 
-    def keeping_a_ref(space, a, condensed=True):
-        S = assemble_stiffness(space, a, condensed)
+    def keeping_a_ref(space, a):
+        S = assemble_stiffness(space, a)
         refs.append(weakref.ref(S))
         return S
 
@@ -203,7 +204,7 @@ def test_imex_step_matches_a_direct_solve_of_the_assembled_system(moved):
     Xq, Yq, _ = sp.quadrature_points()
     upq = u_prev.eval(Xq.ravel(), Yq.ravel()).reshape(Xq.shape)
     b = M @ u_hat.free_values / k + load_vector(sp, prob.f(Xq, Yq, t, upq))
-    x = solve_direct((M / k + assemble_stiffness(sp, prob.a)).tocsr(), b)
+    x = spsolve((M / k + assemble_stiffness(sp, prob.a)).tocsc(), b)
     assert np.abs(u_next.free_values - x).max() <= 1e-8 * np.abs(x).max()
 
 
