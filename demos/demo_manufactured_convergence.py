@@ -5,7 +5,7 @@
 # h^(p+1).  All three orders are measured here by log-log slope fits.
 
 from semiheat import (Mesh, Space, builtin, run_fixed, fit_slope,
-                      project_initial, imex_step, SlabWorkspace)
+                      project_initial, imex_step, SlabEnd, SlabWorkspace)
 from semiheat.scheme import InitialLaplacian
 
 prob = builtin("manufactured_linear")
@@ -18,8 +18,8 @@ ks = [0.02, 0.01, 0.005]
 per_step = []
 for k in ks:
     U1, hat = imex_step(prob, U0, space, k, 0.0)
-    ws = SlabWorkspace(prob, U0, InitialLaplacian(prob.a, prob.lap_u0),
-                       space, 0.0)
+    start = SlabEnd(U0, InitialLaplacian(prob.a, prob.lap_u0))
+    ws = SlabWorkspace(prob, start, space, 0.0)
     ws.set_state(U1, hat, k)
     per_step.append(ws.eta_time())
 print("per-step eta_T:", ["%.3e" % v for v in per_step],

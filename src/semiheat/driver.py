@@ -51,6 +51,7 @@ class Tolerances:
 
     @classmethod
     def from_plus(cls, stol_plus, ttol_plus, ratio=16.0):
+        """Minus = plus / ratio; kept so the tests write the ratio once."""
         return cls(stol_plus, stol_plus / ratio, ttol_plus, ttol_plus / ratio)
 
 
@@ -173,37 +174,30 @@ def _tinf_from_ledger(ledger):
 class _Slab:
     """Certification of one slab (t, t + k] from the certified state at t.
 
-    `u` is the field at t, `A` its discrete-Laplacian closure and `eta_S`
-    its per-cell space estimator.  `solve` tries a candidate (space, k):
-    the IMEX step and the time estimator.  `space_estimates` evaluates the
-    candidate's space side once.  `certify` computes psi, delta and r,
-    records the slab and returns the slab that follows it, which holds the
-    certified workspace until its own first workspace has taken what it
-    can reuse.
+    `start` is the `est.SlabEnd` at t (the field and its closure) and
+    `eta_S` its per-cell space estimator.  `solve` tries a candidate
+    (space, k): the IMEX step and the time estimator.  `space_estimates`
+    evaluates the candidate's space side once.  `certify` computes psi,
+    delta and r, records the slab and returns the slab that follows it,
+    whose start is this slab's certified end.
     """
 
-    def __init__(self, problem, opts, m, t, u, A, eta_S, previous=None,
-                 face_derivs=None):
+    def __init__(self, problem, opts, m, t, start, eta_S):
         self.problem = problem
         self.opts = opts
         self.m = m
         self.t = t
-        self.u = u
-        self.A = A
+        self.start = start
         self.eta_S = eta_S
-        self.previous = previous        # the workspace u ends, until self.ws
-        self.face_derivs = face_derivs  # of u, when it has no workspace
         self.ws = None
 
     def solve(self, space, k):
         """IMEX step of size k onto `space`; returns the time estimator."""
-        u_next, u_hat = sc.imex_step(self.problem, self.u, space, k, self.t)
+        u_next, u_hat = sc.imex_step(self.problem, self.start.u, space, k,
+                                     self.t)
         if self.ws is None or self.ws.space_next is not space:
-            self.ws = est.SlabWorkspace(
-                self.problem, self.u, self.A, space, self.t,
-                q=self.opts.time_quadrature,
-                prev_face_derivs=self.face_derivs, previous=self.previous)
-            self.previous = None
+            self.ws = est.SlabWorkspace(self.problem, self.start, space,
+                                        self.t, q=self.opts.time_quadrature)
         self.ws.set_state(u_next, u_hat, k)
         self.k = k
         self.eta_T = self.ws.eta_time()
@@ -239,17 +233,16 @@ class _Slab:
             return None
         r = None if delta is None else est.gronwall_factor(
             delta, psi, xi, k, t, modulus, ws.u_norm, c_inf, q)
-        slab = sc.make_slab(problem, self.m, t, k, self.u, ws.u_next,
-                            ws.u_hat, self.A)
+        end = ws.end
+        slab = sc.make_slab(self.m, self.start.A, end.A)
         slab.t_next = t_next
         slab.overlay_dofs = ws.overlay_free_dofs()
         traj.slabs.append(slab)
         ledger.add_step(self.m, t_next, k, ws.space_next.n_free,
-                        ws.u_next.linf_norm(), self.eta_T, xi, xi_prime, psi,
+                        end.u.linf_norm(), self.eta_T, xi, xi_prime, psi,
                         delta, r, eta_S, ws.hmin_next, dot_map)
-        _maybe_dump(opts, self.m, ws.mesh_next, ws.u_next)
-        return _Slab(problem, opts, self.m + 1, t_next, ws.u_next,
-                     slab.A_next, eta_S, previous=ws)
+        _maybe_dump(opts, self.m, ws.mesh_next, end.u)
+        return _Slab(problem, opts, self.m + 1, t_next, end, eta_S)
 
 
 class _Start(NamedTuple):
@@ -277,9 +270,10 @@ def _start(problem, space):
 
 def _first_slab(problem, opts, start):
     """Slab 1 from a start state, with its own copy of the memo."""
-    return _Slab(problem, opts, 1, 0.0, start.u0,
-                 sc.InitialLaplacian(problem.a, problem.lap_u0),
-                 start.eta_S, face_derivs=dict(start.face_derivs))
+    A0 = sc.InitialLaplacian(problem.a, problem.lap_u0)
+    return _Slab(problem, opts, 1, 0.0,
+                 est.SlabEnd(start.u0, A0, dict(start.face_derivs)),
+                 start.eta_S)
 
 
 class FirstIntervalCache:
@@ -357,11 +351,11 @@ def run_adaptive(problem, tolerances, degree, initial_mesh, k1, options=None,
         key = (mesh.leafset, k)
         known = cache.passes.get(key)
         if known is None or accepted(*known) or passes >= FIRST_INTERVAL_CAP:
-            if slab is None or mesh.leafset != slab.u.space.mesh.leafset:
+            if slab is None or mesh.leafset != slab.start.u.space.mesh.leafset:
                 start = cache.starts.get(mesh.leafset) \
                     or _start(problem, fe.Space(mesh, degree))
                 slab = _first_slab(problem, opts, start)
-            eta_T = slab.solve(slab.u.space, k)
+            eta_T = slab.solve(slab.start.u.space, k)
             eta_S1, dot1, _, xi = slab.space_estimates()
             alpha = alpha_value(modulus, slab.ws, xi, 1.0, k)
             ref_S = first_space_indicator(start.e0_map, slab.eta_S, eta_S1,
@@ -406,7 +400,7 @@ def run_adaptive(problem, tolerances, degree, initial_mesh, k1, options=None,
 
         # Time-step control on the current mesh.
         r_tilde_prev = ledger.r_tilde[-1]
-        space = slab.u.space
+        space = slab.start.u.space
         clipped = False
         if T is not None and t + k >= T * (1.0 - 1e-12):
             k = T - t
@@ -441,7 +435,7 @@ def run_adaptive(problem, tolerances, degree, initial_mesh, k1, options=None,
 
     # Only a run that returns shares its start: its result holds it anyway.
     cache.starts.setdefault(start.u0.space.mesh.leafset, start)
-    return _result(traj, ledger, stop, t, slab.u, caps_hit=caps,
+    return _result(traj, ledger, stop, t, slab.start.u, caps_hit=caps,
                    final_tolerances=(stol_p, stol_m, ttol_p, ttol_m))
 
 
@@ -469,4 +463,4 @@ def run_fixed(problem, mesh, degree, k, T=None, options=None):
         slab.solve(space, (T - t) if clipped else k)
         t = T if clipped else t + slab.k
         slab = slab.certify(ledger, traj, t, keep_uncertified=True)
-    return _result(traj, ledger, "final_time", t, slab.u)
+    return _result(traj, ledger, "final_time", t, slab.start.u)

@@ -137,13 +137,76 @@ def xi_value(prev_map, hmin_prev, next_map, hmin_next):
 # -- slab workspace ----------------------------------------------------------------
 
 
+def _sample_grid(field, vee, deriv="val"):
+    """Values ("val") or Laplacian ("lap") of field on vee's sample grid."""
+    return fe.grid_values(field, fe.transfer(vee, field.space.mesh), "sample",
+                          deriv)
+
+
+class SlabEnd:
+    """A slab end: field `u`, its closure `A`, and what the estimators
+    evaluate of them.  Slab n's end is slab n+1's start.
+
+    `A` is the `DiscreteLaplacian` of the step that ended at u (which must
+    end at u), or an analytic term such as slab 1's `InitialLaplacian`.
+    The values, Laplacian and A values are kept on the sample grid of one
+    finest overlay at a time, keyed by that mesh's identity; asking for
+    another overlay drops them.  Face normal derivatives are kept per
+    `FaceSet` in the memo `face_derivs`.
+    """
+
+    def __init__(self, u, A, face_derivs=None):
+        if isinstance(A, DiscreteLaplacian) and A.u_next is not u:
+            raise ValueError("a discrete closure must end at its field")
+        self.u = u
+        self.A = A
+        self.face_derivs = {} if face_derivs is None else face_derivs
+        self._vee = None
+        self._grids = {}
+
+    def _on(self, vee, key, compute):
+        if vee is not self._vee:
+            self._vee, self._grids = vee, {}
+        if key not in self._grids:
+            self._grids[key] = compute()
+        return self._grids[key]
+
+    def values(self, vee):
+        return self._on(vee, "val", lambda: _sample_grid(self.u, vee))
+
+    def laplacian(self, vee):
+        return self._on(vee, "lap", lambda: _sample_grid(self.u, vee, "lap"))
+
+    def A_values(self, vee, Xs, Ys, start=None):
+        """A on vee's sample grid (Xs, Ys); a discrete A reads its start
+        field's values there from `start`, that field's SlabEnd, if given."""
+        def closure():
+            A = self.A
+            if not isinstance(A, DiscreteLaplacian):
+                return A(Xs, Ys)  # analytic, e.g. the InitialLaplacian
+            up = _sample_grid(A.u_prev, vee) if start is None \
+                else start.values(vee)
+            un = self.values(vee)
+            uh = un if A.u_hat is A.u_next else _sample_grid(A.u_hat, vee)
+            return A.values(Xs, Ys, up, un, uh)
+        return self._on(vee, "A", closure)
+
+    def normal_derivs(self, fs):
+        """fe.face_normal_derivs of u on face set fs, computed once."""
+        if fs not in self.face_derivs:
+            self.face_derivs[fs] = fe.face_normal_derivs(self.u, fs)
+        return self.face_derivs[fs]
+
+
 class SlabWorkspace:
     """Evaluates all slab estimators on the overlay of the two meshes.
 
-    Built once per mesh configuration of a slab; `set_state` swaps in a
-    candidate (U_next, U_hat, k) cheaply so time-step adjustment loops only
-    pay for value re-evaluation.  Laplacians and face gradients are
-    computed lazily when the space estimators are first requested.
+    Built once per mesh configuration of a slab from `start`, the
+    `SlabEnd` at t_prev.  `set_state` swaps in a candidate (U_next,
+    U_hat, k) as `self.end`, with the closure it defines, so time-step
+    adjustment loops only pay for value re-evaluation.  Both ends are
+    evaluated lazily; a certified end starts the next slab, which reads
+    its arrays as they stand when its finest overlay is this one.
 
     Fields are evaluated on the finest overlay's sample grid through the
     `fespace.transfer` of (overlay, field's mesh), which each mesh pair
@@ -152,39 +215,17 @@ class SlabWorkspace:
     fields' cells and weight each overlay cell by its coarsest-overlay
     cell's size.
 
-    Face normal derivatives are kept per field as {FaceSet: derivatives}
-    (`prev_face_derivs`, `next_face_derivs`), so each (field, face set)
-    pair is evaluated once.
-
-    `previous` is the previous slab's workspace, at the state its slab
-    was certified in; its u_next must be this u_prev.  Its
-    `next_face_derivs` become this workspace's `prev_face_derivs` (a
-    start field without a workspace, such as U0, passes its memo as
-    `prev_face_derivs` instead).  When its finest overlay is also this
-    one's, its end-field arrays are this workspace's start-field arrays,
-    the same values the overlay would give: `Uprev` is its `Unext`, the
-    Laplacian its `_lapUnext` (if it was evaluated), and
-    `A_prev_values()` its `A_next_values()` when A_prev is the closure
-    its state defines.  Otherwise they are evaluated here.  Only the
-    arrays are kept, not `previous`.
-
     The sampled sup norm of the time interpolant is computed once per
     time node and state (`u_norm`); `eta_time` records it at its Gauss
     nodes, where the delta and Gronwall integrals read it.
     """
 
-    def __init__(self, problem, u_prev, A_prev, space_next, t_prev, q=3,
-                 prev_face_derivs=None, previous=None):
-        if u_prev.space.degree != space_next.degree:
+    def __init__(self, problem, start, space_next, t_prev, q=3):
+        self.space_prev = start.u.space
+        if self.space_prev.degree != space_next.degree:
             raise ValueError("slab endpoint spaces must share the degree")
-        # A_prev_values reads the closure's end field as self.Uprev
-        if isinstance(A_prev, DiscreteLaplacian) \
-                and A_prev.u_next is not u_prev:
-            raise ValueError("a discrete A_prev must end at u_prev")
         self.problem = problem
-        self.u_prev = u_prev
-        self.A_prev = A_prev
-        self.space_prev = u_prev.space
+        self.start = start
         self.space_next = space_next
         self.t_prev = t_prev
         self.q = q
@@ -202,78 +243,26 @@ class SlabWorkspace:
         self.hmin_next = mesh_next.min_diameter()
         self.Xs, self.Ys = fe.tensor_grid(self.vee, slice(None),
                                           space_next.ref.sample1d)
-        if previous is not None:
-            if previous.u_next is not u_prev:
-                raise ValueError("the previous workspace must end at u_prev")
-            if prev_face_derivs is not None:
-                raise ValueError("pass previous or prev_face_derivs, "
-                                 "not both")
-            prev_face_derivs = previous.next_face_derivs
-        self.prev_face_derivs = {} if prev_face_derivs is None \
-            else prev_face_derivs
-
-        # Static per-slab arrays.
-        self._lapUprev = None
-        self._A_prev_vals = None
-        if previous is not None and previous.vee is self.vee:
-            self.Uprev = previous.Unext
-            self._lapUprev = previous._lapUnext
-            if _defines(previous, A_prev):
-                self._A_prev_vals = previous.A_next_values()
-        else:
-            self.Uprev = self._grid_eval(u_prev)
-
-        # Per-state arrays (set_state).
-        self.u_next = None
-        self.u_hat = None
-        self.k = None
-        self.Unext = None
-        self._A_next_vals = None
-        self._lapUnext = None
-        self.next_face_derivs = {}
+        self.end = self.k = None  # per state (set_state)
         self._norms = {}
-
-    def _grid_eval(self, field, deriv="val"):
-        """Values ("val") or Laplacian ("lap") on the overlay sample grid."""
-        return fe.grid_values(field, fe.transfer(self.vee, field.space.mesh),
-                              "sample", deriv)
 
     # -- state ----------------------------------------------------------------
 
     def set_state(self, u_next, u_hat, k):
         if u_next.space is not self.space_next:
             raise ValueError("u_next does not live on the slab's next space")
-        self.u_next = u_next
-        self.u_hat = u_hat
         self.k = float(k)
-        self.Unext = self._grid_eval(u_next)
-        self._Uhat = self._grid_eval(u_hat) \
-            if u_hat is not u_next else self.Unext
-        self._A_next_vals = None
-        self._lapUnext = None
-        self.next_face_derivs = {}
+        self.end = SlabEnd(u_next, DiscreteLaplacian(
+            self.problem.f, self.t_prev, self.k, self.start.u, u_next, u_hat))
         self._norms = {}
 
     # -- driving terms ---------------------------------------------------------
 
     def A_prev_values(self):
-        if self._A_prev_vals is None:
-            A = self.A_prev
-            if isinstance(A, DiscreteLaplacian):
-                self._A_prev_vals = A.values(
-                    self.Xs, self.Ys, self._grid_eval(A.u_prev), self.Uprev,
-                    self._grid_eval(A.u_hat))
-            else:  # analytic, e.g. the InitialLaplacian of slab 1
-                self._A_prev_vals = A(self.Xs, self.Ys)
-        return self._A_prev_vals
+        return self.start.A_values(self.vee, self.Xs, self.Ys)
 
     def A_next_values(self):
-        if self._A_next_vals is None:
-            A = DiscreteLaplacian(self.problem.f, self.t_prev, self.k,
-                                  self.u_prev, self.u_next, self.u_hat)
-            self._A_next_vals = A.values(self.Xs, self.Ys, self.Uprev,
-                                         self.Unext, self._Uhat)
-        return self._A_next_vals
+        return self.end.A_values(self.vee, self.Xs, self.Ys, self.start)
 
     # -- time estimator ----------------------------------------------------------
 
@@ -286,8 +275,9 @@ class SlabWorkspace:
         if norm is None:
             lb = (s - self.t_prev) / self.k
             la = 1.0 - lb
-            norm = self._norms[s] = float(
-                np.abs(la * self.Uprev + lb * self.Unext).max())
+            norm = self._norms[s] = float(np.abs(
+                la * self.start.values(self.vee)
+                + lb * self.end.values(self.vee)).max())
         return norm
 
     def modulus_integral(self, modulus, c):
@@ -306,20 +296,11 @@ class SlabWorkspace:
         """Gauss-in-time integral of the sampled sup norm of the residual."""
         return eta_time_from_values(
             self.problem.f, self.Xs, self.Ys, self.t_prev, self.k,
-            self.Uprev, self.Unext, self.A_prev_values(),
-            self.A_next_values(), q=self.q, norms=self._norms)
+            self.start.values(self.vee), self.end.values(self.vee),
+            self.A_prev_values(), self.A_next_values(), q=self.q,
+            norms=self._norms)
 
     # -- space estimators --------------------------------------------------------
-
-    def _lap_prev(self):
-        if self._lapUprev is None:
-            self._lapUprev = self._grid_eval(self.u_prev, "lap")
-        return self._lapUprev
-
-    def _lap_next(self):
-        if self._lapUnext is None:
-            self._lapUnext = self._grid_eval(self.u_next, "lap")
-        return self._lapUnext
 
     def _scatter_next_max(self, per_vee):
         out = np.zeros(len(self.mesh_next))
@@ -329,21 +310,14 @@ class SlabWorkspace:
     def eta_space_map(self):
         """Per-cell space estimator of the slab's end field on its mesh."""
         a = self.problem.a
-        vol_vee = np.abs(self.A_next_values() + a * self._lap_next()).max(axis=1)
+        end = self.end
+        vol_vee = np.abs(self.A_next_values()
+                         + a * end.laplacian(self.vee)).max(axis=1)
         vol = self._scatter_next_max(vol_vee)
-        jump = self.u_next.jump_max_per_cell(
-            self._face_derivs("next", face_set(self.mesh_next)))
+        jump = end.u.jump_max_per_cell(
+            end.normal_derivs(face_set(self.mesh_next)))
         h = self.mesh_next.h
         return h * h / a * vol + h * jump
-
-    def _face_derivs(self, channel, fs):
-        """fe.face_normal_derivs of u_prev or u_next on fs, computed once."""
-        memo = self.prev_face_derivs if channel == "prev" \
-            else self.next_face_derivs
-        if fs not in memo:
-            field = self.u_prev if channel == "prev" else self.u_next
-            memo[fs] = fe.face_normal_derivs(field, fs)
-        return memo[fs]
 
     def eta_dot_maps(self):
         """Space-derivative estimator: (per-cell map on the end mesh, xi').
@@ -354,14 +328,15 @@ class SlabWorkspace:
         """
         a = self.problem.a
         k = self.k
+        start, end, vee = self.start, self.end, self.vee
         vol_vee = np.abs(self.A_next_values() - self.A_prev_values()
-                         + a * (self._lap_next() - self._lap_prev())).max(axis=1)
-        fs = face_set(self.vee)
-        jump_vee = fe.faces_to_cells(fs, len(self.vee), [
+                         + a * (end.laplacian(vee) - start.laplacian(vee))
+                         ).max(axis=1)
+        fs = face_set(vee)
+        jump_vee = fe.faces_to_cells(fs, len(vee), [
             (sel, np.abs((gnl - gpl) - (gnr - gpr)).max(axis=1))
             for (sel, gpl, gpr), (_, gnl, gnr) in zip(
-                self._face_derivs("prev", fs),
-                self._face_derivs("next", fs))])
+                start.normal_derivs(fs), end.normal_derivs(fs))])
         hw = self.h_wedge
         etadot_vee = hw * hw / (k * a) * vol_vee + hw / k * jump_vee
         xi_prime = log_factor(min(self.hmin_prev, self.hmin_next)) * k \
@@ -399,13 +374,6 @@ def eta_time_from_values(f, Xs, Ys, t_prev, k, U_prev_vals, U_next_vals,
 
     nodes, wts = _time_rule(t_prev, k, q)
     return _time_sum(wts, map(sup_residual, nodes))
-
-
-def _defines(ws, A):
-    """True when closure A is the A_next of workspace ws's current state."""
-    return isinstance(A, DiscreteLaplacian) and (
-        A.f, A.t_prev, A.k, A.u_prev, A.u_next, A.u_hat) == (
-        ws.problem.f, ws.t_prev, ws.k, ws.u_prev, ws.u_next, ws.u_hat)
 
 
 # -- psi / delta / r -------------------------------------------------------------

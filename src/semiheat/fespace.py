@@ -333,7 +333,7 @@ class Field:
         """Nodal interpolant of fn with hanging constraints resolved.
 
         Boundary node values are kept as sampled; use from_free for fields
-        of the homogeneous solution space.
+        of the homogeneous solution space.  Kept for the tests' exact fields.
         """
         xy = space.node_coords
         vals = np.asarray(fn(xy[:, 0], xy[:, 1]), dtype=float)

@@ -46,6 +46,7 @@ class Rectangle:
 
     @property
     def area(self):
+        """Kept as the tests' exact value for tiling and mass sums."""
         return self.width * self.height
 
     def __eq__(self, other):
@@ -148,6 +149,7 @@ class Mesh:
         return out
 
     def index_of(self, key):
+        """Row of leaf `key`; kept as the tests' public key-to-row map."""
         return self._index[key]
 
     def cell_box(self, i):
@@ -319,6 +321,7 @@ class Mesh:
                      <= 1).all())
 
     def total_area(self):
+        """Leaf area sum; kept for the tests' tiling invariant checks."""
         return float((self.hx * self.hy).sum())
 
     # -- output ---------------------------------------------------------------

@@ -136,7 +136,8 @@ def modulus_check(spec, n_samples, seed=0, value_range=1e3):
     |f(x,t,v) - f(x,t,w)| <= L(t,|v|,|w|) |v - w| up to roundoff slack
     (1e-12 relative to the magnitudes involved, since the reaction values
     themselves carry rounding error at large |v|).  Returns a list of
-    violating samples, empty when the modulus is admissible.
+    violating samples, empty when the modulus is admissible.  Kept,
+    exported, for users who write their own `ProblemSpec` (README).
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")

@@ -130,12 +130,13 @@ def imex_step(problem, u_prev, space_next, k, t_prev):
     return fe.Field.from_free(space_next, x), u_hat
 
 
-def make_slab(problem, m, t_prev, k, u_prev, u_next, u_hat, A_prev):
-    """Assemble a TimeSlab; A_prev is the closure at t_prev (the previous
-    slab's A_next, or the InitialLaplacian for slab 1)."""
-    A_next = DiscreteLaplacian(problem.f, t_prev, k, u_prev, u_next, u_hat)
-    return TimeSlab(m=m, t_prev=t_prev, t_next=t_prev + k, k=k,
-                    space_prev=u_prev.space, space_next=u_next.space,
-                    u_prev=u_prev, u_next=u_next, u_hat=u_hat,
+def make_slab(m, A_prev, A_next):
+    """Assemble a TimeSlab from its closures: A_prev at t_prev (the
+    previous slab's A_next, or the InitialLaplacian for slab 1) and the
+    step's DiscreteLaplacian A_next, which holds the rest."""
+    A = A_next
+    return TimeSlab(m=m, t_prev=A.t_prev, t_next=A.t_prev + A.k, k=A.k,
+                    space_prev=A.u_prev.space, space_next=A.u_next.space,
+                    u_prev=A.u_prev, u_next=A.u_next, u_hat=A.u_hat,
                     A_prev=A_prev, A_next=A_next)
 

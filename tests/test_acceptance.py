@@ -118,9 +118,9 @@ def test_criterion_3_temporal_order():
     per_step = []
     for k in ks:
         U1, hat = sc.imex_step(prob, U0, space, k, 0.0)
-        ws = est.SlabWorkspace(prob, U0,
-                               sc.InitialLaplacian(prob.a, prob.lap_u0),
-                               space, 0.0)
+        ws = est.SlabWorkspace(
+            prob, est.SlabEnd(U0, sc.InitialLaplacian(prob.a, prob.lap_u0)),
+            space, 0.0)
         ws.set_state(U1, hat, k)
         per_step.append(ws.eta_time())
     slope_step = fit_slope(ks, per_step)

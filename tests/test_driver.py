@@ -58,8 +58,9 @@ def test_alpha_constant_modulus_closed_form():
     sp = fe.Space(Mesh.uniform(prob.rect, 3), 2)
     U0 = sc.project_initial(prob, sp)
     U1, hat = sc.imex_step(prob, U0, sp, 0.02, 0.0)
-    ws = est.SlabWorkspace(prob, U0,
-                           sc.InitialLaplacian(prob.a, prob.lap_u0), sp, 0.0)
+    ws = est.SlabWorkspace(
+        prob, est.SlabEnd(U0, sc.InitialLaplacian(prob.a, prob.lap_u0)), sp,
+        0.0)
     ws.set_state(U1, hat, 0.02)
     for c in (0.25, 1.0, 7.0):
         modulus = est.LipschitzModulus(lambda t, a, b, c=c: c, kind="generic")
@@ -106,11 +107,13 @@ def test_weighted_average_dofs_formula():
     prob = builtin("heat_decay")
     sp = fe.Space(Mesh.uniform(prob.rect, 2), 1)
     z = fe.Field.zeros(sp)
-    s1 = sc.make_slab(prob, 1, 0.0, 0.5, z, z, z, None)
+    s1 = sc.make_slab(1, None,
+                      sc.DiscreteLaplacian(prob.f, 0.0, 0.5, z, z, z))
     s1.overlay_dofs = 100
     traj = sc.Trajectory(z, [s1])
     assert dr.weighted_average_dofs(traj) == pytest.approx(100.0)
-    s2 = sc.make_slab(prob, 2, 0.5, 0.5, z, z, z, None)
+    s2 = sc.make_slab(2, None,
+                      sc.DiscreteLaplacian(prob.f, 0.5, 0.5, z, z, z))
     s2.overlay_dofs = 200
     traj.slabs.append(s2)
     assert dr.weighted_average_dofs(traj) == pytest.approx(150.0)
@@ -126,9 +129,9 @@ def test_weighted_average_dofs_overlay_exceeds_endpoints():
     spo = fe.Space(other, 2)
     za = fe.Field.zeros(spf)
     zb = fe.Field.zeros(spo)
-    slab = sc.make_slab(prob, 1, 0.0, 1.0, za, zb, fe.interpolate(za, spo),
-                        None)
-    slab.overlay_dofs = est.SlabWorkspace(prob, za, None, spo,
+    slab = sc.make_slab(1, None, sc.DiscreteLaplacian(
+        prob.f, 0.0, 1.0, za, zb, fe.interpolate(za, spo)))
+    slab.overlay_dofs = est.SlabWorkspace(prob, est.SlabEnd(za, None), spo,
                                           0.0).overlay_free_dofs()
     traj = sc.Trajectory(za, [slab])
     lam = dr.weighted_average_dofs(traj)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from semiheat.mesh import Mesh, Rectangle
+from semiheat.mesh import Mesh, Rectangle, face_set
 from semiheat import fespace as fe
 from semiheat import scheme as sc
 from semiheat import estimators as est
@@ -19,8 +19,9 @@ def make_slab_workspace(prob, level=3, degree=2, k=0.01, mesh=None):
     sp = fe.Space(mesh, degree)
     U0 = sc.project_initial(prob, sp)
     U1, hat = sc.imex_step(prob, U0, sp, k, 0.0)
-    ws = est.SlabWorkspace(prob, U0, sc.InitialLaplacian(prob.a, prob.lap_u0),
-                           sp, 0.0)
+    ws = est.SlabWorkspace(
+        prob, est.SlabEnd(U0, sc.InitialLaplacian(prob.a, prob.lap_u0)),
+        sp, 0.0)
     ws.set_state(U1, hat, k)
     return sp, U0, U1, hat, ws
 
@@ -95,8 +96,8 @@ def test_eta_dot_vanishes_for_stationary_slab():
     flat = replace(prob, u0=lambda x, y: 0.0 * x, lap_u0=lambda x, y: 0.0 * x)
     sp = fe.Space(Mesh.uniform(UNIT, 2), 2)
     z = fe.Field.zeros(sp)
-    ws = est.SlabWorkspace(flat, z, sc.InitialLaplacian(1.0, flat.lap_u0),
-                           sp, 0.0)
+    ws = est.SlabWorkspace(
+        flat, est.SlabEnd(z, sc.InitialLaplacian(1.0, flat.lap_u0)), sp, 0.0)
     ws.set_state(z, z, 0.1)
     dot_map, xi_prime = ws.eta_dot_maps()
     assert dot_map.max() == 0.0
@@ -118,8 +119,9 @@ def test_eta_dot_pure_refinement_weights_from_coarse_mesh():
     fine = mesh.refine([mesh.leaves[0], mesh.leaves[5]])
     spf = fe.Space(fine, 2)
     U1, hat = sc.imex_step(prob, U0, spf, 0.01, 0.0)
-    ws = est.SlabWorkspace(prob, U0, sc.InitialLaplacian(1.0, prob.lap_u0),
-                           spf, 0.0)
+    ws = est.SlabWorkspace(
+        prob, est.SlabEnd(U0, sc.InitialLaplacian(1.0, prob.lap_u0)), spf,
+        0.0)
     ws.set_state(U1, hat, 0.01)
     # wedge = coarse mesh; every vee cell's weight is its coarse ancestor's h
     assert set(ws.wedge.leaves) == set(mesh.leaves)
@@ -141,7 +143,7 @@ def test_refine_only_mesh_change_locates_once(monkeypatch):
     U0 = sc.project_initial(prob, sp)
     k = 0.01
     U1, hat = sc.imex_step(prob, U0, sp, k, 0.0)
-    A1 = sc.make_slab(prob, 1, 0.0, k, U0, U1, hat, None).A_next
+    A1 = sc.DiscreteLaplacian(prob.f, 0.0, k, U0, U1, hat)
     spf = fe.Space(mesh.refine([mesh.leaves[0], mesh.leaves[5]]), 2)
     calls = []
     locate = Mesh.locate
@@ -152,7 +154,7 @@ def test_refine_only_mesh_change_locates_once(monkeypatch):
 
     monkeypatch.setattr(Mesh, "locate", counted)
     U2, hat2 = sc.imex_step(prob, U1, spf, k, k)
-    ws = est.SlabWorkspace(prob, U1, A1, spf, k)
+    ws = est.SlabWorkspace(prob, est.SlabEnd(U1, A1), spf, k)
     ws.set_state(U2, hat2, k)
     ws.eta_time()
     ws.eta_space_map()
@@ -163,7 +165,7 @@ def test_refine_only_mesh_change_locates_once(monkeypatch):
 
 def test_discrete_A_prev_must_end_at_u_prev():
     # A slab's A_prev closure ends at its u_prev, whose overlay values the
-    # workspace already holds; a closure that ends elsewhere is refused.
+    # start already holds; a closure that ends elsewhere is refused.
     prob = builtin("heat_decay")
     mesh = Mesh.uniform(UNIT, 2)
     sp = fe.Space(mesh, 2)
@@ -172,12 +174,12 @@ def test_discrete_A_prev_must_end_at_u_prev():
     U1, hat = sc.imex_step(prob, U0, sp, k, 0.0)
     A1 = sc.DiscreteLaplacian(prob.f, 0.0, k, U0, U1, hat)
     spf = fe.Space(mesh.refine([mesh.leaves[0], mesh.leaves[5]]), 2)
-    ws = est.SlabWorkspace(prob, U1, A1, spf, k)
-    grids = [ws._grid_eval(u) for u in (U0, U1, hat)]
+    ws = est.SlabWorkspace(prob, est.SlabEnd(U1, A1), spf, k)
+    grids = [est._sample_grid(u, ws.vee) for u in (U0, U1, hat)]
     assert np.array_equal(ws.A_prev_values(),
                           A1.values(ws.Xs, ws.Ys, *grids))
-    with pytest.raises(ValueError, match="end at u_prev"):
-        est.SlabWorkspace(prob, U0, A1, spf, k)
+    with pytest.raises(ValueError, match="end at its field"):
+        est.SlabEnd(U0, A1)
 
 
 # -- reuse across slabs ------------------------------------------------------------
@@ -188,7 +190,8 @@ def _second_slab(refine):
 
     With `refine`, slab 2 steps onto a refinement of slab 1's mesh, so the
     two slabs' finest overlays differ.  Returns (problem, slab 1's
-    workspace, U1, U0, its closure A1, slab 2's space, slab 2's state).
+    workspace, whose `end` is slab 2's start, U0, slab 2's space, slab
+    2's state).
     """
     prob = builtin("example1")
     mesh = Mesh.uniform(prob.rect, 2).refine([(2, 1, 1)])
@@ -197,39 +200,52 @@ def _second_slab(refine):
     U0 = sc.project_initial(prob, sp)
     U1, hat1 = sc.imex_step(prob, U0, sp, k, 0.0)
     A0 = sc.InitialLaplacian(prob.a, prob.lap_u0)
-    ws1 = est.SlabWorkspace(prob, U0, A0, sp, 0.0)
+    ws1 = est.SlabWorkspace(prob, est.SlabEnd(U0, A0), sp, 0.0)
     ws1.set_state(U1, hat1, k)
     ws1.eta_time()
     ws1.eta_space_map()
-    A1 = sc.make_slab(prob, 1, 0.0, k, U0, U1, hat1, A0).A_next
     sp2 = fe.Space(mesh.refine([(3, 2, 2)]), 3) if refine else sp
     U2, hat2 = sc.imex_step(prob, U1, sp2, k, k)
-    return prob, ws1, U1, U0, A1, sp2, (U2, hat2, k)
+    return prob, ws1, U0, sp2, (U2, hat2, k)
+
+
+def _cold(end):
+    """A start with the field and closure of `end` and nothing evaluated."""
+    return est.SlabEnd(end.u, end.A)
 
 
 def _assert_same_start(warm, cold):
-    assert np.array_equal(warm.Uprev, cold.Uprev)
-    assert np.array_equal(warm._lap_prev(), cold._lap_prev())
+    assert np.array_equal(warm.start.values(warm.vee),
+                          cold.start.values(cold.vee))
+    assert np.array_equal(warm.start.laplacian(warm.vee),
+                          cold.start.laplacian(cold.vee))
     assert np.array_equal(warm.A_prev_values(), cold.A_prev_values())
 
 
 def test_workspace_from_its_predecessor_equals_one_built_cold():
-    prob, ws1, U1, U0, A1, sp2, state = _second_slab(refine=False)
+    prob, ws1, U0, sp2, state = _second_slab(refine=False)
     k = state[2]
-    warm = est.SlabWorkspace(prob, U1, A1, sp2, k, previous=ws1)
-    cold = est.SlabWorkspace(prob, U1, A1, sp2, k)
+    end1 = ws1.end
+    U1 = end1.u
+    # what slab 1's estimators evaluated of its end
+    held = (end1.values(ws1.vee), end1.laplacian(ws1.vee),
+            ws1.A_next_values())
+    warm = est.SlabWorkspace(prob, end1, sp2, k)
+    cold = est.SlabWorkspace(prob, _cold(end1), sp2, k)
     assert warm.vee is ws1.vee
-    assert warm.prev_face_derivs is ws1.next_face_derivs
-    assert warm.Uprev is ws1.Unext and warm._lapUprev is ws1._lapUnext
-    assert warm.A_prev_values() is ws1.A_next_values()
+    assert warm.start.face_derivs is ws1.end.face_derivs
+    assert warm.start.values(warm.vee) is held[0]
+    assert warm.start.laplacian(warm.vee) is held[1]
+    assert warm.A_prev_values() is held[2]
     _assert_same_start(warm, cold)
     # a closure other than slab 1's state: its values are evaluated
     other = sc.DiscreteLaplacian(prob.f, 0.0, 2 * k, U0, U1, U1)
-    warm = est.SlabWorkspace(prob, U1, other, sp2, k, previous=ws1)
-    assert warm.Uprev is ws1.Unext
-    assert warm.A_prev_values() is not ws1.A_next_values()
-    _assert_same_start(warm, est.SlabWorkspace(prob, U1, other, sp2, k))
+    warm = est.SlabWorkspace(prob, est.SlabEnd(U1, other), sp2, k)
+    assert warm.A_prev_values() is not held[2]
+    _assert_same_start(warm, est.SlabWorkspace(prob, est.SlabEnd(U1, other),
+                                               sp2, k))
     # u_norm: eta_time's values at its Gauss nodes, computed ones elsewhere
+    warm = est.SlabWorkspace(prob, end1, sp2, k)
     nodes, _ = est._time_rule(k, k, 3)
     times = list(nodes) + [1.37 * k]
     for ws in (warm, cold):
@@ -240,25 +256,30 @@ def test_workspace_from_its_predecessor_equals_one_built_cold():
 
 
 def test_workspace_after_a_mesh_change_evaluates_its_start_field():
-    prob, ws1, U1, _, A1, sp2, _ = _second_slab(refine=True)
+    prob, ws1, _, sp2, _ = _second_slab(refine=True)
     k = 0.01
-    warm = est.SlabWorkspace(prob, U1, A1, sp2, k, previous=ws1)
+    end1 = ws1.end
+    held = (end1.values(ws1.vee), end1.laplacian(ws1.vee),
+            ws1.A_next_values())
+    fs1 = face_set(ws1.mesh_next)
+    derivs = end1.normal_derivs(fs1)
+    warm = est.SlabWorkspace(prob, end1, sp2, k)
     assert warm.vee is not ws1.vee
-    assert warm.prev_face_derivs is ws1.next_face_derivs
-    assert warm.Uprev is not ws1.Unext and warm._lapUprev is None
-    assert warm.A_prev_values() is not ws1.A_next_values()
-    _assert_same_start(warm, est.SlabWorkspace(prob, U1, A1, sp2, k))
+    assert warm.start.values(warm.vee) is not held[0]
+    assert warm.start.laplacian(warm.vee) is not held[1]
+    assert warm.A_prev_values() is not held[2]
+    _assert_same_start(warm, est.SlabWorkspace(prob, _cold(end1), sp2, k))
+    # face normal derivatives are kept per face set, across overlays
+    assert end1.normal_derivs(fs1) is derivs
 
 
 def test_workspace_rejects_a_predecessor_it_does_not_continue():
-    prob, ws1, U1, U0, A1, sp2, _ = _second_slab(refine=False)
-    k = 0.01
-    with pytest.raises(ValueError, match="end at u_prev"):
-        est.SlabWorkspace(prob, U0, sc.InitialLaplacian(prob.a, prob.lap_u0),
-                          sp2, k, previous=ws1)
-    with pytest.raises(ValueError, match="not both"):
-        est.SlabWorkspace(prob, U1, A1, sp2, k, prev_face_derivs={},
-                          previous=ws1)
+    # The hand-off is one SlabEnd: slab 1's closure cannot start a slab
+    # from U0, only from the field it ends at.
+    prob, ws1, U0, sp2, _ = _second_slab(refine=False)
+    with pytest.raises(ValueError, match="end at its field"):
+        est.SlabEnd(U0, ws1.end.A)
+    assert est.SlabWorkspace(prob, ws1.end, sp2, 0.01).start is ws1.end
 
 
 def test_reusing_the_previous_workspace_leaves_the_ledger_bitwise(
@@ -274,16 +295,19 @@ def test_reusing_the_previous_workspace_leaves_the_ledger_bitwise(
     init = est.SlabWorkspace.__init__
     reused = []
 
-    def spy(self, *args, previous=None, **kwargs):
-        init(self, *args, previous=previous, **kwargs)
-        reused.append(previous is not None and self.Uprev is previous.Unext)
+    def spy(self, problem, start, *args, **kwargs):
+        init(self, problem, start, *args, **kwargs)
+        # the start already holds arrays on this workspace's overlay
+        held = self.start
+        reused.append(held._vee is self.vee and "val" in held._grids)
 
     monkeypatch.setattr(est.SlabWorkspace, "__init__", spy)
     warm = run()
     assert any(reused) and not all(reused)
+    # every workspace from a start with nothing evaluated
     monkeypatch.setattr(est.SlabWorkspace, "__init__",
-                        lambda self, *a, previous=None, **kw:
-                        init(self, *a, **kw))
+                        lambda self, problem, start, *a, **kw:
+                        init(self, problem, _cold(start), *a, **kw))
     cold = run()
     for name in ("t", "k", "dofs", "linf_u", "eta_T", "xi", "xi_prime",
                  "psi", "delta", "r", "r_tilde", "bound"):
@@ -330,7 +354,7 @@ def test_eta_time_matches_dense_1d_oracle():
     U_prev = fe.Field(sp, np.full(sp.n_global, c1))
     U_next = fe.Field(sp, np.full(sp.n_global, c2))
     A_prev = sc.InitialLaplacian(1.0, flat.lap_u0)  # zero
-    ws = est.SlabWorkspace(flat, U_prev, A_prev, sp, 0.0)
+    ws = est.SlabWorkspace(flat, est.SlabEnd(U_prev, A_prev), sp, 0.0)
     ws.set_state(U_next, U_prev, k)
     eta = ws.eta_time()
 
@@ -355,9 +379,9 @@ def test_eta_time_second_order_in_k():
     etas = []
     for k in (0.02, 0.01, 0.005):
         U1, hat = sc.imex_step(prob, U0, sp, k, 0.0)
-        ws = est.SlabWorkspace(prob, U0,
-                               sc.InitialLaplacian(prob.a, prob.lap_u0),
-                               sp, 0.0)
+        ws = est.SlabWorkspace(
+            prob, est.SlabEnd(U0, sc.InitialLaplacian(prob.a, prob.lap_u0)),
+            sp, 0.0)
         ws.set_state(U1, hat, k)
         etas.append(ws.eta_time())
     slopes = [np.log2(etas[i] / etas[i + 1]) for i in range(2)]
@@ -614,7 +638,7 @@ def test_psi_monotone_accumulation_in_runs():
     k = 1e-3
     for m in range(1, 4):
         u_next, hat = sc.imex_step(prob, u, sp, k, t)
-        ws = est.SlabWorkspace(prob, u, A_prev, sp, t)
+        ws = est.SlabWorkspace(prob, est.SlabEnd(u, A_prev), sp, t)
         ws.set_state(u_next, hat, k)
         eta_T = ws.eta_time()
         eta_S = ws.eta_space_map()
@@ -629,11 +653,10 @@ def test_psi_monotone_accumulation_in_runs():
         assert delta is not None and delta >= 1.0
         r = est.gronwall_factor(delta, psi, xi, k, t, prob.modulus, ws.u_norm)
         assert r >= 1.0
-        slab = sc.make_slab(prob, m, t, k, u, u_next, hat, A_prev)
         t += k
         led.add_step(m, t, k, sp.n_free, u_next.linf_norm(), eta_T, xi,
                      xi_prime, psi, delta, r, eta_S, mesh.min_diameter(),
                      dot_map)
         u = u_next
-        A_prev = slab.A_next
+        A_prev = ws.end.A
         prev_map = eta_S

@@ -106,7 +106,8 @@ def test_overlay_free_dofs_counts_the_finest_overlay_space(ops_a, ops_b, p):
     nested = b.refine([b.leaves[0]])
     for prev, nxt in ((a, b), (b, nested), (nested, b)):
         u_prev = fe.Field.zeros(fe.Space(prev, p))
-        ws = est.SlabWorkspace(None, u_prev, None, fe.Space(nxt, p), 0.0)
+        ws = est.SlabWorkspace(None, est.SlabEnd(u_prev, None),
+                               fe.Space(nxt, p), 0.0)
         assert ws.overlay_free_dofs() == fe.Space(ws.vee, p).n_free
 
 

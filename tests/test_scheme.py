@@ -179,8 +179,7 @@ def test_reconstruction_identity():
     U0 = sc.project_initial(prob, sp)
     k = 0.01
     U1, hat = sc.imex_step(prob, U0, sp, k, 0.0)
-    A0 = sc.InitialLaplacian(prob.a, prob.lap_u0)
-    A = sc.make_slab(prob, 1, 0.0, k, U0, U1, hat, A0).A_next
+    A = sc.DiscreteLaplacian(prob.f, 0.0, k, U0, U1, hat)
     Xq, Yq, _ = sp.quadrature_points()
     b = load_vector(sp, A(Xq, Yq))
     S = assemble_stiffness(sp, prob.a)
