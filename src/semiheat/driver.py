@@ -19,7 +19,6 @@ from . import fespace as fe
 from . import scheme as sc
 from . import estimators as est
 from .linalg import one_blas_thread
-from .mesh import face_set
 
 
 class ExtrapolationError(ValueError):
@@ -192,10 +191,16 @@ class _Slab:
         self.ws = None
 
     def solve(self, space, k):
-        """IMEX step of size k onto `space`; returns the time estimator."""
+        """IMEX step of size k onto `space`; returns the time estimator.
+
+        A workspace of another space is dropped before the step, so its
+        candidate and arrays are freed before the new space's are built.
+        """
+        if self.ws is not None and self.ws.space_next is not space:
+            self.ws = self._space_estimates = None
         u_next, u_hat = sc.imex_step(self.problem, self.start.u, space, k,
                                      self.t)
-        if self.ws is None or self.ws.space_next is not space:
+        if self.ws is None:
             self.ws = est.SlabWorkspace(self.problem, self.start, space,
                                         self.t, q=self.opts.time_quadrature)
         self.ws.set_state(u_next, u_hat, k)
@@ -248,32 +253,26 @@ class _Slab:
 class _Start(NamedTuple):
     """Slab 1's start state on one space.
 
-    U0 (the elliptic projection of u0), its per-cell space estimator, its
-    face normal derivatives as a memo {FaceSet: derivatives} and its
-    per-cell error map.
+    U0's `SlabEnd` (`est.initial_end`: U0, the elliptic projection of u0,
+    with the InitialLaplacian, and what the estimators evaluated of them
+    on U0's own mesh, which is slab 1's overlay), its per-cell space
+    estimator and its per-cell error map.
     """
 
-    u0: object
+    end: object
     eta_S: object
-    face_derivs: dict
     e0_map: object
+
+    def slab(self, problem, opts):
+        """Slab 1, which starts from U0's end."""
+        return _Slab(problem, opts, 1, 0.0, self.end, self.eta_S)
 
 
 def _start(problem, space):
     """Project u0 onto `space` and evaluate U0's start-state estimators."""
-    U0 = sc.project_initial(problem, space)
-    fs = face_set(space.mesh)
-    derivs = fe.face_normal_derivs(U0, fs)
-    return _Start(U0, est.initial_space_estimator(problem, U0, derivs),
-                  {fs: derivs}, est.initial_error_map(problem, U0))
-
-
-def _first_slab(problem, opts, start):
-    """Slab 1 from a start state, with its own copy of the memo."""
-    A0 = sc.InitialLaplacian(problem.a, problem.lap_u0)
-    return _Slab(problem, opts, 1, 0.0,
-                 est.SlabEnd(start.u0, A0, dict(start.face_derivs)),
-                 start.eta_S)
+    end = est.initial_end(problem, sc.project_initial(problem, space))
+    return _Start(end, est.initial_space_estimator(problem, end),
+                  est.initial_error_map(problem, end))
 
 
 class FirstIntervalCache:
@@ -285,8 +284,9 @@ class FirstIntervalCache:
     tolerances, which only decide what the run does next.  `passes` maps
     (leafset, k) to that (eta_T, indicator) pair; `starts` maps each
     leafset on which a returned run's first interval ended to slab 1's
-    `_Start`, which that run's result holds anyway.  One cache serves runs of one
-    problem, degree and time quadrature, such as the rows of a sweep.
+    `_Start`, whose U0 that run's result holds anyway.  One cache serves
+    runs of one problem, degree and time quadrature, such as the rows of
+    a sweep.
     """
 
     def __init__(self):
@@ -298,8 +298,9 @@ def _open_ledger(problem, opts, start):
     """Empty ledger and trajectory starting from slab 1's start state."""
     ledger = est.EstimatorLedger(c_inf=opts.c_inf,
                                  modulus_is_zero=problem.modulus.is_zero)
-    ledger.set_initial(problem, start.u0, start.eta_S, start.e0_map)
-    return ledger, sc.Trajectory(start.u0)
+    u0 = start.end.u
+    ledger.set_initial(problem, u0, start.eta_S, start.e0_map)
+    return ledger, sc.Trajectory(u0)
 
 
 def _result(traj, ledger, stop, t, u, **extra):
@@ -340,9 +341,10 @@ def run_adaptive(problem, tolerances, degree, initial_mesh, k1, options=None,
     # First interval: refine mesh and halve k concurrently until both
     # indicators sit below their refinement tolerances.  A pass that keeps
     # its mesh keeps its space and U0 (with U0's estimators) and only
-    # re-solves slab 1 with the halved k.  A pass the cache knows stands
-    # in for the solve unless it may end the loop: the pass that ends it
-    # leaves its solved slab 1 to the run.
+    # re-solves slab 1 with the halved k; a pass on another mesh lets the
+    # previous pass's slab and start go before it projects u0 again.  A
+    # pass the cache knows stands in for the solve unless it may end the
+    # loop: the pass that ends it leaves its solved slab 1 to the run.
     mesh = initial_mesh
     k = k1
     passes = 0
@@ -352,9 +354,10 @@ def run_adaptive(problem, tolerances, degree, initial_mesh, k1, options=None,
         known = cache.passes.get(key)
         if known is None or accepted(*known) or passes >= FIRST_INTERVAL_CAP:
             if slab is None or mesh.leafset != slab.start.u.space.mesh.leafset:
+                slab = start = None
                 start = cache.starts.get(mesh.leafset) \
                     or _start(problem, fe.Space(mesh, degree))
-                slab = _first_slab(problem, opts, start)
+                slab = start.slab(problem, opts)
             eta_T = slab.solve(slab.start.u.space, k)
             eta_S1, dot1, _, xi = slab.space_estimates()
             alpha = alpha_value(modulus, slab.ws, xi, 1.0, k)
@@ -374,6 +377,8 @@ def run_adaptive(problem, tolerances, degree, initial_mesh, k1, options=None,
         passes += 1
 
     ledger, traj = _open_ledger(problem, opts, start)
+    if first_interval is None:
+        start = None     # no other run reads it; slab 1 holds it meanwhile
     t = 0.0
     clipped = False
     while True:
@@ -433,8 +438,9 @@ def run_adaptive(problem, tolerances, degree, initial_mesh, k1, options=None,
         if new_mesh.leafset != space.mesh.leafset:
             slab.solve(fe.Space(new_mesh, degree), k)
 
-    # Only a run that returns shares its start: its result holds it anyway.
-    cache.starts.setdefault(start.u0.space.mesh.leafset, start)
+    # Only a run that returns shares its start: its result holds its U0.
+    if start is not None:
+        cache.starts.setdefault(start.end.u.space.mesh.leafset, start)
     return _result(traj, ledger, stop, t, slab.start.u, caps_hit=caps,
                    final_tolerances=(stol_p, stol_m, ttol_p, ttol_m))
 
@@ -455,7 +461,7 @@ def run_fixed(problem, mesh, degree, k, T=None, options=None):
         raise ValueError("run_fixed needs a finite final time")
     space = fe.Space(mesh, degree)
     start = _start(problem, space)
-    slab = _first_slab(problem, opts, start)
+    slab = start.slab(problem, opts)
     ledger, traj = _open_ledger(problem, opts, start)
     t = 0.0
     while t < T * (1.0 - 1e-14):

@@ -18,7 +18,7 @@ import numpy as np
 from . import fespace as fe
 from .fespace import gauss_legendre
 from .mesh import face_set
-from .scheme import DiscreteLaplacian
+from .scheme import DiscreteLaplacian, InitialLaplacian
 
 
 class EstimatorError(RuntimeError):
@@ -102,29 +102,63 @@ def _time_sum(wts, values):
 # -- single-mesh space estimator (slab zero) ------------------------------------
 
 
-def initial_space_estimator(problem, u0_field, face_derivs=None):
-    """Per-cell space estimator of the projected initial field.
+def initial_end(problem, u0):
+    """Slab zero's end: the projected initial field U0 with the analytic
+    driving term -a*lap(u0) (`InitialLaplacian`) as its closure.
 
-    Volume residual uses the analytic driving term -a*lap(u0).
-    `face_derivs` are the field's `face_normal_derivs` on its mesh's
-    faces when the caller already has them.
+    `u0` is U0, or already its SlabEnd, which is returned as it is.
+    What is evaluated through it on U0's own mesh is evaluated once:
+    slab 1's overlay is that mesh.
     """
-    space = u0_field.space
-    X, Y = space.sample_points()
-    A0 = -problem.a * np.asarray(problem.lap_u0(X, Y), dtype=float)
-    vol = np.abs(A0 + problem.a * u0_field.sample_values("lap")).max(axis=1)
-    jump = u0_field.jump_max_per_cell(face_derivs)
-    h = space.mesh.h
-    return h * h / problem.a * vol + h * jump
+    if isinstance(u0, SlabEnd):
+        return u0
+    return SlabEnd(u0, InitialLaplacian(problem.a, problem.lap_u0))
 
 
-def initial_error_map(problem, u0_field):
-    """Per-cell sampled max of |u0 - U0|."""
-    space = u0_field.space
-    X, Y = space.sample_points()
-    diff = np.asarray(problem.u0(X, Y), dtype=float) \
-        - u0_field.sample_values("val")
+def initial_space_estimator(problem, u0):
+    """Per-cell space estimator of the projected initial field U0.
+
+    Volume residual uses the analytic driving term -a*lap(u0).  `u0` is
+    U0 or its `initial_end`, whose arrays the evaluation reads and fills.
+    """
+    end = initial_end(problem, u0)
+    mesh = end.u.space.mesh
+    X, Y = end.u.space.sample_points()
+    return _space_map(problem.a, end, mesh, end.A_values(mesh, X, Y),
+                      fe.transfer(mesh, mesh).host)
+
+
+def initial_error_map(problem, u0):
+    """Per-cell sampled max of |u0 - U0|; `u0` as in
+    `initial_space_estimator`."""
+    end = initial_end(problem, u0)
+    mesh = end.u.space.mesh
+    X, Y = end.u.space.sample_points()
+    diff = np.asarray(problem.u0(X, Y), dtype=float) - end.values(mesh)
     return np.abs(diff).max(axis=1)
+
+
+def _space_map(a, end, vee, A_values, host):
+    """Per-cell space estimator of `end`'s field on its own mesh.
+
+    The volume residual |A + a lap U| is sampled on the finest overlay
+    vee (A_values: the closure there) and each cell takes the maximum
+    over the overlay cells it hosts (`host`: vee cell -> cell); the jump
+    part is the field's gradient jumps on its mesh's faces.
+    """
+    mesh = end.u.space.mesh
+    vol_vee = np.abs(A_values + a * end.laplacian(vee)).max(axis=1)
+    vol = _scatter_max(len(mesh), host, vol_vee)
+    jump = end.u.jump_max_per_cell(end.normal_derivs(face_set(mesh)))
+    h = mesh.h
+    return h * h / a * vol + h * jump
+
+
+def _scatter_max(ncells, host, per_vee):
+    """Per-cell max of overlay-cell values, 0 where a cell hosts none."""
+    out = np.zeros(ncells)
+    np.maximum.at(out, host, per_vee)
+    return out
 
 
 def xi_value(prev_map, hmin_prev, next_map, hmin_next):
@@ -155,12 +189,12 @@ class SlabEnd:
     `FaceSet` in the memo `face_derivs`.
     """
 
-    def __init__(self, u, A, face_derivs=None):
+    def __init__(self, u, A):
         if isinstance(A, DiscreteLaplacian) and A.u_next is not u:
             raise ValueError("a discrete closure must end at its field")
         self.u = u
         self.A = A
-        self.face_derivs = {} if face_derivs is None else face_derivs
+        self.face_derivs = {}
         self._vee = None
         self._grids = {}
 
@@ -302,22 +336,10 @@ class SlabWorkspace:
 
     # -- space estimators --------------------------------------------------------
 
-    def _scatter_next_max(self, per_vee):
-        out = np.zeros(len(self.mesh_next))
-        np.maximum.at(out, self.src_next, per_vee)
-        return out
-
     def eta_space_map(self):
         """Per-cell space estimator of the slab's end field on its mesh."""
-        a = self.problem.a
-        end = self.end
-        vol_vee = np.abs(self.A_next_values()
-                         + a * end.laplacian(self.vee)).max(axis=1)
-        vol = self._scatter_next_max(vol_vee)
-        jump = end.u.jump_max_per_cell(
-            end.normal_derivs(face_set(self.mesh_next)))
-        h = self.mesh_next.h
-        return h * h / a * vol + h * jump
+        return _space_map(self.problem.a, self.end, self.vee,
+                          self.A_next_values(), self.src_next)
 
     def eta_dot_maps(self):
         """Space-derivative estimator: (per-cell map on the end mesh, xi').
@@ -341,7 +363,8 @@ class SlabWorkspace:
         etadot_vee = hw * hw / (k * a) * vol_vee + hw / k * jump_vee
         xi_prime = log_factor(min(self.hmin_prev, self.hmin_next)) * k \
             * (float(etadot_vee.max()) if len(etadot_vee) else 0.0)
-        return self._scatter_next_max(etadot_vee), xi_prime
+        return (_scatter_max(len(self.mesh_next), self.src_next, etadot_vee),
+                xi_prime)
 
     def overlay_free_dofs(self):
         """Free dofs of the degree-p space on the finest overlay mesh."""

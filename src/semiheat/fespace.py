@@ -124,8 +124,21 @@ def _ref(p):
     return _REF_CACHE[p]
 
 
+# The live space (`Space.live_data`), by weak reference so that it is not
+# kept alive here.
+_live = None
+
+
 class Space:
-    """Degree-p conforming space on a quadtree mesh with zero boundary trace."""
+    """Degree-p conforming space on a quadtree mesh with zero boundary trace.
+
+    What is derived from the space alone has one holder, `_derived`: its
+    tensor bases, its grids and the working data other modules build on
+    it through `live_data`.  The space whose working data was asked for
+    last is the live one; when another space goes live, the previous one
+    drops all of its derived data and rebuilds what it is asked for
+    again.
+    """
 
     def __init__(self, mesh, degree):
         if degree < 1:
@@ -135,9 +148,7 @@ class Space:
         self.ref = _ref(self.degree)
         self._build_dofs()
         self._build_constraints()
-        self._tensor_cache = {}
-        self._grid_cache = {}
-        self._condensation = None     # linalg's maps; one space holds them
+        self._derived = {}
 
     # -- enumeration --------------------------------------------------------
 
@@ -259,6 +270,31 @@ class Space:
             shape=(self.n_global, self.n_global))
         self.P = self.Q[:, self.free_gids]
 
+    # -- derived data ----------------------------------------------------------
+
+    def _cached(self, key, build):
+        value = self._derived.get(key)
+        if value is None:
+            value = self._derived[key] = build()
+        return value
+
+    def live_data(self, key, build):
+        """Working data `key` of this space, `build()` on first use.
+
+        Makes this space the live one.  The previous live space drops
+        everything derived from it (its working data, tensor bases and
+        grids), so the spaces a run has left, which its trajectory keeps,
+        hold none.  What was built from the dropped data keeps its own
+        references and keeps working.
+        """
+        global _live
+        previous = _live() if _live is not None else None
+        if previous is not self:
+            if previous is not None:
+                previous._derived.clear()
+            _live = weakref.ref(self)
+        return self._cached(key, build)
+
     # -- coefficient maps -----------------------------------------------------
 
     def resolve(self, raw_values):
@@ -279,20 +315,18 @@ class Space:
         sub = (dl, ox, oy) the grid is that of the descendant cell dl
         levels down at offset (ox, oy) (see `_Ref1D.eval_sub`).
         """
-        key = (kind, dx, dy) + tuple(sub)
-        if key not in self._tensor_cache:
+        def build():
             t = self.ref.points(kind)
             dl, ox, oy = sub
-            self._tensor_cache[key] = np.kron(self.ref.eval_sub(t, dl, oy, dy),
-                                              self.ref.eval_sub(t, dl, ox, dx))
-        return self._tensor_cache[key]
+            return np.kron(self.ref.eval_sub(t, dl, oy, dy),
+                           self.ref.eval_sub(t, dl, ox, dx))
+
+        return self._cached(("basis", kind, dx, dy) + tuple(sub), build)
 
     def _grid(self, kind):
         """Physical coordinates of the per-cell tensor grid (ncells, npts)."""
-        if kind not in self._grid_cache:
-            self._grid_cache[kind] = tensor_grid(
-                self.mesh, slice(None), self.ref.points(kind))
-        return self._grid_cache[kind]
+        return self._cached(("grid", kind), lambda: tensor_grid(
+            self.mesh, slice(None), self.ref.points(kind)))
 
     def sample_points(self):
         return self._grid("sample")
@@ -541,8 +575,9 @@ def _face_sides(fs, host, o):
     return sel, host[np.concatenate([fs.left[sel], fs.right[sel]])]
 
 
-# The face sets holding a `_face_classes` grouping, with its key, oldest
-# first, by weak reference so that they are not kept alive here.  A slab
+# The face sets holding a `_face_classes` grouping, with its mesh and
+# degree, oldest first, by weak reference so that neither the face sets
+# nor the meshes are kept alive here.  A slab
 # evaluates at most three (face set, mesh) pairs and the next step on an
 # unmoved mesh repeats them, so three groupings catch every reuse, while
 # those of meshes a run has moved past (a `Trajectory` keeps the meshes)
@@ -575,12 +610,12 @@ def _face_classes(fs, space):
     classes = fs._classes.get(key)
     if classes is not None:
         return classes
-    _grouped.append((weakref.ref(fs), key))
+    _grouped.append((weakref.ref(fs), weakref.ref(src), space.degree))
     while len(_grouped) > _GROUPINGS_KEPT:
-        ref, old = _grouped.pop(0)
-        holder = ref()
-        if holder is not None:
-            holder._classes.pop(old, None)
+        fs_ref, mesh_ref, degree = _grouped.pop(0)
+        holder, old = fs_ref(), mesh_ref()
+        if holder is not None and old is not None:
+            holder._classes.pop((old, degree), None)
     mesh = fs.mesh
     host = transfer(mesh, src).host
     t = space.ref.sample1d

@@ -6,13 +6,13 @@ positive definite.  Only the condensed systems are built here; the
 tests keep their own oracles (every cell's matrix scattered onto the
 unconstrained dofs, scipy's `spsolve`).  What depends only on the space
 is built on first use (`_Condensation`): P^T, the cells sorted by
-level, the gather map G = P[dofmap] with G^T, the condensed M and the
-diagonals of M and S.
-One space holds one at a time: building it for a new space frees the
-previous space's, which is rebuilt if that space is used again.  S is
-not kept: the initial projection is its one user, and it is assembled
-for each call of `assemble_stiffness` and freed with the caller's
-reference.
+level, the gather map G = P[dofmap] with G^T, the condensed M, the
+diagonals of M and S and the buffers of the step products.
+It is the space's live working data (`fespace.Space.live_data`), so
+building it for a new space frees the previous space's, which is rebuilt
+if that space is used again.  S is not kept: the initial projection is
+its one user, and it is assembled for each call of `assemble_stiffness`
+and freed with the caller's reference.
 On a quadtree over a rectangle the cells of one level share their local
 matrices, so everything is built from one dense matrix per level and
 the block diagonal `_level_blocks` of them over the cells: the
@@ -39,7 +39,6 @@ import ctypes
 import glob
 import os
 import threading
-import weakref
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -81,7 +80,7 @@ def _cell_matrices(ref, hx, hy, mass, stiff):
 class _Condensation:
     """What assembly and the step products reuse on one Space.
 
-    Built on first use and held by one space at a time
+    Built on first use as the space's live working data
     (`_condensation`):
     - `PT`, P^T as CSR, which condenses load vectors.  scipy's `P.T` is
       a new CSC object on every access.
@@ -93,6 +92,13 @@ class _Condensation:
       (c, i) of G maps free values to cell c's constrained value at
       local node i, in level order, so G^T sums cellwise values back
       onto the free dofs.
+    - What `gather` needs to compute G @ x without scipy's zero-filled
+      result: the column of each unit row of G (a plain free dof), or
+      the zero appended after x for an empty row (a boundary dof); the
+      hanging rows (constrained dofs) as their own CSR matrix; and the
+      buffers that x plus that zero, G @ x and the level products of a
+      step product are written into.  They serve one product at a time
+      (`lock`), so threads stepping on one space stay correct.
     The condensed M and the diagonals of M and the unit S are filled in
     the first time they are asked for.  The condensed S is not held
     (`assemble_stiffness`).
@@ -110,38 +116,49 @@ class _Condensation:
         self.hx = space.mesh.hx[self.level_cells]
         self.hy = space.mesh.hy[self.level_cells]
         self.PT = P.T.tocsr()
-        self.G = P[space.dofmap[order].ravel()]
+        rows = space.dofmap[order].ravel()
+        self.G = P[rows]
         self.GT = self.G.T.tocsr()
         self.M = self.diagonals = None
+        self.unit = space.free_index[rows]     # -1 for boundary and slaves
+        self.unit[self.unit < 0] = space.n_free
+        self.hanging = np.flatnonzero(space.is_slave[rows])
+        self.G_hanging = self.G[self.hanging]
+        self._x = np.zeros(space.n_free + 1)
+        self.u = np.empty(space.dofmap.shape)
+        self.v = np.empty_like(self.u)
+        self.lock = threading.Lock()
+
+    def gather(self, x):
+        """G @ x, bitwise scipy's product, into the buffer `u`.
+
+        scipy sums each row from 0.0, so a unit row gives 0.0 + x[c],
+        which is x[c] but for -0.0, and an empty row gives 0.0: x + 0.0
+        is copied before the zero slot and the unit and empty rows are
+        read from it.  The hanging rows are scipy's own product.  The
+        indices are in range by construction, and `take` copies through
+        a temporary under its default mode="raise".
+        """
+        np.add(x, 0.0, out=self._x[:-1])
+        u = self.u.reshape(-1)
+        np.take(self._x, self.unit, out=u, mode="clip")
+        u[self.hanging] = self.G_hanging @ x
+        return self.u
 
     def level_matrices(self, mass, stiff):
         """mass * M + stiff * S on one cell of each level, in level order."""
         return _cell_matrices(self.ref, self.hx, self.hy, mass, stiff)
 
 
-# The one space that holds a _Condensation, by weak reference so that it
-# is not kept alive here.
-_live = None
-
-
 def _condensation(space):
     """The space's `_Condensation`, built on first use.
 
-    Before building one, the previous holder's is dropped, so the
-    condensed matrices of spaces a run has moved past are freed (a
-    `Trajectory` keeps the spaces themselves).  Operators built earlier
-    keep their own reference and keep working; a space used again
-    builds its condensation again.
+    It is the space's live working data, so the condensations of spaces
+    a run has moved past are freed (a `Trajectory` keeps the spaces
+    themselves).  Operators built earlier keep their own reference and
+    keep working; a space used again builds its condensation again.
     """
-    global _live
-    cond = space._condensation
-    if cond is None:
-        previous = _live() if _live is not None else None
-        if previous is not None:
-            previous._condensation = None
-        cond = space._condensation = _Condensation(space)
-        _live = weakref.ref(space)
-    return cond
+    return space.live_data("condensation", lambda: _Condensation(space))
 
 
 def _level_blocks(cond, local):
@@ -203,9 +220,11 @@ class StepOperator(LinearOperator):
     size, so each level gets one dense local matrix; these are all an
     operator builds for its (k, a).  Everything else is the space's
     `_Condensation`, shared by every operator on the space.  A product is
-    G^T @ blocks(G @ x): gather each cell's constrained nodal values,
-    multiply each level's block of cells by its local matrix, and sum
-    back onto the free dofs.  `nnz` counts the local-matrix entries one
+    G^T @ blocks(G @ x): gather each cell's constrained nodal values
+    (`_Condensation.gather`), multiply each level's block of cells by its
+    local matrix, and sum back onto the free dofs.  The gather and the
+    level products are written into the condensation's buffers, so only
+    the result is a new vector.  `nnz` counts the local-matrix entries one
     product touches.
     """
 
@@ -222,16 +241,15 @@ class StepOperator(LinearOperator):
         self._cond = cond = _condensation(space)
         self._blocks = list(zip(cond.bounds[:-1], cond.bounds[1:],
                                 cond.level_matrices(1.0 / k, a)))
-        self._nloc = space.dofmap.shape[1]
-        self.nnz = space.dofmap.size * self._nloc
+        self.nnz = space.dofmap.size * space.dofmap.shape[1]
 
     def _matvec(self, x):
         cond = self._cond
-        u = (cond.G @ np.ravel(x)).reshape(-1, self._nloc)
-        v = np.empty_like(u)
-        for start, end, local in self._blocks:
-            np.matmul(u[start:end], local, out=v[start:end])
-        return cond.GT @ v.ravel()
+        with cond.lock:
+            u, v = cond.gather(np.ravel(x)), cond.v
+            for start, end, local in self._blocks:
+                np.matmul(u[start:end], local, out=v[start:end])
+            return cond.GT @ v.reshape(-1)
 
     def diagonal(self):
         """Bitwise the diagonal of the assembled M/k + aS.

@@ -1,6 +1,7 @@
 """Adaptive loop: indicators, tolerance management, stops, post-processing."""
 
 import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -183,9 +184,53 @@ def test_adaptive_run_keeps_one_condensation():
                           dr.DriverOptions(max_steps=4))
     assert len({id(s.space_next) for s in res.trajectory.slabs}) > 1
     gc.collect()
-    condensed = [o for o in gc.get_objects()
-                 if isinstance(o, fe.Space) and o._condensation is not None]
+    condensed = [o for o in gc.get_objects() if isinstance(o, fe.Space)
+                 and o._derived.get("condensation") is not None]
     assert len(condensed) == 1
+
+
+def test_first_interval_frees_a_pass_before_projecting_the_next(
+        monkeypatch):
+    # a pass on a new mesh projects u0 again; by then no earlier pass's
+    # space (nor its slab, start or workspace) is alive
+    prob = builtin("example3")
+    projected, alive = [], []
+    project = sc.project_initial
+
+    def watching(problem, space):
+        alive.append([ref() is not None for ref in projected])
+        projected.append(weakref.ref(space))
+        return project(problem, space)
+
+    monkeypatch.setattr(sc, "project_initial", watching)
+    tol = dr.Tolerances(0.02, 0.02 / 2 ** 10, 0.25, 0.25 / 16)
+    dr.run_adaptive(prob, tol, 2, Mesh.uniform(prob.rect, 3), 0.05,
+                    dr.DriverOptions(max_steps=1))
+    assert len(projected) >= 3
+    assert alive == [[False] * i for i in range(len(projected))]
+
+
+def test_a_slab_frees_the_workspace_of_another_space_before_stepping(
+        monkeypatch):
+    prob = builtin("example3")
+    sp = fe.Space(Mesh.uniform(prob.rect, 3), 2)
+    slab = dr._start(prob, sp).slab(prob, dr.DriverOptions())
+    slab.solve(sp, 0.01)
+    slab.space_estimates()
+    old = weakref.ref(slab.ws)
+    freed = []
+    step = sc.imex_step
+
+    def watching(*args):
+        freed.append(old() is None)
+        return step(*args)
+
+    monkeypatch.setattr(sc, "imex_step", watching)
+    slab.solve(sp, 0.005)          # the same space keeps its workspace
+    other = fe.Space(sp.mesh.refine([sp.mesh.leaves[0]]), 2)
+    slab.solve(other, 0.005)
+    assert freed == [False, True]
+    assert slab.ws.space_next is other
 
 
 def test_run_times_strictly_increase_and_r_tilde_is_product():

@@ -506,11 +506,38 @@ def test_face_classes_keep_only_the_last_groupings():
     for fs in sets:
         fe.face_normal_derivs(f, fs)
     assert [len(fs._classes) for fs in sets] == [0] + [1] * kept
-    # the cache does not keep a face set alive
+    # the cache does not keep a face set alive, nor a mesh it grouped on
     ref = weakref.ref(sets[-1])
     del sets, fs
     gc.collect()
     assert ref() is None
+    mesh = Mesh.uniform(UNIT, 2).refine([(2, 1, 1)])
+    fe.face_normal_derivs(fe.Field.zeros(fe.Space(mesh, 2)), face_set(mesh))
+    ref = weakref.ref(mesh)
+    del mesh
+    gc.collect()
+    assert ref() is None
+
+
+def test_a_space_going_live_empties_the_previous_live_space():
+    # the spaces a run has left keep no tensor bases, grids or
+    # condensation, and evaluate their fields as before
+    from semiheat.linalg import StepOperator
+    mesh = Mesh.uniform(Rectangle(-1.0, 2.0, 0.0, 0.5), 2).refine([(2, 1, 1)])
+    first = fe.Space(mesh, 3)
+    second = fe.Space(mesh.refine([(3, 2, 2)]), 3)
+    u = fe.Field.from_callable(first, lambda x, y: np.sin(3 * x) * y * y)
+    op = StepOperator(first, 0.1, 1.0)
+    first.quadrature_points()
+    before = [u.sample_values(d).tobytes() for d in ("val", "lap")]
+    assert first._derived
+    StepOperator(second, 0.1, 1.0)
+    assert first._derived == {}
+    assert "condensation" in second._derived
+    assert [u.sample_values(d).tobytes() for d in ("val", "lap")] == before
+    x = np.ones(first.n_free)
+    assert np.array_equal(op @ x, StepOperator(first, 0.1, 1.0) @ x)
+    assert second._derived == {} and "condensation" in first._derived
 
 
 def test_eval_at_domain_corners():

@@ -2,6 +2,7 @@
 
 import glob
 import os
+import sys
 import threading
 
 import numpy as np
@@ -20,6 +21,11 @@ from semiheat.linalg import (StepOperator, assemble_mass, assemble_stiffness,
 from test_mesh_properties import OPS, PROPERTY, build
 
 UNIT = Rectangle(0.0, 1.0, 0.0, 1.0)
+
+
+def held(sp):
+    """The condensation the space holds now, or None."""
+    return sp._derived.get("condensation")
 
 
 def assemble_full(sp, mass, stiff):
@@ -224,14 +230,14 @@ class _GarbageLU:
 def test_skeleton_solve_matches_the_direct_solve(degree, rect):
     # degree 1 has no cell interiors: the skeleton is every free dof
     sp, S, b = _poisson_system(degree, rect)
-    cond = sp._condensation
+    cond = held(sp)
     kept = {name: id(value) for name, value in vars(cond).items()}
     x = solve_skeleton(sp, S, b)
     assert np.linalg.norm(S @ x - b) <= 1e-10 * np.linalg.norm(b)
     y = spsolve(S.tocsc(), b)
     assert np.abs(x - y).max() <= 1e-11 * np.abs(y).max()
     # the solve keeps nothing on the space
-    assert sp._condensation is cond
+    assert held(sp) is cond
     assert {name: id(value) for name, value in vars(cond).items()} == kept
 
 
@@ -345,7 +351,7 @@ def test_step_operator_is_the_assembled_step_matrix(degree, ops, k, a):
     assert np.abs(op @ x - y).max(initial=0.0) \
         <= 1e-13 * np.abs(y).max(initial=0.0)
     assert np.array_equal(d, A.diagonal())
-    assert np.array_equal(sp._condensation.diagonals[1],
+    assert np.array_equal(held(sp).diagonals[1],
                           assemble_stiffness(sp, 1).diagonal())
     assert op.nnz == len(sp.mesh) * (degree + 1) ** 4
 
@@ -370,15 +376,69 @@ def test_step_operators_share_one_space_cache_without_going_stale():
     x = np.random.default_rng(7).standard_normal(sp.n_free)
     pairs = [(0.3, 1.0), (1e-4, 2.5), (0.3, 0.07), (0.01, 1.0)]
     ops = [StepOperator(sp, k, a) for k, a in pairs]
-    cond = sp._condensation
+    cond = held(sp)
     assert cond is not None and all(op._cond is cond for op in ops)
     for op, (k, a) in zip(ops, pairs):
         A = assemble_mass(sp) / k + assemble_stiffness(sp, a)
         y = A @ x
         assert np.abs(op @ x - y).max() <= 1e-13 * np.abs(y).max()
         assert np.array_equal(op.diagonal(), A.diagonal())
-    assert sp._condensation is cond
+    assert held(sp) is cond
     assert StepOperator(sp, 0.5, 3.0)._cond is cond
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 9])
+def test_step_product_is_scipys_product_bit_for_bit(degree):
+    # G^T (blocks (G x)) with scipy's G @ x, which sums every row from
+    # 0.0 and so turns a -0.0 read through a unit row into +0.0
+    sp = _hanging_space(degree)
+    k, a = 0.02, 1.5
+    op = StepOperator(sp, k, a)
+    cond = op._cond
+    rows = np.diff(cond.G.indptr)
+    assert len(cond.hanging) and (rows == 0).any() and (rows == 1).any()
+    rng = np.random.default_rng(degree)
+    x = rng.standard_normal(sp.n_free)
+    x[rng.random(sp.n_free) < 0.3] = -0.0    # every free dof has a unit row
+    u = (cond.G @ x).reshape(sp.dofmap.shape)
+    v = np.empty_like(u)
+    for start, end, local in zip(cond.bounds[:-1], cond.bounds[1:],
+                                 cond.level_matrices(1.0 / k, a)):
+        np.matmul(u[start:end], local, out=v[start:end])
+    y = cond.GT @ v.ravel()
+    for _ in range(2):       # the condensation's buffers are reused
+        assert (op @ x).tobytes() == y.tobytes()
+        assert cond.gather(x).tobytes() == u.tobytes()
+
+
+def test_threads_stepping_on_one_space_share_its_buffers_correctly():
+    # more threads than cores, switching often; large enough that the
+    # products' numpy calls overlap
+    sp = fe.Space(Mesh.uniform(UNIT, 5).refine([(5, 9, 9)]), 4)
+    pairs = [(0.02, 1.5), (0.3, 1.0), (1e-3, 2.0), (0.05, 0.5)]
+    ops = [StepOperator(sp, k, a) for k, a in pairs]
+    xs = np.random.default_rng(11).standard_normal((len(ops), sp.n_free))
+    want = [(op @ x).tobytes() for op, x in zip(ops, xs)]
+    got = [[] for _ in ops]
+
+    def products(i):
+        for _ in range(20):
+            got[i].append((ops[i] @ xs[i]).tobytes())
+
+    threads = [threading.Thread(target=products, args=(i,))
+               for i in range(len(ops))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [set(g) for g in got] == [{w} for w in want]
+    assert all(len(g) == 20 for g in got)
 
 
 def test_condensation_equals_p_transpose_a_p():
@@ -419,8 +479,8 @@ def test_condensing_a_second_space_frees_the_first():
     op = StepOperator(first, 0.02, 1.5)
     M, S = assemble_mass(first), assemble_stiffness(first, 1.0)
     assemble_mass(second)
-    assert first._condensation is None
-    assert second._condensation is not None
+    assert held(first) is None
+    assert held(second) is not None
     # the operator keeps its own condensation
     y = (M / 0.02 + 1.5 * S) @ x
     assert np.abs(op @ x - y).max() <= 1e-13 * np.abs(y).max()
@@ -432,8 +492,8 @@ def test_condensing_a_second_space_frees_the_first():
         oracle = (P.T @ A_full @ P).toarray()
         assert np.abs(A.toarray() - oracle).max() \
             <= 1e-14 * np.abs(oracle).max()
-    assert first._condensation is not None
-    assert second._condensation is None
+    assert held(first) is not None
+    assert held(second) is None
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 4, 9])

@@ -47,7 +47,7 @@ def test_project_initial_frees_its_stiffness_matrix(degree, monkeypatch):
     gc.collect()
     assert len(refs) == 1 and refs[0]() is None
     S = assemble_stiffness(sp, 1.0)
-    for name, value in vars(sp._condensation).items():
+    for name, value in vars(sp._derived["condensation"]).items():
         if issparse(value) and value.shape == S.shape:
             assert (value != S).nnz > 0, name
     Xq, Yq, _ = sp.quadrature_points()
