@@ -247,7 +247,25 @@ class _Slab:
                         end.u.linf_norm(), self.eta_T, xi, xi_prime, psi,
                         delta, r, eta_S, ws.hmin_next, dot_map)
         _maybe_dump(opts, self.m, ws.mesh_next, end.u)
+        _release_left(self.start, ws, end)
         return _Slab(problem, opts, self.m + 1, t_next, end, eta_S)
+
+
+def _release_left(start, ws, end):
+    """Release what a certified slab read and the slab after it does not.
+
+    The slab ran from `start` to `end` through workspace `ws`.  The next
+    slab starts from `end`: it reads the spaces of `end`
+    (`est.SlabEnd.spaces`), the face set of `end`'s mesh (its overlay
+    when it keeps or coarsens that mesh) and the transfers cached there,
+    and builds the rest on meshes of its own.  So the other spaces of
+    `start` drop their derived data, and the slab's other meshes, its
+    start mesh and overlays, their face sets and transfers.
+    """
+    for space in start.spaces() - end.spaces():
+        space.release()
+    for mesh in {ws.mesh_prev, ws.vee, ws.wedge} - {ws.mesh_next}:
+        mesh.release()
 
 
 class _Start(NamedTuple):
@@ -377,6 +395,8 @@ def run_adaptive(problem, tolerances, degree, initial_mesh, k1, options=None,
         passes += 1
 
     ledger, traj = _open_ledger(problem, opts, start)
+    if initial_mesh is not start.end.u.space.mesh:
+        initial_mesh.release()   # the caller's mesh, which no slab reads
     if first_interval is None:
         start = None     # no other run reads it; slab 1 holds it meanwhile
     t = 0.0

@@ -231,6 +231,13 @@ class SlabEnd:
             self.face_derivs[fs] = fe.face_normal_derivs(self.u, fs)
         return self.face_derivs[fs]
 
+    def spaces(self):
+        """The spaces evaluating this end on an overlay reads: u's and,
+        for a step's closure, its previous field's."""
+        if isinstance(self.A, DiscreteLaplacian):
+            return {self.u.space, self.A.u_prev.space}
+        return {self.u.space}
+
 
 class SlabWorkspace:
     """Evaluates all slab estimators on the overlay of the two meshes.

@@ -8,10 +8,16 @@ Pointwise maxima (the working replacement for true sup-norms) are taken
 over a per-cell tensor grid of Gauss-Lobatto points of order p+3;
 integrals use tensor Gauss quadrature of order p+2, exact for polynomials
 of degree 2p+3 per direction.
+
+A space a run has left (`Space.release`) keeps what defines it: its mesh,
+degree, dof numbering, free-dof count, boundary and slave flags and
+hanging-constraint triplets; its mesh, once released (`Mesh.release`),
+keeps its leaves, geometry and lookup tables, without its face set or the
+`transfer`s cached on it.  Everything dropped is rebuilt, bit for bit, on
+use.
 """
 
 import weakref
-from collections import namedtuple
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -129,15 +135,30 @@ def _ref(p):
 _live = None
 
 
+def _derived_attr(build):
+    """Read-only attribute `build(space)`, built on first use and held in
+    the space's `_derived` under the attribute's name."""
+    key = build.__name__
+
+    def get(self):
+        return self._cached(key, lambda: build(self))
+    return property(get, doc=build.__doc__)
+
+
 class Space:
     """Degree-p conforming space on a quadtree mesh with zero boundary trace.
 
-    What is derived from the space alone has one holder, `_derived`: its
-    tensor bases, its grids and the working data other modules build on
-    it through `live_data`.  The space whose working data was asked for
-    last is the live one; when another space goes live, the previous one
-    drops all of its derived data and rebuilds what it is asked for
-    again.
+    A space keeps what defines it: its mesh and degree, the dof
+    numbering (`dofmap`, `n_global`), `n_free`, the `is_boundary` and
+    `is_slave` flags and the hanging-node constraint triplets.  What is
+    derived from these has one holder, `_derived`, and is built on first
+    use: `Q`, `P`, `node_coords`, `free_index`, `free_gids`, the tensor
+    bases, the grids and the working data other modules build on the
+    space through `live_data`.  The space whose working data was asked
+    for last is the live one; when another space goes live, the previous
+    one drops all of its derived data, and `release` drops it from a
+    space a run has moved past.  A space that dropped its derived data
+    rebuilds, bit for bit, what it is asked for again.
     """
 
     def __init__(self, mesh, degree):
@@ -146,9 +167,9 @@ class Space:
         self.mesh = mesh
         self.degree = int(degree)
         self.ref = _ref(self.degree)
+        self._derived = {}
         self._build_dofs()
         self._build_constraints()
-        self._derived = {}
 
     # -- enumeration --------------------------------------------------------
 
@@ -160,8 +181,8 @@ class Space:
         (X, Y0, s), or interior node (i, j) of the cell (X0, Y0, s), in
         integer coordinates of the level-LMAX grid.  Equal entity keys are
         one global dof; dofs are numbered in order of first occurrence
-        over (cell, local node), and take their coordinates and boundary
-        flag from that occurrence.
+        over (cell, local node), and take their boundary flag, and their
+        coordinates (`node_coords`), from that occurrence.
         """
         p = self.degree
         mesh = self.mesh
@@ -199,15 +220,21 @@ class Space:
         dofmap = np.empty(n, dtype=np.int64)
         dofmap[order] = gid[np.cumsum(starts) - 1]
 
-        firsts = first[rank]
-        cell, loc = np.divmod(firsts, nloc)
-        nodes = self.ref.nodes
         self.dofmap = dofmap.reshape(len(mesh), nloc)
-        self.n_global = len(firsts)
-        self.node_coords = np.stack(
+        self.n_global = len(first)
+        self.is_boundary = boundary.ravel()[first[rank]]
+
+    @_derived_attr
+    def node_coords(self):
+        """(n_global, 2) coordinates of the dofs, taken from the first
+        occurrence of each in `dofmap` (see `_build_dofs`)."""
+        _, firsts = np.unique(self.dofmap, return_index=True)
+        cell, loc = np.divmod(firsts, self.dofmap.shape[1])
+        n1 = self.degree + 1
+        mesh, nodes = self.mesh, self.ref.nodes
+        return np.stack(
             [mesh.x0[cell] + mesh.hx[cell] * nodes[loc % n1],
              mesh.y0[cell] + mesh.hy[cell] * nodes[loc // n1]], axis=1)
-        self.is_boundary = boundary.ravel()[firsts]
 
     def _build_constraints(self):
         """Hanging-node constraints from the hanging faces of the mesh.
@@ -220,6 +247,8 @@ class Space:
         the midpoint, on both fine cells' edges, is kept once.  On a
         1-irregular mesh no master is a slave, so Q (identity rows for the
         other dofs) maps nodal values to conforming ones in one product.
+        The constraints are kept as (slave, master, weight) triplets, from
+        which `Q` is built.
         """
         mesh = self.mesh
         if not mesh.is_one_irregular():
@@ -257,18 +286,39 @@ class Space:
         if is_slave[cols].any():
             raise RuntimeError("a hanging-node master is itself constrained")
         self.is_slave = is_slave
-        self.free_gids = np.flatnonzero(~(self.is_boundary | is_slave))
-        self.n_free = len(self.free_gids)
-        self.free_index = np.full(self.n_global, -1, dtype=np.int64)
-        self.free_index[self.free_gids] = np.arange(self.n_free)
+        self.n_free = int(np.count_nonzero(~(self.is_boundary | is_slave)))
+        self._hanging = (rows, cols, vals)
 
-        plain = np.flatnonzero(~is_slave)
+    @_derived_attr
+    def free_gids(self):
+        """Global ids of the free dofs (neither boundary nor slave), in
+        order."""
+        return np.flatnonzero(~(self.is_boundary | self.is_slave))
+
+    @_derived_attr
+    def free_index(self):
+        """Free index of each global dof, -1 for the constrained ones."""
+        index = np.full(self.n_global, -1, dtype=np.int64)
+        index[self.free_gids] = np.arange(self.n_free)
+        return index
+
+    @_derived_attr
+    def Q(self):
+        """(n_global, n_global) CSR map of nodal values to conforming
+        ones: identity rows, and the hanging triplets on the slaves."""
         from scipy.sparse import csr_matrix
-        self.Q = csr_matrix(
+        rows, cols, vals = self._hanging
+        plain = np.flatnonzero(~self.is_slave)
+        return csr_matrix(
             (np.concatenate([np.ones(len(plain)), vals]),
              (np.concatenate([plain, rows]), np.concatenate([plain, cols]))),
             shape=(self.n_global, self.n_global))
-        self.P = self.Q[:, self.free_gids]
+
+    @_derived_attr
+    def P(self):
+        """(n_global, n_free) CSR map of free values to coefficients: the
+        free columns of `Q`."""
+        return self.Q[:, self.free_gids]
 
     # -- derived data ----------------------------------------------------------
 
@@ -282,18 +332,25 @@ class Space:
         """Working data `key` of this space, `build()` on first use.
 
         Makes this space the live one.  The previous live space drops
-        everything derived from it (its working data, tensor bases and
-        grids), so the spaces a run has left, which its trajectory keeps,
-        hold none.  What was built from the dropped data keeps its own
-        references and keeps working.
+        everything derived from it (`release`): its working data, `Q`,
+        `P`, `node_coords`, `free_index`, `free_gids`, tensor bases and
+        grids.  What was built from the dropped data keeps its own
+        references and keeps working.  A run still reads a space after
+        it stopped being live (a slab's start space, once the slab steps
+        onto a new mesh), which rebuilds what it is asked for, so a run
+        also releases each space it has moved past (`driver`).
         """
         global _live
         previous = _live() if _live is not None else None
         if previous is not self:
             if previous is not None:
-                previous._derived.clear()
+                previous.release()
             _live = weakref.ref(self)
         return self._cached(key, build)
+
+    def release(self):
+        """Drop everything derived, keeping what defines the space."""
+        self._derived.clear()
 
     # -- coefficient maps -----------------------------------------------------
 
@@ -575,13 +632,12 @@ def _face_sides(fs, host, o):
     return sel, host[np.concatenate([fs.left[sel], fs.right[sel]])]
 
 
-# The face sets holding a `_face_classes` grouping, with its mesh and
-# degree, oldest first, by weak reference so that neither the face sets
-# nor the meshes are kept alive here.  A slab
-# evaluates at most three (face set, mesh) pairs and the next step on an
-# unmoved mesh repeats them, so three groupings catch every reuse, while
-# those of meshes a run has moved past (a `Trajectory` keeps the meshes)
-# are freed.
+# The face sets holding a `_face_classes` grouping, with its key, oldest
+# first, by weak reference so that no face set is kept alive here.  A
+# slab evaluates at most three (face set, mesh) pairs and the next step
+# on an unmoved mesh repeats them, so three groupings catch every reuse,
+# while those of meshes a run has moved past (a `Trajectory` keeps the
+# meshes) are freed.
 _GROUPINGS_KEPT = 3
 _grouped = []
 
@@ -601,21 +657,22 @@ def _face_classes(fs, space):
     order of `_face_sides`, and the classes' reference grids, across
     point by the space's sample points.  The grouping depends only on
     the face set, the mesh and the degree, so it is cached, read-only,
-    on `fs` under (mesh, degree); `grid` takes the smallest integer type
-    that holds it.  Only the last `_GROUPINGS_KEPT` built are kept
-    (`_grouped`).
+    on `fs` under (weak reference to the mesh, degree): the mesh may be
+    the face set's own, which caches `fs`.  `grid` takes the smallest
+    integer type that holds it.  Only the last `_GROUPINGS_KEPT` built
+    are kept (`_grouped`).
     """
     src = space.mesh
-    key = (src, space.degree)
+    key = (weakref.ref(src), space.degree)
     classes = fs._classes.get(key)
     if classes is not None:
         return classes
-    _grouped.append((weakref.ref(fs), weakref.ref(src), space.degree))
+    _grouped.append((weakref.ref(fs), key))
     while len(_grouped) > _GROUPINGS_KEPT:
-        fs_ref, mesh_ref, degree = _grouped.pop(0)
-        holder, old = fs_ref(), mesh_ref()
-        if holder is not None and old is not None:
-            holder._classes.pop((old, degree), None)
+        fs_ref, old = _grouped.pop(0)
+        holder = fs_ref()
+        if holder is not None:
+            holder._classes.pop(old, None)
     mesh = fs.mesh
     host = transfer(mesh, src).host
     t = space.ref.sample1d
@@ -671,7 +728,27 @@ def faces_to_cells(fs, ncells, per_face):
 # Class key of the cells coarser than their host cell.
 COARSER = (-1, 0, 0)
 
-Transfer = namedtuple("Transfer", "mesh src_mesh host classes")
+
+class Transfer:
+    """Where the cells of `mesh` sit in the cells of `src_mesh`
+    (`transfer`); both meshes are held by weak reference, since `mesh`
+    caches its transfers."""
+
+    __slots__ = ("_mesh", "_src_mesh", "host", "classes")
+
+    def __init__(self, mesh, src_mesh, host, classes):
+        self._mesh = weakref.ref(mesh)
+        self._src_mesh = weakref.ref(src_mesh)
+        self.host = host
+        self.classes = classes
+
+    @property
+    def mesh(self):
+        return self._mesh()
+
+    @property
+    def src_mesh(self):
+        return self._src_mesh()
 
 
 def transfer(mesh, src_mesh):
@@ -683,7 +760,8 @@ def transfer(mesh, src_mesh):
     are the descendant dl levels below their host at integer offset
     (ox, oy) from its lower-left corner, in cells of their own level.
     Cells coarser than their host share the key COARSER.  Meshes are
-    immutable, so each pair is built once and cached on `mesh`.
+    immutable, so each pair is built once and cached on `mesh` (until
+    `src_mesh` goes or `mesh.release()`).
     """
     if mesh.rect != src_mesh.rect:
         raise ValueError("meshes live on different rectangles")

@@ -6,12 +6,17 @@ overlays reduce to integer arithmetic and sorted integer-key lookups.
 Meshes are immutable: refine/coarsen return new Mesh objects when
 something changes, and an overlay of two nested meshes (identical ones
 included) is one of its inputs, so it shares that input's cached
-FaceSet.  `Mesh(rect, leaves)` trusts its leaf list: it checks neither
-that the leaves tile the rectangle nor that they are 1-irregular
+FaceSet.  A mesh caches its FaceSet and the `fespace.transfer`s onto
+it; neither holds the mesh strongly, so a mesh is freed when its last
+reference goes, and `Mesh.release` drops both caches from a mesh a run
+has moved past.  `Mesh(rect, leaves)` trusts its leaf list: it checks
+neither that the leaves tile the rectangle nor that they are 1-irregular
 (edge-adjacent leaves differ by at most one level).  refine and coarsen
 keep a 1-irregular mesh 1-irregular; `is_one_irregular` checks a mesh,
 and `fespace.Space` rejects any mesh that fails it.
 """
+
+import weakref
 
 import numpy as np
 
@@ -88,7 +93,8 @@ class Mesh:
         self._index = {k: i for i, k in enumerate(self.leaves)}
         self._geometry()
         self._faces = None
-        self._transfers = {}    # fespace.transfer's, by source mesh
+        # fespace.transfer's, by source mesh; an entry goes with its source
+        self._transfers = weakref.WeakKeyDictionary()
 
     @classmethod
     def uniform(cls, rect, level):
@@ -147,6 +153,11 @@ class Mesh:
             out[todo[hit]] = idx[pos[hit]]
             todo = todo[~hit]
         return out
+
+    def release(self):
+        """Drop the cached FaceSet and transfers; both are rebuilt on use."""
+        self._faces = None
+        self._transfers.clear()
 
     def index_of(self, key):
         """Row of leaf `key`; kept as the tests' public key-to-row map."""
@@ -370,11 +381,12 @@ class FaceSet:
     along y), the face coordinate and the segment [lo, hi] in the transverse
     direction.  Hanging faces appear piecewise: one face per fine-side edge,
     found from that finer side.  Faces are ordered by left cell, then
-    orientation, then descending lo.
+    orientation, then descending lo.  `mesh` is held by weak reference,
+    since the mesh caches its face set.
     """
 
     def __init__(self, mesh):
-        self.mesh = mesh
+        self._mesh = weakref.ref(mesh)
         lv = mesh.levels
         shift = LMAX - lv
         cells = np.arange(len(mesh))
@@ -411,7 +423,12 @@ class FaceSet:
         self.lo = lo[order]
         self.hi = hi[order]
         self.nfaces = len(left)
-        self._classes = {}      # fespace._face_classes', by (mesh, degree)
+        # fespace._face_classes', by (weak reference to the mesh, degree)
+        self._classes = {}
+
+    @property
+    def mesh(self):
+        return self._mesh()
 
 
 def face_set(mesh):

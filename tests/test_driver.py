@@ -189,6 +189,71 @@ def test_adaptive_run_keeps_one_condensation():
     assert len(condensed) == 1
 
 
+def test_a_run_keeps_derived_data_only_on_its_working_set(monkeypatch):
+    # A run whose mesh stays, refines, coarsens, and does both in one
+    # slab.  After each certify only the next slab's working set (the
+    # spaces of its start, the start's mesh) holds derived data, a face
+    # set or transfers; no face set or transfer is built twice; and the
+    # fields a run has left read the values they read when certified.
+    from semiheat import mesh as mesh_module
+    prob = builtin("example3")
+    before = weakref.WeakSet(o for o in gc.get_objects()
+                             if isinstance(o, (fe.Space, Mesh)))
+    faces, pairs, read, kinds, working = [], [], [], [], []
+
+    # builds are recorded by weak reference, so that no mesh outlives
+    # the run's own references
+    class CountedFaceSet(mesh_module.FaceSet):
+        def __init__(self, mesh):
+            assert not any(m() is mesh for m in faces)
+            faces.append(weakref.ref(mesh))
+            super().__init__(mesh)
+
+    build_transfer = fe._build_transfer
+
+    def counted_transfer(mesh, src_mesh):
+        assert not any(m() is mesh and s() is src_mesh for m, s in pairs)
+        pairs.append((weakref.ref(mesh), weakref.ref(src_mesh)))
+        return build_transfer(mesh, src_mesh)
+
+    certify = dr._Slab.certify
+
+    def checked(slab, *args, **kwargs):
+        ws = slab.ws
+        u = ws.end.u
+        read.append((u, u.sample_values("val").tobytes()))
+        vee = ws.vee
+        kinds.append("same" if ws.mesh_prev is ws.mesh_next else
+                     "refine" if vee is ws.mesh_next else
+                     "coarsen" if vee is ws.mesh_prev else "both")
+        following = certify(slab, *args, **kwargs)
+        start = following.start
+        spaces, mesh = start.spaces(), start.u.space.mesh
+        working.append(spaces)
+        gc.collect()
+        for o in gc.get_objects():
+            if isinstance(o, fe.Space) and o not in before \
+                    and o not in spaces:
+                assert o._derived == {}
+            if isinstance(o, Mesh) and o not in before and o is not mesh:
+                assert o._faces is None and len(o._transfers) == 0
+        return following
+
+    monkeypatch.setattr(mesh_module, "FaceSet", CountedFaceSet)
+    monkeypatch.setattr(fe, "_build_transfer", counted_transfer)
+    monkeypatch.setattr(dr._Slab, "certify", checked)
+    tol = dr.Tolerances(0.05, 0.05 / 8, 0.01, 0.01 / 16)
+    res = dr.run_adaptive(prob, tol, 2, Mesh.uniform(prob.rect, 3), 0.01,
+                          dr.DriverOptions(max_steps=8))
+    assert {"same", "refine", "coarsen", "both"} <= set(kinds)
+    assert len(read) == res.steps
+    assert faces and pairs
+    left = [u for u, _ in read if u.space not in working[-1]]
+    assert left and all(u.space._derived == {} for u in left)
+    for u, values in read:
+        assert u.sample_values("val").tobytes() == values
+
+
 def test_first_interval_frees_a_pass_before_projecting_the_next(
         monkeypatch):
     # a pass on a new mesh projects u0 again; by then no earlier pass's

@@ -487,8 +487,10 @@ def test_face_classes_are_cached_per_mesh_and_degree():
             assert len(got) == len(want) == 2
             for g, w in zip(got, want):
                 assert all(np.array_equal(a, b) for a, b in zip(g, w))
-        assert set(fs._classes) == {(src, 2), (src, 3)}
-        for c2, c3 in zip(fs._classes[(src, 2)], fs._classes[(src, 3)]):
+        # keyed by a weak reference to the mesh, which may be fs's own
+        mesh = weakref.ref(src)
+        assert set(fs._classes) == {(mesh, 2), (mesh, 3)}
+        for c2, c3 in zip(fs._classes[(mesh, 2)], fs._classes[(mesh, 3)]):
             assert np.array_equal(c2[2], c3[2])         # same grouping
             # each degree's grids along the faces hold its sample points
             for c, sp in ((c2, fields[0].space), (c3, fields[2].space)):
@@ -538,6 +540,61 @@ def test_a_space_going_live_empties_the_previous_live_space():
     x = np.ones(first.n_free)
     assert np.array_equal(op @ x, StepOperator(first, 0.1, 1.0) @ x)
     assert second._derived == {} and "condensation" in first._derived
+
+
+def test_a_left_space_rebuilds_its_derived_arrays_bit_for_bit():
+    # a space keeps its numbering and constraints; what it derives from
+    # them is dropped when another space goes live and rebuilt on use
+    from semiheat.linalg import StepOperator
+    src, _ = moved_mesh_pair()            # hanging faces, 2 x 1.5 domain
+    sp = fe.Space(src, 3)
+    assert sp.is_slave.any()
+    u = fe.Field.from_free(
+        sp, np.random.default_rng(7).standard_normal(sp.n_free))
+    StepOperator(sp, 0.1, 1.0)
+    names = ("Q", "P", "node_coords", "free_index", "free_gids")
+    held = {name: getattr(sp, name) for name in names}
+    before = [u.sample_values(d).tobytes() for d in ("val", "lap")]
+    StepOperator(fe.Space(src.refine([src.leaves[0]]), 3), 0.1, 1.0)
+    assert sp._derived == {}
+    fresh = fe.Space(src, 3)
+    for name in names:
+        got = getattr(sp, name)
+        assert got is not held[name]
+        for want in (held[name], getattr(fresh, name)):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            if name in ("Q", "P"):
+                for part in ("data", "indices", "indptr"):
+                    assert np.array_equal(getattr(got, part),
+                                          getattr(want, part))
+            else:
+                assert np.array_equal(got, want)
+    sp.release()
+    assert sp._derived == {}
+    assert [u.sample_values(d).tobytes() for d in ("val", "lap")] == before
+
+
+def test_a_mesh_is_freed_when_its_last_reference_goes():
+    # a mesh's face set, its transfers and a face-class grouping on its
+    # own face set do not hold it, so no reference cycle keeps it alive
+    gc.disable()
+    try:
+        m = Mesh.uniform(UNIT, 3)
+        face_set(m)
+        fe.transfer(m, m)
+        ref = weakref.ref(m)
+        del m
+        assert ref() is None
+        m = hanging_mesh()
+        other = m.refine([m.leaves[-1]])
+        fe.transfer(m, other)
+        fe.transfer(other, m)
+        fe.face_normal_derivs(fe.Field.zeros(fe.Space(m, 2)), face_set(m))
+        refs = [weakref.ref(m), weakref.ref(other)]
+        del m, other
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_eval_at_domain_corners():
