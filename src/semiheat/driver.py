@@ -7,6 +7,13 @@ time or when the fixed-point parameter stops existing (the blow-up
 signal).  A non-adaptive fixed-mesh runner for convergence studies
 certifies its slabs through the same chain (`_Slab`); the two runners
 differ only in how they choose the step size and the mesh.
+
+The driver owns a run's working set: spaces and meshes keep what they
+derive until it releases them where the run moves past them.  A slab
+stepping onto another space releases its start's (`_Slab.solve`), a
+certified slab what the next does not read (`_release_left`), the first
+interval the caller's mesh and the cached starts it leaves, and a run
+sharing a `FirstIntervalCache` its last space unless a start holds it.
 """
 
 import os
@@ -195,9 +202,13 @@ class _Slab:
 
         A workspace of another space is dropped before the step, so its
         candidate and arrays are freed before the new space's are built.
+        A step off the start's space releases it, as the slab then only
+        evaluates it, so one condensation is alive per step.
         """
         if self.ws is not None and self.ws.space_next is not space:
             self.ws = self._space_estimates = None
+        if space is not self.start.u.space:
+            self.start.u.space.release()
         u_next, u_hat = sc.imex_step(self.problem, self.start.u, space, k,
                                      self.t)
         if self.ws is None:
@@ -260,12 +271,15 @@ def _release_left(start, ws, end):
     when it keeps or coarsens that mesh) and the transfers cached there,
     and builds the rest on meshes of its own.  So the other spaces of
     `start` drop their derived data, and the slab's other meshes, its
-    start mesh and overlays, their face sets and transfers.
+    start mesh and overlays, their face sets and transfers, as does
+    `end` what it evaluated on them.
     """
     for space in start.spaces() - end.spaces():
         space.release()
-    for mesh in {ws.mesh_prev, ws.vee, ws.wedge} - {ws.mesh_next}:
+    left = {ws.mesh_prev, ws.vee, ws.wedge} - {ws.mesh_next}
+    for mesh in left:
         mesh.release()
+    end.release(left)
 
 
 class _Start(NamedTuple):
@@ -360,9 +374,11 @@ def run_adaptive(problem, tolerances, degree, initial_mesh, k1, options=None,
     # indicators sit below their refinement tolerances.  A pass that keeps
     # its mesh keeps its space and U0 (with U0's estimators) and only
     # re-solves slab 1 with the halved k; a pass on another mesh lets the
-    # previous pass's slab and start go before it projects u0 again.  A
-    # pass the cache knows stands in for the solve unless it may end the
-    # loop: the pass that ends it leaves its solved slab 1 to the run.
+    # previous pass's slab and start go, and releases the spaces of the
+    # cache's starts on other meshes, before it takes or projects the
+    # next start.  A pass the cache knows stands in for the solve unless
+    # it may end the loop: the pass that ends it leaves its solved slab 1
+    # to the run.
     mesh = initial_mesh
     k = k1
     passes = 0
@@ -373,6 +389,9 @@ def run_adaptive(problem, tolerances, degree, initial_mesh, k1, options=None,
         if known is None or accepted(*known) or passes >= FIRST_INTERVAL_CAP:
             if slab is None or mesh.leafset != slab.start.u.space.mesh.leafset:
                 slab = start = None
+                for leafset, shared in cache.starts.items():
+                    if leafset != mesh.leafset:
+                        shared.end.u.space.release()
                 start = cache.starts.get(mesh.leafset) \
                     or _start(problem, fe.Space(mesh, degree))
                 slab = start.slab(problem, opts)
@@ -459,8 +478,13 @@ def run_adaptive(problem, tolerances, degree, initial_mesh, k1, options=None,
             slab.solve(fe.Space(new_mesh, degree), k)
 
     # Only a run that returns shares its start: its result holds its U0.
+    # The next run of the cache may step on that start's space; the run's
+    # last space is released unless it is that one.
     if start is not None:
-        cache.starts.setdefault(start.end.u.space.mesh.leafset, start)
+        shared = cache.starts.setdefault(start.end.u.space.mesh.leafset,
+                                         start)
+        if slab.start.u.space is not shared.end.u.space:
+            slab.start.u.space.release()
     return _result(traj, ledger, stop, t, slab.start.u, caps_hit=caps,
                    final_tolerances=(stol_p, stol_m, ttol_p, ttol_m))
 

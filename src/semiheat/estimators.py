@@ -186,7 +186,8 @@ class SlabEnd:
     The values, Laplacian and A values are kept on the sample grid of one
     finest overlay at a time, keyed by that mesh's identity; asking for
     another overlay drops them.  Face normal derivatives are kept per
-    `FaceSet` in the memo `face_derivs`.
+    `FaceSet` in the memo `face_derivs`.  `release` drops both where they
+    were evaluated on meshes a run has left.
     """
 
     def __init__(self, u, A):
@@ -230,6 +231,14 @@ class SlabEnd:
         if fs not in self.face_derivs:
             self.face_derivs[fs] = fe.face_normal_derivs(self.u, fs)
         return self.face_derivs[fs]
+
+    def release(self, meshes):
+        """Drop the grids and face derivatives evaluated on `meshes` or on
+        their face sets."""
+        if self._vee in meshes:
+            self._vee, self._grids = None, {}
+        self.face_derivs = {fs: d for fs, d in self.face_derivs.items()
+                            if fs.mesh not in meshes}
 
     def spaces(self):
         """The spaces evaluating this end on an overlay reads: u's and,

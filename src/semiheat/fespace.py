@@ -9,12 +9,13 @@ over a per-cell tensor grid of Gauss-Lobatto points of order p+3;
 integrals use tensor Gauss quadrature of order p+2, exact for polynomials
 of degree 2p+3 per direction.
 
-A space a run has left (`Space.release`) keeps what defines it: its mesh,
-degree, dof numbering, free-dof count, boundary and slave flags and
-hanging-constraint triplets; its mesh, once released (`Mesh.release`),
-keeps its leaves, geometry and lookup tables, without its face set or the
-`transfer`s cached on it.  Everything dropped is rebuilt, bit for bit, on
-use.
+What a space or mesh derives is cached on it until its `release`, which
+the driver calls on what a run has moved past.  A released space keeps
+what defines it: its mesh, degree, dof numbering, free-dof count,
+boundary and slave flags and hanging-constraint triplets; a released
+mesh keeps its leaves, geometry and lookup tables, without its face set
+(and the face-class groupings on it) or the `transfer`s cached on it.
+Everything dropped is rebuilt, bit for bit, on use.
 """
 
 import weakref
@@ -130,18 +131,13 @@ def _ref(p):
     return _REF_CACHE[p]
 
 
-# The live space (`Space.live_data`), by weak reference so that it is not
-# kept alive here.
-_live = None
-
-
 def _derived_attr(build):
     """Read-only attribute `build(space)`, built on first use and held in
     the space's `_derived` under the attribute's name."""
     key = build.__name__
 
     def get(self):
-        return self._cached(key, lambda: build(self))
+        return self.cached(key, lambda: build(self))
     return property(get, doc=build.__doc__)
 
 
@@ -153,12 +149,12 @@ class Space:
     `is_slave` flags and the hanging-node constraint triplets.  What is
     derived from these has one holder, `_derived`, and is built on first
     use: `Q`, `P`, `node_coords`, `free_index`, `free_gids`, the tensor
-    bases, the grids and the working data other modules build on the
-    space through `live_data`.  The space whose working data was asked
-    for last is the live one; when another space goes live, the previous
-    one drops all of its derived data, and `release` drops it from a
-    space a run has moved past.  A space that dropped its derived data
-    rebuilds, bit for bit, what it is asked for again.
+    bases, the grids and what other modules build on the space through
+    `cached` (`linalg`'s condensation).  `release` drops all of it; the
+    driver calls it on the spaces a run has moved past, and what was
+    built from the dropped data keeps its own references and keeps
+    working.  A released space rebuilds, bit for bit, what it is asked
+    for again.
     """
 
     def __init__(self, mesh, degree):
@@ -322,31 +318,13 @@ class Space:
 
     # -- derived data ----------------------------------------------------------
 
-    def _cached(self, key, build):
+    def cached(self, key, build):
+        """Derived data `key` of this space, `build()` on first use and
+        held until `release`."""
         value = self._derived.get(key)
         if value is None:
             value = self._derived[key] = build()
         return value
-
-    def live_data(self, key, build):
-        """Working data `key` of this space, `build()` on first use.
-
-        Makes this space the live one.  The previous live space drops
-        everything derived from it (`release`): its working data, `Q`,
-        `P`, `node_coords`, `free_index`, `free_gids`, tensor bases and
-        grids.  What was built from the dropped data keeps its own
-        references and keeps working.  A run still reads a space after
-        it stopped being live (a slab's start space, once the slab steps
-        onto a new mesh), which rebuilds what it is asked for, so a run
-        also releases each space it has moved past (`driver`).
-        """
-        global _live
-        previous = _live() if _live is not None else None
-        if previous is not self:
-            if previous is not None:
-                previous.release()
-            _live = weakref.ref(self)
-        return self._cached(key, build)
 
     def release(self):
         """Drop everything derived, keeping what defines the space."""
@@ -378,11 +356,11 @@ class Space:
             return np.kron(self.ref.eval_sub(t, dl, oy, dy),
                            self.ref.eval_sub(t, dl, ox, dx))
 
-        return self._cached(("basis", kind, dx, dy) + tuple(sub), build)
+        return self.cached(("basis", kind, dx, dy) + tuple(sub), build)
 
     def _grid(self, kind):
         """Physical coordinates of the per-cell tensor grid (ncells, npts)."""
-        return self._cached(("grid", kind), lambda: tensor_grid(
+        return self.cached(("grid", kind), lambda: tensor_grid(
             self.mesh, slice(None), self.ref.points(kind)))
 
     def sample_points(self):
@@ -632,16 +610,6 @@ def _face_sides(fs, host, o):
     return sel, host[np.concatenate([fs.left[sel], fs.right[sel]])]
 
 
-# The face sets holding a `_face_classes` grouping, with its key, oldest
-# first, by weak reference so that no face set is kept alive here.  A
-# slab evaluates at most three (face set, mesh) pairs and the next step
-# on an unmoved mesh repeats them, so three groupings catch every reuse,
-# while those of meshes a run has moved past (a `Trajectory` keeps the
-# meshes) are freed.
-_GROUPINGS_KEPT = 3
-_grouped = []
-
-
 def _face_classes(fs, space):
     """The face sides of a FaceSet grouped by their place in host cells.
 
@@ -659,20 +627,14 @@ def _face_classes(fs, space):
     the face set, the mesh and the degree, so it is cached, read-only,
     on `fs` under (weak reference to the mesh, degree): the mesh may be
     the face set's own, which caches `fs`.  `grid` takes the smallest
-    integer type that holds it.  Only the last `_GROUPINGS_KEPT` built
-    are kept (`_grouped`).
+    integer type that holds it.  The groupings go with the face set,
+    which its mesh holds until `Mesh.release`.
     """
     src = space.mesh
     key = (weakref.ref(src), space.degree)
     classes = fs._classes.get(key)
     if classes is not None:
         return classes
-    _grouped.append((weakref.ref(fs), key))
-    while len(_grouped) > _GROUPINGS_KEPT:
-        fs_ref, old = _grouped.pop(0)
-        holder = fs_ref()
-        if holder is not None:
-            holder._classes.pop(old, None)
     mesh = fs.mesh
     host = transfer(mesh, src).host
     t = space.ref.sample1d

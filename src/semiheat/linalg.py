@@ -8,11 +8,10 @@ unconstrained dofs, scipy's `spsolve`).  What depends only on the space
 is built on first use (`_Condensation`): P^T, the cells sorted by
 level, the gather map G = P[dofmap] with G^T, the condensed M, the
 diagonals of M and S and the buffers of the step products.
-It is the space's live working data (`fespace.Space.live_data`), so
-building it for a new space frees the previous space's, which is rebuilt
-if that space is used again.  S is not kept: the initial projection is
-its one user, and it is assembled for each call of `assemble_stiffness`
-and freed with the caller's reference.
+The space holds it (`fespace.Space.cached`) until the driver releases
+the space, and a space used again rebuilds it.  S is not kept: the
+initial projection is its one user, and it is assembled for each call
+of `assemble_stiffness` and freed with the caller's reference.
 On a quadtree over a rectangle the cells of one level share their local
 matrices, so everything is built from one dense matrix per level and
 the block diagonal `_level_blocks` of them over the cells: the
@@ -80,8 +79,7 @@ def _cell_matrices(ref, hx, hy, mass, stiff):
 class _Condensation:
     """What assembly and the step products reuse on one Space.
 
-    Built on first use as the space's live working data
-    (`_condensation`):
+    Built on first use and held by the space (`_condensation`):
     - `PT`, P^T as CSR, which condenses load vectors.  scipy's `P.T` is
       a new CSC object on every access.
     - The cells sorted stably by level (`order`): `level_cells` holds
@@ -153,12 +151,13 @@ class _Condensation:
 def _condensation(space):
     """The space's `_Condensation`, built on first use.
 
-    It is the space's live working data, so the condensations of spaces
-    a run has moved past are freed (a `Trajectory` keeps the spaces
-    themselves).  Operators built earlier keep their own reference and
-    keep working; a space used again builds its condensation again.
+    The space holds it with the rest of its derived data, so it goes
+    when the driver releases a space a run has moved past (a
+    `Trajectory` keeps the spaces themselves).  Operators built earlier
+    keep their own reference and keep working; a space used again builds
+    its condensation again.
     """
-    return space.live_data("condensation", lambda: _Condensation(space))
+    return space.cached("condensation", lambda: _Condensation(space))
 
 
 def _level_blocks(cond, local):

@@ -254,6 +254,102 @@ def test_a_run_keeps_derived_data_only_on_its_working_set(monkeypatch):
         assert u.sample_values("val").tobytes() == values
 
 
+def test_a_certified_end_keeps_nothing_evaluated_on_released_meshes(
+        monkeypatch):
+    # A coarsening slab's overlay is released at certify; the end that
+    # starts the next slab drops its grids there and its normal
+    # derivatives on that overlay's face set.
+    prob = builtin("example3")
+    released, dropped = [], []
+    release = Mesh.release
+
+    def recording(mesh):
+        released.append(weakref.ref(mesh))
+        release(mesh)
+
+    def gone(mesh):
+        return any(ref() is mesh for ref in released)
+
+    certify = dr._Slab.certify
+
+    def checked(slab, *args, **kwargs):
+        end = slab.ws.end
+        vee = end._vee
+        following = certify(slab, *args, **kwargs)
+        assert following.start is end
+        if vee is not None and gone(vee):
+            dropped.append(slab.m)
+        assert end._vee is None or not gone(end._vee)
+        assert not any(gone(fs.mesh) for fs in end.face_derivs)
+        return following
+
+    monkeypatch.setattr(Mesh, "release", recording)
+    monkeypatch.setattr(dr._Slab, "certify", checked)
+    tol = dr.Tolerances(0.05, 0.05 / 8, 0.01, 0.01 / 16)
+    res = dr.run_adaptive(prob, tol, 2, Mesh.uniform(prob.rect, 3), 0.01,
+                          dr.DriverOptions(max_steps=8))
+    assert res.steps == 8
+    assert dropped          # some end had evaluated on a released overlay
+
+
+def _condensed_spaces():
+    """The live spaces that hold a condensation."""
+    gc.collect()
+    return {o for o in gc.get_objects() if isinstance(o, fe.Space)
+            and o._derived.get("condensation") is not None}
+
+
+def test_a_sweep_row_leaving_a_cached_start_keeps_one_condensation(
+        monkeypatch):
+    # Two rows of the example1 preset share one FirstIntervalCache, as a
+    # sweep's rows do.  Row 2's first interval steps on row 1's cached
+    # start and then leaves its mesh; once u0 is projected on the next
+    # mesh, at most one space holds a condensation.
+    prob = builtin("example1")
+    cache = dr.FirstIntervalCache()
+
+    def run(ttol):
+        tol = dr.Tolerances(0.01, 0.01 / 2 ** 30, ttol, ttol / 4096)
+        return dr.run_adaptive(prob, tol, 9, Mesh.uniform(prob.rect, 4),
+                               0.07, dr.DriverOptions(max_steps=1), cache)
+
+    first = run(0.25)       # kept alive, as a sweep keeps its rows' results
+    cached = {start.end.u.space for start in cache.starts.values()}
+    events = []
+    project, solve = sc.project_initial, dr._Slab.solve
+
+    def projecting(problem, space):
+        u0 = project(problem, space)
+        events.append(len(_condensed_spaces()))
+        return u0
+
+    def solving(slab, space, k):
+        events.append("cached" if space in cached else "solve")
+        return solve(slab, space, k)
+
+    monkeypatch.setattr(sc, "project_initial", projecting)
+    monkeypatch.setattr(dr._Slab, "solve", solving)
+    run(0.0625)
+    assert first.steps == 1
+    after = events[events.index("cached") + 1:]
+    assert after and isinstance(after[0], int)
+    assert all(n <= 1 for n in events if isinstance(n, int))
+
+
+def test_a_run_sharing_its_start_keeps_a_condensation_only_there():
+    # a run whose mesh moves after the first interval returns with its
+    # start in the cache; its last space, which no later run can step
+    # on, is released
+    prob = builtin("example3")
+    cache = dr.FirstIntervalCache()
+    tol = dr.Tolerances(0.05, 0.05 / 8, 0.01, 0.01 / 16)
+    res = dr.run_adaptive(prob, tol, 2, Mesh.uniform(prob.rect, 3), 0.01,
+                          dr.DriverOptions(max_steps=8), cache)
+    (start,) = cache.starts.values()
+    assert res.trajectory.slabs[-1].space_next is not start.end.u.space
+    assert _condensed_spaces() <= {start.end.u.space}
+
+
 def test_first_interval_frees_a_pass_before_projecting_the_next(
         monkeypatch):
     # a pass on a new mesh projects u0 again; by then no earlier pass's

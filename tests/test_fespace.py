@@ -499,31 +499,9 @@ def test_face_classes_are_cached_per_mesh_and_degree():
                 assert not any(a.flags.writeable for a in c[2:])
 
 
-def test_face_classes_keep_only_the_last_groupings():
-    src, _ = moved_mesh_pair()
-    sp = fe.Space(src, 2)
-    f = fe.Field.from_free(sp, np.ones(sp.n_free))
-    kept = fe._GROUPINGS_KEPT
-    sets = [FaceSet(src) for _ in range(kept + 1)]
-    for fs in sets:
-        fe.face_normal_derivs(f, fs)
-    assert [len(fs._classes) for fs in sets] == [0] + [1] * kept
-    # the cache does not keep a face set alive, nor a mesh it grouped on
-    ref = weakref.ref(sets[-1])
-    del sets, fs
-    gc.collect()
-    assert ref() is None
-    mesh = Mesh.uniform(UNIT, 2).refine([(2, 1, 1)])
-    fe.face_normal_derivs(fe.Field.zeros(fe.Space(mesh, 2)), face_set(mesh))
-    ref = weakref.ref(mesh)
-    del mesh
-    gc.collect()
-    assert ref() is None
-
-
-def test_a_space_going_live_empties_the_previous_live_space():
-    # the spaces a run has left keep no tensor bases, grids or
-    # condensation, and evaluate their fields as before
+def test_a_released_space_empties_and_evaluates_as_before():
+    # a released space keeps no tensor bases, grids or condensation, and
+    # evaluates its fields as before; using another space frees nothing
     from semiheat.linalg import StepOperator
     mesh = Mesh.uniform(Rectangle(-1.0, 2.0, 0.0, 0.5), 2).refine([(2, 1, 1)])
     first = fe.Space(mesh, 3)
@@ -533,18 +511,21 @@ def test_a_space_going_live_empties_the_previous_live_space():
     first.quadrature_points()
     before = [u.sample_values(d).tobytes() for d in ("val", "lap")]
     assert first._derived
+    first.release()
     StepOperator(second, 0.1, 1.0)
     assert first._derived == {}
     assert "condensation" in second._derived
     assert [u.sample_values(d).tobytes() for d in ("val", "lap")] == before
     x = np.ones(first.n_free)
     assert np.array_equal(op @ x, StepOperator(first, 0.1, 1.0) @ x)
+    assert "condensation" in second._derived
+    second.release()
     assert second._derived == {} and "condensation" in first._derived
 
 
 def test_a_left_space_rebuilds_its_derived_arrays_bit_for_bit():
     # a space keeps its numbering and constraints; what it derives from
-    # them is dropped when another space goes live and rebuilt on use
+    # them is dropped when the space is released and rebuilt on use
     from semiheat.linalg import StepOperator
     src, _ = moved_mesh_pair()            # hanging faces, 2 x 1.5 domain
     sp = fe.Space(src, 3)
@@ -555,7 +536,7 @@ def test_a_left_space_rebuilds_its_derived_arrays_bit_for_bit():
     names = ("Q", "P", "node_coords", "free_index", "free_gids")
     held = {name: getattr(sp, name) for name in names}
     before = [u.sample_values(d).tobytes() for d in ("val", "lap")]
-    StepOperator(fe.Space(src.refine([src.leaves[0]]), 3), 0.1, 1.0)
+    sp.release()
     assert sp._derived == {}
     fresh = fe.Space(src, 3)
     for name in names:

@@ -473,11 +473,12 @@ def test_level_blocks_are_the_block_diagonal_in_level_order():
         assert np.array_equal(getattr(B, attr), getattr(oracle, attr))
 
 
-def test_condensing_a_second_space_frees_the_first():
+def test_releasing_a_space_frees_its_condensation():
     first, second = _hanging_space(), _hanging_space(2)
     x = np.random.default_rng(9).standard_normal(first.n_free)
     op = StepOperator(first, 0.02, 1.5)
     M, S = assemble_mass(first), assemble_stiffness(first, 1.0)
+    first.release()
     assemble_mass(second)
     assert held(first) is None
     assert held(second) is not None
@@ -485,6 +486,7 @@ def test_condensing_a_second_space_frees_the_first():
     y = (M / 0.02 + 1.5 * S) @ x
     assert np.abs(op @ x - y).max() <= 1e-13 * np.abs(y).max()
     # the first space rebuilds its matrices when used again
+    second.release()
     P = first.P
     for A, A_full in [(assemble_mass(first), assemble_full(first, 1.0, 0.0)),
                       (assemble_stiffness(first, 1.0),
