@@ -272,7 +272,8 @@ def _release_left(start, ws, end):
     and builds the rest on meshes of its own.  So the other spaces of
     `start` drop their derived data, and the slab's other meshes, its
     start mesh and overlays, their face sets and transfers, as does
-    `end` what it evaluated on them.
+    `end` what it evaluated on them and the kept face set what it
+    grouped on them.
     """
     for space in start.spaces() - end.spaces():
         space.release()
@@ -280,6 +281,7 @@ def _release_left(start, ws, end):
     for mesh in left:
         mesh.release()
     end.release(left)
+    ws.mesh_next.drop_groupings(left)
 
 
 class _Start(NamedTuple):

@@ -628,7 +628,8 @@ def _face_classes(fs, space):
     on `fs` under (weak reference to the mesh, degree): the mesh may be
     the face set's own, which caches `fs`.  `grid` takes the smallest
     integer type that holds it.  The groupings go with the face set,
-    which its mesh holds until `Mesh.release`.
+    which its mesh holds until `Mesh.release`; `Mesh.drop_groupings`
+    drops those on meshes a run has left.
     """
     src = space.mesh
     key = (weakref.ref(src), space.degree)

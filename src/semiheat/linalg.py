@@ -13,13 +13,16 @@ the space, and a space used again rebuilds it.  S is not kept: the
 initial projection is its one user, and it is assembled for each call
 of `assemble_stiffness` and freed with the caller's reference.
 On a quadtree over a rectangle the cells of one level share their local
-matrices, so everything is built from one dense matrix per level and
-the block diagonal `_level_blocks` of them over the cells: the
-condensed M and S are G^T (blocks G), and the time-step matrix
-P^T (M/k + aS) P is never assembled: `StepOperator` applies it as
-G^T (blocks (G x)).  The time-step systems are solved with diagonally
-preconditioned conjugate gradients (`solve_spd`, which takes a sparse
-matrix or any linear operator with a `diagonal()`).  The one Poisson
+matrices, so everything is built from one dense matrix per level, with
+`blocks` the block diagonal of them over the cells: the condensed M and
+S, and the skeleton matrix of `solve_skeleton`, are G^T (blocks G),
+formed one block of G^T's rows at a time (`_congruence`), bitwise
+scipy's product and with neither `blocks` nor `blocks G` held whole;
+the time-step matrix P^T (M/k + aS) P is never assembled:
+`StepOperator` applies it as G^T (blocks (G x)).  The time-step
+systems are solved with diagonally preconditioned conjugate gradients
+(`solve_spd`, which takes a sparse matrix or any linear operator with a
+`diagonal()`).  The one Poisson
 system of the initial projection is solved by static condensation
 (`solve_skeleton`): each level's cell interiors are eliminated through
 a dense Schur complement and only the matrix on the cell edges, the
@@ -43,6 +46,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 import scipy
 from scipy.sparse import csr_matrix
+# the kernels behind scipy's sparse `@`, called on arrays it writes into
+from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import cg, splu, LinearOperator
 
 
@@ -98,8 +103,9 @@ class _Condensation:
       step product are written into.  They serve one product at a time
       (`lock`), so threads stepping on one space stay correct.
     The condensed M and the diagonals of M and the unit S are filled in
-    the first time they are asked for.  The condensed S is not held
-    (`assemble_stiffness`).
+    the first time they are asked for; M is assembled from G, G^T and
+    the level matrices one row block at a time (`_congruence`).  The
+    condensed S is not held (`assemble_stiffness`).
     """
 
     def __init__(self, space):
@@ -160,35 +166,117 @@ def _condensation(space):
     return space.cached("condensation", lambda: _Condensation(space))
 
 
-def _level_blocks(cond, local):
-    """CSR block diagonal of one dense n x n matrix per mesh level.
+def _cell_widths(G, n):
+    """An upper bound on the distinct columns of each cell's n rows of G.
 
-    `local[l]` is the block of every cell of level block l, in the
-    cells' level order (`cond.bounds`).  The index arrays are written
-    directly: row r of cell c holds columns c*n .. c*n + n - 1, so there
-    is no COO list to sort.
+    A row with one entry counts once; the columns of rows with more (the
+    hanging rows) are counted without repeats per cell.
+    """
+    counts = np.diff(G.indptr)
+    multi = counts > 1
+    hanging = np.flatnonzero(multi)
+    keys = np.sort(np.repeat(hanging // n, counts[hanging]) * G.shape[1]
+                   + G.indices[np.repeat(multi, counts)])
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return ((counts.reshape(-1, n) == 1).sum(axis=1)
+            + np.bincount(keys[first] // G.shape[1],
+                          minlength=G.shape[0] // n))
+
+
+def _matmat(A, B, ncols, out=None):
+    """scipy's CSR product A @ B as an (indptr, indices, data) triple.
+
+    A and B are such triples of one index type.  The kernel is the one
+    behind scipy's `@` (which then wraps the arrays), so the entries are
+    its bits in its stored order.  `out`, an (indices, data) pair, takes
+    the entries in place of new arrays and must have room for scipy's
+    count of the product's structural entries.
+    """
+    nrows = len(A[0]) - 1
+    room = _sparsetools.csr_matmat_maxnnz(nrows, ncols, A[0], A[1],
+                                          B[0], B[1])
+    if out is None:
+        out = np.empty(room, A[1].dtype), np.empty(room)
+    elif room > len(out[0]):
+        raise ValueError("product needs %d entries, has room for %d"
+                         % (room, len(out[0])))
+    indptr = np.empty(nrows + 1, A[1].dtype)
+    _sparsetools.csr_matmat(nrows, ncols, *A, *B, indptr, *out)
+    return (indptr,) + tuple(out)
+
+
+# About how many entries of the result one row block of `_congruence`
+# writes: blocks this size keep the temporaries a few MB and the
+# products' working set in cache.
+_BLOCK_ENTRIES = 1 << 17
+
+
+def _congruence(G, GT, bounds, local):
+    """G^T (blocks G) as CSR, bitwise scipy's product of the three.
+
+    G has n rows per cell, cells in level order, and `local[l]` (n x n)
+    is the block of every cell of level block l (`bounds`).  The product
+    is formed one block of G^T's rows at a time, so neither the block
+    diagonal nor `blocks G` is ever held whole.  scipy builds each output
+    row from that row's entries of the left factor, in order, and the
+    right-factor rows they reference, and each row of `blocks G` from
+    its row of the block diagonal and G.  So a row block of G^T, its
+    columns renumbered onto the rows of G it reads, times those rows of
+    the block diagonal times G, is the whole product's rows, stored
+    order and dropped zeros included.
+
+    The rows are written straight into the result's arrays, sized once
+    by the sum of width(c)**2 over the cells (each entry of a row's
+    product is a column of one of the cells the row reads, and a cell
+    is read by width(c) rows at most) and shrunk in place.
     """
     n = local.shape[-1]
-    counts = np.diff(cond.bounds)
-    ncells = int(counts.sum())
-    index = np.int32 if ncells * n * n <= np.iinfo(np.int32).max \
-        else np.int64
-    cols = np.arange(ncells * n, dtype=index).reshape(ncells, 1, n)
-    indices = np.broadcast_to(cols, (ncells, n, n)).ravel()
-    indptr = np.arange(0, ncells * n * n + 1, n, dtype=index)
-    data = np.repeat(local, counts, axis=0).ravel()
-    return csr_matrix((data, indices, indptr),
-                      shape=(ncells * n, ncells * n))
+    nrows, ncols = GT.shape[0], G.shape[1]
+    width = _cell_widths(G, n).astype(np.int64)
+    bound = int(width @ width)
+    largest = max(bound, G.shape[0] * max(n, width.max(initial=0)))
+    index = np.int32 if largest <= np.iinfo(np.int32).max else np.int64
+    Gp, Gj, Tp, Tj = (np.asarray(x, dtype=index) for x in
+                      (G.indptr, G.indices, GT.indptr, GT.indices))
+    # row r of `blocks` is row first[r // n] + r % n of local_rows
+    local_rows = np.ascontiguousarray(local).reshape(-1, n)
+    first = np.repeat(np.arange(0, len(local_rows), n), np.diff(bounds))
+    span = np.arange(n, dtype=index)
+    read = np.zeros(G.shape[0], dtype=bool)
+    slot = np.empty(G.shape[0], dtype=index)
+    indptr = np.zeros(nrows + 1, dtype=index)
+    indices = np.empty(bound, dtype=index)
+    data = np.empty(bound)
+    step = max(1, GT.nnz * _BLOCK_ENTRIES // max(bound, 1))
+    edges = np.unique(np.searchsorted(
+        Tp, np.arange(0, GT.nnz, step), side="right") - 1)
+    for a, b in zip(edges, np.append(edges[1:], nrows)):
+        lo, hi, nnz = Tp[a], Tp[b], indptr[a]
+        cols = Tj[lo:hi]
+        read[cols] = True
+        rows = np.flatnonzero(read).astype(index)
+        read[rows] = False
+        slot[rows] = np.arange(len(rows), dtype=index)
+        cell, node = np.divmod(rows, n)
+        blocks = (np.arange(0, len(rows) * n + 1, n, dtype=index),
+                  (cell[:, None] * n + span).ravel(),
+                  local_rows[first[cell] + node].ravel())
+        BG = _matmat(blocks, (Gp, Gj, G.data), ncols)
+        del blocks
+        part = _matmat((Tp[a:b + 1] - lo, slot[cols], GT.data[lo:hi]), BG,
+                       ncols, (indices[nnz:], data[nnz:]))[0]
+        del BG
+        indptr[a + 1:b + 1] = part[1:] + nnz
+    indices.resize(indptr[-1], refcheck=False)
+    data.resize(indptr[-1], refcheck=False)
+    return csr_matrix((data, indices, indptr), shape=(nrows, ncols))
 
 
 def _assembled(cond, mass, stiff):
-    """mass * M + stiff * S condensed, G^T (blocks G) (all CSR).
-
-    The block diagonal is a temporary of the inner product, so it is
-    freed before the outer one allocates.
-    """
-    local = cond.level_matrices(mass, stiff)
-    return cond.GT @ (_level_blocks(cond, local) @ cond.G)
+    """mass * M + stiff * S condensed, G^T (blocks G) (all CSR)."""
+    return _congruence(cond.G, cond.GT, cond.bounds,
+                       cond.level_matrices(mass, stiff))
 
 
 def assemble_mass(space):
@@ -378,7 +466,8 @@ def solve_skeleton(space, S, b):
     block K_ii of the local stiffness is inverted and the Schur
     complement K_ee - K_ei K_ii^-1 K_ie formed on the 4p edge nodes.
     The skeleton matrix G_b^T (blocks G_b), with G_b the edge rows of G
-    on the non-interior free dofs, is factored by sparse LU, ordered by
+    on the non-interior free dofs and `blocks` the Schur complements
+    (`_congruence`), is factored by sparse LU, ordered by
     multiple minimum degree on A + A^T, which fills far less than column
     orderings on these symmetric systems; the interiors are recovered
     cell by cell.  S itself serves one step of iterative refinement and
@@ -406,7 +495,7 @@ def solve_skeleton(space, S, b):
     edge_rows = (np.arange(len(cond.order))[:, None] * nloc + edge).ravel()
     Gb = cond.G[edge_rows][:, skeleton]
     GbT = Gb.T.tocsr()
-    lu = splu((GbT @ (_level_blocks(cond, schur) @ Gb)).tocsc(),
+    lu = splu(_congruence(Gb, GbT, cond.bounds, schur).tocsc(),
               permc_spec="MMD_AT_PLUS_A")
     blocks = list(zip(cond.bounds[:-1], cond.bounds[1:], Kei, Kii_inv))
 

@@ -159,6 +159,14 @@ class Mesh:
         self._faces = None
         self._transfers.clear()
 
+    def drop_groupings(self, meshes):
+        """Drop the face-class groupings its face set holds on `meshes`
+        or on meshes already freed (`fespace._face_classes`)."""
+        if self._faces is not None:
+            self._faces._classes = {
+                key: classes for key, classes in self._faces._classes.items()
+                if key[0]() is not None and key[0]() not in meshes}
+
     def index_of(self, key):
         """Row of leaf `key`; kept as the tests' public key-to-row map."""
         return self._index[key]

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from semiheat.mesh import Mesh
+from semiheat.mesh import FaceSet, Mesh
 from semiheat import cli
 from semiheat import fespace as fe
 from semiheat import linalg
@@ -290,6 +290,46 @@ def test_a_certified_end_keeps_nothing_evaluated_on_released_meshes(
                           dr.DriverOptions(max_steps=8))
     assert res.steps == 8
     assert dropped          # some end had evaluated on a released overlay
+
+
+def test_kept_face_sets_group_nothing_on_left_meshes(monkeypatch):
+    # After each certify no face set a mesh keeps holds a face-class
+    # grouping (fespace._face_classes) keyed on a mesh that is freed or
+    # that Mesh.release was called on: the end mesh's face set, which the
+    # next slab reads, drops those its slab grouped on the meshes it
+    # left.  (The certified slab's workspace, alive until the run moves
+    # on, still holds the face sets of the meshes it left.)
+    prob = builtin("example3")
+    released, stale = [], []
+    release = Mesh.release
+
+    def recording(mesh):
+        released.append(weakref.ref(mesh))
+        release(mesh)
+
+    def left(ref):
+        mesh = ref()
+        return mesh is None or any(r() is mesh for r in released)
+
+    certify = dr._Slab.certify
+
+    def checked(slab, *args, **kwargs):
+        following = certify(slab, *args, **kwargs)
+        gc.collect()
+        stale.extend((slab.m, key) for o in gc.get_objects()
+                     if isinstance(o, FaceSet)
+                     and getattr(o.mesh, "_faces", None) is o
+                     for key in o._classes if left(key[0]))
+        return following
+
+    monkeypatch.setattr(Mesh, "release", recording)
+    monkeypatch.setattr(dr._Slab, "certify", checked)
+    tol = dr.Tolerances(0.05, 0.05 / 8, 0.01, 0.01 / 16)
+    res = dr.run_adaptive(prob, tol, 2, Mesh.uniform(prob.rect, 3), 0.01,
+                          dr.DriverOptions(max_steps=8))
+    assert res.steps == 8
+    assert released
+    assert stale == []
 
 
 def _condensed_spaces():

@@ -4,12 +4,13 @@ import glob
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy
 from hypothesis import given, strategies as st
-from scipy.sparse import block_diag, coo_matrix, csr_matrix
+from scipy.sparse import block_diag, coo_matrix, csr_matrix, vstack
 from scipy.sparse.linalg import spsolve
 
 from semiheat.mesh import Mesh, Rectangle
@@ -459,18 +460,83 @@ def test_condensation_equals_p_transpose_a_p():
                               P.T @ load_full(sp, values))
 
 
-def test_level_blocks_are_the_block_diagonal_in_level_order():
-    sp = _hanging_space(2)
-    cond = linalg._condensation(sp)
-    local = np.random.default_rng(10).standard_normal(
-        (len(cond.level_cells), 5, 5))
-    counts = np.diff(cond.bounds)
-    B = linalg._level_blocks(cond, local)
-    oracle = block_diag([blk for blk, n in zip(local, counts)
-                         for _ in range(n)], format="csr")
-    assert B.has_sorted_indices
+def _same_csr(A, B):
+    """A and B hold the same CSR arrays, bit for bit and in stored order."""
+    assert A.shape == B.shape
     for attr in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(B, attr), getattr(oracle, attr))
+        a, b = getattr(A, attr), getattr(B, attr)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _congruence_oracle(G, GT, bounds, local):
+    """scipy's G^T @ (blocks @ G), blocks the level matrices per cell."""
+    blocks = block_diag([blk for blk, n in zip(local, np.diff(bounds))
+                         for _ in range(n)], format="csr")
+    return GT @ (blocks @ G)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 9])
+@PROPERTY
+@given(OPS)
+def test_row_blocks_assemble_scipys_product_bit_for_bit(degree, ops):
+    # random hanging-node meshes on a non-square rectangle: M, S, the
+    # step matrix and the skeleton matrix, one row block of G^T at a
+    # time, are scipy's whole product, stored order included
+    sp = fe.Space(build(ops), degree)
+    cond = linalg._condensation(sp)
+    for mass, stiff in [(1.0, 0.0), (0.0, 1.0), (1 / 0.01, 0.3)]:
+        _same_csr(linalg._assembled(cond, mass, stiff),
+                  _congruence_oracle(cond.G, cond.GT, cond.bounds,
+                                     cond.level_matrices(mass, stiff)))
+    skeletons = []
+    congruence = linalg._congruence
+
+    def recording(*args):
+        skeletons.append((args, congruence(*args)))
+        return skeletons[-1][1]
+
+    S = assemble_stiffness(sp, 1.0)
+    linalg._congruence = recording
+    try:
+        solve_skeleton(sp, S, np.ones(sp.n_free))
+    finally:
+        linalg._congruence = congruence
+    assert len(skeletons) == (sp.n_free > 0)
+    for args, got in skeletons:
+        _same_csr(got, _congruence_oracle(*args))
+
+
+def test_row_blocks_of_a_few_entries_cover_every_row(monkeypatch):
+    # many blocks, on G^T with its rows reversed and empty rows at both
+    # ends and between
+    monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 64)
+    for degree in (1, 3):
+        cond = linalg._condensation(_hanging_space(degree))
+        empty = csr_matrix((3, cond.GT.shape[1]))
+        GT = vstack([empty, cond.GT[::-1], empty, cond.GT[:7], empty],
+                    format="csr")
+        G = GT.T.tocsr()
+        local = cond.level_matrices(1.0, 0.3)
+        _same_csr(linalg._congruence(G, GT, cond.bounds, local),
+                  _congruence_oracle(G, GT, cond.bounds, local))
+
+
+def test_mass_assembly_peak_memory_stays_near_the_result():
+    # tracemalloc's peak over assemble_mass on a p=9 hanging-node space
+    # (level 4 refined once in places), with its condensation built:
+    # neither the block diagonal nor `blocks G` is held whole, and the
+    # result's arrays are sized once
+    mesh = Mesh.uniform(Rectangle(-1.0, 2.0, 0.0, 0.5), 4)
+    sp = fe.Space(mesh.refine(mesh.leaves[::7]), 9)
+    linalg._condensation(sp)
+    tracemalloc.start()
+    try:
+        M = assemble_mass(sp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
+    assert peak <= 1.6 * held
 
 
 def test_releasing_a_space_frees_its_condensation():
