@@ -1,12 +1,12 @@
 """Space-time adaptive evolution loop with blow-up detection.
 
-The loop controls the time step with a scaled time indicator, marks cells
-against a scaled space indicator, multiplies all four tolerances by the
-fixed-point parameter of the previous slab, and stops either at the final
-time or when the fixed-point parameter stops existing (the blow-up
-signal).  A non-adaptive fixed-mesh runner for convergence studies
-certifies its slabs through the same chain (`_Slab`); the two runners
-differ only in how they choose the step size and the mesh.
+Both runners consume one stream of certified slabs (`_certified`): each
+slab (`_Slab`) solves a candidate step, cut to end at the final time T
+if it reaches T, and certifies it.  The adaptive loop controls the step
+with a scaled time indicator, marks cells against a scaled space
+indicator, multiplies all four tolerances by the previous slab's
+fixed-point parameter, and stops at T or when that parameter stops
+existing (the blow-up signal); the fixed-mesh runner keeps k and mesh.
 
 The driver owns a run's working set: spaces and meshes keep what they
 derive until it releases them where the run moves past them.  A slab
@@ -17,7 +17,7 @@ sharing a `FirstIntervalCache` its last space unless a start holds it.
 """
 
 import os
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass, field as dfield, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -48,7 +48,7 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("stol_plus", "stol_minus", "ttol_plus", "ttol_minus"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError("%s must be positive" % name)
         if self.stol_minus >= self.stol_plus or self.ttol_minus >= self.ttol_plus:
             raise ValueError("coarsening tolerances must sit below refinement ones")
@@ -167,25 +167,23 @@ def _maybe_dump(opts, step, mesh, field):
     mesh.dump_vtk(os.path.join(opts.out_dir, "step_%05d.vtk" % step), data)
 
 
-def _tinf_from_ledger(ledger):
-    if len(ledger.t) < 2:
-        return None
-    try:
-        return extrapolate_blowup(ledger.t[-2], ledger.linf_u[-2],
-                                  ledger.t[-1], ledger.linf_u[-1])
-    except ExtrapolationError:
-        return None
+def _clip(t, k, T):
+    """(step, end) of a step k from t; a step that reaches T ends at T."""
+    if T is not None and t + k >= T * (1.0 - 1e-12):
+        return T - t, T
+    return k, t + k
 
 
 class _Slab:
-    """Certification of one slab (t, t + k] from the certified state at t.
+    """Certification of one slab (t, t_next] from the certified state at t.
 
     `start` is the `est.SlabEnd` at t (the field and its closure) and
     `eta_S` its per-cell space estimator.  `solve` tries a candidate
-    (space, k): the IMEX step and the time estimator.  `space_estimates`
-    evaluates the candidate's space side once.  `certify` computes psi,
-    delta and r, records the slab and returns the slab that follows it,
-    whose start is this slab's certified end.
+    (space, k), cut to end at the problem's T if it reaches T (`_clip`):
+    the IMEX step and the time estimator.  `space_estimates` evaluates
+    the candidate's space side once.  `certify` computes psi, delta and
+    r, records the slab and returns the slab that follows it, whose
+    start is this slab's certified end.
     """
 
     def __init__(self, problem, opts, m, t, start, eta_S):
@@ -198,7 +196,7 @@ class _Slab:
         self.ws = None
 
     def solve(self, space, k):
-        """IMEX step of size k onto `space`; returns the time estimator.
+        """IMEX step of size k, or up to T, onto `space`; returns eta_T.
 
         A workspace of another space is dropped before the step, so its
         candidate and arrays are freed before the new space's are built.
@@ -209,6 +207,7 @@ class _Slab:
             self.ws = self._space_estimates = None
         if space is not self.start.u.space:
             self.start.u.space.release()
+        k, self.t_next = _clip(self.t, k, self.problem.T)
         u_next, u_hat = sc.imex_step(self.problem, self.start.u, space, k,
                                      self.t)
         if self.ws is None:
@@ -230,8 +229,8 @@ class _Slab:
             self._space_estimates = (eta_S, dot_map, xi_prime, xi)
         return self._space_estimates
 
-    def certify(self, ledger, traj, t_next, keep_uncertified=False):
-        """Close the current candidate as the slab ending at t_next.
+    def certify(self, ledger, traj, keep_uncertified=False):
+        """Close the current candidate as the slab ending at its t_next.
 
         Records it in the ledger and trajectory and returns the next
         slab.  Without a delta it records nothing and returns None, unless
@@ -251,15 +250,15 @@ class _Slab:
             delta, psi, xi, k, t, modulus, ws.u_norm, c_inf, q)
         end = ws.end
         slab = sc.make_slab(self.m, self.start.A, end.A)
-        slab.t_next = t_next
+        slab.t_next = self.t_next
         slab.overlay_dofs = ws.overlay_free_dofs()
         traj.slabs.append(slab)
-        ledger.add_step(self.m, t_next, k, ws.space_next.n_free,
+        ledger.add_step(self.m, self.t_next, k, ws.space_next.n_free,
                         end.u.linf_norm(), self.eta_T, xi, xi_prime, psi,
                         delta, r, eta_S, ws.hmin_next, dot_map)
         _maybe_dump(opts, self.m, ws.mesh_next, end.u)
         _release_left(self.start, ws, end)
-        return _Slab(problem, opts, self.m + 1, t_next, end, eta_S)
+        return _Slab(problem, opts, self.m + 1, self.t_next, end, eta_S)
 
 
 def _release_left(start, ws, end):
@@ -332,16 +331,40 @@ def _open_ledger(problem, opts, start):
     """Empty ledger and trajectory starting from slab 1's start state."""
     ledger = est.EstimatorLedger(c_inf=opts.c_inf,
                                  modulus_is_zero=problem.modulus.is_zero)
-    u0 = start.end.u
-    ledger.set_initial(problem, u0, start.eta_S, start.e0_map)
-    return ledger, sc.Trajectory(u0)
+    ledger.set_initial(problem, start.end.u, start.eta_S, start.e0_map)
+    return ledger, sc.Trajectory(start.end.u)
 
 
-def _result(traj, ledger, stop, t, u, **extra):
+def _certified(slab, ledger, traj, keep_uncertified=False):
+    """Certify the candidate `slab` holds, then yield each following slab.
+
+    The caller solves the next candidate on each slab it is given.  The
+    stream ends at the first candidate without a delta, unless
+    keep_uncertified is set.
+    """
+    while (slab := slab.certify(ledger, traj, keep_uncertified)) is not None:
+        yield slab
+
+
+def _stop(slab, ledger, opts, caps):
+    """Why a run ends at `slab`'s start (`_clip` ends it at T exactly)."""
+    if slab.t == slab.problem.T:
+        return "final_time"
+    if len(ledger.m) >= opts.max_steps:
+        caps.append(("max_steps", len(ledger.m)))
+        return "max_steps"
+
+
+def _result(traj, ledger, stop, slab, **extra):
+    try:
+        tinf = extrapolate_blowup(ledger.t[-2], ledger.linf_u[-2],
+                                  ledger.t[-1], ledger.linf_u[-1])
+    except (IndexError, ExtrapolationError):
+        tinf = None
     return RunResult(
         trajectory=traj, ledger=ledger, stop_reason=stop,
-        steps=len(ledger.m), final_time=t, final_norm=u.linf_norm(),
-        tinf_estimate=_tinf_from_ledger(ledger),
+        steps=len(ledger.m), final_time=slab.t,
+        final_norm=slab.start.u.linf_norm(), tinf_estimate=tinf,
         avg_dofs=weighted_average_dofs(traj) if traj.slabs else 0.0, **extra)
 
 
@@ -359,12 +382,9 @@ def run_adaptive(problem, tolerances, degree, initial_mesh, k1, options=None,
     """
     opts = options or DriverOptions()
     cache = first_interval or FirstIntervalCache()
-    modulus = problem.modulus
-    T = problem.T
-    if k1 <= 0:
+    if not k1 > 0:
         raise ValueError("k1 must be positive")
-    if T is not None and k1 > T:
-        k1 = T
+    k = _clip(0.0, k1, problem.T)[0]
     caps = []
     ttol_p, ttol_m = tolerances.ttol_plus, tolerances.ttol_minus
     stol_p, stol_m = tolerances.stol_plus, tolerances.stol_minus
@@ -382,7 +402,6 @@ def run_adaptive(problem, tolerances, degree, initial_mesh, k1, options=None,
     # it may end the loop: the pass that ends it leaves its solved slab 1
     # to the run.
     mesh = initial_mesh
-    k = k1
     passes = 0
     slab = None
     while True:
@@ -399,7 +418,7 @@ def run_adaptive(problem, tolerances, degree, initial_mesh, k1, options=None,
                 slab = start.slab(problem, opts)
             eta_T = slab.solve(slab.start.u.space, k)
             eta_S1, dot1, _, xi = slab.space_estimates()
-            alpha = alpha_value(modulus, slab.ws, xi, 1.0, k)
+            alpha = alpha_value(problem.modulus, slab.ws, xi, 1.0, k)
             ref_S = first_space_indicator(start.e0_map, slab.eta_S, eta_S1,
                                           dot1, alpha)
             cache.passes[key] = (eta_T, ref_S)
@@ -420,22 +439,9 @@ def run_adaptive(problem, tolerances, degree, initial_mesh, k1, options=None,
         initial_mesh.release()   # the caller's mesh, which no slab reads
     if first_interval is None:
         start = None     # no other run reads it; slab 1 holds it meanwhile
-    t = 0.0
-    clipped = False
-    while True:
-        # k and clipped belong to the candidate `slab` holds.
-        t_next = T if clipped else t + k
-        following = slab.certify(ledger, traj, t_next)
-        if following is None:
-            stop = "delta_nonexistent at step %d" % slab.m
-            break
-        slab, t = following, t_next
-        if T is not None and t >= T * (1.0 - 1e-14):
-            stop = "final_time"
-            break
-        if len(ledger.m) >= opts.max_steps:
-            stop = "max_steps"
-            caps.append(("max_steps", len(ledger.m)))
+    for slab in _certified(slab, ledger, traj):
+        stop = _stop(slab, ledger, opts, caps)
+        if stop:
             break
         if opts.scale_tolerances:
             delta = ledger.delta[-1]
@@ -447,37 +453,28 @@ def run_adaptive(problem, tolerances, degree, initial_mesh, k1, options=None,
         # Time-step control on the current mesh.
         r_tilde_prev = ledger.r_tilde[-1]
         space = slab.start.u.space
-        clipped = False
-        if T is not None and t + k >= T * (1.0 - 1e-12):
-            k = T - t
-            clipped = True
         ref_T = time_indicator(slab.solve(space, k), r_tilde_prev)
         adjusts = 0
         while not (ttol_m <= ref_T <= ttol_p):
             if adjusts >= STEP_ADJUST_CAP:
                 caps.append(("step_adjust", slab.m))
                 break
-            if ref_T > ttol_p:
-                k *= 0.5
-                clipped = False
-            else:
-                if clipped:
-                    break
-                if T is not None and t + 2.0 * k >= T * (1.0 - 1e-12):
-                    k = T - t
-                    clipped = True
-                else:
-                    k *= 2.0
+            if ref_T < ttol_m and slab.t_next == problem.T:
+                break       # a step cut to end at T is not doubled
+            k = slab.k * (0.5 if ref_T > ttol_p else 2.0)
             ref_T = time_indicator(slab.solve(space, k), r_tilde_prev)
             adjusts += 1
+        k = slab.k
 
         # One spatial refine/coarsen pass, then re-solve if the mesh moved.
         eta_S, dot_map, _, xi = slab.space_estimates()
-        alpha = alpha_value(modulus, slab.ws, xi, r_tilde_prev, k)
+        alpha = alpha_value(problem.modulus, slab.ws, xi, r_tilde_prev, k)
         ref_S = space_indicator(eta_S, dot_map, alpha, r_tilde_prev)
         new_mesh = _modify_mesh(space.mesh, ref_S, stol_p, stol_m)
         if new_mesh.leafset != space.mesh.leafset:
             slab.solve(fe.Space(new_mesh, degree), k)
+    else:       # the stream ended on a candidate without a delta
+        stop = "delta_nonexistent at step %d" % slab.m
 
     # Only a run that returns shares its start: its result holds its U0.
     # The next run of the cache may step on that start's space; the run's
@@ -487,7 +484,7 @@ def run_adaptive(problem, tolerances, degree, initial_mesh, k1, options=None,
                                          start)
         if slab.start.u.space is not shared.end.u.space:
             slab.start.u.space.release()
-    return _result(traj, ledger, stop, t, slab.start.u, caps_hit=caps,
+    return _result(traj, ledger, stop, slab, caps_hit=caps,
                    final_tolerances=(stol_p, stol_m, ttol_p, ttol_m))
 
 
@@ -496,23 +493,24 @@ def run_fixed(problem, mesh, degree, k, T=None, options=None):
     """Uniform-step run on a fixed mesh with full estimator bookkeeping.
 
     No adaptivity: the mesh never changes and k is constant up to the
-    final clipped step.  Steps keep running even if some delta does not
-    exist (its ledger column is then empty and the conditional bound
-    unavailable from that step on).
+    last step, cut to end at T.  Stops at T or at `max_steps`.  Steps keep
+    running even if some delta does not exist (its ledger column is then
+    empty and the conditional bound unavailable from that step on).
     """
     opts = options or DriverOptions()
-    if T is None:
-        T = problem.T
-    if T is None:
-        raise ValueError("run_fixed needs a finite final time")
-    space = fe.Space(mesh, degree)
-    start = _start(problem, space)
+    problem = replace(problem, T=problem.T if T is None else T)
+    if problem.T is None or not problem.T > 0:
+        raise ValueError("run_fixed needs a positive final time")
+    if not k > 0:
+        raise ValueError("k must be positive")
+    start = _start(problem, fe.Space(mesh, degree))
     slab = start.slab(problem, opts)
     ledger, traj = _open_ledger(problem, opts, start)
-    t = 0.0
-    while t < T * (1.0 - 1e-14):
-        clipped = t + k >= T * (1.0 - 1e-12)
-        slab.solve(space, (T - t) if clipped else k)
-        t = T if clipped else t + slab.k
-        slab = slab.certify(ledger, traj, t, keep_uncertified=True)
-    return _result(traj, ledger, "final_time", t, slab.start.u)
+    caps = []
+    slab.solve(slab.start.u.space, k)
+    for slab in _certified(slab, ledger, traj, keep_uncertified=True):
+        stop = _stop(slab, ledger, opts, caps)
+        if stop:
+            break
+        slab.solve(slab.start.u.space, k)
+    return _result(traj, ledger, stop, slab, caps_hit=caps)

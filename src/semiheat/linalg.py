@@ -316,9 +316,9 @@ class StepOperator(LinearOperator):
     """
 
     def __init__(self, space, k, a):
-        if k <= 0:
+        if not k > 0:
             raise ValueError("time step must be positive")
-        if a <= 0:
+        if not a > 0:
             raise ValueError("diffusion coefficient must be positive")
         n = space.n_free
         super().__init__(np.float64, (n, n))

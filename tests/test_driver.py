@@ -30,6 +30,38 @@ def test_tolerances_validation():
     assert tol.ttol_minus == pytest.approx(0.25 / 16)
 
 
+@pytest.fixture
+def no_projection(monkeypatch):
+    def fail(problem, space):
+        raise AssertionError("U0 projected before the inputs were checked")
+
+    monkeypatch.setattr(sc, "project_initial", fail)
+
+
+def test_nan_tolerance_is_rejected():
+    with pytest.raises(ValueError):
+        dr.Tolerances(float("nan"), 1e-3, 0.1, 1e-3)
+
+
+def test_nan_first_step_is_rejected_before_projecting(no_projection):
+    prob = builtin("heat_decay")
+    with pytest.raises(ValueError):
+        dr.run_adaptive(prob, dr.Tolerances.from_plus(1.0, 0.05), 1,
+                        Mesh.uniform(prob.rect, 2), float("nan"))
+
+
+def test_nan_fixed_step_is_rejected_before_projecting(no_projection):
+    prob = builtin("heat_decay")
+    with pytest.raises(ValueError):
+        dr.run_fixed(prob, Mesh.uniform(prob.rect, 2), 1, k=float("nan"))
+
+
+def test_negative_final_time_is_rejected_before_projecting(no_projection):
+    prob = builtin("heat_decay")
+    with pytest.raises(ValueError):
+        dr.run_fixed(prob, Mesh.uniform(prob.rect, 2), 1, k=0.01, T=-1.0)
+
+
 def test_time_indicator():
     assert dr.time_indicator(0.3, 1.0) == 0.3
     assert dr.time_indicator(0.4, 4.0) == pytest.approx(0.1)
@@ -476,6 +508,68 @@ def test_run_fixed_clips_last_step():
     assert res.steps == 4
     assert res.final_time == 0.1
     assert res.ledger.k[-1] == pytest.approx(0.01)
+
+
+def test_run_fixed_defaults_to_the_problems_final_time():
+    prob = builtin("heat_decay")
+    res = dr.run_fixed(prob, Mesh.uniform(prob.rect, 2), 1, k=0.03)
+    assert res.final_time == prob.T
+    with pytest.raises(ValueError):
+        dr.run_fixed(builtin("example1"), Mesh.uniform(prob.rect, 2), 1,
+                     k=0.03)
+
+
+def test_run_fixed_stops_at_max_steps():
+    prob = builtin("heat_decay")
+    res = dr.run_fixed(prob, Mesh.uniform(prob.rect, 2), 1, k=0.01, T=0.05,
+                       options=dr.DriverOptions(max_steps=2))
+    assert (res.stop_reason, res.steps) == ("max_steps", 2)
+    assert res.caps_hit == [("max_steps", 2)]
+
+
+def test_rising_forcing_halves_the_step():
+    # zero modulus: f does not read u, and its ramp in t makes eta_T grow
+    base = builtin("heat_decay")
+    prob = replace(base, T=0.2, exact=None,
+                   f=lambda x, y, t, u: 0.0 * u + 1e4 * t ** 3
+                   * np.sin(np.pi * x) * np.sin(np.pi * y))
+    res = dr.run_adaptive(prob, dr.Tolerances.from_plus(1.0, 0.05), 1,
+                          Mesh.uniform(prob.rect, 2), 0.02)
+    ks = res.ledger.k
+    assert any(b == 0.5 * a for a, b in zip(ks, ks[1:]))
+    assert (res.stop_reason, res.final_time) == ("final_time", prob.T)
+
+
+def _decay_run_towards(T):
+    # the mesh stays; heat_decay's shrinking eta_T doubles k at t = 0.03
+    prob = replace(builtin("heat_decay"), T=T)
+    return dr.run_adaptive(prob, dr.Tolerances(1e3, 1e-12, 0.05, 0.05 / 16),
+                           1, Mesh.uniform(prob.rect, 2), 0.005)
+
+
+def test_a_doubling_that_would_pass_T_ends_exactly_at_T():
+    res = _decay_run_towards(0.038)
+    ks = res.ledger.k
+    assert (res.stop_reason, res.final_time) == ("final_time", 0.038)
+    assert res.ledger.t[-1] == 0.038
+    assert ks[-2] < ks[-1] < 2.0 * ks[-2]
+
+
+def test_step_adjust_cap_is_reported(monkeypatch):
+    monkeypatch.setattr(dr, "STEP_ADJUST_CAP", 0)
+    res = _decay_run_towards(0.038)
+    assert ("step_adjust", 7) in res.caps_hit
+    assert set(res.ledger.k[:-1]) == {0.005}
+    assert res.final_time == 0.038
+
+
+def test_first_step_longer_than_T_ends_exactly_at_T():
+    prob = replace(builtin("heat_decay"), T=0.05)
+    res = dr.run_adaptive(prob, dr.Tolerances(1e300, 1e-300, 1e300, 1e-300),
+                          1, Mesh.uniform(prob.rect, 2), 0.1)
+    assert res.steps == 1
+    assert res.ledger.t == [0.05] and res.ledger.k == [0.05]
+    assert res.final_time == 0.05
 
 
 def test_dumps_written(tmp_path):

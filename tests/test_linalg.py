@@ -589,7 +589,8 @@ def test_assembly_matches_int64_index_oracle_bitwise(degree):
 
 
 @pytest.mark.parametrize("k, a", [(0.0, 1.0), (-0.01, 1.0),
-                                  (0.01, 0.0), (0.01, -0.001)])
+                                  (0.01, 0.0), (0.01, -0.001),
+                                  (float("nan"), 1.0), (0.01, float("nan"))])
 def test_step_operator_rejects_nonpositive_k_or_a(k, a):
     sp = fe.Space(Mesh.uniform(UNIT, 1), 2)
     with pytest.raises(ValueError, match="must be positive"):
