@@ -14,6 +14,7 @@ slopes.  Exit codes: 0 completed, 2 stopped by fixed-point nonexistence
 """
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -104,7 +105,7 @@ _BOOLS = {"true": True, "on": True, "yes": True, "1": True,
 # (bound, test, keys): the range of every numeric key, tested on each
 # entry of a list and not on a key left unset (None).
 _BOUNDS = (
-    ("positive", lambda v: v > 0,
+    ("finite and positive", lambda v: 0 < v < math.inf,
      ("a", "T", "k1", "c_infinity", "ttol_plus", "ttol_minus", "stol_plus",
       "stol_minus", "sweep_ttols")),
     ("in (0, 1)", lambda v: 0 < v < 1, ("sweep_base",)),

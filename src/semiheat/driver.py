@@ -18,6 +18,7 @@ sharing a `FirstIntervalCache` its last space unless a start holds it.
 
 import os
 from dataclasses import dataclass, field as dfield, replace
+from math import inf
 from typing import NamedTuple
 
 import numpy as np
@@ -48,8 +49,8 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("stol_plus", "stol_minus", "ttol_plus", "ttol_minus"):
-            if not getattr(self, name) > 0:
-                raise ValueError("%s must be positive" % name)
+            if not 0 < getattr(self, name) < inf:
+                raise ValueError("%s must be finite and positive" % name)
         if self.stol_minus >= self.stol_plus or self.ttol_minus >= self.ttol_plus:
             raise ValueError("coarsening tolerances must sit below refinement ones")
         if self.stol_plus / self.stol_minus < 8 or self.ttol_plus / self.ttol_minus < 8:
@@ -382,8 +383,8 @@ def run_adaptive(problem, tolerances, degree, initial_mesh, k1, options=None,
     """
     opts = options or DriverOptions()
     cache = first_interval or FirstIntervalCache()
-    if not k1 > 0:
-        raise ValueError("k1 must be positive")
+    if not 0 < k1 < inf:
+        raise ValueError("k1 must be finite and positive")
     k = _clip(0.0, k1, problem.T)[0]
     caps = []
     ttol_p, ttol_m = tolerances.ttol_plus, tolerances.ttol_minus
@@ -499,10 +500,10 @@ def run_fixed(problem, mesh, degree, k, T=None, options=None):
     """
     opts = options or DriverOptions()
     problem = replace(problem, T=problem.T if T is None else T)
-    if problem.T is None or not problem.T > 0:
-        raise ValueError("run_fixed needs a positive final time")
-    if not k > 0:
-        raise ValueError("k must be positive")
+    if problem.T is None or not 0 < problem.T < inf:
+        raise ValueError("run_fixed needs a finite positive final time")
+    if not 0 < k < inf:
+        raise ValueError("k must be finite and positive")
     start = _start(problem, fe.Space(mesh, degree))
     slab = start.slab(problem, opts)
     ledger, traj = _open_ledger(problem, opts, start)

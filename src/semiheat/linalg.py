@@ -15,7 +15,7 @@ of `assemble_stiffness` and freed with the caller's reference.
 On a quadtree over a rectangle the cells of one level share their local
 matrices, so everything is built from one dense matrix per level, with
 `blocks` the block diagonal of them over the cells: the condensed M and
-S, and the skeleton matrix of `solve_skeleton`, are G^T (blocks G),
+S, and the skeleton matrix of `factor_skeleton`, are G^T (blocks G),
 formed one block of G^T's rows at a time (`_congruence`), bitwise
 scipy's product and with neither `blocks` nor `blocks G` held whole;
 the time-step matrix P^T (M/k + aS) P is never assembled:
@@ -24,10 +24,18 @@ systems are solved with diagonally preconditioned conjugate gradients
 (`solve_spd`, which takes a sparse matrix or any linear operator with a
 `diagonal()`).  The one Poisson
 system of the initial projection is solved by static condensation
-(`solve_skeleton`): each level's cell interiors are eliminated through
+(`factor_skeleton`): each level's cell interiors are eliminated through
 a dense Schur complement and only the matrix on the cell edges, the
-skeleton, is factored by sparse LU.  Both accept a solution only
-through one shared residual check, ||Ax - b|| <= 1e-10 ||b||.
+skeleton, is factored by sparse LU.  The factor needs no S, so the
+projection factors first and assembles S after, for `solve_skeleton`'s
+refinement step and residual check: the skeleton matrix and SuperLU's
+work arrays are freed before S exists.  Both solvers accept a solution
+only through one shared residual check, ||Ax - b|| <= 1e-10 ||b||.
+
+glibc keeps freed heap resident, so a run's RSS would stay near the
+size of its largest matrices after they are gone.  `trim_heap` hands
+the free pages back (`malloc_trim`); the projection calls it on entry
+and again between the factor and S (`scheme.project_initial`).
 
 The products and the LU solves run on the OpenBLAS that numpy and scipy
 ship, whose default pools spin a second thread on these vector sizes
@@ -38,6 +46,7 @@ driver's runs wrap themselves in it.
 
 import contextlib
 import ctypes
+import functools
 import glob
 import os
 import threading
@@ -458,8 +467,8 @@ def solve_spd(A, b, x0=None):
     return _checked("conjugate gradients", x, res, tol)
 
 
-def solve_skeleton(space, S, b):
-    """Solve S x = b, S = assemble_stiffness(space, 1.0).
+def factor_skeleton(space):
+    """S^-1 as a function of r, S = assemble_stiffness(space, 1.0).
 
     Static condensation: cell-interior nodes are never constrained, so
     each interior dof belongs to one cell.  Per level, the interior
@@ -470,14 +479,13 @@ def solve_skeleton(space, S, b):
     (`_congruence`), is factored by sparse LU, ordered by
     multiple minimum degree on A + A^T, which fills far less than column
     orderings on these symmetric systems; the interiors are recovered
-    cell by cell.  S itself serves one step of iterative refinement and
-    the residual check.  Nothing is kept after the call.
-    Guarantees ||Sx - b||_2 <= _RTOL * ||b||_2 or raises SolverFailure.
+    cell by cell.  S is neither needed nor built here, so a caller can
+    assemble it after the factor, when the skeleton matrix and SuperLU's
+    work arrays are gone (`solve_skeleton`).  Nothing is kept on the
+    space; a space without free dofs has nothing to factor.
     """
-    b = np.asarray(b, dtype=float)
-    nb = np.linalg.norm(b)
-    if nb == 0.0:
-        return np.zeros(space.n_free)
+    if space.n_free == 0:
+        return np.zeros_like
     cond = _condensation(space)
     p = space.degree
     nloc = (p + 1) ** 2
@@ -513,6 +521,19 @@ def solve_skeleton(space, S, b):
                                       - uE[start:end] @ kei) @ inv
         return x
 
+    return solve
+
+
+def solve_skeleton(solve, S, b):
+    """Solve S x = b with `solve`, the `factor_skeleton` of S's space.
+
+    S serves one step of iterative refinement and the residual check.
+    Guarantees ||Sx - b||_2 <= _RTOL * ||b||_2 or raises SolverFailure.
+    """
+    b = np.asarray(b, dtype=float)
+    nb = np.linalg.norm(b)
+    if nb == 0.0:
+        return np.zeros(S.shape[0])
     x = solve(b)
     x = x + solve(b - S @ x)
     return _checked("skeleton LU", x, np.linalg.norm(S @ x - b), _RTOL * nb)
@@ -597,3 +618,27 @@ def one_blas_thread():
             if _blas_depth == 0:
                 for pool, count in _blas_saved:
                     pool.set(count)
+
+
+@functools.cache
+def _malloc_trim():
+    """glibc's `malloc_trim`, or None where the C library has none."""
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):     # no handle on the process's symbols
+        return None
+    trim = getattr(libc, "malloc_trim", None)
+    if trim is not None:
+        trim.argtypes, trim.restype = (ctypes.c_size_t,), ctypes.c_int
+    return trim
+
+
+def trim_heap():
+    """Hand the free pages of every heap arena back to the system.
+
+    glibc's `malloc_trim(0)`; does nothing where the C library has no
+    such function.
+    """
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)

@@ -2,7 +2,7 @@
 
 The initial field solves the discrete elliptic problem
 (grad U0, grad V) = (-lap u0, V), by static condensation onto the cell
-skeleton (`linalg.solve_skeleton`); each step then solves
+skeleton (`linalg.factor_skeleton`); each step then solves
 (M/k + S) U_next = M(U_hat/k) + (f(., t_prev, U_prev), .) on the new
 space, where U_hat is the nodal transfer of U_prev.  The step matrix
 M/k + S is applied cell by cell (`linalg.StepOperator`) and never
@@ -20,7 +20,8 @@ import numpy as np
 
 from . import fespace as fe
 from .linalg import (StepOperator, assemble_mass, assemble_stiffness,
-                     load_vector, solve_skeleton, solve_spd)
+                     factor_skeleton, load_vector, solve_skeleton, solve_spd,
+                     trim_heap)
 
 
 class InitialLaplacian:
@@ -100,15 +101,24 @@ def project_initial(problem, space):
     """Elliptic projection of the initial data onto the space.
 
     Solved once per space, by static condensation onto the cell
-    skeleton (`linalg.solve_skeleton`) rather than by CG from zero.
-    The stiffness matrix is assembled for this call alone and freed
-    when it returns; the steps never assemble it.
+    skeleton (`linalg.factor_skeleton`) rather than by CG from zero.
+    The skeleton is factored first; the stiffness matrix S is assembled
+    only then, for the refinement step and residual check of
+    `linalg.solve_skeleton`, and freed when the call returns; the steps
+    never assemble it.  So the skeleton matrix, SuperLU's work arrays
+    and S are never alive at once.  Freed heap goes back to the system
+    twice (`linalg.trim_heap`): on entry, which returns what the
+    superseded first-interval passes freed, and between the factor and
+    S, which returns the skeleton matrix and SuperLU's work arrays.
     """
+    trim_heap()
     Xq, Yq, _ = space.quadrature_points()
     rhs = -np.asarray(problem.lap_u0(Xq, Yq), dtype=float)
     b = load_vector(space, rhs)
+    solve = factor_skeleton(space)
+    trim_heap()
     S = assemble_stiffness(space, 1.0)
-    return fe.Field.from_free(space, solve_skeleton(space, S, b))
+    return fe.Field.from_free(space, solve_skeleton(solve, S, b))
 
 
 def imex_step(problem, u_prev, space_next, k, t_prev):

@@ -70,6 +70,10 @@ def test_parse_errors_carry_line_numbers():
     ("sweep", "sweep_base", "0"),
     ("sweep", "sweep_base", "4"),
     ("sweep", "sweep_ttols", "0 -1"),
+    ("problem", "T", "inf"),
+    ("discretization", "k1", "inf"),
+    ("tolerances", "ttol_plus", "inf"),
+    ("sweep", "sweep_ttols", "0.25 inf"),
 ])
 def test_out_of_range_values_are_rejected(tmp_path, capsys, section, key,
                                           value):

@@ -62,6 +62,31 @@ def test_negative_final_time_is_rejected_before_projecting(no_projection):
         dr.run_fixed(prob, Mesh.uniform(prob.rect, 2), 1, k=0.01, T=-1.0)
 
 
+def test_infinite_tolerance_is_rejected():
+    with pytest.raises(ValueError, match="ttol_plus must be finite"):
+        dr.Tolerances(1.0, 1e-3, float("inf"), 1e-3)
+
+
+def test_infinite_first_step_is_rejected_before_projecting(no_projection):
+    prob = builtin("heat_decay")
+    with pytest.raises(ValueError, match="k1 must be finite"):
+        dr.run_adaptive(prob, dr.Tolerances.from_plus(1.0, 0.05), 1,
+                        Mesh.uniform(prob.rect, 2), float("inf"))
+
+
+def test_infinite_fixed_step_is_rejected_before_projecting(no_projection):
+    prob = builtin("heat_decay")
+    with pytest.raises(ValueError, match="k must be finite"):
+        dr.run_fixed(prob, Mesh.uniform(prob.rect, 2), 1, k=float("inf"))
+
+
+def test_infinite_final_time_is_rejected_before_projecting(no_projection):
+    prob = builtin("heat_decay")
+    with pytest.raises(ValueError, match="finite positive final time"):
+        dr.run_fixed(prob, Mesh.uniform(prob.rect, 2), 1, k=0.01,
+                     T=float("inf"))
+
+
 def test_time_indicator():
     assert dr.time_indicator(0.3, 1.0) == 0.3
     assert dr.time_indicator(0.4, 4.0) == pytest.approx(0.1)
@@ -441,6 +466,37 @@ def test_first_interval_frees_a_pass_before_projecting_the_next(
                     dr.DriverOptions(max_steps=1))
     assert len(projected) >= 3
     assert alive == [[False] * i for i in range(len(projected))]
+
+
+def test_heap_trims_leave_the_ledger_unchanged(monkeypatch, tmp_path):
+    # every projection of the first interval's passes trims the heap
+    # twice, and a run whose trims do nothing writes the same ledger
+    prob = builtin("example3")
+    tol = dr.Tolerances(0.02, 0.02 / 2 ** 10, 0.25, 0.25 / 16)
+    project, trim = sc.project_initial, sc.trim_heap
+    events = []
+
+    def run(name):
+        res = dr.run_adaptive(prob, tol, 2, Mesh.uniform(prob.rect, 3), 0.05,
+                              dr.DriverOptions(max_steps=3))
+        res.ledger.to_csv(str(tmp_path / name))
+        return (tmp_path / name).read_bytes()
+
+    def projecting(problem, space):
+        events.append("project")
+        return project(problem, space)
+
+    def trimming():
+        events.append("trim")
+        trim()
+
+    monkeypatch.setattr(sc, "project_initial", projecting)
+    monkeypatch.setattr(sc, "trim_heap", trimming)
+    trimmed = run("trimmed.csv")
+    assert events.count("project") >= 3
+    assert events == ["project", "trim", "trim"] * events.count("project")
+    monkeypatch.setattr(sc, "trim_heap", lambda: None)
+    assert run("untrimmed.csv") == trimmed
 
 
 def test_a_slab_frees_the_workspace_of_another_space_before_stepping(

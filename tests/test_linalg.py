@@ -2,9 +2,11 @@
 
 import glob
 import os
+import platform
 import sys
 import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -17,8 +19,8 @@ from semiheat.mesh import Mesh, Rectangle
 from semiheat import fespace as fe
 from semiheat import linalg
 from semiheat.linalg import (StepOperator, assemble_mass, assemble_stiffness,
-                             load_vector, one_blas_thread, solve_skeleton,
-                             solve_spd, SolverFailure)
+                             factor_skeleton, load_vector, one_blas_thread,
+                             solve_skeleton, solve_spd, SolverFailure)
 from test_mesh_properties import OPS, PROPERTY, build
 
 UNIT = Rectangle(0.0, 1.0, 0.0, 1.0)
@@ -233,7 +235,7 @@ def test_skeleton_solve_matches_the_direct_solve(degree, rect):
     sp, S, b = _poisson_system(degree, rect)
     cond = held(sp)
     kept = {name: id(value) for name, value in vars(cond).items()}
-    x = solve_skeleton(sp, S, b)
+    x = solve_skeleton(factor_skeleton(sp), S, b)
     assert np.linalg.norm(S @ x - b) <= 1e-10 * np.linalg.norm(b)
     y = spsolve(S.tocsc(), b)
     assert np.abs(x - y).max() <= 1e-11 * np.abs(y).max()
@@ -250,7 +252,7 @@ def test_skeleton_solve_on_a_mesh_graded_to_level_30(degree):
         mesh = mesh.refine([(level, 0, 0)])
     assert (30, 0, 0) in mesh.leafset
     sp, S, b = _poisson_system(degree, mesh=mesh)
-    x = solve_skeleton(sp, S, b)
+    x = solve_skeleton(factor_skeleton(sp), S, b)
     assert np.linalg.norm(S @ x - b) <= 1e-10 * np.linalg.norm(b)
     y = spsolve(S.tocsc(), b)
     assert np.abs(x - y).max() <= 1e-11 * np.abs(y).max()
@@ -261,16 +263,17 @@ def test_skeleton_solve_of_a_cell_without_skeleton_dofs():
     sp = fe.Space(Mesh.uniform(UNIT, 0), 3)
     S = assemble_stiffness(sp, 1.0)
     b = np.arange(1.0, sp.n_free + 1)
-    assert np.abs(solve_skeleton(sp, S, b) - spsolve(S.tocsc(), b)).max() \
+    solve = factor_skeleton(sp)
+    assert np.abs(solve_skeleton(solve, S, b) - spsolve(S.tocsc(), b)).max() \
         <= 1e-14
-    assert np.array_equal(solve_skeleton(sp, S, 0 * b), 0 * b)
+    assert np.array_equal(solve_skeleton(solve, S, 0 * b), 0 * b)
 
 
 def test_skeleton_solve_rejects_a_bad_factor(monkeypatch):
     sp, S, b = _poisson_system(3)
     monkeypatch.setattr(linalg, "splu", _GarbageLU)
     with pytest.raises(SolverFailure) as exc:
-        solve_skeleton(sp, S, b)
+        solve_skeleton(factor_skeleton(sp), S, b)
     assert str(exc.value).startswith("skeleton LU stalled")
     assert exc.value.residual > exc.value.tol
 
@@ -498,7 +501,7 @@ def test_row_blocks_assemble_scipys_product_bit_for_bit(degree, ops):
     S = assemble_stiffness(sp, 1.0)
     linalg._congruence = recording
     try:
-        solve_skeleton(sp, S, np.ones(sp.n_free))
+        solve_skeleton(factor_skeleton(sp), S, np.ones(sp.n_free))
     finally:
         linalg._congruence = congruence
     assert len(skeletons) == (sp.n_free > 0)
@@ -595,6 +598,50 @@ def test_step_operator_rejects_nonpositive_k_or_a(k, a):
     sp = fe.Space(Mesh.uniform(UNIT, 1), 2)
     with pytest.raises(ValueError, match="must be positive"):
         StepOperator(sp, k, a)
+
+
+@pytest.fixture
+def fresh_trim_lookup():
+    linalg._malloc_trim.cache_clear()
+    yield
+    linalg._malloc_trim.cache_clear()
+
+
+def _no_c_library(name):
+    raise OSError("cannot open the C library")
+
+
+@pytest.mark.parametrize("library", [lambda name: object(), _no_c_library],
+                         ids=["without malloc_trim", "not found"])
+def test_trim_heap_does_nothing_without_malloc_trim(monkeypatch,
+                                                    fresh_trim_lookup,
+                                                    library):
+    monkeypatch.setattr(linalg.ctypes, "CDLL", library)
+    assert linalg._malloc_trim() is None
+    linalg.trim_heap()
+
+
+def test_trim_heap_asks_malloc_trim_for_every_free_page(monkeypatch,
+                                                        fresh_trim_lookup):
+    pads = []
+
+    def malloc_trim(pad):
+        pads.append(pad)
+        return 1
+
+    lib = types.SimpleNamespace(malloc_trim=malloc_trim)
+    monkeypatch.setattr(linalg.ctypes, "CDLL", lambda name: lib)
+    linalg.trim_heap()
+    linalg.trim_heap()
+    assert pads == [0, 0]
+    assert malloc_trim.argtypes == (linalg.ctypes.c_size_t,)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="malloc_trim is glibc's")
+def test_trim_heap_finds_glibcs_malloc_trim(fresh_trim_lookup):
+    assert linalg._malloc_trim() is not None
+    linalg.trim_heap()
 
 
 def test_nested_one_blas_thread_restores_the_outer_value(blas_counts_are):

@@ -10,9 +10,10 @@ from scipy.sparse.linalg import spsolve
 
 from semiheat.mesh import Mesh, Rectangle
 from semiheat import fespace as fe
+from semiheat import linalg
 from semiheat import scheme as sc
-from semiheat.linalg import (assemble_mass, assemble_stiffness, load_vector,
-                             solve_skeleton)
+from semiheat.linalg import (assemble_mass, assemble_stiffness,
+                             factor_skeleton, load_vector, solve_skeleton)
 from semiheat.problems import builtin
 
 UNIT = Rectangle(0.0, 1.0, 0.0, 1.0)
@@ -52,7 +53,35 @@ def test_project_initial_frees_its_stiffness_matrix(degree, monkeypatch):
             assert (value != S).nnz > 0, name
     Xq, Yq, _ = sp.quadrature_points()
     b = load_vector(sp, -np.asarray(prob.lap_u0(Xq, Yq), dtype=float))
-    assert np.array_equal(U0.free_values, solve_skeleton(sp, S, b))
+    assert np.array_equal(U0.free_values,
+                          solve_skeleton(factor_skeleton(sp), S, b))
+
+
+@pytest.mark.parametrize("degree", [1, 4, 9])
+def test_project_initial_factors_before_assembling_stiffness(degree,
+                                                             monkeypatch):
+    # the heap is trimmed on entry and between the skeleton LU and S, and
+    # no S exists before the factor; that U0 is bitwise the solve with S
+    # assembled first is test_project_initial_frees_its_stiffness_matrix's
+    prob = builtin("heat_decay")
+    mesh = Mesh.uniform(UNIT, 2).refine([(2, 1, 1), (2, 2, 1)])
+    sp = fe.Space(mesh.refine([(3, 3, 3)]), degree)
+    events = []
+    splu, assemble = linalg.splu, sc.assemble_stiffness
+
+    def factoring(A, **kwargs):
+        events.append("splu")
+        return splu(A, **kwargs)
+
+    def assembling(space, a):
+        events.append("S")
+        return assemble(space, a)
+
+    monkeypatch.setattr(linalg, "splu", factoring)
+    monkeypatch.setattr(sc, "assemble_stiffness", assembling)
+    monkeypatch.setattr(sc, "trim_heap", lambda: events.append("trim"))
+    sc.project_initial(prob, sp)
+    assert events == ["trim", "splu", "trim", "S"]
 
 
 def test_project_initial_ritz_accuracy():
