@@ -248,7 +248,8 @@ def run_sweep(cfg):
     Rows that fail are recorded with their error and the sweep continues.
     The rows share one FirstIntervalCache, so a row does not repeat the
     first-interval passes of an earlier row; each row's result is that of
-    its run alone.
+    its run alone.  The sweep releases the spaces of the cache's starts
+    when its last row returns.
     """
     ttols = cfg.sweep_list()
     if not ttols:
@@ -268,6 +269,8 @@ def run_sweep(cfg):
                        linf_u=float("nan"), stop_reason="error: %s" % exc,
                        tinf=None, avg_dofs=float("nan"), result=None)
         rows.append(row)
+    for start in cache.starts.values():
+        start.end.u.space.release()
     return rows
 
 

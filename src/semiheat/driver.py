@@ -12,8 +12,11 @@ The driver owns a run's working set: spaces and meshes keep what they
 derive until it releases them where the run moves past them.  A slab
 stepping onto another space releases its start's (`_Slab.solve`), a
 certified slab what the next does not read (`_release_left`), the first
-interval the caller's mesh and the cached starts it leaves, and a run
-sharing a `FirstIntervalCache` its last space unless a start holds it.
+interval the caller's mesh and the cached starts it leaves, and every
+run, on return, the spaces it ended on unless a `FirstIntervalCache`
+start holds them (`_result`).  What a returned run keeps is its result:
+the ledger's per-step scalars and a `Trajectory` of `scheme.TimeSlab`s,
+each its endpoint spaces, its end field and its overlay dofs.
 """
 
 import os
@@ -240,7 +243,7 @@ class _Slab:
         problem, opts, ws, k, t = (self.problem, self.opts, self.ws, self.k,
                                    self.t)
         modulus, c_inf, q = problem.modulus, opts.c_inf, opts.time_quadrature
-        eta_S, dot_map, xi_prime, xi = self.space_estimates()
+        eta_S, _, xi_prime, xi = self.space_estimates()
         psi = est.psi_update(ledger, self.m, self.eta_T, xi, xi_prime,
                              modulus, ws)
         delta = est.fixed_point_delta(psi, xi, k, t, modulus, ws.u_norm,
@@ -250,13 +253,13 @@ class _Slab:
         r = None if delta is None else est.gronwall_factor(
             delta, psi, xi, k, t, modulus, ws.u_norm, c_inf, q)
         end = ws.end
-        slab = sc.make_slab(self.m, self.start.A, end.A)
-        slab.t_next = self.t_next
-        slab.overlay_dofs = ws.overlay_free_dofs()
-        traj.slabs.append(slab)
+        traj.slabs.append(sc.TimeSlab(
+            m=self.m, t_prev=t, t_next=self.t_next, k=k,
+            space_prev=ws.space_prev, space_next=ws.space_next, u_next=end.u,
+            overlay_dofs=ws.overlay_free_dofs()))
         ledger.add_step(self.m, self.t_next, k, ws.space_next.n_free,
                         end.u.linf_norm(), self.eta_T, xi, xi_prime, psi,
-                        delta, r, eta_S, ws.hmin_next, dot_map)
+                        delta, r, eta_S, ws.hmin_next)
         _maybe_dump(opts, self.m, ws.mesh_next, end.u)
         _release_left(self.start, ws, end)
         return _Slab(problem, opts, self.m + 1, self.t_next, end, eta_S)
@@ -356,16 +359,25 @@ def _stop(slab, ledger, opts, caps):
         return "max_steps"
 
 
-def _result(traj, ledger, stop, slab, **extra):
+def _result(traj, ledger, stop, slab, cache=None, **extra):
+    """The run's result.  The spaces the run ended on (those of `slab`'s
+    start, `est.SlabEnd.spaces`) are released once the final norm is
+    taken, except those the starts of the `FirstIntervalCache` `cache`
+    hold."""
     try:
         tinf = extrapolate_blowup(ledger.t[-2], ledger.linf_u[-2],
                                   ledger.t[-1], ledger.linf_u[-1])
     except (IndexError, ExtrapolationError):
         tinf = None
+    final_norm = slab.start.u.linf_norm()
+    shared = {start.end.u.space for start in cache.starts.values()} \
+        if cache is not None else set()
+    for space in slab.start.spaces() - shared:
+        space.release()
     return RunResult(
         trajectory=traj, ledger=ledger, stop_reason=stop,
-        steps=len(ledger.m), final_time=slab.t,
-        final_norm=slab.start.u.linf_norm(), tinf_estimate=tinf,
+        steps=len(ledger.m), final_time=slab.t, final_norm=final_norm,
+        tinf_estimate=tinf,
         avg_dofs=weighted_average_dofs(traj) if traj.slabs else 0.0, **extra)
 
 
@@ -478,14 +490,10 @@ def run_adaptive(problem, tolerances, degree, initial_mesh, k1, options=None,
         stop = "delta_nonexistent at step %d" % slab.m
 
     # Only a run that returns shares its start: its result holds its U0.
-    # The next run of the cache may step on that start's space; the run's
-    # last space is released unless it is that one.
+    # The next run of the cache may step on that start's space.
     if start is not None:
-        shared = cache.starts.setdefault(start.end.u.space.mesh.leafset,
-                                         start)
-        if slab.start.u.space is not shared.end.u.space:
-            slab.start.u.space.release()
-    return _result(traj, ledger, stop, slab, caps_hit=caps,
+        cache.starts.setdefault(start.end.u.space.mesh.leafset, start)
+    return _result(traj, ledger, stop, slab, cache, caps_hit=caps,
                    final_tolerances=(stol_p, stol_m, ttol_p, ttol_m))
 
 

@@ -6,7 +6,7 @@ maximum, a space-derivative estimator evaluated on the overlay meshes, a
 time estimator integrating the temporal residual, the recursively
 accumulated parabolic bound psi, the fixed-point parameter delta (whose
 nonexistence is the adaptive stop signal), and the per-slab Gronwall
-amplification factor r.  The ledger collects everything and evaluates the
+amplification factor r.  The ledger collects the per-step values and the
 total conditional bound.
 """
 
@@ -343,12 +343,29 @@ class SlabWorkspace:
         return _time_sum(wts, map(value, nodes))
 
     def eta_time(self):
-        """Gauss-in-time integral of the sampled sup norm of the residual."""
-        return eta_time_from_values(
-            self.problem.f, self.Xs, self.Ys, self.t_prev, self.k,
-            self.start.values(self.vee), self.end.values(self.vee),
-            self.A_prev_values(), self.A_next_values(), q=self.q,
-            norms=self._norms)
+        """Gauss-in-time integral of the sampled sup norm of the residual.
+
+        Integrates the sampled sup norm of
+        f(x, s, U(s)) - l_a(s) A_prev - l_b(s) A_next - (U_next - U_prev)/k
+        with the q-node Gauss rule over the slab, recording max |U(s)|
+        at each node s for `u_norm`.
+        """
+        f, t_prev, k = self.problem.f, self.t_prev, self.k
+        U_prev, U_next = self.start.values(self.vee), self.end.values(self.vee)
+        A_prev, A_next = self.A_prev_values(), self.A_next_values()
+        Ut = (U_next - U_prev) / k
+
+        def sup_residual(s):
+            lb = (s - t_prev) / k
+            la = 1.0 - lb
+            U = la * U_prev + lb * U_next
+            self._norms[s] = float(np.abs(U).max())
+            R = np.asarray(f(self.Xs, self.Ys, s, U), dtype=float) \
+                - la * A_prev - lb * A_next - Ut
+            return float(np.abs(R).max())
+
+        nodes, wts = _time_rule(t_prev, k, self.q)
+        return _time_sum(wts, map(sup_residual, nodes))
 
     # -- space estimators --------------------------------------------------------
 
@@ -388,31 +405,6 @@ class SlabWorkspace:
             if self.vee is space.mesh:
                 return space.n_free
         return fe.Space(self.vee, self.space_next.degree).n_free
-
-
-def eta_time_from_values(f, Xs, Ys, t_prev, k, U_prev_vals, U_next_vals,
-                         A_prev_vals, A_next_vals, q=3, norms=None):
-    """Time estimator from sampled endpoint values.
-
-    Integrates the sampled sup norm of
-    f(x, s, U(s)) - l_a(s) A_prev - l_b(s) A_next - (U_next - U_prev)/k
-    with a q-node Gauss rule over the slab.  A dict `norms` receives
-    max |U(s)| at each node s.
-    """
-    Ut = (U_next_vals - U_prev_vals) / k
-
-    def sup_residual(s):
-        lb = (s - t_prev) / k
-        la = 1.0 - lb
-        U = la * U_prev_vals + lb * U_next_vals
-        if norms is not None:
-            norms[s] = float(np.abs(U).max())
-        R = np.asarray(f(Xs, Ys, s, U), dtype=float) \
-            - la * A_prev_vals - lb * A_next_vals - Ut
-        return float(np.abs(R).max())
-
-    nodes, wts = _time_rule(t_prev, k, q)
-    return _time_sum(wts, map(sup_residual, nodes))
 
 
 # -- psi / delta / r -------------------------------------------------------------
@@ -571,7 +563,11 @@ def gronwall_factor(delta, psi, xi, k, t_prev, modulus, u_norm, c_inf=1.0, q=3):
 
 
 class EstimatorLedger:
-    """Per-step record of all estimator values and the running bound."""
+    """Per-step record of the estimator values and the running bound.
+
+    The space estimator is kept by its maximum over the cells, the one
+    value of it the bound reads.
+    """
 
     def __init__(self, c_inf=1.0, modulus_is_zero=False):
         self.c_inf = c_inf
@@ -579,7 +575,7 @@ class EstimatorLedger:
         self.e0 = None
         self.eta_I = None
         self.log_eta_S0 = None
-        self.eta_S0_map = None
+        self.eta_S0_max = None
         self.m = []
         self.t = []
         self.k = []
@@ -594,22 +590,21 @@ class EstimatorLedger:
         self.r_tilde = []
         self.log_eta_S = []
         self.hmin = []
-        self.eta_S_maps = []
-        self.eta_dot_maps = []
+        self.eta_S_max = []
         self.bound = []
 
     def set_initial(self, problem, u0_field, eta0_map, e0_map=None):
         """Record slab zero (`e0_map`: its `initial_error_map`, if known)."""
         if e0_map is None:
             e0_map = initial_error_map(problem, u0_field)
-        self.eta_S0_map = np.asarray(eta0_map, dtype=float)
+        self.eta_S0_max = float(np.max(eta0_map))
         self.e0 = float(e0_map.max())
         hmin = u0_field.space.mesh.min_diameter()
-        self.log_eta_S0 = log_factor(hmin) * float(self.eta_S0_map.max())
+        self.log_eta_S0 = log_factor(hmin) * self.eta_S0_max
         self.eta_I = self.e0 + self.c_inf * self.log_eta_S0
 
     def add_step(self, m, t, k, dofs, linf_u, eta_T, xi, xi_prime, psi,
-                 delta, r, eta_S_map, hmin, eta_dot_map):
+                 delta, r, eta_S_map, hmin):
         if self.eta_I is None:
             raise EstimatorError("set_initial must run before add_step")
         self.m.append(m)
@@ -632,19 +627,16 @@ class EstimatorLedger:
                     prev = rt
                     break
             self.r_tilde.append(prev * r)
-        eta_S_map = np.asarray(eta_S_map, dtype=float)
-        self.eta_S_maps.append(eta_S_map)
-        self.eta_dot_maps.append(np.asarray(eta_dot_map, dtype=float))
+        self.eta_S_max.append(float(np.max(eta_S_map)))
         self.hmin.append(hmin)
-        self.log_eta_S.append(log_factor(hmin) * float(eta_S_map.max()))
+        self.log_eta_S.append(log_factor(hmin) * self.eta_S_max[-1])
         try:
             self.bound.append(self.bound_through(len(self.m)))
         except BoundUnavailableError:
             self.bound.append(None)
 
     def _log_max(self, upto):
-        vals = [self.log_eta_S0] + self.log_eta_S[:upto]
-        return max(v for v in vals if v is not None)
+        return max([self.log_eta_S0] + self.log_eta_S[:upto])
 
     def space_bound_term(self, upto=None):
         """The bound's standalone elliptic part: C * max_m log(1/h) max eta_S."""
@@ -660,9 +652,7 @@ class EstimatorLedger:
         """
         if upto is None:
             upto = len(self.m)
-        vals = [float(self.eta_S0_map.max())]
-        vals += [float(m.max()) for m in self.eta_S_maps[:upto]]
-        return max(vals)
+        return max([self.eta_S0_max] + self.eta_S_max[:upto])
 
     def bound_through(self, upto=None):
         """Total error bound through step `upto` (default: all steps).

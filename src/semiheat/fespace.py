@@ -384,7 +384,6 @@ class Field:
             raise ValueError("coefficient vector has wrong length")
         self.space = space
         self.coeffs = coeffs
-        self._jump_cache = None
 
     @classmethod
     def zeros(cls, space):
@@ -417,10 +416,11 @@ class Field:
     def sample_values(self, deriv="val"):
         """Per-cell sample-grid values, "val" or "lap" (ncells, npts).
 
-        Not cached: a run keeps the fields it certifies, and reads each
-        grid once.
+        Not cached: a run reads each grid once.  Nor is the identity
+        transfer it reads, so reading a field caches nothing on its mesh.
         """
-        return sample_grid_values(self, slice(None), deriv)
+        return grid_values(self, _identity_transfer(self.space.mesh),
+                           "sample", deriv)
 
     def linf_norm(self):
         """Sampled max of |u| over all cells (approximate sup norm)."""
@@ -445,14 +445,12 @@ class Field:
         `derivs` may pass in this field's `face_normal_derivs` on its own
         mesh's faces when the caller already has them.
         """
-        if self._jump_cache is None:
-            fs = face_set(self.space.mesh)
-            if derivs is None:
-                derivs = face_normal_derivs(self, fs)
-            self._jump_cache = faces_to_cells(
-                fs, len(self.space.mesh),
-                [(sel, np.abs(gl - gr).max(axis=1)) for sel, gl, gr in derivs])
-        return self._jump_cache
+        fs = face_set(self.space.mesh)
+        if derivs is None:
+            derivs = face_normal_derivs(self, fs)
+        return faces_to_cells(
+            fs, len(self.space.mesh),
+            [(sel, np.abs(gl - gr).max(axis=1)) for sel, gl, gr in derivs])
 
 
 def tensor_grid(mesh, cells, t):
@@ -467,25 +465,6 @@ def tensor_grid(mesh, cells, t):
     X = mesh.x0[cells, None] + mesh.hx[cells, None] * tx[None, :]
     Y = mesh.y0[cells, None] + mesh.hy[cells, None] * ty[None, :]
     return X, Y
-
-
-def sample_grid_values(field, cells, deriv, sub=(0, 0, 0), kind="sample"):
-    """Values ("val") or Laplacian ("lap") of a field on tensor grids.
-
-    One row per cell in `cells` (index array or slice) over its `kind`
-    grid ("sample", "quad" or "nodes"), or over the grid of its
-    descendant `sub` (see `Space.tensor_basis`).
-    """
-    sp = field.space
-    C = field.coeffs[sp.dofmap[cells]]
-    if deriv == "val":
-        return C @ sp.tensor_basis(kind, 0, 0, sub).T
-    if deriv == "lap":
-        return (C @ sp.tensor_basis(kind, 2, 0, sub).T) \
-            / (sp.mesh.hx[cells] ** 2)[:, None] \
-            + (C @ sp.tensor_basis(kind, 0, 2, sub).T) \
-            / (sp.mesh.hy[cells] ** 2)[:, None]
-    raise ValueError("unknown derivative kind %r" % deriv)
 
 
 # -- scattered evaluation -------------------------------------------------------
@@ -734,10 +713,14 @@ def transfer(mesh, src_mesh):
     return tr
 
 
+def _identity_transfer(mesh):
+    host = np.arange(len(mesh))
+    return Transfer(mesh, mesh, host, {(0, 0, 0): host})
+
+
 def _build_transfer(mesh, src_mesh):
     if mesh is src_mesh:
-        host = np.arange(len(mesh))
-        return Transfer(mesh, src_mesh, host, {(0, 0, 0): host})
+        return _identity_transfer(mesh)
     host = src_mesh.locate(mesh.x0 + 0.5 * mesh.hx, mesh.y0 + 0.5 * mesh.hy)
     dl = mesh.levels - src_mesh.levels[host]
     up = np.maximum(dl, 0)
@@ -759,14 +742,24 @@ def grid_values(field, tr, kind, deriv="val"):
     Each class of cells is one product with its host's sub-cell basis;
     only cells coarser than their host locate their grid points.
     """
-    if field.space.mesh is not tr.src_mesh:
+    sp = field.space
+    if sp.mesh is not tr.src_mesh:
         raise ValueError("field does not live on the transfer's source mesh")
-    t = field.space.ref.points(kind)
+    if deriv not in ("val", "lap"):
+        raise ValueError("unknown derivative kind %r" % deriv)
+    t = sp.ref.points(kind)
     out = np.empty((len(tr.mesh), len(t) ** 2))
     for ck, cells in tr.classes.items():
         if ck != COARSER:
-            out[cells] = sample_grid_values(field, tr.host[cells], deriv, ck,
-                                            kind)
+            host = tr.host[cells]
+            C = field.coeffs[sp.dofmap[host]]
+            if deriv == "val":
+                out[cells] = C @ sp.tensor_basis(kind, 0, 0, ck).T
+            else:
+                out[cells] = (C @ sp.tensor_basis(kind, 2, 0, ck).T) \
+                    / (sp.mesh.hx[host] ** 2)[:, None] \
+                    + (C @ sp.tensor_basis(kind, 0, 2, ck).T) \
+                    / (sp.mesh.hy[host] ** 2)[:, None]
         else:
             X, Y = tensor_grid(tr.mesh, cells, t)
             x, y = X.ravel(), Y.ravel()

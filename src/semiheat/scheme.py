@@ -69,7 +69,9 @@ class DiscreteLaplacian:
 
 @dataclass
 class TimeSlab:
-    """One interval (t_prev, t_next] with both endpoint discretizations."""
+    """One certified interval (t_prev, t_next]: its endpoint spaces, the
+    field it ends at, and the free dofs of the degree-p space on the
+    overlay of its two meshes."""
 
     m: int
     t_prev: float
@@ -77,12 +79,8 @@ class TimeSlab:
     k: float
     space_prev: object
     space_next: object
-    u_prev: object
     u_next: object
-    u_hat: object          # u_prev transferred onto space_next
-    A_prev: object         # discrete Laplacian closures
-    A_next: object
-    overlay_dofs: int = 0  # free dofs of the degree-p space on the overlay
+    overlay_dofs: int
 
 
 @dataclass
@@ -104,12 +102,14 @@ def project_initial(problem, space):
     skeleton (`linalg.factor_skeleton`) rather than by CG from zero.
     The skeleton is factored first; the stiffness matrix S is assembled
     only then, for the refinement step and residual check of
-    `linalg.solve_skeleton`, and freed when the call returns; the steps
+    `linalg.solve_skeleton`, and freed before the call returns; the steps
     never assemble it.  So the skeleton matrix, SuperLU's work arrays
     and S are never alive at once.  Freed heap goes back to the system
-    twice (`linalg.trim_heap`): on entry, which returns what the
-    superseded first-interval passes freed, and between the factor and
-    S, which returns the skeleton matrix and SuperLU's work arrays.
+    three times (`linalg.trim_heap`): on entry, which returns what the
+    superseded first-interval passes freed; between the factor and S,
+    which returns the skeleton matrix and SuperLU's work arrays; and
+    once S and the factor are dropped, which returns their pages before
+    the caller's steps run.
     """
     trim_heap()
     Xq, Yq, _ = space.quadrature_points()
@@ -118,7 +118,10 @@ def project_initial(problem, space):
     solve = factor_skeleton(space)
     trim_heap()
     S = assemble_stiffness(space, 1.0)
-    return fe.Field.from_free(space, solve_skeleton(solve, S, b))
+    u0 = fe.Field.from_free(space, solve_skeleton(solve, S, b))
+    del S, solve
+    trim_heap()
+    return u0
 
 
 def imex_step(problem, u_prev, space_next, k, t_prev):
@@ -138,15 +141,3 @@ def imex_step(problem, u_prev, space_next, k, t_prev):
     b = (M @ u_hat.free_values) / k + load_vector(space_next, fq)
     x = solve_spd(A, b, x0=u_hat.free_values)
     return fe.Field.from_free(space_next, x), u_hat
-
-
-def make_slab(m, A_prev, A_next):
-    """Assemble a TimeSlab from its closures: A_prev at t_prev (the
-    previous slab's A_next, or the InitialLaplacian for slab 1) and the
-    step's DiscreteLaplacian A_next, which holds the rest."""
-    A = A_next
-    return TimeSlab(m=m, t_prev=A.t_prev, t_next=A.t_prev + A.k, k=A.k,
-                    space_prev=A.u_prev.space, space_next=A.u_next.space,
-                    u_prev=A.u_prev, u_next=A.u_next, u_hat=A.u_hat,
-                    A_prev=A_prev, A_next=A_next)
-

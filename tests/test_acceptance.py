@@ -46,8 +46,8 @@ def _measured_error(problem, result):
 
 
 def _telescoped_sum(ledger):
-    logs = [est.log_factor(h) * float(m.max())
-            for h, m in zip(ledger.hmin, ledger.eta_S_maps)]
+    logs = [est.log_factor(h) * m
+            for h, m in zip(ledger.hmin, ledger.eta_S_max)]
     logs.append(ledger.log_eta_S0)
     return (ledger.e0 + sum(ledger.eta_T)
             + ledger.c_inf * sum(ledger.xi_prime)

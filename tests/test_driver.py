@@ -165,15 +165,10 @@ def test_weighted_average_dofs_formula():
     prob = builtin("heat_decay")
     sp = fe.Space(Mesh.uniform(prob.rect, 2), 1)
     z = fe.Field.zeros(sp)
-    s1 = sc.make_slab(1, None,
-                      sc.DiscreteLaplacian(prob.f, 0.0, 0.5, z, z, z))
-    s1.overlay_dofs = 100
+    s1 = sc.TimeSlab(1, 0.0, 0.5, 0.5, sp, sp, z, 100)
     traj = sc.Trajectory(z, [s1])
     assert dr.weighted_average_dofs(traj) == pytest.approx(100.0)
-    s2 = sc.make_slab(2, None,
-                      sc.DiscreteLaplacian(prob.f, 0.5, 0.5, z, z, z))
-    s2.overlay_dofs = 200
-    traj.slabs.append(s2)
+    traj.slabs.append(sc.TimeSlab(2, 0.5, 1.0, 0.5, sp, sp, z, 200))
     assert dr.weighted_average_dofs(traj) == pytest.approx(150.0)
 
 
@@ -187,11 +182,10 @@ def test_weighted_average_dofs_overlay_exceeds_endpoints():
     spo = fe.Space(other, 2)
     za = fe.Field.zeros(spf)
     zb = fe.Field.zeros(spo)
-    slab = sc.make_slab(1, None, sc.DiscreteLaplacian(
-        prob.f, 0.0, 1.0, za, zb, fe.interpolate(za, spo)))
-    slab.overlay_dofs = est.SlabWorkspace(prob, est.SlabEnd(za, None), spo,
-                                          0.0).overlay_free_dofs()
-    traj = sc.Trajectory(za, [slab])
+    dofs = est.SlabWorkspace(prob, est.SlabEnd(za, None), spo,
+                             0.0).overlay_free_dofs()
+    traj = sc.Trajectory(za, [sc.TimeSlab(1, 0.0, 1.0, 1.0, spf, spo, zb,
+                                          dofs)])
     lam = dr.weighted_average_dofs(traj)
     assert lam > max(spf.n_free, spo.n_free)
 
@@ -231,19 +225,36 @@ def test_example1_blowup_stop():
     assert res.final_time < 0.12
 
 
-def test_adaptive_run_keeps_one_condensation():
-    # the trajectory keeps every space the run used; only the last one
-    # may keep its condensation (P^T, G, G^T, the condensed M and the
-    # step diagonals)
+def _adaptive_run(tmp_path):
     prob = builtin("example3")
     tol = dr.Tolerances(0.02, 0.02 / 2 ** 10, 0.01, 0.01 / 16)
     res = dr.run_adaptive(prob, tol, 2, Mesh.uniform(prob.rect, 3), 0.01,
                           dr.DriverOptions(max_steps=4))
     assert len({id(s.space_next) for s in res.trajectory.slabs}) > 1
+    return [res]
+
+
+def _fixed_run(tmp_path):
+    prob = builtin("example3")
+    return [dr.run_fixed(prob, Mesh.uniform(prob.rect, 3), 2, 0.01, T=0.03)]
+
+
+def _sweep_rows(tmp_path):
+    return [row["result"] for row in cli.run_sweep(_tiny_sweep_cfg(tmp_path))]
+
+
+@pytest.mark.parametrize("run", [_adaptive_run, _fixed_run, _sweep_rows],
+                         ids=["adaptive", "fixed", "sweep"])
+def test_a_returned_run_keeps_no_derived_data(run, tmp_path):
+    # the trajectory keeps every space the run used, and no space keeps
+    # what it derived (no condensation: P^T, G, G^T, the condensed M and
+    # the step diagonals; no bases or grids), nor any step closure
+    results = run(tmp_path)
+    assert all(res.steps > 0 for res in results)
     gc.collect()
-    condensed = [o for o in gc.get_objects() if isinstance(o, fe.Space)
-                 and o._derived.get("condensation") is not None]
-    assert len(condensed) == 1
+    objects = gc.get_objects()
+    assert not [o for o in objects if isinstance(o, fe.Space) and o._derived]
+    assert not [o for o in objects if isinstance(o, sc.DiscreteLaplacian)]
 
 
 def test_a_run_keeps_derived_data_only_on_its_working_set(monkeypatch):
@@ -470,7 +481,7 @@ def test_first_interval_frees_a_pass_before_projecting_the_next(
 
 def test_heap_trims_leave_the_ledger_unchanged(monkeypatch, tmp_path):
     # every projection of the first interval's passes trims the heap
-    # twice, and a run whose trims do nothing writes the same ledger
+    # three times, and a run whose trims do nothing writes the same ledger
     prob = builtin("example3")
     tol = dr.Tolerances(0.02, 0.02 / 2 ** 10, 0.25, 0.25 / 16)
     project, trim = sc.project_initial, sc.trim_heap
@@ -494,7 +505,8 @@ def test_heap_trims_leave_the_ledger_unchanged(monkeypatch, tmp_path):
     monkeypatch.setattr(sc, "trim_heap", trimming)
     trimmed = run("trimmed.csv")
     assert events.count("project") >= 3
-    assert events == ["project", "trim", "trim"] * events.count("project")
+    assert events == ["project", "trim", "trim", "trim"] \
+        * events.count("project")
     monkeypatch.setattr(sc, "trim_heap", lambda: None)
     assert run("untrimmed.csv") == trimmed
 
@@ -558,12 +570,21 @@ def test_run_fixed_uniform_steps():
     assert all(k == pytest.approx(0.01) for k in res.ledger.k)
 
 
+def _assert_slabs_are_the_ledgers_steps(res):
+    slabs, L = res.trajectory.slabs, res.ledger
+    assert [s.m for s in slabs] == L.m
+    assert [s.t_next for s in slabs] == L.t
+    assert [s.k for s in slabs] == L.k
+    assert [s.t_prev for s in slabs] == [0.0] + L.t[:-1]
+
+
 def test_run_fixed_clips_last_step():
     prob = builtin("heat_decay")
     res = dr.run_fixed(prob, Mesh.uniform(prob.rect, 2), 1, k=0.03, T=0.1)
     assert res.steps == 4
     assert res.final_time == 0.1
     assert res.ledger.k[-1] == pytest.approx(0.01)
+    _assert_slabs_are_the_ledgers_steps(res)
 
 
 def test_run_fixed_defaults_to_the_problems_final_time():
@@ -609,6 +630,7 @@ def test_a_doubling_that_would_pass_T_ends_exactly_at_T():
     assert (res.stop_reason, res.final_time) == ("final_time", 0.038)
     assert res.ledger.t[-1] == 0.038
     assert ks[-2] < ks[-1] < 2.0 * ks[-2]
+    _assert_slabs_are_the_ledgers_steps(res)
 
 
 def test_step_adjust_cap_is_reported(monkeypatch):
@@ -640,12 +662,38 @@ def test_dumps_written(tmp_path):
     assert "u_center" in text and "u_maxabs" in text
 
 
+def certified_maps(monkeypatch):
+    """A list that receives the per-cell (eta_S, eta_dot) maps of each
+    step a run records, in order, from `_Slab.certify`."""
+    maps, certify = [], dr._Slab.certify
+
+    def recording(slab, *args, **kwargs):
+        eta_S, dot_map, _, _ = slab.space_estimates()
+        following = certify(slab, *args, **kwargs)
+        if following is not None:
+            maps.append((eta_S, dot_map))
+        return following
+
+    monkeypatch.setattr(dr._Slab, "certify", recording)
+    return maps
+
+
+def assert_maps_equal(maps, other):
+    assert len(maps) == len(other)
+    for (eta_S, dot_map), (eta_S_b, dot_map_b) in zip(maps, other):
+        assert np.array_equal(eta_S, eta_S_b)
+        assert np.array_equal(dot_map, dot_map_b)
+
+
 @pytest.mark.parametrize("name", ["heat_decay", "example3"])
-def test_idle_adaptive_run_matches_fixed_run(name):
+def test_idle_adaptive_run_matches_fixed_run(name, monkeypatch):
     # controllers that never act leave run_adaptive on run_fixed's path
     prob = replace(builtin(name), T=0.05)
     mesh = Mesh.uniform(prob.rect, 3)
+    maps = certified_maps(monkeypatch)
     fixed = dr.run_fixed(prob, mesh, 2, 0.01, T=0.05).ledger
+    fixed_maps = maps[:]
+    del maps[:]
     idle = dr.run_adaptive(
         prob, dr.Tolerances(1e300, 1e-300, 1e300, 1e-300), 2, mesh, 0.01,
         dr.DriverOptions(scale_tolerances=False)).ledger
@@ -653,11 +701,11 @@ def test_idle_adaptive_run_matches_fixed_run(name):
     assert n == (len(fixed.m) if prob.modulus.is_zero else 2)
     assert (idle.e0, idle.eta_I) == (fixed.e0, fixed.eta_I)
     for col in ("m", "t", "k", "dofs", "linf_u", "eta_T", "xi", "xi_prime",
-                "psi", "delta", "r", "r_tilde", "log_eta_S", "hmin", "bound"):
+                "psi", "delta", "r", "r_tilde", "log_eta_S", "eta_S_max",
+                "hmin", "bound"):
         assert getattr(idle, col) == getattr(fixed, col)[:n], col
-    for col in ("eta_S_maps", "eta_dot_maps"):
-        for a, b in zip(getattr(idle, col), getattr(fixed, col)[:n]):
-            assert np.array_equal(a, b), col
+    assert len(fixed_maps) == len(fixed.m)
+    assert_maps_equal(maps, fixed_maps[:n])
 
 
 def _first_interval_halving_run(k1):
@@ -689,8 +737,12 @@ def test_first_interval_projects_once_per_mesh(monkeypatch):
     assert len(projected) == len(set(projected)) == 1
 
 
-def test_first_interval_halving_matches_run_from_halved_k1(tmp_path):
+def test_first_interval_halving_matches_run_from_halved_k1(tmp_path,
+                                                          monkeypatch):
+    maps = certified_maps(monkeypatch)
     halved = _first_interval_halving_run(0.05)
+    halved_maps = maps[:]
+    del maps[:]
     direct = _first_interval_halving_run(halved.ledger.k[0])
     assert halved.ledger.k[0] < 0.05
     halved.ledger.to_csv(str(tmp_path / "halved.csv"))
@@ -699,8 +751,8 @@ def test_first_interval_halving_matches_run_from_halved_k1(tmp_path):
         == (tmp_path / "direct.csv").read_bytes()
     assert (halved.ledger.e0, halved.ledger.eta_I) \
         == (direct.ledger.e0, direct.ledger.eta_I)
-    for a, b in zip(halved.ledger.eta_S_maps, direct.ledger.eta_S_maps):
-        assert np.array_equal(a, b)
+    assert len(maps) == len(direct.ledger.m)
+    assert_maps_equal(halved_maps, maps)
 
 
 def _blas_counts_in_steps(monkeypatch, counts_are, n):

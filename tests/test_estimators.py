@@ -285,6 +285,7 @@ def test_workspace_rejects_a_predecessor_it_does_not_continue():
 def test_reusing_the_previous_workspace_leaves_the_ledger_bitwise(
         monkeypatch):
     from semiheat import driver as dr
+    from test_driver import assert_maps_equal, certified_maps
 
     def run():
         prob = builtin("example3")
@@ -302,7 +303,10 @@ def test_reusing_the_previous_workspace_leaves_the_ledger_bitwise(
         reused.append(held._vee is self.vee and "val" in held._grids)
 
     monkeypatch.setattr(est.SlabWorkspace, "__init__", spy)
+    maps = certified_maps(monkeypatch)
     warm = run()
+    warm_maps = maps[:]
+    del maps[:]
     assert any(reused) and not all(reused)
     # every workspace from a start with nothing evaluated
     monkeypatch.setattr(est.SlabWorkspace, "__init__",
@@ -310,11 +314,10 @@ def test_reusing_the_previous_workspace_leaves_the_ledger_bitwise(
                         init(self, problem, _cold(start), *a, **kw))
     cold = run()
     for name in ("t", "k", "dofs", "linf_u", "eta_T", "xi", "xi_prime",
-                 "psi", "delta", "r", "r_tilde", "bound"):
+                 "psi", "delta", "r", "r_tilde", "eta_S_max", "bound"):
         assert getattr(warm, name) == getattr(cold, name), name
-    for a, b in zip(warm.eta_dot_maps + warm.eta_S_maps,
-                    cold.eta_dot_maps + cold.eta_S_maps):
-        assert np.array_equal(a, b)
+    assert len(warm_maps) == len(warm.m)
+    assert_maps_equal(warm_maps, maps)
 
 
 # -- time estimator --------------------------------------------------------------
@@ -324,18 +327,21 @@ def test_eta_time_zero_for_linear_forcing():
     # f spatially flat and linear in t, zero state, endpoint values equal
     # to f at the slab endpoints: the blend reproduces the linear function
     # and the residual vanishes identically
+    from dataclasses import replace
+
     def lin_f(x, y, t, u):
         return (2.0 + 3.0 * t) + 0.0 * x
 
     t_prev, k = 0.1, 0.1
-    Xs = np.linspace(0, 1, 7)[None, :].repeat(3, axis=0)
-    Ys = np.linspace(0, 1, 7)[None, :].repeat(3, axis=0)
-    zero = np.zeros_like(Xs)
-    A_prev = lin_f(Xs, Ys, t_prev, zero)
-    A_next = lin_f(Xs, Ys, t_prev + k, zero)
-    eta = est.eta_time_from_values(lin_f, Xs, Ys, t_prev, k, zero, zero,
-                                   A_prev, A_next)
-    assert eta < 1e-14
+    prob = replace(builtin("heat_decay"), rect=UNIT, f=lin_f)
+    sp = fe.Space(Mesh.uniform(UNIT, 1), 2)
+    zero = fe.Field.zeros(sp)
+    ws = est.SlabWorkspace(
+        prob, est.SlabEnd(zero, lambda x, y: lin_f(x, y, t_prev, 0.0)), sp,
+        t_prev)
+    ws.set_state(zero, zero, k)
+    ws.end = est.SlabEnd(zero, lambda x, y: lin_f(x, y, t_prev + k, 0.0))
+    assert ws.eta_time() < 1e-14
 
 
 def test_eta_time_matches_dense_1d_oracle():
@@ -559,13 +565,12 @@ def _ledger_with_steps(modulus_is_zero, steps, eta_I=0.0, e0=0.0):
     led.e0 = e0
     led.eta_I = eta_I
     led.log_eta_S0 = eta_I - e0  # c_inf = 1
-    led.eta_S0_map = np.array([led.log_eta_S0])
+    led.eta_S0_max = led.log_eta_S0
     t = 0.0
     for (k, eta_T, xi, xi_prime, psi, delta, r, etaS) in steps:
         t += k
         led.add_step(len(led.m) + 1, t, k, 10, 1.0, eta_T, xi, xi_prime,
-                     psi, delta, r, np.array([etaS]), np.exp(-1.0),
-                     np.array([0.0]))
+                     psi, delta, r, np.array([etaS]), np.exp(-1.0))
     return led
 
 
@@ -642,7 +647,7 @@ def test_psi_monotone_accumulation_in_runs():
         ws.set_state(u_next, hat, k)
         eta_T = ws.eta_time()
         eta_S = ws.eta_space_map()
-        dot_map, xi_prime = ws.eta_dot_maps()
+        _, xi_prime = ws.eta_dot_maps()
         xi = est.xi_value(prev_map, mesh.min_diameter(), eta_S,
                           mesh.min_diameter())
         psi = est.psi_update(led, m, eta_T, xi, xi_prime, prob.modulus, ws)
@@ -655,8 +660,7 @@ def test_psi_monotone_accumulation_in_runs():
         assert r >= 1.0
         t += k
         led.add_step(m, t, k, sp.n_free, u_next.linf_norm(), eta_T, xi,
-                     xi_prime, psi, delta, r, eta_S, mesh.min_diameter(),
-                     dot_map)
+                     xi_prime, psi, delta, r, eta_S, mesh.min_diameter())
         u = u_next
         A_prev = ws.end.A
         prev_map = eta_S

@@ -245,10 +245,17 @@ def test_grid_values_identity_transfer_is_the_cell_basis():
     sp = fe.Space(hanging_mesh(), 3)
     f = fe.Field.from_free(sp, rng.standard_normal(sp.n_free))
     tr = fe.transfer(sp.mesh, sp.mesh)
-    assert np.array_equal(fe.grid_values(f, tr, "sample"),
-                          f.sample_values("val"))
-    assert np.array_equal(fe.grid_values(f, tr, "sample", "lap"),
-                          f.sample_values("lap"))
+    X, Y = sp.sample_points()
+    x, y = X.ravel(), Y.ravel()
+    cells = np.repeat(np.arange(len(sp.mesh)), X.shape[1])
+    # values located anywhere; the Laplacian, which jumps across cell
+    # edges, in each point's own cell
+    for deriv, want in (
+            ("val", fe.evaluate_multi([f], x, y, [(0, 0)])[0]),
+            ("lap", fe.evaluate_in_cells([f], cells, x, y, ["lap"])[0])):
+        got = fe.grid_values(f, tr, "sample", deriv)
+        assert np.abs(got.ravel() - want).max() \
+            <= 1e-12 * np.abs(want).max()
     with pytest.raises(ValueError):
         fe.grid_values(f, fe.transfer(sp.mesh, Mesh.uniform(UNIT, 1)),
                        "sample")

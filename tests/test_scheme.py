@@ -60,9 +60,10 @@ def test_project_initial_frees_its_stiffness_matrix(degree, monkeypatch):
 @pytest.mark.parametrize("degree", [1, 4, 9])
 def test_project_initial_factors_before_assembling_stiffness(degree,
                                                              monkeypatch):
-    # the heap is trimmed on entry and between the skeleton LU and S, and
-    # no S exists before the factor; that U0 is bitwise the solve with S
-    # assembled first is test_project_initial_frees_its_stiffness_matrix's
+    # the heap is trimmed on entry, between the skeleton LU and S, and
+    # after S, and no S exists before the factor; that U0 is bitwise the
+    # solve with S assembled first is
+    # test_project_initial_frees_its_stiffness_matrix's
     prob = builtin("heat_decay")
     mesh = Mesh.uniform(UNIT, 2).refine([(2, 1, 1), (2, 2, 1)])
     sp = fe.Space(mesh.refine([(3, 3, 3)]), degree)
@@ -81,7 +82,7 @@ def test_project_initial_factors_before_assembling_stiffness(degree,
     monkeypatch.setattr(sc, "assemble_stiffness", assembling)
     monkeypatch.setattr(sc, "trim_heap", lambda: events.append("trim"))
     sc.project_initial(prob, sp)
-    assert events == ["trim", "splu", "trim", "S"]
+    assert events == ["trim", "splu", "trim", "S", "trim"]
 
 
 def test_project_initial_ritz_accuracy():
