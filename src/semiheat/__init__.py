@@ -12,8 +12,8 @@ from .linalg import assemble_mass, assemble_stiffness, solve_spd, SolverFailure
 from .scheme import TimeSlab, Trajectory, project_initial, imex_step
 from .estimators import (EstimatorLedger, LipschitzModulus, log_factor,
                          initial_space_estimator, xi_value,
-                         fixed_point_delta, gronwall_factor, SlabEnd,
-                         SlabWorkspace)
+                         fixed_point_delta, gronwall_factor, TimeNodes,
+                         SlabEnd, SlabWorkspace)
 from .problems import ProblemSpec, builtin, modulus_check
 from .driver import (Tolerances, DriverOptions, RunResult, run_adaptive,
                      run_fixed, time_indicator, space_indicator,
@@ -27,7 +27,8 @@ __all__ = [
     "TimeSlab", "Trajectory", "project_initial", "imex_step",
     "EstimatorLedger", "LipschitzModulus", "log_factor",
     "initial_space_estimator", "xi_value",
-    "fixed_point_delta", "gronwall_factor", "SlabEnd", "SlabWorkspace",
+    "fixed_point_delta", "gronwall_factor", "TimeNodes", "SlabEnd",
+    "SlabWorkspace",
     "ProblemSpec", "builtin", "modulus_check",
     "Tolerances", "DriverOptions", "RunResult", "run_adaptive", "run_fixed",
     "time_indicator", "space_indicator", "extrapolate_blowup",

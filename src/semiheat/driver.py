@@ -108,12 +108,14 @@ def time_indicator(eta_T, r_tilde_prev):
     return eta_T / r_tilde_prev
 
 
-def alpha_value(modulus, workspace, xi, r_tilde_prev, k):
-    """Weight of the space estimator inside the space indicator."""
+def alpha_value(modulus, time_nodes, xi, r_tilde_prev):
+    """Weight of the space estimator inside the space indicator: the
+    slab's mean of L(s, n, n + xi) over its `est.TimeNodes`, scaled by
+    1 / r_tilde_prev, and at least 1."""
     if modulus.is_zero:
         return 1.0
-    integral = workspace.modulus_integral(modulus, xi)
-    return max(1.0, integral / (r_tilde_prev * k))
+    integral = time_nodes.integral(modulus, lambda n: n, lambda n: n + xi)
+    return max(1.0, integral / (r_tilde_prev * time_nodes.k))
 
 
 def space_indicator(eta_S_map, eta_dot_map, alpha, r_tilde_prev):
@@ -184,10 +186,11 @@ class _Slab:
     `start` is the `est.SlabEnd` at t (the field and its closure) and
     `eta_S` its per-cell space estimator.  `solve` tries a candidate
     (space, k), cut to end at the problem's T if it reaches T (`_clip`):
-    the IMEX step and the time estimator.  `space_estimates` evaluates
-    the candidate's space side once.  `certify` computes psi, delta and
-    r, records the slab and returns the slab that follows it, whose
-    start is this slab's certified end.
+    the IMEX step and the time estimator, which records the candidate's
+    time nodes (`est.TimeNodes`).  `space_estimates` evaluates the
+    candidate's space side once.  `certify` computes psi, delta and r
+    on those nodes, records the slab and returns the slab that follows
+    it, whose start is this slab's certified end.
     """
 
     def __init__(self, problem, opts, m, t, start, eta_S):
@@ -242,16 +245,15 @@ class _Slab:
         """
         problem, opts, ws, k, t = (self.problem, self.opts, self.ws, self.k,
                                    self.t)
-        modulus, c_inf, q = problem.modulus, opts.c_inf, opts.time_quadrature
+        modulus, c_inf, nodes = problem.modulus, opts.c_inf, ws.time_nodes
         eta_S, _, xi_prime, xi = self.space_estimates()
         psi = est.psi_update(ledger, self.m, self.eta_T, xi, xi_prime,
-                             modulus, ws)
-        delta = est.fixed_point_delta(psi, xi, k, t, modulus, ws.u_norm,
-                                      c_inf, q)
+                             modulus, nodes)
+        delta = est.fixed_point_delta(psi, xi, nodes, modulus, c_inf)
         if delta is None and not keep_uncertified:
             return None
         r = None if delta is None else est.gronwall_factor(
-            delta, psi, xi, k, t, modulus, ws.u_norm, c_inf, q)
+            delta, psi, xi, nodes, modulus, c_inf)
         end = ws.end
         traj.slabs.append(sc.TimeSlab(
             m=self.m, t_prev=t, t_next=self.t_next, k=k,
@@ -335,7 +337,7 @@ def _open_ledger(problem, opts, start):
     """Empty ledger and trajectory starting from slab 1's start state."""
     ledger = est.EstimatorLedger(c_inf=opts.c_inf,
                                  modulus_is_zero=problem.modulus.is_zero)
-    ledger.set_initial(problem, start.end.u, start.eta_S, start.e0_map)
+    ledger.set_initial(start.end.u, start.eta_S, start.e0_map)
     return ledger, sc.Trajectory(start.end.u)
 
 
@@ -431,7 +433,7 @@ def run_adaptive(problem, tolerances, degree, initial_mesh, k1, options=None,
                 slab = start.slab(problem, opts)
             eta_T = slab.solve(slab.start.u.space, k)
             eta_S1, dot1, _, xi = slab.space_estimates()
-            alpha = alpha_value(problem.modulus, slab.ws, xi, 1.0, k)
+            alpha = alpha_value(problem.modulus, slab.ws.time_nodes, xi, 1.0)
             ref_S = first_space_indicator(start.e0_map, slab.eta_S, eta_S1,
                                           dot1, alpha)
             cache.passes[key] = (eta_T, ref_S)
@@ -481,7 +483,8 @@ def run_adaptive(problem, tolerances, degree, initial_mesh, k1, options=None,
 
         # One spatial refine/coarsen pass, then re-solve if the mesh moved.
         eta_S, dot_map, _, xi = slab.space_estimates()
-        alpha = alpha_value(problem.modulus, slab.ws, xi, r_tilde_prev, k)
+        alpha = alpha_value(problem.modulus, slab.ws.time_nodes, xi,
+                            r_tilde_prev)
         ref_S = space_indicator(eta_S, dot_map, alpha, r_tilde_prev)
         new_mesh = _modify_mesh(space.mesh, ref_S, stol_p, stol_m)
         if new_mesh.leafset != space.mesh.leafset:

@@ -12,6 +12,7 @@ total conditional bound.
 
 import inspect
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,8 +84,9 @@ class LipschitzModulus:
 
 
 def _time_rule(t_prev, k, q):
+    """(nodes, weights) of the q-point Gauss rule on [t_prev, t_prev + k]."""
     pts, wts = gauss_legendre(q)
-    return t_prev + k * pts, k * wts
+    return tuple(t_prev + k * pts), tuple(k * wts)
 
 
 def _time_sum(wts, values):
@@ -99,6 +101,28 @@ def _time_sum(wts, values):
     return acc
 
 
+class TimeNodes(NamedTuple):
+    """One slab candidate's time nodes, as `SlabWorkspace.eta_time`
+    integrated over them.
+
+    `nodes` and `wts` are the Gauss rule on the slab of step `k`
+    (`_time_rule`) and `norms` the sampled sup norm max|U(s)| of the time
+    interpolant at each node s.  psi, alpha, delta and r integrate the
+    Lipschitz modulus at these norms.
+    """
+
+    k: float
+    nodes: tuple
+    wts: tuple
+    norms: tuple
+
+    def integral(self, modulus, a, b):
+        """Integral over the slab of L(s, a(n), b(n)), n the norm at node
+        s, summed in node order (`_time_sum`)."""
+        return _time_sum(self.wts, (float(modulus(s, a(n), b(n)))
+                                    for s, n in zip(self.nodes, self.norms)))
+
+
 # -- single-mesh space estimator (slab zero) ------------------------------------
 
 
@@ -106,32 +130,26 @@ def initial_end(problem, u0):
     """Slab zero's end: the projected initial field U0 with the analytic
     driving term -a*lap(u0) (`InitialLaplacian`) as its closure.
 
-    `u0` is U0, or already its SlabEnd, which is returned as it is.
     What is evaluated through it on U0's own mesh is evaluated once:
     slab 1's overlay is that mesh.
     """
-    if isinstance(u0, SlabEnd):
-        return u0
     return SlabEnd(u0, InitialLaplacian(problem.a, problem.lap_u0))
 
 
-def initial_space_estimator(problem, u0):
+def initial_space_estimator(problem, end):
     """Per-cell space estimator of the projected initial field U0.
 
-    Volume residual uses the analytic driving term -a*lap(u0).  `u0` is
-    U0 or its `initial_end`, whose arrays the evaluation reads and fills.
+    Volume residual uses the analytic driving term -a*lap(u0).  `end` is
+    U0's `initial_end`, whose arrays the evaluation reads and fills.
     """
-    end = initial_end(problem, u0)
     mesh = end.u.space.mesh
     X, Y = end.u.space.sample_points()
     return _space_map(problem.a, end, mesh, end.A_values(mesh, X, Y),
                       fe.transfer(mesh, mesh).host)
 
 
-def initial_error_map(problem, u0):
-    """Per-cell sampled max of |u0 - U0|; `u0` as in
-    `initial_space_estimator`."""
-    end = initial_end(problem, u0)
+def initial_error_map(problem, end):
+    """Per-cell sampled max of |u0 - U0|; `end` is U0's `initial_end`."""
     mesh = end.u.space.mesh
     X, Y = end.u.space.sample_points()
     diff = np.asarray(problem.u0(X, Y), dtype=float) - end.values(mesh)
@@ -265,9 +283,10 @@ class SlabWorkspace:
     fields' cells and weight each overlay cell by its coarsest-overlay
     cell's size.
 
-    The sampled sup norm of the time interpolant is computed once per
-    time node and state (`u_norm`); `eta_time` records it at its Gauss
-    nodes, where the delta and Gronwall integrals read it.
+    `eta_time` samples the sup norm of the time interpolant at its Gauss
+    nodes and records them with the norms as `time_nodes`, one
+    `TimeNodes` per state, which the psi, alpha, delta and r integrals
+    read.
     """
 
     def __init__(self, problem, start, space_next, t_prev, q=3):
@@ -293,8 +312,7 @@ class SlabWorkspace:
         self.hmin_next = mesh_next.min_diameter()
         self.Xs, self.Ys = fe.tensor_grid(self.vee, slice(None),
                                           space_next.ref.sample1d)
-        self.end = self.k = None  # per state (set_state)
-        self._norms = {}
+        self.end = self.k = self.time_nodes = None  # per state (set_state)
 
     # -- state ----------------------------------------------------------------
 
@@ -304,7 +322,7 @@ class SlabWorkspace:
         self.k = float(k)
         self.end = SlabEnd(u_next, DiscreteLaplacian(
             self.problem.f, self.t_prev, self.k, self.start.u, u_next, u_hat))
-        self._norms = {}
+        self.time_nodes = None
 
     # -- driving terms ---------------------------------------------------------
 
@@ -316,56 +334,33 @@ class SlabWorkspace:
 
     # -- time estimator ----------------------------------------------------------
 
-    def u_norm(self, s):
-        """Sampled sup norm of the time interpolant at s in the slab.
-
-        Computed once per s in each state.
-        """
-        norm = self._norms.get(s)
-        if norm is None:
-            lb = (s - self.t_prev) / self.k
-            la = 1.0 - lb
-            norm = self._norms[s] = float(np.abs(
-                la * self.start.values(self.vee)
-                + lb * self.end.values(self.vee)).max())
-        return norm
-
-    def modulus_integral(self, modulus, c):
-        """Integral over the slab of L(s, ||U(s)||, ||U(s)|| + c)."""
-        if modulus.is_zero or self.k == 0.0:
-            return 0.0
-
-        def value(s):
-            n = self.u_norm(s)
-            return float(modulus(s, n, n + c))
-
-        nodes, wts = _time_rule(self.t_prev, self.k, self.q)
-        return _time_sum(wts, map(value, nodes))
-
     def eta_time(self):
         """Gauss-in-time integral of the sampled sup norm of the residual.
 
         Integrates the sampled sup norm of
         f(x, s, U(s)) - l_a(s) A_prev - l_b(s) A_next - (U_next - U_prev)/k
-        with the q-node Gauss rule over the slab, recording max |U(s)|
-        at each node s for `u_norm`.
+        with the q-node Gauss rule over the slab, recording the rule and
+        max |U(s)| at each node s as `time_nodes`.
         """
         f, t_prev, k = self.problem.f, self.t_prev, self.k
         U_prev, U_next = self.start.values(self.vee), self.end.values(self.vee)
         A_prev, A_next = self.A_prev_values(), self.A_next_values()
         Ut = (U_next - U_prev) / k
+        norms = []
 
         def sup_residual(s):
             lb = (s - t_prev) / k
             la = 1.0 - lb
             U = la * U_prev + lb * U_next
-            self._norms[s] = float(np.abs(U).max())
+            norms.append(float(np.abs(U).max()))
             R = np.asarray(f(self.Xs, self.Ys, s, U), dtype=float) \
                 - la * A_prev - lb * A_next - Ut
             return float(np.abs(R).max())
 
         nodes, wts = _time_rule(t_prev, k, self.q)
-        return _time_sum(wts, map(sup_residual, nodes))
+        eta_T = _time_sum(wts, map(sup_residual, nodes))
+        self.time_nodes = TimeNodes(k, nodes, wts, tuple(norms))
+        return eta_T
 
     # -- space estimators --------------------------------------------------------
 
@@ -410,17 +405,19 @@ class SlabWorkspace:
 # -- psi / delta / r -------------------------------------------------------------
 
 
-def psi_update(ledger, m, eta_T, xi, xi_prime, modulus, workspace):
+def psi_update(ledger, m, eta_T, xi, xi_prime, modulus, time_nodes):
     """Accumulated parabolic bound for slab m.
 
     Slab 1 starts from the initial-condition estimator; later slabs start
-    from the Gronwall-amplified previous value.
+    from the Gronwall-amplified previous value.  The reaction term
+    integrates L(s, n, n + C xi) over the slab's `TimeNodes`.
     """
     c = ledger.c_inf
     if modulus.is_zero:
         lip = 0.0
     else:
-        lip = c * xi * workspace.modulus_integral(modulus, c * xi)
+        lip = c * xi * time_nodes.integral(modulus, lambda n: n,
+                                           lambda n: n + c * xi)
     if m == 1:
         if ledger.eta_I is None:
             raise EstimatorError("initial estimator missing from the ledger")
@@ -432,34 +429,35 @@ def psi_update(ledger, m, eta_T, xi, xi_prime, modulus, workspace):
     return base + lip + eta_T + c * xi_prime
 
 
-def fixed_point_delta(psi, xi, k, t_prev, modulus, u_norm, c_inf=1.0, q=3,
-                      ceiling=1e8):
+def fixed_point_delta(psi, xi, time_nodes, modulus, c_inf=1.0, ceiling=1e8):
     """Smallest root in [1, ceiling] of the slab's fixed-point function.
 
-    Returns None when no root exists (the adaptive stop signal).  For the
-    additive modulus the root solves a quadratic in closed form; otherwise
-    the leftmost sign change of a geometric scan is bisected (with a
-    convexity-based minimum probe so narrow dips are not stepped over) and
-    polished by a secant step.  Every returned root is checked against the
-    contraction inequality int L <= 1 - 1/delta.
+    The function integrates L(s, delta psi + n + C xi, same) over the
+    slab's `TimeNodes`.  Returns None when no root exists (the adaptive
+    stop signal).  For the additive modulus the root solves a quadratic in
+    closed form; otherwise the scan steps through a geometric grid to the
+    first sign change, which is bisected (when there is none, a
+    convexity-based minimum probe finds a narrow dip the grid stepped
+    over) and polished by a secant step.  Every returned root is checked
+    against the contraction inequality int L <= 1 - 1/delta.
     """
+    k = time_nodes.k
     if modulus.is_zero or k <= 0.0:
         return 1.0
     if psi is None:
         return None
-    nodes, wts = _time_rule(t_prev, k, q)
-    norms = np.array([u_norm(s) for s in nodes])
 
     def integral(delta):
-        args = delta * psi + norms + c_inf * xi
-        return float(_time_sum(wts, map(modulus, nodes, args, args)))
+        def arg(n):
+            return delta * psi + n + c_inf * xi
+        return float(time_nodes.integral(modulus, arg, arg))
 
     def phi(delta):
         return 1.0 + delta * (integral(delta) - 1.0)
 
     delta = None
     if modulus.kind == "additive":
-        int_u = float(wts @ norms)
+        int_u = float(np.dot(time_nodes.wts, time_nodes.norms))
         a2 = 2.0 * k * psi
         b = 2.0 * c_inf * k * xi + 2.0 * int_u - 1.0
         if a2 == 0.0:
@@ -490,18 +488,17 @@ def fixed_point_delta(psi, xi, k, t_prev, modulus, u_norm, c_inf=1.0, q=3,
             # can step over a narrow dip, so when it finds none we also
             # probe the minimum (phi is convex for the monotone moduli in
             # use) before declaring nonexistence.
-            grid = [1.0]
+            grid, vals = [1.0], [p1]
             d = 1.0
             factor = 2.0 ** 0.25
+            hi = None
             while grid[-1] < ceiling:
                 d *= factor
                 grid.append(min(d, ceiling))
-            vals = [p1] + [phi(g) for g in grid[1:]]
-            hi = None
-            for i in range(1, len(grid)):
-                if vals[i] <= 0.0:
-                    lo, flo = grid[i - 1], vals[i - 1]
-                    hi, fhi = grid[i], vals[i]
+                vals.append(phi(grid[-1]))
+                if vals[-1] <= 0.0:
+                    lo, flo = grid[-2], vals[-2]
+                    hi, fhi = grid[-1], vals[-1]
                     break
             if hi is None:
                 imin = int(np.argmin(vals))
@@ -545,18 +542,14 @@ def fixed_point_delta(psi, xi, k, t_prev, modulus, u_norm, c_inf=1.0, q=3,
     return float(delta)
 
 
-def gronwall_factor(delta, psi, xi, k, t_prev, modulus, u_norm, c_inf=1.0, q=3):
-    """Per-slab amplification factor exp(int L(s, delta psi + ., .) ds)."""
-    if modulus.is_zero or k <= 0.0:
+def gronwall_factor(delta, psi, xi, time_nodes, modulus, c_inf=1.0):
+    """Per-slab amplification factor exp(int L(s, delta psi + n + C xi,
+    n + C xi) ds) over the slab's `TimeNodes`."""
+    if modulus.is_zero or time_nodes.k <= 0.0:
         return 1.0
-
-    def value(s):
-        n = u_norm(s)
-        return float(modulus(s, delta * psi + n + c_inf * xi,
-                             n + c_inf * xi))
-
-    nodes, wts = _time_rule(t_prev, k, q)
-    return math.exp(_time_sum(wts, map(value, nodes)))
+    return math.exp(time_nodes.integral(
+        modulus, lambda n: delta * psi + n + c_inf * xi,
+        lambda n: n + c_inf * xi))
 
 
 # -- ledger -------------------------------------------------------------------------
@@ -593,10 +586,9 @@ class EstimatorLedger:
         self.eta_S_max = []
         self.bound = []
 
-    def set_initial(self, problem, u0_field, eta0_map, e0_map=None):
-        """Record slab zero (`e0_map`: its `initial_error_map`, if known)."""
-        if e0_map is None:
-            e0_map = initial_error_map(problem, u0_field)
+    def set_initial(self, u0_field, eta0_map, e0_map):
+        """Record slab zero: U0, its `initial_space_estimator` and its
+        `initial_error_map`."""
         self.eta_S0_max = float(np.max(eta0_map))
         self.e0 = float(e0_map.max())
         hmin = u0_field.space.mesh.min_diameter()

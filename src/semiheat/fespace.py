@@ -18,6 +18,7 @@ mesh keeps its leaves, geometry and lookup tables, without its face set
 Everything dropped is rebuilt, bit for bit, on use.
 """
 
+import functools
 import weakref
 
 import numpy as np
@@ -39,21 +40,16 @@ def gauss_lobatto(n):
     return np.concatenate(([0.0], pts, [1.0]))
 
 
-_GAUSS_CACHE = {}
-
-
+@functools.cache
 def gauss_legendre(n):
     """n-point Gauss rule on [0, 1]: (points, weights).
 
     Built once per n and shared, so both arrays are read-only.
     """
-    rule = _GAUSS_CACHE.get(n)
-    if rule is None:
-        x, w = npleg.leggauss(n)
-        rule = (0.5 * (x + 1.0), 0.5 * w)
-        for a in rule:
-            a.flags.writeable = False
-        _GAUSS_CACHE[n] = rule
+    x, w = npleg.leggauss(n)
+    rule = (0.5 * (x + 1.0), 0.5 * w)
+    for a in rule:
+        a.flags.writeable = False
     return rule
 
 
@@ -122,13 +118,9 @@ class _Ref1D:
                 "nodes": self.nodes}[kind]
 
 
-_REF_CACHE = {}
-
-
+@functools.cache
 def _ref(p):
-    if p not in _REF_CACHE:
-        _REF_CACHE[p] = _Ref1D(p)
-    return _REF_CACHE[p]
+    return _Ref1D(p)
 
 
 def _derived_attr(build):

@@ -563,9 +563,7 @@ def _pool(path):
     return None
 
 
-_pools = None
-
-
+@functools.cache
 def _blas_pools():
     """The OpenBLAS pools numpy and scipy ship, looked up once.
 
@@ -573,15 +571,12 @@ def _blas_pools():
     is a separate library with its own pool and serves SuperLU.  Empty
     where neither ships one, e.g. a build against a system BLAS.
     """
-    global _pools
-    if _pools is None:
-        paths = []
-        for package in (np, scipy):
-            libs = os.path.join(os.path.dirname(package.__file__), os.pardir,
-                                package.__name__ + ".libs")
-            paths += glob.glob(os.path.join(libs, "*openblas*"))
-        _pools = [p for p in map(_pool, paths) if p is not None]
-    return _pools
+    paths = []
+    for package in (np, scipy):
+        libs = os.path.join(os.path.dirname(package.__file__), os.pardir,
+                            package.__name__ + ".libs")
+        paths += glob.glob(os.path.join(libs, "*openblas*"))
+    return [p for p in map(_pool, paths) if p is not None]
 
 
 # Scopes of one_blas_thread open in this process, and the counts the

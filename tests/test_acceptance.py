@@ -230,9 +230,9 @@ def test_criterion_7_delta_oracle_equivalence():
         xi = rng.uniform(0.0, 1.0)
         k = rng.uniform(1e-4, 0.05)
         nval = rng.uniform(0.0, 8.0)
-        u_norm = lambda s, v=nval: v
-        d_closed = est.fixed_point_delta(psi, xi, k, 0.0, additive, u_norm)
-        d_scan = est.fixed_point_delta(psi, xi, k, 0.0, generic, u_norm)
+        nodes = est.TimeNodes(k, *est._time_rule(0.0, k, 3), (nval,) * 3)
+        d_closed = est.fixed_point_delta(psi, xi, nodes, additive)
+        d_scan = est.fixed_point_delta(psi, xi, nodes, generic)
         if (d_closed is None) != (d_scan is None):
             mismatches += 1
             continue

@@ -120,11 +120,12 @@ def test_alpha_constant_modulus_closed_form():
         prob, est.SlabEnd(U0, sc.InitialLaplacian(prob.a, prob.lap_u0)), sp,
         0.0)
     ws.set_state(U1, hat, 0.02)
+    ws.eta_time()
     for c in (0.25, 1.0, 7.0):
         modulus = est.LipschitzModulus(lambda t, a, b, c=c: c, kind="generic")
-        alpha = dr.alpha_value(modulus, ws, 0.3, 1.0, 0.02)
+        alpha = dr.alpha_value(modulus, ws.time_nodes, 0.3, 1.0)
         assert alpha == pytest.approx(max(1.0, c), rel=1e-12)
-    assert dr.alpha_value(prob.modulus, ws, 0.3, 1.0, 0.02) == 1.0
+    assert dr.alpha_value(prob.modulus, ws.time_nodes, 0.3, 1.0) == 1.0
 
 
 def test_first_space_indicator_includes_initial_error():

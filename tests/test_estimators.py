@@ -8,6 +8,7 @@ import pytest
 from semiheat.mesh import Mesh, Rectangle, face_set
 from semiheat import fespace as fe
 from semiheat import scheme as sc
+from semiheat import driver as dr
 from semiheat import estimators as est
 from semiheat.problems import builtin
 
@@ -61,7 +62,7 @@ def test_space_estimator_zero_for_exact_reconstruction():
     mesh = Mesh.uniform(UNIT, 2)
     sp = fe.Space(mesh, 2)
     U = fe.Field.from_callable(sp, poly.u0)
-    eta = est.initial_space_estimator(poly, U)
+    eta = est.initial_space_estimator(poly, est.initial_end(poly, U))
     assert eta.max() < 1e-8
 
 
@@ -70,7 +71,8 @@ def test_space_estimator_zero_field():
     from dataclasses import replace
     flat = replace(prob, u0=lambda x, y: 0.0 * x, lap_u0=lambda x, y: 0.0 * x)
     sp = fe.Space(Mesh.uniform(UNIT, 2), 2)
-    eta = est.initial_space_estimator(flat, fe.Field.zeros(sp))
+    eta = est.initial_space_estimator(
+        flat, est.initial_end(flat, fe.Field.zeros(sp)))
     assert eta.max() == 0.0
 
 
@@ -244,15 +246,54 @@ def test_workspace_from_its_predecessor_equals_one_built_cold():
     assert warm.A_prev_values() is not held[2]
     _assert_same_start(warm, est.SlabWorkspace(prob, est.SlabEnd(U1, other),
                                                sp2, k))
-    # u_norm: eta_time's values at its Gauss nodes, computed ones elsewhere
+    # the time nodes eta_time records
     warm = est.SlabWorkspace(prob, end1, sp2, k)
-    nodes, _ = est._time_rule(k, k, 3)
-    times = list(nodes) + [1.37 * k]
     for ws in (warm, cold):
         ws.set_state(*state)
-    warm.eta_time()
-    assert set(nodes) <= set(warm._norms)
-    assert [warm.u_norm(s) for s in times] == [cold.u_norm(s) for s in times]
+        ws.eta_time()
+    assert warm.time_nodes == cold.time_nodes
+
+
+def test_time_nodes_hold_the_rule_and_the_sampled_norms():
+    prob, ws1, _, sp2, state = _second_slab(refine=True)
+    k = state[2]
+    ws = est.SlabWorkspace(prob, ws1.end, sp2, k, q=4)
+    ws.set_state(*state)
+    assert ws.time_nodes is None
+    ws.eta_time()
+    nodes = ws.time_nodes
+    assert nodes.k == k
+    assert (nodes.nodes, nodes.wts) == est._time_rule(k, k, 4)
+    # max|(1 - l) U_prev + l U_next| on the overlay's sample grid, from
+    # the fields themselves; U_prev lives on a coarser mesh
+    assert ws.vee is not ws.space_prev.mesh
+    U_prev, U_next = (fe.grid_values(u, fe.transfer(ws.vee, u.space.mesh),
+                                     "sample") for u in (ws.start.u, state[0]))
+    lbs = [(s - k) / k for s in nodes.nodes]
+    assert nodes.norms == tuple(
+        float(np.abs((1.0 - lb) * U_prev + lb * U_next).max()) for lb in lbs)
+    ws.set_state(*state)
+    assert ws.time_nodes is None
+
+
+def test_psi_alpha_delta_and_r_read_the_time_nodes():
+    prob, ws1, _, sp2, state = _second_slab(refine=False)
+    ws = est.SlabWorkspace(prob, ws1.end, sp2, state[2])
+    ws.set_state(*state)
+    ws.eta_time()
+    nodes = ws.time_nodes
+    scaled = nodes._replace(norms=tuple(1.5 * n for n in nodes.norms))
+    generic = est.LipschitzModulus(lambda a, b: a + b + 1.0)
+    led = _Led(eta_I=0.1)
+    for modulus in (prob.modulus, generic):
+        out = []
+        for tn in (nodes, scaled):
+            psi = est.psi_update(led, 1, 0.0, 0.2, 0.0, modulus, tn)
+            delta = est.fixed_point_delta(psi, 0.2, tn, modulus)
+            out.append((psi, dr.alpha_value(modulus, tn, 0.2, 1.0), delta,
+                        est.gronwall_factor(delta, psi, 0.2, tn, modulus)))
+        for before, after in zip(*out):
+            assert after > before
 
 
 def test_workspace_after_a_mesh_change_evaluates_its_start_field():
@@ -406,7 +447,9 @@ def test_eta_initial_near_zero_for_member_data():
     sp = fe.Space(Mesh.uniform(UNIT, 3), 2)
     U0 = sc.project_initial(member, sp)
     led = est.EstimatorLedger()
-    led.set_initial(member, U0, est.initial_space_estimator(member, U0))
+    end = est.initial_end(member, U0)
+    led.set_initial(U0, est.initial_space_estimator(member, end),
+                    est.initial_error_map(member, end))
     eta_I = led.eta_I
     assert eta_I < 1e-7
 
@@ -416,15 +459,23 @@ def test_eta_initial_dominates_e0():
     sp = fe.Space(Mesh.uniform(prob.rect, 2), 1)
     U0 = sc.project_initial(prob, sp)
     led = est.EstimatorLedger()
-    led.set_initial(prob, U0, est.initial_space_estimator(prob, U0))
+    end = est.initial_end(prob, U0)
+    led.set_initial(U0, est.initial_space_estimator(prob, end),
+                    est.initial_error_map(prob, end))
     eta_I = led.eta_I
-    e0 = est.initial_error_map(prob, U0).max()
+    e0 = est.initial_error_map(prob, end).max()
     assert eta_I >= e0
     # a 4x4 p=1 mesh cannot resolve the Gaussian: the estimator sees it
     assert eta_I > 1.0
 
 
 # -- psi / delta / r --------------------------------------------------------------
+
+
+def _time_nodes(ws):
+    """The `TimeNodes` the workspace's time estimator records."""
+    ws.eta_time()
+    return ws.time_nodes
 
 
 class _Led:
@@ -437,20 +488,20 @@ class _Led:
 
 def test_psi_zero_modulus_telescopes():
     prob = builtin("heat_decay")
-    sp, U0, U1, hat, ws = make_slab_workspace(prob)
+    nodes = _time_nodes(make_slab_workspace(prob)[-1])
     led = _Led(eta_I=0.25)
-    psi1 = est.psi_update(led, 1, 0.1, 0.7, 0.05, prob.modulus, ws)
+    psi1 = est.psi_update(led, 1, 0.1, 0.7, 0.05, prob.modulus, nodes)
     assert psi1 == 0.25 + 0.1 + 0.05
     led2 = _Led(eta_I=0.25, r=[1.0], psi=[psi1])
-    psi2 = est.psi_update(led2, 2, 0.2, 0.7, 0.0, prob.modulus, ws)
+    psi2 = est.psi_update(led2, 2, 0.2, 0.7, 0.0, prob.modulus, nodes)
     assert psi2 == psi1 + 0.2
 
 
 def test_psi_all_zero_inputs():
     prob = builtin("heat_decay")
-    sp, U0, U1, hat, ws = make_slab_workspace(prob)
+    nodes = _time_nodes(make_slab_workspace(prob)[-1])
     led = _Led(eta_I=0.0)
-    assert est.psi_update(led, 1, 0.0, 0.0, 0.0, prob.modulus, ws) == 0.0
+    assert est.psi_update(led, 1, 0.0, 0.0, 0.0, prob.modulus, nodes) == 0.0
 
 
 def test_psi_constant_modulus_closed_form():
@@ -458,39 +509,59 @@ def test_psi_constant_modulus_closed_form():
     prob = builtin("heat_decay")
     c = 0.8
     modulus = est.LipschitzModulus(lambda t, a, b: c, kind="generic")
-    sp, U0, U1, hat, ws = make_slab_workspace(prob, k=0.01)
+    nodes = _time_nodes(make_slab_workspace(prob, k=0.01)[-1])
     k1 = k2 = 0.01
     led = _Led(eta_I=0.3)
-    psi1 = est.psi_update(led, 1, 0.1, 0.5, 0.02, modulus, ws)
+    psi1 = est.psi_update(led, 1, 0.1, 0.5, 0.02, modulus, nodes)
     assert psi1 == pytest.approx(0.3 + 0.5 * c * k1 + 0.1 + 0.02, rel=1e-12)
     r1 = math.exp(c * k1)
     led2 = _Led(eta_I=0.3, r=[r1], psi=[psi1])
-    psi2 = est.psi_update(led2, 2, 0.07, 0.4, 0.01, modulus, ws)
+    psi2 = est.psi_update(led2, 2, 0.07, 0.4, 0.01, modulus, nodes)
     assert psi2 == pytest.approx(r1 * psi1 + 0.4 * c * k2 + 0.07 + 0.01,
                                  rel=1e-12)
 
 
-def _const_norm(value):
-    return lambda s: value
+def _const_nodes(k, value):
+    """Time nodes of a slab of step k from 0 whose norm is `value` at
+    every node."""
+    return est.TimeNodes(k, *est._time_rule(0.0, k, 3), (value,) * 3)
 
 
 def test_delta_zero_modulus_exact_one():
     zero = est.LipschitzModulus.zero()
-    d = est.fixed_point_delta(0.5, 0.2, 0.1, 0.0, zero, _const_norm(3.0))
+    d = est.fixed_point_delta(0.5, 0.2, _const_nodes(0.1, 3.0), zero)
     assert d == 1.0
 
 
 def test_delta_integral_one_half():
     # constant modulus with int L ds = 1/2 independent of delta: root = 2
     modulus = est.LipschitzModulus(lambda t, a, b: 5.0, kind="generic")
-    d = est.fixed_point_delta(0.0, 0.0, 0.1, 0.0, modulus, _const_norm(0.0))
+    d = est.fixed_point_delta(0.0, 0.0, _const_nodes(0.1, 0.0), modulus)
     assert d == pytest.approx(2.0, rel=1e-10)
 
 
 def test_delta_degenerate_interval():
     modulus = est.LipschitzModulus.additive()
-    assert est.fixed_point_delta(1.0, 1.0, 0.0, 0.0, modulus,
-                                 _const_norm(5.0)) == 1.0
+    assert est.fixed_point_delta(1.0, 1.0, _const_nodes(0.0, 5.0),
+                                 modulus) == 1.0
+
+
+def test_delta_scan_stops_at_the_first_sign_change():
+    # int L = c k = 0.1: the root 1/0.9 lies in the scan's first bracket
+    # [1, 2^0.25], so the scan evaluates the fixed-point function at 1 and
+    # 2^0.25 only, then bisects; the whole grid to 1e8 has 107 points
+    calls = []
+
+    def constant(t, a, b):
+        calls.append(t)
+        return 1.0
+
+    modulus = est.LipschitzModulus(constant, kind="generic")
+    d = est.fixed_point_delta(0.0, 0.0, _const_nodes(0.1, 0.0), modulus)
+    assert d == pytest.approx(1.0 / 0.9, rel=1e-10)
+    q = 3
+    bisections = math.ceil(math.log2((2.0 ** 0.25 - 1.0) / 1e-12))
+    assert len(calls) <= q * (2 + bisections + 1)
 
 
 def test_delta_additive_closed_form_and_scan_agree():
@@ -503,10 +574,8 @@ def test_delta_additive_closed_form_and_scan_agree():
         xi = rng.uniform(0.0, 1.0)
         k = rng.uniform(1e-4, 0.05)
         nval = rng.uniform(0.0, 8.0)
-        d1 = est.fixed_point_delta(psi, xi, k, 0.0, additive,
-                                   _const_norm(nval))
-        d2 = est.fixed_point_delta(psi, xi, k, 0.0, generic_add,
-                                   _const_norm(nval))
+        d1 = est.fixed_point_delta(psi, xi, _const_nodes(k, nval), additive)
+        d2 = est.fixed_point_delta(psi, xi, _const_nodes(k, nval), generic_add)
         assert (d1 is None) == (d2 is None)
         if d1 is not None:
             found += 1
@@ -522,7 +591,7 @@ def test_delta_smallest_root_property():
         xi = rng.uniform(0.0, 1.0)
         k = rng.uniform(1e-4, 0.05)
         nval = rng.uniform(0.0, 8.0)
-        d = est.fixed_point_delta(psi, xi, k, 0.0, additive, _const_norm(nval))
+        d = est.fixed_point_delta(psi, xi, _const_nodes(k, nval), additive)
         if d is None:
             continue
 
@@ -537,23 +606,23 @@ def test_delta_smallest_root_property():
 
 def test_delta_nonexistence_for_large_k():
     additive = est.LipschitzModulus.additive()
-    assert est.fixed_point_delta(1.0, 0.0, 0.5, 0.0, additive,
-                                 _const_norm(10.0)) is None
+    assert est.fixed_point_delta(1.0, 0.0, _const_nodes(0.5, 10.0),
+                                 additive) is None
 
 
 def test_gronwall_factor_cases():
     zero = est.LipschitzModulus.zero()
-    assert est.gronwall_factor(1.0, 1.0, 1.0, 0.1, 0.0, zero,
-                               _const_norm(1.0)) == 1.0
+    assert est.gronwall_factor(1.0, 1.0, 1.0, _const_nodes(0.1, 1.0),
+                               zero) == 1.0
     c = 2.0
     modulus = est.LipschitzModulus(lambda t, a, b: c, kind="generic")
     k = 0.3
-    r = est.gronwall_factor(1.0, 0.0, 0.0, k, 0.0, modulus, _const_norm(0.0))
+    r = est.gronwall_factor(1.0, 0.0, 0.0, _const_nodes(k, 0.0), modulus)
     assert r == pytest.approx(math.exp(c * k), rel=1e-12)
     # monotone in psi for a monotone modulus
     additive = est.LipschitzModulus.additive()
-    rs = [est.gronwall_factor(1.5, psi, 0.1, 0.05, 0.0, additive,
-                              _const_norm(2.0)) for psi in (0.5, 1.0, 2.0)]
+    rs = [est.gronwall_factor(1.5, psi, 0.1, _const_nodes(0.05, 2.0),
+                              additive) for psi in (0.5, 1.0, 2.0)]
     assert rs[0] < rs[1] < rs[2]
 
 
@@ -634,8 +703,9 @@ def test_psi_monotone_accumulation_in_runs():
     sp = fe.Space(mesh, 3)
     U0 = sc.project_initial(prob, sp)
     led = est.EstimatorLedger(1.0, False)
-    eta0 = est.initial_space_estimator(prob, U0)
-    led.set_initial(prob, U0, eta0)
+    end0 = est.initial_end(prob, U0)
+    eta0 = est.initial_space_estimator(prob, end0)
+    led.set_initial(U0, eta0, est.initial_error_map(prob, end0))
     u = U0
     A_prev = sc.InitialLaplacian(prob.a, prob.lap_u0)
     prev_map = eta0
@@ -650,13 +720,14 @@ def test_psi_monotone_accumulation_in_runs():
         _, xi_prime = ws.eta_dot_maps()
         xi = est.xi_value(prev_map, mesh.min_diameter(), eta_S,
                           mesh.min_diameter())
-        psi = est.psi_update(led, m, eta_T, xi, xi_prime, prob.modulus, ws)
+        psi = est.psi_update(led, m, eta_T, xi, xi_prime, prob.modulus,
+                             ws.time_nodes)
         if m > 1:
             assert psi >= led.r[-1] * led.psi[-1]
         assert psi >= eta_T
-        delta = est.fixed_point_delta(psi, xi, k, t, prob.modulus, ws.u_norm)
+        delta = est.fixed_point_delta(psi, xi, ws.time_nodes, prob.modulus)
         assert delta is not None and delta >= 1.0
-        r = est.gronwall_factor(delta, psi, xi, k, t, prob.modulus, ws.u_norm)
+        r = est.gronwall_factor(delta, psi, xi, ws.time_nodes, prob.modulus)
         assert r >= 1.0
         t += k
         led.add_step(m, t, k, sp.n_free, u_next.linf_norm(), eta_T, xi,
