@@ -1,41 +1,43 @@
-"""Sparse assembly, the cell-by-cell step operator and SPD solves.
+"""The condensed systems as cell-block operators, and SPD solves.
 
-Matrices are scipy CSR; hanging-node and boundary constraints are
-condensed onto the free dofs, so the solved systems stay symmetric
-positive definite.  Only the condensed systems are built here; the
-tests keep their own oracles (every cell's matrix scattered onto the
-unconstrained dofs, scipy's `spsolve`).  What depends only on the space
-is built on first use (`_Condensation`): P^T, the cells sorted by
-level, the gather map G = P[dofmap] with G^T, the condensed M, the
-diagonals of M and S and the buffers of the step products.
-The space holds it (`fespace.Space.cached`) until the driver releases
-the space, and a space used again rebuilds it.  S is not kept: the
-initial projection is its one user, and it is assembled for each call
-of `assemble_stiffness` and freed with the caller's reference.
-On a quadtree over a rectangle the cells of one level share their local
-matrices, so everything is built from one dense matrix per level, with
-`blocks` the block diagonal of them over the cells: the condensed M and
-S, and the skeleton matrix of `factor_skeleton`, are G^T (blocks G),
-formed one block of G^T's rows at a time (`_congruence`), bitwise
-scipy's product and with neither `blocks` nor `blocks G` held whole;
-the time-step matrix P^T (M/k + aS) P is never assembled:
-`StepOperator` applies it as G^T (blocks (G x)).  The time-step
-systems are solved with diagonally preconditioned conjugate gradients
-(`solve_spd`, which takes a sparse matrix or any linear operator with a
-`diagonal()`).  The one Poisson
-system of the initial projection is solved by static condensation
-(`factor_skeleton`): each level's cell interiors are eliminated through
-a dense Schur complement and only the matrix on the cell edges, the
-skeleton, is factored by sparse LU.  The factor needs no S, so the
-projection factors first and assembles S after, for `solve_skeleton`'s
-refinement step and residual check: the skeleton matrix and SuperLU's
-work arrays are freed before S exists.  Both solvers accept a solution
-only through one shared residual check, ||Ax - b|| <= 1e-10 ||b||.
+Hanging-node and boundary constraints are condensed onto the free dofs,
+so the solved systems stay symmetric positive definite.  On a quadtree
+over a rectangle the cells of one level share their local matrices, so
+each level gets one dense matrix, with `blocks` the block diagonal of
+them over the cells.  With G = P[dofmap], which maps the free values to
+each cell's constrained nodal values, the condensed mass * M + stiff * S
+is G^T (blocks G), and no such matrix is assembled on a run's path:
+`BlockOperator` applies it as G^T (blocks (G x)).  The time step's
+M/k + aS (`step_operator`), the M of its right-hand side and the S of
+the initial projection's residual check are its cases.
+`assemble_mass` and `assemble_stiffness` keep their names, which the
+benchmark's tracer wraps (`perfbench/spans.py`), and return operators.
+What depends only on the space is built on first use (`_Condensation`):
+P^T, the cells sorted by level, G with G^T, the diagonals of M and S
+and the buffers of the products.  The space holds it
+(`fespace.Space.cached`) until the driver releases the space, and a
+space used again rebuilds it.  The tests keep their own oracles (every
+cell's matrix scattered onto the unconstrained dofs, G^T (blocks G)
+assembled, scipy's `spsolve`).
+
+The time-step systems are solved with diagonally preconditioned
+conjugate gradients (`solve_spd`, which takes a sparse matrix or any
+linear operator with a `diagonal()`); an operator's diagonal is bitwise
+that of the assembled matrices, formed without them (`_diagonal`).  The
+one Poisson system of the initial projection is solved by static
+condensation (`factor_skeleton`): each level's cell interiors are
+eliminated through a dense Schur complement and only the matrix on the
+cell edges, the skeleton, is assembled, one block of its rows at a time
+(`_congruence`), and factored by sparse LU.  `solve_skeleton` applies
+S as an operator for one refinement step and the residual check.  Both
+solvers accept a solution only through one shared residual check,
+||Ax - b|| <= 1e-10 ||b||.
 
 glibc keeps freed heap resident, so a run's RSS would stay near the
-size of its largest matrices after they are gone.  `trim_heap` hands
-the free pages back (`malloc_trim`); the projection calls it on entry
-and again between the factor and S (`scheme.project_initial`).
+size of its largest arrays after they are gone.  `trim_heap` hands the
+free pages back (`malloc_trim`); the projection calls it on entry,
+between the factor and the solve, and at its end
+(`scheme.project_initial`).
 
 The products and the LU solves run on the OpenBLAS that numpy and scipy
 ship, whose default pools spin a second thread on these vector sizes
@@ -91,7 +93,7 @@ def _cell_matrices(ref, hx, hy, mass, stiff):
 
 
 class _Condensation:
-    """What assembly and the step products reuse on one Space.
+    """What the operators reuse on one Space.
 
     Built on first use and held by the space (`_condensation`):
     - `PT`, P^T as CSR, which condenses load vectors.  scipy's `P.T` is
@@ -108,13 +110,11 @@ class _Condensation:
       result: the column of each unit row of G (a plain free dof), or
       the zero appended after x for an empty row (a boundary dof); the
       hanging rows (constrained dofs) as their own CSR matrix; and the
-      buffers that x plus that zero, G @ x and the level products of a
-      step product are written into.  They serve one product at a time
-      (`lock`), so threads stepping on one space stay correct.
-    The condensed M and the diagonals of M and the unit S are filled in
-    the first time they are asked for; M is assembled from G, G^T and
-    the level matrices one row block at a time (`_congruence`).  The
-    condensed S is not held (`assemble_stiffness`).
+      buffers that x plus that zero, G @ x and the level products of an
+      operator's product are written into.  They serve one product at a
+      time (`lock`), so threads stepping on one space stay correct.
+    The diagonals of M and the unit S are filled in the first time they
+    are asked for (`BlockOperator.diagonal`).
     """
 
     def __init__(self, space):
@@ -132,7 +132,7 @@ class _Condensation:
         rows = space.dofmap[order].ravel()
         self.G = P[rows]
         self.GT = self.G.T.tocsr()
-        self.M = self.diagonals = None
+        self.diagonals = None
         self.unit = space.free_index[rows]     # -1 for boundary and slaves
         self.unit[self.unit < 0] = space.n_free
         self.hanging = np.flatnonzero(space.is_slave[rows])
@@ -148,14 +148,14 @@ class _Condensation:
         scipy sums each row from 0.0, so a unit row gives 0.0 + x[c],
         which is x[c] but for -0.0, and an empty row gives 0.0: x + 0.0
         is copied before the zero slot and the unit and empty rows are
-        read from it.  The hanging rows are scipy's own product.  The
+        read from it.  The hanging rows are scipy's own kernel.  The
         indices are in range by construction, and `take` copies through
         a temporary under its default mode="raise".
         """
         np.add(x, 0.0, out=self._x[:-1])
         u = self.u.reshape(-1)
         np.take(self._x, self.unit, out=u, mode="clip")
-        u[self.hanging] = self.G_hanging @ x
+        u[self.hanging] = _csr_matvec(self.G_hanging, x)
         return self.u
 
     def level_matrices(self, mass, stiff):
@@ -282,61 +282,40 @@ def _congruence(G, GT, bounds, local):
     return csr_matrix((data, indices, indptr), shape=(nrows, ncols))
 
 
-def _assembled(cond, mass, stiff):
-    """mass * M + stiff * S condensed, G^T (blocks G) (all CSR)."""
-    return _congruence(cond.G, cond.GT, cond.bounds,
-                       cond.level_matrices(mass, stiff))
+def _csr_matvec(A, x):
+    """A @ x for CSR A, bitwise scipy's: its kernel summing each row into
+    a zeroed result, without the checks and dispatch of scipy's `@`."""
+    y = np.zeros(A.shape[0])
+    _sparsetools.csr_matvec(*A.shape, A.indptr, A.indices, A.data, x, y)
+    return y
 
 
-def assemble_mass(space):
-    """Mass matrix (phi_j, phi_i) on the free dofs."""
-    cond = _condensation(space)
-    if cond.M is None:
-        cond.M = _assembled(cond, 1.0, 0.0)
-    return cond.M
+class BlockOperator(LinearOperator):
+    """mass * M + stiff * S on the free dofs, applied cell by cell.
 
-
-def assemble_stiffness(space, a):
-    """Stiffness matrix a*(grad phi_j, grad phi_i) on the free dofs.
-
-    Assembled on every call and not kept: a run needs it only for the
-    initial projection (`solve_skeleton`), and holding it would keep a
-    matrix the size of M alive for as long as the space is.
-    """
-    if a <= 0:
-        raise ValueError("diffusion coefficient must be positive")
-    S = _assembled(_condensation(space), 0.0, 1.0)
-    return a * S if a != 1.0 else S
-
-
-class StepOperator(LinearOperator):
-    """The IMEX step matrix P^T (M/k + aS) P, applied cell by cell.
-
-    On a quadtree over a rectangle all cells of one level have the same
-    size, so each level gets one dense local matrix; these are all an
-    operator builds for its (k, a).  Everything else is the space's
-    `_Condensation`, shared by every operator on the space.  A product is
-    G^T @ blocks(G @ x): gather each cell's constrained nodal values
-    (`_Condensation.gather`), multiply each level's block of cells by its
-    local matrix, and sum back onto the free dofs.  The gather and the
-    level products are written into the condensation's buffers, so only
-    the result is a new vector.  `nnz` counts the local-matrix entries one
-    product touches.
+    An operator builds only one dense local matrix per level; the rest
+    is the space's `_Condensation`, shared by every operator on it.  A
+    product, G^T @ blocks(G @ x), gathers each cell's constrained nodal
+    values (`_Condensation.gather`), multiplies each level's block of
+    cells by its local matrix and sums back onto the free dofs, through
+    the condensation's buffers, so only the result is a new vector.
+    `nnz` counts the local-matrix entries one product touches.  The
+    coefficients must be finite, non-negative and not both zero.
     """
 
-    def __init__(self, space, k, a):
-        if not k > 0:
-            raise ValueError("time step must be positive")
-        if not a > 0:
-            raise ValueError("diffusion coefficient must be positive")
+    def __init__(self, space, mass, stiff):
+        if not (0 <= mass < np.inf and 0 <= stiff < np.inf) \
+                or mass == stiff == 0:
+            raise ValueError("coefficients must be finite, non-negative and "
+                             "not both zero: mass %r, stiff %r"
+                             % (mass, stiff))
         n = space.n_free
         super().__init__(np.float64, (n, n))
-        self.space = space
-        self.k = k
-        self.a = a
+        self.mass = mass
+        self.stiff = stiff
         self._cond = cond = _condensation(space)
         self._blocks = list(zip(cond.bounds[:-1], cond.bounds[1:],
-                                cond.level_matrices(1.0 / k, a)))
+                                cond.level_matrices(mass, stiff)))
         self.nnz = space.dofmap.size * space.dofmap.shape[1]
 
     def _matvec(self, x):
@@ -345,26 +324,46 @@ class StepOperator(LinearOperator):
             u, v = cond.gather(np.ravel(x)), cond.v
             for start, end, local in self._blocks:
                 np.matmul(u[start:end], local, out=v[start:end])
-            return cond.GT @ v.reshape(-1)
+            return _csr_matvec(cond.GT, v.reshape(-1))
 
     def diagonal(self):
-        """Bitwise the diagonal of the assembled M/k + aS.
-
-        scipy divides a sparse matrix by k as a product with 1/k.  S is
-        not assembled for it (`_stiffness_diagonal`).
+        """mass diag(M) + stiff diag(S), bitwise from the assembled M and
+        unit S (`_diagonal`): for a step, (1/k, a), the diagonal of the
+        assembled M/k + aS, which scipy divides by k as a product with 1/k.
         """
         cond = self._cond
         if cond.diagonals is None:
-            cond.diagonals = (assemble_mass(self.space).diagonal(),
-                              _stiffness_diagonal(cond))
+            cond.diagonals = (_diagonal(cond, 1.0, 0.0),
+                              _diagonal(cond, 0.0, 1.0))
         dM, dS = cond.diagonals
-        return dM * (1.0 / self.k) + self.a * dS
+        return dM * self.mass + self.stiff * dS
 
 
-def _stiffness_diagonal(cond):
-    """Bitwise the diagonal of the condensed unit S = G^T (B G).
+def step_operator(space, k, a):
+    """The IMEX step matrix M/k + aS, a `BlockOperator`; k, a > 0."""
+    if not k > 0:
+        raise ValueError("time step must be positive")
+    if not a > 0:
+        raise ValueError("diffusion coefficient must be positive")
+    return BlockOperator(space, 1.0 / k, a)
 
-    B is the level blocks of the unit stiffness.  The sparse product
+
+def assemble_mass(space):
+    """The mass matrix (phi_j, phi_i) on the free dofs, as an operator."""
+    return BlockOperator(space, 1.0, 0.0)
+
+
+def assemble_stiffness(space, a):
+    """The stiffness matrix a (grad phi_j, grad phi_i) on the free dofs,
+    as an operator; a must be positive and finite."""
+    return BlockOperator(space, 0.0, a)
+
+
+def _diagonal(cond, mass, stiff):
+    """Bitwise the diagonal of the condensed mass * M + stiff * S as
+    `_congruence` assembles it, G^T (B G).
+
+    B is the level blocks of the local matrices.  The sparse product
     G^T (B G) adds G[r, c] (B G)[r, c] over the rows r of G in order,
     and B G adds B[r, s] G[s, c] over the rows s of r's cell in order.
     Only the entries of B G on G's pattern are formed here, in the same
@@ -373,7 +372,7 @@ def _stiffness_diagonal(cond):
     products down each column.
     """
     G = cond.G
-    local = cond.level_matrices(0.0, 1.0)
+    local = cond.level_matrices(mass, stiff)
     n = local.shape[-1]
     col = G.indices
     cell, i = np.divmod(np.repeat(np.arange(G.shape[0]), np.diff(G.indptr)),
@@ -468,7 +467,7 @@ def solve_spd(A, b, x0=None):
 
 
 def factor_skeleton(space):
-    """S^-1 as a function of r, S = assemble_stiffness(space, 1.0).
+    """S^-1 as a function of r, S the condensed unit stiffness.
 
     Static condensation: cell-interior nodes are never constrained, so
     each interior dof belongs to one cell.  Per level, the interior
@@ -479,10 +478,8 @@ def factor_skeleton(space):
     (`_congruence`), is factored by sparse LU, ordered by
     multiple minimum degree on A + A^T, which fills far less than column
     orderings on these symmetric systems; the interiors are recovered
-    cell by cell.  S is neither needed nor built here, so a caller can
-    assemble it after the factor, when the skeleton matrix and SuperLU's
-    work arrays are gone (`solve_skeleton`).  Nothing is kept on the
-    space; a space without free dofs has nothing to factor.
+    cell by cell.  Nothing is kept on the space; a space without free
+    dofs has nothing to factor.
     """
     if space.n_free == 0:
         return np.zeros_like
@@ -527,7 +524,8 @@ def factor_skeleton(space):
 def solve_skeleton(solve, S, b):
     """Solve S x = b with `solve`, the `factor_skeleton` of S's space.
 
-    S serves one step of iterative refinement and the residual check.
+    S, a matrix or an operator (`assemble_stiffness`), serves one step
+    of iterative refinement and the residual check.
     Guarantees ||Sx - b||_2 <= _RTOL * ||b||_2 or raises SolverFailure.
     """
     b = np.asarray(b, dtype=float)

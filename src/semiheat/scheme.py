@@ -4,9 +4,9 @@ The initial field solves the discrete elliptic problem
 (grad U0, grad V) = (-lap u0, V), by static condensation onto the cell
 skeleton (`linalg.factor_skeleton`); each step then solves
 (M/k + S) U_next = M(U_hat/k) + (f(., t_prev, U_prev), .) on the new
-space, where U_hat is the nodal transfer of U_prev.  The step matrix
-M/k + S is applied cell by cell (`linalg.StepOperator`) and never
-assembled; M stays assembled for the right-hand side.  The reaction
+space, where U_hat is the nodal transfer of U_prev.  No global matrix
+is assembled: M/k + S, the M of the right-hand side and the projection's
+S are applied cell by cell (`linalg.BlockOperator`).  The reaction
 functional takes the untransferred previous field, which is also what
 the discrete-Laplacian closures use, at the quadrature points of the new
 mesh: each new cell evaluates it with its host cell's sub-cell basis
@@ -19,8 +19,8 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from . import fespace as fe
-from .linalg import (StepOperator, assemble_mass, assemble_stiffness,
-                     factor_skeleton, load_vector, solve_skeleton, solve_spd,
+from .linalg import (assemble_mass, assemble_stiffness, factor_skeleton,
+                     load_vector, solve_skeleton, solve_spd, step_operator,
                      trim_heap)
 
 
@@ -100,16 +100,13 @@ def project_initial(problem, space):
 
     Solved once per space, by static condensation onto the cell
     skeleton (`linalg.factor_skeleton`) rather than by CG from zero.
-    The skeleton is factored first; the stiffness matrix S is assembled
-    only then, for the refinement step and residual check of
-    `linalg.solve_skeleton`, and freed before the call returns; the steps
-    never assemble it.  So the skeleton matrix, SuperLU's work arrays
-    and S are never alive at once.  Freed heap goes back to the system
-    three times (`linalg.trim_heap`): on entry, which returns what the
-    superseded first-interval passes freed; between the factor and S,
-    which returns the skeleton matrix and SuperLU's work arrays; and
-    once S and the factor are dropped, which returns their pages before
-    the caller's steps run.
+    The stiffness operator S serves the refinement step and residual
+    check of `linalg.solve_skeleton`; no S is assembled.  Freed heap
+    goes back to the system three times (`linalg.trim_heap`): on entry,
+    which returns what the superseded first-interval passes freed;
+    between the factor and the solve, which returns the skeleton matrix
+    and SuperLU's work arrays; and once the factor is dropped, which
+    returns its pages before the caller's steps run.
     """
     trim_heap()
     Xq, Yq, _ = space.quadrature_points()
@@ -130,7 +127,7 @@ def imex_step(problem, u_prev, space_next, k, t_prev):
     U_hat is the nodal transfer of u_prev onto space_next (identical to
     u_prev when the space is unchanged).
     """
-    A = StepOperator(space_next, k, problem.a)     # checks k > 0 and a > 0
+    A = step_operator(space_next, k, problem.a)    # checks k > 0 and a > 0
     u_hat = u_prev if u_prev.space is space_next \
         else fe.interpolate(u_prev, space_next)
     M = assemble_mass(space_next)

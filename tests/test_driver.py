@@ -1,6 +1,7 @@
 """Adaptive loop: indicators, tolerance management, stops, post-processing."""
 
 import gc
+import sys
 import weakref
 from dataclasses import replace
 
@@ -246,10 +247,27 @@ def _sweep_rows(tmp_path):
 
 @pytest.mark.parametrize("run", [_adaptive_run, _fixed_run, _sweep_rows],
                          ids=["adaptive", "fixed", "sweep"])
+def test_a_run_assembles_only_skeleton_matrices(run, tmp_path, monkeypatch):
+    # no global matrix on the run path: every row-block assembly is the
+    # skeleton matrix of a projection's factor
+    callers = []
+    congruence = linalg._congruence
+
+    def recording(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return congruence(*args)
+
+    monkeypatch.setattr(linalg, "_congruence", recording)
+    run(tmp_path)
+    assert callers and set(callers) == {"factor_skeleton"}
+
+
+@pytest.mark.parametrize("run", [_adaptive_run, _fixed_run, _sweep_rows],
+                         ids=["adaptive", "fixed", "sweep"])
 def test_a_returned_run_keeps_no_derived_data(run, tmp_path):
     # the trajectory keeps every space the run used, and no space keeps
-    # what it derived (no condensation: P^T, G, G^T, the condensed M and
-    # the step diagonals; no bases or grids), nor any step closure
+    # what it derived (no condensation: P^T, G, G^T and the step
+    # diagonals; no bases or grids), nor any step closure
     results = run(tmp_path)
     assert all(res.steps > 0 for res in results)
     gc.collect()

@@ -509,22 +509,22 @@ def test_face_classes_are_cached_per_mesh_and_degree():
 def test_a_released_space_empties_and_evaluates_as_before():
     # a released space keeps no tensor bases, grids or condensation, and
     # evaluates its fields as before; using another space frees nothing
-    from semiheat.linalg import StepOperator
+    from semiheat.linalg import step_operator
     mesh = Mesh.uniform(Rectangle(-1.0, 2.0, 0.0, 0.5), 2).refine([(2, 1, 1)])
     first = fe.Space(mesh, 3)
     second = fe.Space(mesh.refine([(3, 2, 2)]), 3)
     u = fe.Field.from_callable(first, lambda x, y: np.sin(3 * x) * y * y)
-    op = StepOperator(first, 0.1, 1.0)
+    op = step_operator(first, 0.1, 1.0)
     first.quadrature_points()
     before = [u.sample_values(d).tobytes() for d in ("val", "lap")]
     assert first._derived
     first.release()
-    StepOperator(second, 0.1, 1.0)
+    step_operator(second, 0.1, 1.0)
     assert first._derived == {}
     assert "condensation" in second._derived
     assert [u.sample_values(d).tobytes() for d in ("val", "lap")] == before
     x = np.ones(first.n_free)
-    assert np.array_equal(op @ x, StepOperator(first, 0.1, 1.0) @ x)
+    assert np.array_equal(op @ x, step_operator(first, 0.1, 1.0) @ x)
     assert "condensation" in second._derived
     second.release()
     assert second._derived == {} and "condensation" in first._derived
@@ -533,13 +533,13 @@ def test_a_released_space_empties_and_evaluates_as_before():
 def test_a_left_space_rebuilds_its_derived_arrays_bit_for_bit():
     # a space keeps its numbering and constraints; what it derives from
     # them is dropped when the space is released and rebuilt on use
-    from semiheat.linalg import StepOperator
+    from semiheat.linalg import step_operator
     src, _ = moved_mesh_pair()            # hanging faces, 2 x 1.5 domain
     sp = fe.Space(src, 3)
     assert sp.is_slave.any()
     u = fe.Field.from_free(
         sp, np.random.default_rng(7).standard_normal(sp.n_free))
-    StepOperator(sp, 0.1, 1.0)
+    step_operator(sp, 0.1, 1.0)
     names = ("Q", "P", "node_coords", "free_index", "free_gids")
     held = {name: getattr(sp, name) for name in names}
     before = [u.sample_values(d).tobytes() for d in ("val", "lap")]

@@ -18,9 +18,10 @@ from scipy.sparse.linalg import spsolve
 from semiheat.mesh import Mesh, Rectangle
 from semiheat import fespace as fe
 from semiheat import linalg
-from semiheat.linalg import (StepOperator, assemble_mass, assemble_stiffness,
+from semiheat.linalg import (assemble_mass, assemble_stiffness,
                              factor_skeleton, load_vector, one_blas_thread,
-                             solve_skeleton, solve_spd, SolverFailure)
+                             solve_skeleton, solve_spd, step_operator,
+                             SolverFailure)
 from test_mesh_properties import OPS, PROPERTY, build
 
 UNIT = Rectangle(0.0, 1.0, 0.0, 1.0)
@@ -29,6 +30,19 @@ UNIT = Rectangle(0.0, 1.0, 0.0, 1.0)
 def held(sp):
     """The condensation the space holds now, or None."""
     return sp._derived.get("condensation")
+
+
+def assembled(sp, mass, stiff):
+    """Oracle: the condensed mass * M + stiff * S assembled as CSR,
+    G^T (blocks G) (`linalg._congruence`)."""
+    cond = linalg._condensation(sp)
+    return linalg._congruence(cond.G, cond.GT, cond.bounds,
+                              cond.level_matrices(mass, stiff))
+
+
+def dense(op):
+    """An operator's matrix, one product per column."""
+    return op @ np.eye(op.shape[1])
 
 
 def assemble_full(sp, mass, stiff):
@@ -77,9 +91,9 @@ def test_mass_total_sum_is_domain_area():
 
 def test_stiffness_linearity_in_a():
     sp = fe.Space(Mesh.uniform(UNIT, 2), 2)
-    S1 = assemble_stiffness(sp, 1.0)
-    S2 = assemble_stiffness(sp, 2.0)
-    assert np.abs((2.0 * S1 - S2).toarray()).max() == 0.0
+    S1 = dense(assemble_stiffness(sp, 1.0))
+    S2 = dense(assemble_stiffness(sp, 2.0))
+    assert np.abs(2.0 * S1 - S2).max() == 0.0
 
 
 def test_stiffness_constant_in_kernel():
@@ -103,9 +117,11 @@ def test_stiffness_constant_in_kernel():
 
 
 def test_stiffness_rejects_nonpositive_a():
+    # NaN and infinity too, which a test of a <= 0 lets through
     sp = fe.Space(Mesh.uniform(UNIT, 1), 1)
-    with pytest.raises(ValueError):
-        assemble_stiffness(sp, 0.0)
+    for a in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            assemble_stiffness(sp, a)
 
 
 def test_symmetry():
@@ -114,8 +130,9 @@ def test_symmetry():
     M = assemble_mass(sp)
     S = assemble_stiffness(sp, 0.7)
     for A in (M, S):
-        scale = np.abs(A.toarray()).max()
-        assert np.abs((A - A.T).toarray()).max() < 1e-12 * scale
+        dA = dense(A)
+        scale = np.abs(dA).max()
+        assert np.abs(dA - dA.T).max() < 1e-12 * scale
         assert (A.diagonal() > 0).all()
 
 
@@ -125,7 +142,7 @@ def test_q1_five_point_stencil_hand_assembly():
     n = 4
     mesh = Mesh.uniform(UNIT, 2)
     sp = fe.Space(mesh, 1)
-    S = assemble_stiffness(sp, 1.0).toarray()
+    S = dense(assemble_stiffness(sp, 1.0))
     local = np.array([[4, -1, -2, -1],
                       [-1, 4, -1, -2],
                       [-2, -1, 4, -1],
@@ -213,9 +230,10 @@ def _poisson_system(degree, rect=UNIT, mesh=None):
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 4])
 def test_direct_solve_meets_the_residual_bound_and_matches_cg(degree):
-    _, S, b = _poisson_system(degree)
-    x = spsolve(S.tocsc(), b)
-    assert np.linalg.norm(S @ x - b) <= 1e-10 * np.linalg.norm(b)
+    sp, S, b = _poisson_system(degree)
+    A = assembled(sp, 0.0, 1.0)
+    x = spsolve(A.tocsc(), b)
+    assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
     y = solve_spd(S, b)
     assert np.abs(x - y).max() <= 1e-8 * np.abs(y).max()
 
@@ -237,7 +255,7 @@ def test_skeleton_solve_matches_the_direct_solve(degree, rect):
     kept = {name: id(value) for name, value in vars(cond).items()}
     x = solve_skeleton(factor_skeleton(sp), S, b)
     assert np.linalg.norm(S @ x - b) <= 1e-10 * np.linalg.norm(b)
-    y = spsolve(S.tocsc(), b)
+    y = spsolve(assembled(sp, 0.0, 1.0).tocsc(), b)
     assert np.abs(x - y).max() <= 1e-11 * np.abs(y).max()
     # the solve keeps nothing on the space
     assert held(sp) is cond
@@ -254,7 +272,7 @@ def test_skeleton_solve_on_a_mesh_graded_to_level_30(degree):
     sp, S, b = _poisson_system(degree, mesh=mesh)
     x = solve_skeleton(factor_skeleton(sp), S, b)
     assert np.linalg.norm(S @ x - b) <= 1e-10 * np.linalg.norm(b)
-    y = spsolve(S.tocsc(), b)
+    y = spsolve(assembled(sp, 0.0, 1.0).tocsc(), b)
     assert np.abs(x - y).max() <= 1e-11 * np.abs(y).max()
 
 
@@ -264,8 +282,8 @@ def test_skeleton_solve_of_a_cell_without_skeleton_dofs():
     S = assemble_stiffness(sp, 1.0)
     b = np.arange(1.0, sp.n_free + 1)
     solve = factor_skeleton(sp)
-    assert np.abs(solve_skeleton(solve, S, b) - spsolve(S.tocsc(), b)).max() \
-        <= 1e-14
+    x = spsolve(assembled(sp, 0.0, 1.0).tocsc(), b)
+    assert np.abs(solve_skeleton(solve, S, b) - x).max() <= 1e-14
     assert np.array_equal(solve_skeleton(solve, S, 0 * b), 0 * b)
 
 
@@ -331,33 +349,59 @@ def test_cg_fails_after_one_restart_and_names_itself(monkeypatch):
        st.sampled_from([1.0, 0.07, 2.5]))
 def test_step_operator_is_the_assembled_step_matrix(degree, ops, k, a):
     # random hanging-node meshes on a non-square rectangle (hx != hy);
-    # the diagonal is taken without assembling S
+    # the diagonal is taken without assembling anything
     sp = fe.Space(build(ops), degree)
-    op = StepOperator(sp, k, a)
-    assembled = linalg._assembled
-    stiff_calls = []
+    op = step_operator(sp, k, a)
+    congruence = linalg._congruence
+    calls = []
 
-    def spy(cond, mass, stiff):
-        if stiff:
-            stiff_calls.append((mass, stiff))
-        return assembled(cond, mass, stiff)
+    def spy(*args):
+        calls.append(args)
+        return congruence(*args)
 
-    linalg._assembled = spy
+    linalg._congruence = spy
     try:
         d = op.diagonal()
     finally:
-        linalg._assembled = assembled
-    assert stiff_calls == []
-    A = assemble_mass(sp) / k + assemble_stiffness(sp, a)
+        linalg._congruence = congruence
+    assert calls == []
+    A = assembled(sp, 1.0, 0.0) / k + a * assembled(sp, 0.0, 1.0)
     x = np.random.default_rng(degree).standard_normal(sp.n_free)
     y = A @ x
     assert op.shape == A.shape
     assert np.abs(op @ x - y).max(initial=0.0) \
         <= 1e-13 * np.abs(y).max(initial=0.0)
     assert np.array_equal(d, A.diagonal())
-    assert np.array_equal(held(sp).diagonals[1],
-                          assemble_stiffness(sp, 1).diagonal())
     assert op.nnz == len(sp.mesh) * (degree + 1) ** 4
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 9])
+@PROPERTY
+@given(OPS, st.sampled_from([1.0, 0.07, 2.5]))
+def test_mass_and_stiffness_operators_are_the_assembled_matrices(degree, ops,
+                                                                a):
+    sp = fe.Space(build(ops), degree)
+    x = np.random.default_rng(degree).standard_normal(sp.n_free)
+    for op, A in [(assemble_mass(sp), assembled(sp, 1.0, 0.0)),
+                  (assemble_stiffness(sp, a), assembled(sp, 0.0, a))]:
+        y = A @ x
+        assert op.shape == A.shape
+        assert np.abs(op @ x - y).max(initial=0.0) \
+            <= 1e-13 * np.abs(y).max(initial=0.0)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 9])
+@PROPERTY
+@given(OPS)
+def test_diagonals_are_the_assembled_diagonals_bit_for_bit(degree, ops):
+    # those of M and the unit S, which the Jacobi preconditioner reads,
+    # and of a step's blocks, on random hanging-node meshes on a
+    # non-square rectangle
+    sp = fe.Space(build(ops), degree)
+    cond = linalg._condensation(sp)
+    for mass, stiff in [(1.0, 0.0), (0.0, 1.0), (1 / 0.01, 0.3)]:
+        assert np.array_equal(linalg._diagonal(cond, mass, stiff),
+                              assembled(sp, mass, stiff).diagonal())
 
 
 def test_load_vector_scatter_adds_like_add_at():
@@ -379,16 +423,17 @@ def test_step_operators_share_one_space_cache_without_going_stale():
     sp = _hanging_space()
     x = np.random.default_rng(7).standard_normal(sp.n_free)
     pairs = [(0.3, 1.0), (1e-4, 2.5), (0.3, 0.07), (0.01, 1.0)]
-    ops = [StepOperator(sp, k, a) for k, a in pairs]
+    ops = [step_operator(sp, k, a) for k, a in pairs]
     cond = held(sp)
     assert cond is not None and all(op._cond is cond for op in ops)
+    M, S = assembled(sp, 1.0, 0.0), assembled(sp, 0.0, 1.0)
     for op, (k, a) in zip(ops, pairs):
-        A = assemble_mass(sp) / k + assemble_stiffness(sp, a)
+        A = M / k + a * S
         y = A @ x
         assert np.abs(op @ x - y).max() <= 1e-13 * np.abs(y).max()
         assert np.array_equal(op.diagonal(), A.diagonal())
     assert held(sp) is cond
-    assert StepOperator(sp, 0.5, 3.0)._cond is cond
+    assert step_operator(sp, 0.5, 3.0)._cond is cond
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 4, 9])
@@ -397,7 +442,7 @@ def test_step_product_is_scipys_product_bit_for_bit(degree):
     # 0.0 and so turns a -0.0 read through a unit row into +0.0
     sp = _hanging_space(degree)
     k, a = 0.02, 1.5
-    op = StepOperator(sp, k, a)
+    op = step_operator(sp, k, a)
     cond = op._cond
     rows = np.diff(cond.G.indptr)
     assert len(cond.hanging) and (rows == 0).any() and (rows == 1).any()
@@ -420,7 +465,7 @@ def test_threads_stepping_on_one_space_share_its_buffers_correctly():
     # products' numpy calls overlap
     sp = fe.Space(Mesh.uniform(UNIT, 5).refine([(5, 9, 9)]), 4)
     pairs = [(0.02, 1.5), (0.3, 1.0), (1e-3, 2.0), (0.05, 0.5)]
-    ops = [StepOperator(sp, k, a) for k, a in pairs]
+    ops = [step_operator(sp, k, a) for k, a in pairs]
     xs = np.random.default_rng(11).standard_normal((len(ops), sp.n_free))
     want = [(op @ x).tobytes() for op, x in zip(ops, xs)]
     got = [[] for _ in ops]
@@ -446,8 +491,8 @@ def test_threads_stepping_on_one_space_share_its_buffers_correctly():
 
 
 def test_condensation_equals_p_transpose_a_p():
-    # the level-block products G^T (blocks G) against scattering every
-    # cell's matrix and condensing, on a non-square rectangle
+    # the level-block products G^T (blocks (G x)) against scattering
+    # every cell's matrix and condensing, on a non-square rectangle
     for degree in (1, 2, 3, 4, 9):
         sp = _hanging_space(degree)
         P = sp.P
@@ -455,8 +500,7 @@ def test_condensation_equals_p_transpose_a_p():
                           (assemble_stiffness(sp, 1.0),
                            assemble_full(sp, 0.0, 1.0))]:
             old = (P.T @ A_full @ P).toarray()
-            assert np.abs(A.toarray() - old).max() \
-                <= 1e-14 * np.abs(old).max()
+            assert np.abs(dense(A) - old).max() <= 1e-14 * np.abs(old).max()
         values = np.random.default_rng(8).standard_normal(
             (len(sp.mesh), len(sp.ref.quad1d) ** 2))
         assert np.array_equal(load_vector(sp, values),
@@ -488,7 +532,7 @@ def test_row_blocks_assemble_scipys_product_bit_for_bit(degree, ops):
     sp = fe.Space(build(ops), degree)
     cond = linalg._condensation(sp)
     for mass, stiff in [(1.0, 0.0), (0.0, 1.0), (1 / 0.01, 0.3)]:
-        _same_csr(linalg._assembled(cond, mass, stiff),
+        _same_csr(assembled(sp, mass, stiff),
                   _congruence_oracle(cond.G, cond.GT, cond.bounds,
                                      cond.level_matrices(mass, stiff)))
     skeletons = []
@@ -525,16 +569,16 @@ def test_row_blocks_of_a_few_entries_cover_every_row(monkeypatch):
 
 
 def test_mass_assembly_peak_memory_stays_near_the_result():
-    # tracemalloc's peak over assemble_mass on a p=9 hanging-node space
-    # (level 4 refined once in places), with its condensation built:
-    # neither the block diagonal nor `blocks G` is held whole, and the
-    # result's arrays are sized once
+    # tracemalloc's peak over `_congruence` assembling M on a p=9
+    # hanging-node space (level 4 refined once in places), with its
+    # condensation built: neither the block diagonal nor `blocks G` is
+    # held whole, and the result's arrays are sized once
     mesh = Mesh.uniform(Rectangle(-1.0, 2.0, 0.0, 0.5), 4)
     sp = fe.Space(mesh.refine(mesh.leaves[::7]), 9)
     linalg._condensation(sp)
     tracemalloc.start()
     try:
-        M = assemble_mass(sp)
+        M = assembled(sp, 1.0, 0.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -545,7 +589,7 @@ def test_mass_assembly_peak_memory_stays_near_the_result():
 def test_releasing_a_space_frees_its_condensation():
     first, second = _hanging_space(), _hanging_space(2)
     x = np.random.default_rng(9).standard_normal(first.n_free)
-    op = StepOperator(first, 0.02, 1.5)
+    op = step_operator(first, 0.02, 1.5)
     M, S = assemble_mass(first), assemble_stiffness(first, 1.0)
     first.release()
     assemble_mass(second)
@@ -554,15 +598,14 @@ def test_releasing_a_space_frees_its_condensation():
     # the operator keeps its own condensation
     y = (M / 0.02 + 1.5 * S) @ x
     assert np.abs(op @ x - y).max() <= 1e-13 * np.abs(y).max()
-    # the first space rebuilds its matrices when used again
+    # the first space rebuilds its condensation when used again
     second.release()
     P = first.P
     for A, A_full in [(assemble_mass(first), assemble_full(first, 1.0, 0.0)),
                       (assemble_stiffness(first, 1.0),
                        assemble_full(first, 0.0, 1.0))]:
         oracle = (P.T @ A_full @ P).toarray()
-        assert np.abs(A.toarray() - oracle).max() \
-            <= 1e-14 * np.abs(oracle).max()
+        assert np.abs(dense(A) - oracle).max() <= 1e-14 * np.abs(oracle).max()
     assert held(first) is not None
     assert held(second) is None
 
@@ -581,8 +624,8 @@ def test_assembly_matches_int64_index_oracle_bitwise(degree):
                      nloc)
     rows, cols = cell * nloc + i, cell * nloc + j
     hx, hy = sp.mesh.hx[cond.order], sp.mesh.hy[cond.order]
-    for A, mass, stiff in [(assemble_mass(sp), 1.0, 0.0),
-                           (assemble_stiffness(sp, 1.0), 0.0, 1.0)]:
+    for mass, stiff in [(1.0, 0.0), (0.0, 1.0)]:
+        A = assembled(sp, mass, stiff)
         local = linalg._cell_matrices(sp.ref, hx, hy, mass, stiff)
         B = coo_matrix((local.ravel(), (rows, cols)),
                        shape=(ncells * nloc, ncells * nloc)).tocsr()
@@ -597,7 +640,7 @@ def test_assembly_matches_int64_index_oracle_bitwise(degree):
 def test_step_operator_rejects_nonpositive_k_or_a(k, a):
     sp = fe.Space(Mesh.uniform(UNIT, 1), 2)
     with pytest.raises(ValueError, match="must be positive"):
-        StepOperator(sp, k, a)
+        step_operator(sp, k, a)
 
 
 @pytest.fixture

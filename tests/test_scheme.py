@@ -1,6 +1,7 @@
 """IMEX stepping, initial projection, discrete Laplacians, interpolant."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -12,9 +13,10 @@ from semiheat.mesh import Mesh, Rectangle
 from semiheat import fespace as fe
 from semiheat import linalg
 from semiheat import scheme as sc
-from semiheat.linalg import (assemble_mass, assemble_stiffness,
-                             factor_skeleton, load_vector, solve_skeleton)
+from semiheat.linalg import (assemble_stiffness, factor_skeleton,
+                             load_vector, solve_skeleton)
 from semiheat.problems import builtin
+from test_linalg import assembled
 
 UNIT = Rectangle(0.0, 1.0, 0.0, 1.0)
 
@@ -30,8 +32,10 @@ def test_project_initial_zero_data():
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 4, 9])
 def test_project_initial_frees_its_stiffness_matrix(degree, monkeypatch):
-    # S lives only for the projection: nothing holds it once the
-    # projection returns, and the result is bitwise the skeleton solve
+    # the stiffness operator lives only for the projection: nothing
+    # holds it once the projection returns, the space's condensation
+    # holds no matrix of S's shape, and the result is bitwise the
+    # skeleton solve
     prob = builtin("heat_decay")
     mesh = Mesh.uniform(UNIT, 2).refine([(2, 1, 1), (2, 2, 1)])
     sp = fe.Space(mesh.refine([(3, 3, 3)]), degree)
@@ -48,9 +52,9 @@ def test_project_initial_frees_its_stiffness_matrix(degree, monkeypatch):
     gc.collect()
     assert len(refs) == 1 and refs[0]() is None
     S = assemble_stiffness(sp, 1.0)
-    for name, value in vars(sp._derived["condensation"]).items():
-        if issparse(value) and value.shape == S.shape:
-            assert (value != S).nnz > 0, name
+    assert not [name for name, value
+                in vars(sp._derived["condensation"]).items()
+                if issparse(value) and value.shape == S.shape]
     Xq, Yq, _ = sp.quadrature_points()
     b = load_vector(sp, -np.asarray(prob.lap_u0(Xq, Yq), dtype=float))
     assert np.array_equal(U0.free_values,
@@ -83,6 +87,27 @@ def test_project_initial_factors_before_assembling_stiffness(degree,
     monkeypatch.setattr(sc, "trim_heap", lambda: events.append("trim"))
     sc.project_initial(prob, sp)
     assert events == ["trim", "splu", "trim", "S", "trim"]
+
+
+def test_a_projection_and_a_step_stay_below_one_assembled_stiffness():
+    # tracemalloc's peak over project_initial and one imex_step on a
+    # fresh p=9 hanging-node space (level 4 refined once in places),
+    # its condensation built inside, stays below the bytes of the
+    # assembled S, which neither builds
+    prob = builtin("example1")
+    mesh = Mesh.uniform(prob.rect, 4)
+    mesh = mesh.refine(mesh.leaves[::7])
+    S = assembled(fe.Space(mesh, 9), 0.0, 1.0)
+    held = S.data.nbytes + S.indices.nbytes + S.indptr.nbytes
+    del S
+    sp = fe.Space(mesh, 9)
+    tracemalloc.start()
+    try:
+        sc.imex_step(prob, sc.project_initial(prob, sp), sp, 0.01, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < held
 
 
 def test_project_initial_ritz_accuracy():
@@ -229,11 +254,11 @@ def test_imex_step_matches_a_direct_solve_of_the_assembled_system(moved):
     u_prev = fe.Field.from_free(sp_prev, rng.standard_normal(sp_prev.n_free))
     k, t = 0.01, 0.1
     u_next, u_hat = sc.imex_step(prob, u_prev, sp, k, t)
-    M = assemble_mass(sp)
+    M = assembled(sp, 1.0, 0.0)
     Xq, Yq, _ = sp.quadrature_points()
     upq = u_prev.eval(Xq.ravel(), Yq.ravel()).reshape(Xq.shape)
     b = M @ u_hat.free_values / k + load_vector(sp, prob.f(Xq, Yq, t, upq))
-    x = spsolve((M / k + assemble_stiffness(sp, prob.a)).tocsc(), b)
+    x = spsolve((M / k + assembled(sp, 0.0, prob.a)).tocsc(), b)
     assert np.abs(u_next.free_values - x).max() <= 1e-8 * np.abs(x).max()
 
 
