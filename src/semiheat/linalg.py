@@ -27,8 +27,8 @@ that of the assembled matrices, formed without them (`_diagonal`).  The
 one Poisson system of the initial projection is solved by static
 condensation (`factor_skeleton`): each level's cell interiors are
 eliminated through a dense Schur complement and only the matrix on the
-cell edges, the skeleton, is assembled, one block of its rows at a time
-(`_congruence`), and factored by sparse LU.  `solve_skeleton` applies
+cell edges, the skeleton, is assembled, as scipy's product of the three
+sparse factors, and factored by sparse LU.  `solve_skeleton` applies
 S as an operator for one refinement step and the residual check.  Both
 solvers accept a solution only through one shared residual check,
 ||Ax - b|| <= 1e-10 ||b||.
@@ -36,8 +36,8 @@ solvers accept a solution only through one shared residual check,
 glibc keeps freed heap resident, so a run's RSS would stay near the
 size of its largest arrays after they are gone.  `trim_heap` hands the
 free pages back (`malloc_trim`); the projection calls it on entry,
-between the factor and the solve, and at its end
-(`scheme.project_initial`).
+between the skeleton product and its LU (`factor_skeleton`), between
+the factor and the solve, and at its end (`scheme.project_initial`).
 
 The products and the LU solves run on the OpenBLAS that numpy and scipy
 ship, whose default pools spin a second thread on these vector sizes
@@ -175,113 +175,6 @@ def _condensation(space):
     return space.cached("condensation", lambda: _Condensation(space))
 
 
-def _cell_widths(G, n):
-    """An upper bound on the distinct columns of each cell's n rows of G.
-
-    A row with one entry counts once; the columns of rows with more (the
-    hanging rows) are counted without repeats per cell.
-    """
-    counts = np.diff(G.indptr)
-    multi = counts > 1
-    hanging = np.flatnonzero(multi)
-    keys = np.sort(np.repeat(hanging // n, counts[hanging]) * G.shape[1]
-                   + G.indices[np.repeat(multi, counts)])
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    return ((counts.reshape(-1, n) == 1).sum(axis=1)
-            + np.bincount(keys[first] // G.shape[1],
-                          minlength=G.shape[0] // n))
-
-
-def _matmat(A, B, ncols, out=None):
-    """scipy's CSR product A @ B as an (indptr, indices, data) triple.
-
-    A and B are such triples of one index type.  The kernel is the one
-    behind scipy's `@` (which then wraps the arrays), so the entries are
-    its bits in its stored order.  `out`, an (indices, data) pair, takes
-    the entries in place of new arrays and must have room for scipy's
-    count of the product's structural entries.
-    """
-    nrows = len(A[0]) - 1
-    room = _sparsetools.csr_matmat_maxnnz(nrows, ncols, A[0], A[1],
-                                          B[0], B[1])
-    if out is None:
-        out = np.empty(room, A[1].dtype), np.empty(room)
-    elif room > len(out[0]):
-        raise ValueError("product needs %d entries, has room for %d"
-                         % (room, len(out[0])))
-    indptr = np.empty(nrows + 1, A[1].dtype)
-    _sparsetools.csr_matmat(nrows, ncols, *A, *B, indptr, *out)
-    return (indptr,) + tuple(out)
-
-
-# About how many entries of the result one row block of `_congruence`
-# writes: blocks this size keep the temporaries a few MB and the
-# products' working set in cache.
-_BLOCK_ENTRIES = 1 << 17
-
-
-def _congruence(G, GT, bounds, local):
-    """G^T (blocks G) as CSR, bitwise scipy's product of the three.
-
-    G has n rows per cell, cells in level order, and `local[l]` (n x n)
-    is the block of every cell of level block l (`bounds`).  The product
-    is formed one block of G^T's rows at a time, so neither the block
-    diagonal nor `blocks G` is ever held whole.  scipy builds each output
-    row from that row's entries of the left factor, in order, and the
-    right-factor rows they reference, and each row of `blocks G` from
-    its row of the block diagonal and G.  So a row block of G^T, its
-    columns renumbered onto the rows of G it reads, times those rows of
-    the block diagonal times G, is the whole product's rows, stored
-    order and dropped zeros included.
-
-    The rows are written straight into the result's arrays, sized once
-    by the sum of width(c)**2 over the cells (each entry of a row's
-    product is a column of one of the cells the row reads, and a cell
-    is read by width(c) rows at most) and shrunk in place.
-    """
-    n = local.shape[-1]
-    nrows, ncols = GT.shape[0], G.shape[1]
-    width = _cell_widths(G, n).astype(np.int64)
-    bound = int(width @ width)
-    largest = max(bound, G.shape[0] * max(n, width.max(initial=0)))
-    index = np.int32 if largest <= np.iinfo(np.int32).max else np.int64
-    Gp, Gj, Tp, Tj = (np.asarray(x, dtype=index) for x in
-                      (G.indptr, G.indices, GT.indptr, GT.indices))
-    # row r of `blocks` is row first[r // n] + r % n of local_rows
-    local_rows = np.ascontiguousarray(local).reshape(-1, n)
-    first = np.repeat(np.arange(0, len(local_rows), n), np.diff(bounds))
-    span = np.arange(n, dtype=index)
-    read = np.zeros(G.shape[0], dtype=bool)
-    slot = np.empty(G.shape[0], dtype=index)
-    indptr = np.zeros(nrows + 1, dtype=index)
-    indices = np.empty(bound, dtype=index)
-    data = np.empty(bound)
-    step = max(1, GT.nnz * _BLOCK_ENTRIES // max(bound, 1))
-    edges = np.unique(np.searchsorted(
-        Tp, np.arange(0, GT.nnz, step), side="right") - 1)
-    for a, b in zip(edges, np.append(edges[1:], nrows)):
-        lo, hi, nnz = Tp[a], Tp[b], indptr[a]
-        cols = Tj[lo:hi]
-        read[cols] = True
-        rows = np.flatnonzero(read).astype(index)
-        read[rows] = False
-        slot[rows] = np.arange(len(rows), dtype=index)
-        cell, node = np.divmod(rows, n)
-        blocks = (np.arange(0, len(rows) * n + 1, n, dtype=index),
-                  (cell[:, None] * n + span).ravel(),
-                  local_rows[first[cell] + node].ravel())
-        BG = _matmat(blocks, (Gp, Gj, G.data), ncols)
-        del blocks
-        part = _matmat((Tp[a:b + 1] - lo, slot[cols], GT.data[lo:hi]), BG,
-                       ncols, (indices[nnz:], data[nnz:]))[0]
-        del BG
-        indptr[a + 1:b + 1] = part[1:] + nnz
-    indices.resize(indptr[-1], refcheck=False)
-    data.resize(indptr[-1], refcheck=False)
-    return csr_matrix((data, indices, indptr), shape=(nrows, ncols))
-
-
 def _csr_matvec(A, x):
     """A @ x for CSR A, bitwise scipy's: its kernel summing each row into
     a zeroed result, without the checks and dispatch of scipy's `@`."""
@@ -361,7 +254,7 @@ def assemble_stiffness(space, a):
 
 def _diagonal(cond, mass, stiff):
     """Bitwise the diagonal of the condensed mass * M + stiff * S as
-    `_congruence` assembles it, G^T (B G).
+    scipy's product G^T @ (B @ G) assembles it.
 
     B is the level blocks of the local matrices.  The sparse product
     G^T (B G) adds G[r, c] (B G)[r, c] over the rows r of G in order,
@@ -473,13 +366,15 @@ def factor_skeleton(space):
     each interior dof belongs to one cell.  Per level, the interior
     block K_ii of the local stiffness is inverted and the Schur
     complement K_ee - K_ei K_ii^-1 K_ie formed on the 4p edge nodes.
-    The skeleton matrix G_b^T (blocks G_b), with G_b the edge rows of G
-    on the non-interior free dofs and `blocks` the Schur complements
-    (`_congruence`), is factored by sparse LU, ordered by
-    multiple minimum degree on A + A^T, which fills far less than column
-    orderings on these symmetric systems; the interiors are recovered
-    cell by cell.  Nothing is kept on the space; a space without free
-    dofs has nothing to factor.
+    The skeleton matrix, scipy's G_b^T @ (blocks @ G_b) with G_b the
+    edge rows of G on the non-interior free dofs and `blocks` the block
+    diagonal of the Schur complements in full dense rows, is factored
+    by sparse LU, ordered by multiple minimum degree on A + A^T, which
+    fills far less than column orderings on these symmetric systems.
+    The heap is trimmed (`trim_heap`) just before, so the product's
+    freed temporaries are not resident under the factor.  The interiors
+    are recovered cell by cell.  Nothing is kept on the space; a space
+    without free dofs has nothing to factor.
     """
     if space.n_free == 0:
         return np.zeros_like
@@ -497,11 +392,21 @@ def factor_skeleton(space):
     on_skeleton = np.ones(space.n_free, dtype=bool)
     on_skeleton[interior] = False
     skeleton = np.flatnonzero(on_skeleton)
-    edge_rows = (np.arange(len(cond.order))[:, None] * nloc + edge).ravel()
+    ncells, n = len(cond.order), len(edge)
+    edge_rows = (np.arange(ncells)[:, None] * nloc + edge).ravel()
     Gb = cond.G[edge_rows][:, skeleton]
     GbT = Gb.T.tocsr()
-    lu = splu(_congruence(Gb, GbT, cond.bounds, schur).tocsc(),
-              permc_spec="MMD_AT_PLUS_A")
+    # row c * n + i of the block diagonal is row i of cell c's block,
+    # on columns c * n .. c * n + n - 1
+    cols = np.arange(ncells * n).reshape(ncells, 1, n)
+    B = csr_matrix((np.repeat(schur, np.diff(cond.bounds), axis=0).ravel(),
+                    np.broadcast_to(cols, (ncells, n, n)).ravel(),
+                    np.arange(0, ncells * n * n + 1, n)),
+                   shape=(ncells * n, ncells * n))
+    A = (GbT @ (B @ Gb)).tocsc()
+    del B
+    trim_heap()
+    lu = splu(A, permc_spec="MMD_AT_PLUS_A")
     blocks = list(zip(cond.bounds[:-1], cond.bounds[1:], Kei, Kii_inv))
 
     def solve(r):

@@ -100,20 +100,23 @@ def project_initial(problem, space):
 
     Solved once per space, by static condensation onto the cell
     skeleton (`linalg.factor_skeleton`) rather than by CG from zero.
-    The stiffness operator S serves the refinement step and residual
-    check of `linalg.solve_skeleton`; no S is assembled.  Freed heap
-    goes back to the system three times (`linalg.trim_heap`): on entry,
-    which returns what the superseded first-interval passes freed;
-    between the factor and the solve, which returns the skeleton matrix
-    and SuperLU's work arrays; and once the factor is dropped, which
-    returns its pages before the caller's steps run.
+    The factor comes first, so the quadrature points, -lap u0 and the
+    load vector are not resident under the LU.  The stiffness operator S
+    serves the refinement step and residual check of
+    `linalg.solve_skeleton`; no S is assembled.  Freed heap goes back to
+    the system here three times (`linalg.trim_heap`), besides the trim
+    inside the factor before its LU: on entry, which returns what the
+    superseded first-interval passes freed; between the factor and the
+    load vector, which returns SuperLU's work arrays; and once the
+    factor is dropped, which returns its pages before the caller's steps
+    run.
     """
+    trim_heap()
+    solve = factor_skeleton(space)
     trim_heap()
     Xq, Yq, _ = space.quadrature_points()
     rhs = -np.asarray(problem.lap_u0(Xq, Yq), dtype=float)
     b = load_vector(space, rhs)
-    solve = factor_skeleton(space)
-    trim_heap()
     S = assemble_stiffness(space, 1.0)
     u0 = fe.Field.from_free(space, solve_skeleton(solve, S, b))
     del S, solve

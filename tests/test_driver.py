@@ -1,7 +1,6 @@
 """Adaptive loop: indicators, tolerance management, stops, post-processing."""
 
 import gc
-import sys
 import weakref
 from dataclasses import replace
 
@@ -17,6 +16,7 @@ from semiheat import estimators as est
 from semiheat import driver as dr
 from semiheat.problems import builtin
 from test_cli import _tiny_sweep_cfg
+from test_linalg import sparse_products
 
 
 def test_tolerances_validation():
@@ -247,19 +247,13 @@ def _sweep_rows(tmp_path):
 
 @pytest.mark.parametrize("run", [_adaptive_run, _fixed_run, _sweep_rows],
                          ids=["adaptive", "fixed", "sweep"])
-def test_a_run_assembles_only_skeleton_matrices(run, tmp_path, monkeypatch):
-    # no global matrix on the run path: every row-block assembly is the
-    # skeleton matrix of a projection's factor
-    callers = []
-    congruence = linalg._congruence
-
-    def recording(*args):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return congruence(*args)
-
-    monkeypatch.setattr(linalg, "_congruence", recording)
-    run(tmp_path)
-    assert callers and set(callers) == {"factor_skeleton"}
+def test_a_run_assembles_only_skeleton_matrices(run, tmp_path):
+    # no global matrix on the run path: every product of two sparse
+    # matrices forms the skeleton matrix of a projection's factor
+    with sparse_products() as products:
+        run(tmp_path)
+    assert products \
+        and {caller for caller, _, _ in products} == {"factor_skeleton"}
 
 
 @pytest.mark.parametrize("run", [_adaptive_run, _fixed_run, _sweep_rows],
@@ -500,10 +494,11 @@ def test_first_interval_frees_a_pass_before_projecting_the_next(
 
 def test_heap_trims_leave_the_ledger_unchanged(monkeypatch, tmp_path):
     # every projection of the first interval's passes trims the heap
-    # three times, and a run whose trims do nothing writes the same ledger
+    # four times, once inside the factor, and a run whose trims do
+    # nothing writes the same ledger
     prob = builtin("example3")
     tol = dr.Tolerances(0.02, 0.02 / 2 ** 10, 0.25, 0.25 / 16)
-    project, trim = sc.project_initial, sc.trim_heap
+    project, trim = sc.project_initial, linalg.trim_heap
     events = []
 
     def run(name):
@@ -521,12 +516,14 @@ def test_heap_trims_leave_the_ledger_unchanged(monkeypatch, tmp_path):
         trim()
 
     monkeypatch.setattr(sc, "project_initial", projecting)
-    monkeypatch.setattr(sc, "trim_heap", trimming)
+    for module in (sc, linalg):
+        monkeypatch.setattr(module, "trim_heap", trimming)
     trimmed = run("trimmed.csv")
     assert events.count("project") >= 3
-    assert events == ["project", "trim", "trim", "trim"] \
+    assert events == ["project", "trim", "trim", "trim", "trim"] \
         * events.count("project")
-    monkeypatch.setattr(sc, "trim_heap", lambda: None)
+    for module in (sc, linalg):
+        monkeypatch.setattr(module, "trim_heap", lambda: None)
     assert run("untrimmed.csv") == trimmed
 
 

@@ -1,18 +1,19 @@
 """Assembly and SPD solves against quadrature and dense oracles."""
 
+import contextlib
 import glob
 import os
 import platform
 import sys
 import threading
-import tracemalloc
 import types
 
 import numpy as np
 import pytest
 import scipy
 from hypothesis import given, strategies as st
-from scipy.sparse import block_diag, coo_matrix, csr_matrix, vstack
+from scipy.sparse import block_diag, coo_matrix, csr_matrix
+from scipy.sparse._compressed import _cs_matrix
 from scipy.sparse.linalg import spsolve
 
 from semiheat.mesh import Mesh, Rectangle
@@ -32,12 +33,44 @@ def held(sp):
     return sp._derived.get("condensation")
 
 
+def _congruence_oracle(G, GT, bounds, local):
+    """scipy's G^T @ (blocks @ G), blocks the level matrices per cell."""
+    blocks = block_diag([blk for blk, n in zip(local, np.diff(bounds))
+                         for _ in range(n)], format="csr")
+    return GT @ (blocks @ G)
+
+
 def assembled(sp, mass, stiff):
     """Oracle: the condensed mass * M + stiff * S assembled as CSR,
-    G^T (blocks G) (`linalg._congruence`)."""
+    scipy's G^T @ (blocks @ G)."""
     cond = linalg._condensation(sp)
-    return linalg._congruence(cond.G, cond.GT, cond.bounds,
+    return _congruence_oracle(cond.G, cond.GT, cond.bounds,
                               cond.level_matrices(mass, stiff))
+
+
+@contextlib.contextmanager
+def sparse_products():
+    """Records every product of two sparse matrices scipy forms meanwhile
+    as (caller, left, right), caller the name of the innermost semiheat
+    function on the stack (None outside the package).  An assembled
+    matrix, G^T (blocks G), is two such products."""
+    package = os.path.dirname(linalg.__file__)
+    product = _cs_matrix._matmul_sparse
+    products = []
+
+    def recording(left, right):
+        frame = sys._getframe(1)
+        while frame is not None \
+                and os.path.dirname(frame.f_code.co_filename) != package:
+            frame = frame.f_back
+        products.append((frame and frame.f_code.co_name, left, right))
+        return product(left, right)
+
+    _cs_matrix._matmul_sparse = recording
+    try:
+        yield products
+    finally:
+        _cs_matrix._matmul_sparse = product
 
 
 def dense(op):
@@ -352,19 +385,9 @@ def test_step_operator_is_the_assembled_step_matrix(degree, ops, k, a):
     # the diagonal is taken without assembling anything
     sp = fe.Space(build(ops), degree)
     op = step_operator(sp, k, a)
-    congruence = linalg._congruence
-    calls = []
-
-    def spy(*args):
-        calls.append(args)
-        return congruence(*args)
-
-    linalg._congruence = spy
-    try:
+    with sparse_products() as products:
         d = op.diagonal()
-    finally:
-        linalg._congruence = congruence
-    assert calls == []
+    assert products == []
     A = assembled(sp, 1.0, 0.0) / k + a * assembled(sp, 0.0, 1.0)
     x = np.random.default_rng(degree).standard_normal(sp.n_free)
     y = A @ x
@@ -515,75 +538,46 @@ def _same_csr(A, B):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
-def _congruence_oracle(G, GT, bounds, local):
-    """scipy's G^T @ (blocks @ G), blocks the level matrices per cell."""
-    blocks = block_diag([blk for blk, n in zip(local, np.diff(bounds))
-                         for _ in range(n)], format="csr")
-    return GT @ (blocks @ G)
-
-
 @pytest.mark.parametrize("degree", [1, 2, 3, 4, 9])
 @PROPERTY
 @given(OPS)
 def test_row_blocks_assemble_scipys_product_bit_for_bit(degree, ops):
-    # random hanging-node meshes on a non-square rectangle: M, S, the
-    # step matrix and the skeleton matrix, one row block of G^T at a
-    # time, are scipy's whole product, stored order included
+    # random hanging-node meshes on a non-square rectangle: the skeleton
+    # matrix splu receives holds the arrays of scipy's product of G_b^T,
+    # the block diagonal of every cell's level block and G_b, bit for
+    # bit, and the block diagonal holds each block in dense rows
     sp = fe.Space(build(ops), degree)
     cond = linalg._condensation(sp)
-    for mass, stiff in [(1.0, 0.0), (0.0, 1.0), (1 / 0.01, 0.3)]:
-        _same_csr(assembled(sp, mass, stiff),
-                  _congruence_oracle(cond.G, cond.GT, cond.bounds,
-                                     cond.level_matrices(mass, stiff)))
-    skeletons = []
-    congruence = linalg._congruence
+    factored = []
+    splu = linalg.splu
 
-    def recording(*args):
-        skeletons.append((args, congruence(*args)))
-        return skeletons[-1][1]
+    def recording(A, **kwargs):
+        factored.append(A)
+        return splu(A, **kwargs)
 
     S = assemble_stiffness(sp, 1.0)
-    linalg._congruence = recording
+    linalg.splu = recording
     try:
-        solve_skeleton(factor_skeleton(sp), S, np.ones(sp.n_free))
+        with sparse_products() as products:
+            solve_skeleton(factor_skeleton(sp), S, np.ones(sp.n_free))
     finally:
-        linalg._congruence = congruence
-    assert len(skeletons) == (sp.n_free > 0)
-    for args, got in skeletons:
-        _same_csr(got, _congruence_oracle(*args))
-
-
-def test_row_blocks_of_a_few_entries_cover_every_row(monkeypatch):
-    # many blocks, on G^T with its rows reversed and empty rows at both
-    # ends and between
-    monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 64)
-    for degree in (1, 3):
-        cond = linalg._condensation(_hanging_space(degree))
-        empty = csr_matrix((3, cond.GT.shape[1]))
-        GT = vstack([empty, cond.GT[::-1], empty, cond.GT[:7], empty],
-                    format="csr")
-        G = GT.T.tocsr()
-        local = cond.level_matrices(1.0, 0.3)
-        _same_csr(linalg._congruence(G, GT, cond.bounds, local),
-                  _congruence_oracle(G, GT, cond.bounds, local))
-
-
-def test_mass_assembly_peak_memory_stays_near_the_result():
-    # tracemalloc's peak over `_congruence` assembling M on a p=9
-    # hanging-node space (level 4 refined once in places), with its
-    # condensation built: neither the block diagonal nor `blocks G` is
-    # held whole, and the result's arrays are sized once
-    mesh = Mesh.uniform(Rectangle(-1.0, 2.0, 0.0, 0.5), 4)
-    sp = fe.Space(mesh.refine(mesh.leaves[::7]), 9)
-    linalg._condensation(sp)
-    tracemalloc.start()
-    try:
-        M = assembled(sp, 1.0, 0.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    held = M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
-    assert peak <= 1.6 * held
+        linalg.splu = splu
+    assert len(factored) == (sp.n_free > 0)
+    if factored:
+        # G_b: the rows of G at each cell's edge nodes, on the free dofs
+        # that are no cell's interior node
+        i, j = np.divmod(np.arange((degree + 1) ** 2), degree + 1)
+        edge = (i % degree == 0) | (j % degree == 0)
+        interior = sp.free_index[sp.dofmap[cond.order][:, ~edge]]
+        skeleton = np.setdiff1d(np.arange(sp.n_free), interior)
+        Gb = cond.G[np.flatnonzero(np.tile(edge, len(sp.mesh)))][:, skeleton]
+        # the level blocks, read from the block diagonal's dense rows
+        n = 4 * degree
+        B = products[0][1]
+        schur = B.data.reshape(-1, n, n)[cond.bounds[:-1]]
+        _same_csr(factored[0],
+                  _congruence_oracle(Gb, Gb.T.tocsr(), cond.bounds,
+                                     schur).tocsc())
 
 
 def test_releasing_a_space_frees_its_condensation():

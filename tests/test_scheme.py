@@ -64,15 +64,16 @@ def test_project_initial_frees_its_stiffness_matrix(degree, monkeypatch):
 @pytest.mark.parametrize("degree", [1, 4, 9])
 def test_project_initial_factors_before_assembling_stiffness(degree,
                                                              monkeypatch):
-    # the heap is trimmed on entry, between the skeleton LU and S, and
-    # after S, and no S exists before the factor; that U0 is bitwise the
+    # the heap is trimmed on entry, inside the factor before its LU,
+    # between the LU and the load vector, and after S; neither the load
+    # vector nor S exists before the factor.  That U0 is bitwise the
     # solve with S assembled first is
     # test_project_initial_frees_its_stiffness_matrix's
     prob = builtin("heat_decay")
     mesh = Mesh.uniform(UNIT, 2).refine([(2, 1, 1), (2, 2, 1)])
     sp = fe.Space(mesh.refine([(3, 3, 3)]), degree)
     events = []
-    splu, assemble = linalg.splu, sc.assemble_stiffness
+    splu, assemble, load = linalg.splu, sc.assemble_stiffness, sc.load_vector
 
     def factoring(A, **kwargs):
         events.append("splu")
@@ -82,11 +83,17 @@ def test_project_initial_factors_before_assembling_stiffness(degree,
         events.append("S")
         return assemble(space, a)
 
+    def loading(space, values):
+        events.append("b")
+        return load(space, values)
+
     monkeypatch.setattr(linalg, "splu", factoring)
+    monkeypatch.setattr(sc, "load_vector", loading)
     monkeypatch.setattr(sc, "assemble_stiffness", assembling)
-    monkeypatch.setattr(sc, "trim_heap", lambda: events.append("trim"))
+    for module in (sc, linalg):
+        monkeypatch.setattr(module, "trim_heap", lambda: events.append("trim"))
     sc.project_initial(prob, sp)
-    assert events == ["trim", "splu", "trim", "S", "trim"]
+    assert events == ["trim", "trim", "splu", "trim", "b", "S", "trim"]
 
 
 def test_a_projection_and_a_step_stay_below_one_assembled_stiffness():
