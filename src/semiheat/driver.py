@@ -79,6 +79,14 @@ class DriverOptions:
     dump_every: int = 0
     out_dir: str = "."
 
+    def __post_init__(self):
+        if not 0 < self.c_inf < inf:
+            raise ValueError("c_inf must be finite and positive")
+        for name, low in (("time_quadrature", 1), ("max_steps", 1),
+                          ("dump_every", 0)):
+            if not getattr(self, name) >= low:
+                raise ValueError("%s must be >= %d" % (name, low))
+
 
 @dataclass
 class RunResult:

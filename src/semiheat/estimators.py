@@ -18,7 +18,6 @@ import numpy as np
 
 from . import fespace as fe
 from .fespace import gauss_legendre
-from .mesh import face_set
 from .scheme import DiscreteLaplacian, InitialLaplacian
 
 
@@ -167,7 +166,7 @@ def _space_map(a, end, vee, A_values, host):
     mesh = end.u.space.mesh
     vol_vee = np.abs(A_values + a * end.laplacian(vee)).max(axis=1)
     vol = _scatter_max(len(mesh), host, vol_vee)
-    jump = end.u.jump_max_per_cell(end.normal_derivs(face_set(mesh)))
+    jump = end.u.jump_max_per_cell(end.normal_derivs(mesh))
     h = mesh.h
     return h * h / a * vol + h * jump
 
@@ -189,12 +188,6 @@ def xi_value(prev_map, hmin_prev, next_map, hmin_next):
 # -- slab workspace ----------------------------------------------------------------
 
 
-def _sample_grid(field, vee, deriv="val"):
-    """Values ("val") or Laplacian ("lap") of field on vee's sample grid."""
-    return fe.grid_values(field, fe.transfer(vee, field.space.mesh), "sample",
-                          deriv)
-
-
 class SlabEnd:
     """A slab end: field `u`, its closure `A`, and what the estimators
     evaluate of them.  Slab n's end is slab n+1's start.
@@ -204,7 +197,7 @@ class SlabEnd:
     The values, Laplacian and A values are kept on the sample grid of one
     finest overlay at a time, keyed by that mesh's identity; asking for
     another overlay drops them.  Face normal derivatives are kept per
-    `FaceSet` in the memo `face_derivs`.  `release` drops both where they
+    mesh in the memo `face_derivs`.  `release` drops both where they
     were evaluated on meshes a run has left.
     """
 
@@ -225,10 +218,12 @@ class SlabEnd:
         return self._grids[key]
 
     def values(self, vee):
-        return self._on(vee, "val", lambda: _sample_grid(self.u, vee))
+        return self._on(vee, "val",
+                        lambda: fe.grid_values(self.u, vee, "sample"))
 
     def laplacian(self, vee):
-        return self._on(vee, "lap", lambda: _sample_grid(self.u, vee, "lap"))
+        return self._on(vee, "lap",
+                        lambda: fe.grid_values(self.u, vee, "sample", "lap"))
 
     def A_values(self, vee, Xs, Ys, start=None):
         """A on vee's sample grid (Xs, Ys); a discrete A reads its start
@@ -237,26 +232,26 @@ class SlabEnd:
             A = self.A
             if not isinstance(A, DiscreteLaplacian):
                 return A(Xs, Ys)  # analytic, e.g. the InitialLaplacian
-            up = _sample_grid(A.u_prev, vee) if start is None \
+            up = fe.grid_values(A.u_prev, vee, "sample") if start is None \
                 else start.values(vee)
             un = self.values(vee)
-            uh = un if A.u_hat is A.u_next else _sample_grid(A.u_hat, vee)
+            uh = un if A.u_hat is A.u_next \
+                else fe.grid_values(A.u_hat, vee, "sample")
             return A.values(Xs, Ys, up, un, uh)
         return self._on(vee, "A", closure)
 
-    def normal_derivs(self, fs):
-        """fe.face_normal_derivs of u on face set fs, computed once."""
-        if fs not in self.face_derivs:
-            self.face_derivs[fs] = fe.face_normal_derivs(self.u, fs)
-        return self.face_derivs[fs]
+    def normal_derivs(self, mesh):
+        """fe.face_normal_derivs of u on mesh's faces, computed once."""
+        if mesh not in self.face_derivs:
+            self.face_derivs[mesh] = fe.face_normal_derivs(self.u, mesh)
+        return self.face_derivs[mesh]
 
     def release(self, meshes):
-        """Drop the grids and face derivatives evaluated on `meshes` or on
-        their face sets."""
+        """Drop the grids and face derivatives evaluated on `meshes`."""
         if self._vee in meshes:
             self._vee, self._grids = None, {}
-        self.face_derivs = {fs: d for fs, d in self.face_derivs.items()
-                            if fs.mesh not in meshes}
+        for mesh in meshes:
+            self.face_derivs.pop(mesh, None)
 
     def spaces(self):
         """The spaces evaluating this end on an overlay reads: u's and,
@@ -382,11 +377,10 @@ class SlabWorkspace:
         vol_vee = np.abs(self.A_next_values() - self.A_prev_values()
                          + a * (end.laplacian(vee) - start.laplacian(vee))
                          ).max(axis=1)
-        fs = face_set(vee)
-        jump_vee = fe.faces_to_cells(fs, len(vee), [
+        jump_vee = fe.faces_to_cells(vee, [
             (sel, np.abs((gnl - gpl) - (gnr - gpr)).max(axis=1))
             for (sel, gpl, gpr), (_, gnl, gnr) in zip(
-                start.normal_derivs(fs), end.normal_derivs(fs))])
+                start.normal_derivs(vee), end.normal_derivs(vee))])
         hw = self.h_wedge
         etadot_vee = hw * hw / (k * a) * vol_vee + hw / k * jump_vee
         xi_prime = log_factor(min(self.hmin_prev, self.hmin_next)) * k \

@@ -15,11 +15,14 @@ what defines it: its mesh, degree, dof numbering, free-dof count,
 boundary and slave flags and hanging-constraint triplets; a released
 mesh keeps its leaves, geometry and lookup tables, without its face set
 (and the face-class groupings on it) or the `transfer`s cached on it.
-Everything dropped is rebuilt, bit for bit, on use.
+Everything dropped is rebuilt, bit for bit, on use.  What is built for a
+pair of meshes, a `Transfer` or a face-class grouping, holds neither
+mesh: it is cached on the target mesh or its face set, weakly keyed by
+the source mesh, and what reads it takes the target mesh as an argument.
 """
 
 import functools
-import weakref
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -408,11 +411,9 @@ class Field:
     def sample_values(self, deriv="val"):
         """Per-cell sample-grid values, "val" or "lap" (ncells, npts).
 
-        Not cached: a run reads each grid once.  Nor is the identity
-        transfer it reads, so reading a field caches nothing on its mesh.
+        Not cached: a run reads each grid once.
         """
-        return grid_values(self, _identity_transfer(self.space.mesh),
-                           "sample", deriv)
+        return grid_values(self, self.space.mesh, "sample", deriv)
 
     def linf_norm(self):
         """Sampled max of |u| over all cells (approximate sup norm)."""
@@ -435,14 +436,13 @@ class Field:
         """Per-cell max of |[[grad u]] . n| over interior faces.
 
         `derivs` may pass in this field's `face_normal_derivs` on its own
-        mesh's faces when the caller already has them.
+        mesh when the caller already has them.
         """
-        fs = face_set(self.space.mesh)
+        mesh = self.space.mesh
         if derivs is None:
-            derivs = face_normal_derivs(self, fs)
-        return faces_to_cells(
-            fs, len(self.space.mesh),
-            [(sel, np.abs(gl - gr).max(axis=1)) for sel, gl, gr in derivs])
+            derivs = face_normal_derivs(self, mesh)
+        return faces_to_cells(mesh, [(sel, np.abs(gl - gr).max(axis=1))
+                                     for sel, gl, gr in derivs])
 
 
 def tensor_grid(mesh, cells, t):
@@ -552,22 +552,24 @@ def evaluate_multi(fields, x, y, derivs):
     return evaluate_in_cells(fields, cells, x, y, derivs)
 
 
-def face_normal_derivs(field, fs):
-    """Normal derivative of a field on both sides of every face of a FaceSet.
+def face_normal_derivs(field, mesh):
+    """Normal derivative of a field on both sides of every face of `mesh`.
 
     Each face is sampled at the field's 1-D sample points, and each side in
-    the host cell of its face-set cell (`transfer(fs.mesh, field's mesh)`),
-    so the face set's mesh must be the field's mesh or refine it.  Returns
-    one (face indices, left values, right values) triple per face
-    orientation present, values shaped (faces, samples).
+    the host cell of its cell of `mesh` (`transfer(mesh, field's mesh)`),
+    so `mesh` must be the field's mesh or refine it.  Returns one (face
+    indices, left values, right values) triple per face orientation
+    present, values shaped (faces, samples), faces indexed as in
+    `face_set(mesh)`.
 
     The face sides are grouped into classes, each one reference grid of
     its host cells (`_face_classes`), and each orientation is one
     `evaluate_in_cells` call over its classes' grids.
     """
-    host = transfer(fs.mesh, field.space.mesh).host
+    fs = face_set(mesh)
+    host = transfer(mesh, field.space.mesh).host
     out = []
-    for o, dv, grid, xi, eta in _face_classes(fs, field.space):
+    for o, dv, grid, xi, eta in _face_classes(mesh, field.space):
         sel, hosts = _face_sides(fs, host, o)
         vals = evaluate_in_cells([field], hosts, xi, eta, [dv], grid=grid)[0]
         out.append((sel, vals[:len(sel)], vals[len(sel):]))
@@ -581,8 +583,9 @@ def _face_sides(fs, host, o):
     return sel, host[np.concatenate([fs.left[sel], fs.right[sel]])]
 
 
-def _face_classes(fs, space):
-    """The face sides of a FaceSet grouped by their place in host cells.
+def _face_classes(mesh, space):
+    """The face sides of `mesh`'s FaceSet grouped by their place in host
+    cells.
 
     A face is an edge of its finer cell, dl >= 0 levels below a side's
     host cell in `space`'s mesh, so the side sees the face at a dyadic
@@ -595,19 +598,18 @@ def _face_classes(fs, space):
     orientation present: the class row of each side in `grid`, in the
     order of `_face_sides`, and the classes' reference grids, across
     point by the space's sample points.  The grouping depends only on
-    the face set, the mesh and the degree, so it is cached, read-only,
-    on `fs` under (weak reference to the mesh, degree): the mesh may be
-    the face set's own, which caches `fs`.  `grid` takes the smallest
-    integer type that holds it.  The groupings go with the face set,
-    which its mesh holds until `Mesh.release`; `Mesh.drop_groupings`
-    drops those on meshes a run has left.
+    the two meshes and the degree, so it is cached, read-only, on the
+    face set, weakly keyed by the space's mesh and then by degree: an
+    entry goes with that mesh, with the face set (`Mesh.release`), or
+    when `Mesh.drop_groupings` drops it.  `grid` takes the smallest
+    integer type that holds it.
     """
     src = space.mesh
-    key = (weakref.ref(src), space.degree)
-    classes = fs._classes.get(key)
+    fs = face_set(mesh)
+    by_degree = fs._classes.setdefault(src, {})
+    classes = by_degree.get(space.degree)
     if classes is not None:
         return classes
-    mesh = fs.mesh
     host = transfer(mesh, src).host
     t = space.ref.sample1d
     lv = mesh.levels
@@ -639,17 +641,18 @@ def _face_classes(fs, space):
         for arr in (grid, xi, eta):
             arr.setflags(write=False)
         out.append((o, dv, grid, xi, eta))
-    fs._classes[key] = out
+    by_degree[space.degree] = out
     return out
 
 
-def faces_to_cells(fs, ncells, per_face):
-    """Per-cell max over a cell's faces of per-face values.
+def faces_to_cells(mesh, per_face):
+    """Per-cell max over a cell of `mesh` of per-face values.
 
-    per_face is a list of (face indices, values); cells without a listed
-    face get 0.
+    per_face is a list of (face indices, values), faces indexed as in
+    `face_set(mesh)`; cells without a listed face get 0.
     """
-    out = np.zeros(ncells)
+    fs = face_set(mesh)
+    out = np.zeros(len(mesh))
     for sel, vals in per_face:
         np.maximum.at(out, fs.left[sel], vals)
         np.maximum.at(out, fs.right[sel], vals)
@@ -663,56 +666,38 @@ def faces_to_cells(fs, ncells, per_face):
 COARSER = (-1, 0, 0)
 
 
-class Transfer:
-    """Where the cells of `mesh` sit in the cells of `src_mesh`
-    (`transfer`); both meshes are held by weak reference, since `mesh`
-    caches its transfers."""
+class Transfer(NamedTuple):
+    """Where the cells of a mesh sit in the cells of a source mesh
+    (`transfer`)."""
 
-    __slots__ = ("_mesh", "_src_mesh", "host", "classes")
-
-    def __init__(self, mesh, src_mesh, host, classes):
-        self._mesh = weakref.ref(mesh)
-        self._src_mesh = weakref.ref(src_mesh)
-        self.host = host
-        self.classes = classes
-
-    @property
-    def mesh(self):
-        return self._mesh()
-
-    @property
-    def src_mesh(self):
-        return self._src_mesh()
+    host: np.ndarray
+    classes: dict
 
 
 def transfer(mesh, src_mesh):
     """Where each cell of `mesh` sits in the cells of `src_mesh`.
 
     Returns a Transfer: `host[i]` is the cell of `src_mesh` holding the
-    centre of cell i (one `locate` of the centres; the identity when
-    `mesh is src_mesh`), and `classes` maps (dl, ox, oy) to the cells that
-    are the descendant dl levels below their host at integer offset
-    (ox, oy) from its lower-left corner, in cells of their own level.
-    Cells coarser than their host share the key COARSER.  Meshes are
-    immutable, so each pair is built once and cached on `mesh` (until
-    `src_mesh` goes or `mesh.release()`).
+    centre of cell i (one `locate` of the centres), and `classes` maps
+    (dl, ox, oy) to the cells that are the descendant dl levels below
+    their host at integer offset (ox, oy) from its lower-left corner, in
+    cells of their own level.  Cells coarser than their host share the key
+    COARSER.  Meshes are immutable, so each pair of distinct meshes is
+    built once and cached on `mesh`, weakly keyed by `src_mesh` (until it
+    goes or `mesh.release()`); the identity, for `mesh is src_mesh`, is
+    built on each call and not cached.
     """
-    if mesh.rect != src_mesh.rect:
-        raise ValueError("meshes live on different rectangles")
+    mesh._check_same_domain(src_mesh)
+    if mesh is src_mesh:
+        host = np.arange(len(mesh))
+        return Transfer(host, {(0, 0, 0): host})
     tr = mesh._transfers.get(src_mesh)
     if tr is None:
         tr = mesh._transfers[src_mesh] = _build_transfer(mesh, src_mesh)
     return tr
 
 
-def _identity_transfer(mesh):
-    host = np.arange(len(mesh))
-    return Transfer(mesh, mesh, host, {(0, 0, 0): host})
-
-
 def _build_transfer(mesh, src_mesh):
-    if mesh is src_mesh:
-        return _identity_transfer(mesh)
     host = src_mesh.locate(mesh.x0 + 0.5 * mesh.hx, mesh.y0 + 0.5 * mesh.hy)
     dl = mesh.levels - src_mesh.levels[host]
     up = np.maximum(dl, 0)
@@ -723,24 +708,25 @@ def _build_transfer(mesh, src_mesh):
     inv = inv.ravel()
     classes = {tuple(ck): np.flatnonzero(inv == j)
                for j, ck in enumerate(uniq.tolist())}
-    return Transfer(mesh, src_mesh, host, classes)
+    return Transfer(host, classes)
 
 
-def grid_values(field, tr, kind, deriv="val"):
-    """A field of `tr.src_mesh` on the `kind` grids of `tr.mesh`'s cells.
+def grid_values(field, mesh, kind, deriv="val"):
+    """A field on the `kind` grids of the cells of `mesh`, a mesh of the
+    field's rectangle.
 
     kind is "sample", "quad" or "nodes" (of the field's degree), deriv
     "val" or "lap"; returns (ncells, npts) like `Space.tensor_basis`.
-    Each class of cells is one product with its host's sub-cell basis;
-    only cells coarser than their host locate their grid points.
+    Each class of cells of `transfer(mesh, field's mesh)` is one product
+    with its host's sub-cell basis; only cells coarser than their host
+    locate their grid points.
     """
     sp = field.space
-    if sp.mesh is not tr.src_mesh:
-        raise ValueError("field does not live on the transfer's source mesh")
     if deriv not in ("val", "lap"):
         raise ValueError("unknown derivative kind %r" % deriv)
+    tr = transfer(mesh, sp.mesh)
     t = sp.ref.points(kind)
-    out = np.empty((len(tr.mesh), len(t) ** 2))
+    out = np.empty((len(mesh), len(t) ** 2))
     for ck, cells in tr.classes.items():
         if ck != COARSER:
             host = tr.host[cells]
@@ -753,10 +739,10 @@ def grid_values(field, tr, kind, deriv="val"):
                     + (C @ sp.tensor_basis(kind, 0, 2, ck).T) \
                     / (sp.mesh.hy[host] ** 2)[:, None]
         else:
-            X, Y = tensor_grid(tr.mesh, cells, t)
+            X, Y = tensor_grid(mesh, cells, t)
             x, y = X.ravel(), Y.ravel()
             dv = "lap" if deriv == "lap" else (0, 0)
-            vals = evaluate_in_cells([field], tr.src_mesh.locate(x, y),
+            vals = evaluate_in_cells([field], sp.mesh.locate(x, y),
                                      x, y, [dv])[0]
             out[cells] = vals.reshape(X.shape)
     return out
@@ -775,6 +761,5 @@ def interpolate(field, target_space):
     if tgt is src:
         return Field(tgt, field.coeffs.copy())
     raw = np.empty(tgt.n_global)
-    raw[tgt.dofmap] = grid_values(field, transfer(tgt.mesh, src.mesh),
-                                  "nodes")
+    raw[tgt.dofmap] = grid_values(field, tgt.mesh, "nodes")
     return Field(tgt, tgt.resolve(raw))

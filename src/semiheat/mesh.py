@@ -7,13 +7,15 @@ Meshes are immutable: refine/coarsen return new Mesh objects when
 something changes, and an overlay of two nested meshes (identical ones
 included) is one of its inputs, so it shares that input's cached
 FaceSet.  A mesh caches its FaceSet and the `fespace.transfer`s onto
-it; neither holds the mesh strongly, so a mesh is freed when its last
-reference goes, and `Mesh.release` drops both caches from a mesh a run
-has moved past.  `Mesh(rect, leaves)` trusts its leaf list: it checks
-neither that the leaves tile the rectangle nor that they are 1-irregular
-(edge-adjacent leaves differ by at most one level).  refine and coarsen
-keep a 1-irregular mesh 1-irregular; `is_one_irregular` checks a mesh,
-and `fespace.Space` rejects any mesh that fails it.
+it, weakly keyed by their source meshes; its face set caches face-class
+groupings weakly keyed by the field's mesh.  None of these holds a
+mesh, so a mesh is freed when its last reference goes, and
+`Mesh.release` drops both caches from a mesh a run has moved past.
+`Mesh(rect, leaves)` trusts its leaf list: it checks neither that the
+leaves tile the rectangle nor that they are 1-irregular (edge-adjacent
+leaves differ by at most one level).  refine and coarsen keep a
+1-irregular mesh 1-irregular; `is_one_irregular` checks a mesh, and
+`fespace.Space` rejects any mesh that fails it.
 """
 
 import weakref
@@ -161,11 +163,10 @@ class Mesh:
 
     def drop_groupings(self, meshes):
         """Drop the face-class groupings its face set holds on `meshes`
-        or on meshes already freed (`fespace._face_classes`)."""
+        (`fespace._face_classes`)."""
         if self._faces is not None:
-            self._faces._classes = {
-                key: classes for key, classes in self._faces._classes.items()
-                if key[0]() is not None and key[0]() not in meshes}
+            for mesh in meshes:
+                self._faces._classes.pop(mesh, None)
 
     def index_of(self, key):
         """Row of leaf `key`; kept as the tests' public key-to-row map."""
@@ -389,12 +390,11 @@ class FaceSet:
     along y), the face coordinate and the segment [lo, hi] in the transverse
     direction.  Hanging faces appear piecewise: one face per fine-side edge,
     found from that finer side.  Faces are ordered by left cell, then
-    orientation, then descending lo.  `mesh` is held by weak reference,
-    since the mesh caches its face set.
+    orientation, then descending lo.  A face set holds no reference to
+    its mesh, which caches it.
     """
 
     def __init__(self, mesh):
-        self._mesh = weakref.ref(mesh)
         lv = mesh.levels
         shift = LMAX - lv
         cells = np.arange(len(mesh))
@@ -431,12 +431,8 @@ class FaceSet:
         self.lo = lo[order]
         self.hi = hi[order]
         self.nfaces = len(left)
-        # fespace._face_classes', by (weak reference to the mesh, degree)
-        self._classes = {}
-
-    @property
-    def mesh(self):
-        return self._mesh()
+        # fespace._face_classes', by the field's mesh, then by degree
+        self._classes = weakref.WeakKeyDictionary()
 
 
 def face_set(mesh):

@@ -135,8 +135,7 @@ def imex_step(problem, u_prev, space_next, k, t_prev):
         else fe.interpolate(u_prev, space_next)
     M = assemble_mass(space_next)
     Xq, Yq, _ = space_next.quadrature_points()
-    upq = fe.grid_values(u_prev, fe.transfer(space_next.mesh,
-                                             u_prev.space.mesh), "quad")
+    upq = fe.grid_values(u_prev, space_next.mesh, "quad")
     fq = np.asarray(problem.f(Xq, Yq, t_prev, upq), dtype=float)
     b = (M @ u_hat.free_values) / k + load_vector(space_next, fq)
     x = solve_spd(A, b, x0=u_hat.free_values)

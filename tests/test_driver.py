@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from semiheat.mesh import FaceSet, Mesh
+from semiheat.mesh import Mesh
 from semiheat import cli
 from semiheat import fespace as fe
 from semiheat import linalg
@@ -66,6 +66,16 @@ def test_negative_final_time_is_rejected_before_projecting(no_projection):
 def test_infinite_tolerance_is_rejected():
     with pytest.raises(ValueError, match="ttol_plus must be finite"):
         dr.Tolerances(1.0, 1e-3, float("inf"), 1e-3)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("c_inf", -1.0), ("c_inf", 0.0), ("c_inf", float("nan")),
+    ("c_inf", float("inf")), ("time_quadrature", 0), ("max_steps", 0),
+    ("dump_every", -1)])
+def test_driver_options_reject_bad_values(name, value):
+    # rejected at construction, before a run records a bound from them
+    with pytest.raises(ValueError, match="^%s must be " % name):
+        dr.DriverOptions(**{name: value})
 
 
 def test_infinite_first_step_is_rejected_before_projecting(no_projection):
@@ -361,7 +371,7 @@ def test_a_certified_end_keeps_nothing_evaluated_on_released_meshes(
         if vee is not None and gone(vee):
             dropped.append(slab.m)
         assert end._vee is None or not gone(end._vee)
-        assert not any(gone(fs.mesh) for fs in end.face_derivs)
+        assert not any(gone(mesh) for mesh in end.face_derivs)
         return following
 
     monkeypatch.setattr(Mesh, "release", recording)
@@ -375,11 +385,10 @@ def test_a_certified_end_keeps_nothing_evaluated_on_released_meshes(
 
 def test_kept_face_sets_group_nothing_on_left_meshes(monkeypatch):
     # After each certify no face set a mesh keeps holds a face-class
-    # grouping (fespace._face_classes) keyed on a mesh that is freed or
-    # that Mesh.release was called on: the end mesh's face set, which the
-    # next slab reads, drops those its slab grouped on the meshes it
-    # left.  (The certified slab's workspace, alive until the run moves
-    # on, still holds the face sets of the meshes it left.)
+    # grouping (fespace._face_classes) keyed on a mesh that Mesh.release
+    # was called on (one keyed on a freed mesh goes with it): the end
+    # mesh's face set, which the next slab reads, drops those its slab
+    # grouped on the meshes it left.
     prob = builtin("example3")
     released, stale = [], []
     release = Mesh.release
@@ -388,9 +397,8 @@ def test_kept_face_sets_group_nothing_on_left_meshes(monkeypatch):
         released.append(weakref.ref(mesh))
         release(mesh)
 
-    def left(ref):
-        mesh = ref()
-        return mesh is None or any(r() is mesh for r in released)
+    def left(mesh):
+        return any(r() is mesh for r in released)
 
     certify = dr._Slab.certify
 
@@ -398,9 +406,8 @@ def test_kept_face_sets_group_nothing_on_left_meshes(monkeypatch):
         following = certify(slab, *args, **kwargs)
         gc.collect()
         stale.extend((slab.m, key) for o in gc.get_objects()
-                     if isinstance(o, FaceSet)
-                     and getattr(o.mesh, "_faces", None) is o
-                     for key in o._classes if left(key[0]))
+                     if isinstance(o, Mesh) and o._faces is not None
+                     for key in o._faces._classes if left(key))
         return following
 
     monkeypatch.setattr(Mesh, "release", recording)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from semiheat.mesh import Mesh, Rectangle, face_set
+from semiheat.mesh import Mesh, Rectangle
 from semiheat import fespace as fe
 from semiheat import scheme as sc
 from semiheat import driver as dr
@@ -177,7 +177,7 @@ def test_discrete_A_prev_must_end_at_u_prev():
     A1 = sc.DiscreteLaplacian(prob.f, 0.0, k, U0, U1, hat)
     spf = fe.Space(mesh.refine([mesh.leaves[0], mesh.leaves[5]]), 2)
     ws = est.SlabWorkspace(prob, est.SlabEnd(U1, A1), spf, k)
-    grids = [est._sample_grid(u, ws.vee) for u in (U0, U1, hat)]
+    grids = [fe.grid_values(u, ws.vee, "sample") for u in (U0, U1, hat)]
     assert np.array_equal(ws.A_prev_values(),
                           A1.values(ws.Xs, ws.Ys, *grids))
     with pytest.raises(ValueError, match="end at its field"):
@@ -267,8 +267,8 @@ def test_time_nodes_hold_the_rule_and_the_sampled_norms():
     # max|(1 - l) U_prev + l U_next| on the overlay's sample grid, from
     # the fields themselves; U_prev lives on a coarser mesh
     assert ws.vee is not ws.space_prev.mesh
-    U_prev, U_next = (fe.grid_values(u, fe.transfer(ws.vee, u.space.mesh),
-                                     "sample") for u in (ws.start.u, state[0]))
+    U_prev, U_next = (fe.grid_values(u, ws.vee, "sample")
+                      for u in (ws.start.u, state[0]))
     lbs = [(s - k) / k for s in nodes.nodes]
     assert nodes.norms == tuple(
         float(np.abs((1.0 - lb) * U_prev + lb * U_next).max()) for lb in lbs)
@@ -302,16 +302,15 @@ def test_workspace_after_a_mesh_change_evaluates_its_start_field():
     end1 = ws1.end
     held = (end1.values(ws1.vee), end1.laplacian(ws1.vee),
             ws1.A_next_values())
-    fs1 = face_set(ws1.mesh_next)
-    derivs = end1.normal_derivs(fs1)
+    derivs = end1.normal_derivs(ws1.mesh_next)
     warm = est.SlabWorkspace(prob, end1, sp2, k)
     assert warm.vee is not ws1.vee
     assert warm.start.values(warm.vee) is not held[0]
     assert warm.start.laplacian(warm.vee) is not held[1]
     assert warm.A_prev_values() is not held[2]
     _assert_same_start(warm, est.SlabWorkspace(prob, _cold(end1), sp2, k))
-    # face normal derivatives are kept per face set, across overlays
-    assert end1.normal_derivs(fs1) is derivs
+    # face normal derivatives are kept per mesh, across overlays
+    assert end1.normal_derivs(ws1.mesh_next) is derivs
 
 
 def test_workspace_rejects_a_predecessor_it_does_not_continue():

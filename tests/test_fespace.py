@@ -1,13 +1,14 @@
 """Lagrange spaces on quadtrees: evaluation, norms, jumps, transfer."""
 
 import gc
+import types
 import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from semiheat.mesh import FaceSet, LMAX, Mesh, Rectangle, face_set
+from semiheat.mesh import DomainMismatchError, LMAX, Mesh, Rectangle, face_set
 from semiheat import fespace as fe
 from test_mesh import (TWO_IRREGULAR, _neighbor_leaves,
                        brute_force_one_irregular)
@@ -204,7 +205,9 @@ def test_moved_mesh_pair_has_every_class():
     tr = fe.transfer(tgt, src)
     assert fe.transfer(tgt, src) is tr
     assert fe.transfer(src, tgt) is not tr
-    assert fe.transfer(tgt, tgt) is fe.transfer(tgt, tgt)
+    # the identity is built on each call, and not cached
+    assert np.array_equal(fe.transfer(tgt, tgt).host, np.arange(len(tgt)))
+    assert tgt not in tgt._transfers
     dls = {ck[0] for ck in tr.classes}
     assert fe.COARSER in tr.classes and 0 in dls and 2 in dls
     for mesh in (src, tgt):
@@ -227,11 +230,10 @@ def test_grid_values_match_pointwise_evaluation(p):
         "val": fe.Field.from_free(sp, rng.standard_normal(sp.n_free)),
         "lap": fe.Field.from_callable(
             sp, lambda x, y: np.polynomial.polynomial.polyval2d(x, y, coef))}
-    tr = fe.transfer(tgt, src)
     for kind in ("sample", "quad", "nodes"):
         X, Y = fe.tensor_grid(tgt, slice(None), sp.ref.points(kind))
         for deriv, field in fields.items():
-            got = fe.grid_values(field, tr, kind, deriv)
+            got = fe.grid_values(field, tgt, kind, deriv)
             dv = "lap" if deriv == "lap" else (0, 0)
             want = fe.evaluate_multi([field], X.ravel(), Y.ravel(), [dv])[0]
             scale = max(np.abs(want).max(), 1.0)
@@ -244,7 +246,6 @@ def test_grid_values_identity_transfer_is_the_cell_basis():
     rng = np.random.default_rng(9)
     sp = fe.Space(hanging_mesh(), 3)
     f = fe.Field.from_free(sp, rng.standard_normal(sp.n_free))
-    tr = fe.transfer(sp.mesh, sp.mesh)
     X, Y = sp.sample_points()
     x, y = X.ravel(), Y.ravel()
     cells = np.repeat(np.arange(len(sp.mesh)), X.shape[1])
@@ -253,12 +254,18 @@ def test_grid_values_identity_transfer_is_the_cell_basis():
     for deriv, want in (
             ("val", fe.evaluate_multi([f], x, y, [(0, 0)])[0]),
             ("lap", fe.evaluate_in_cells([f], cells, x, y, ["lap"])[0])):
-        got = fe.grid_values(f, tr, "sample", deriv)
+        got = fe.grid_values(f, sp.mesh, "sample", deriv)
         assert np.abs(got.ravel() - want).max() \
             <= 1e-12 * np.abs(want).max()
-    with pytest.raises(ValueError):
-        fe.grid_values(f, fe.transfer(sp.mesh, Mesh.uniform(UNIT, 1)),
-                       "sample")
+
+
+def test_interpolate_and_grid_values_across_rectangles_raise():
+    f = fe.Field.zeros(fe.Space(hanging_mesh(), 2))
+    other = Mesh.uniform(Rectangle(0.0, 2.0, 0.0, 1.0), 2)
+    with pytest.raises(DomainMismatchError):
+        fe.interpolate(f, fe.Space(other, 2))
+    with pytest.raises(DomainMismatchError):
+        fe.grid_values(f, other, "sample")
 
 
 def test_interpolate_rejects_other_degree():
@@ -408,13 +415,14 @@ def test_shared_grid_evaluation_matches_scattered_points(p):
                 <= 1e-12 * max(np.abs(w).max(), 1.0)
 
 
-def loop_face_normal_derivs(field, fs):
+def loop_face_normal_derivs(field, mesh):
     """face_normal_derivs by evaluating each face point on its own.
 
     The face's physical sample points along [lo, hi], each evaluated in
     its side's host cell through `evaluate_in_cells`' scattered path.
     """
-    host = fe.transfer(fs.mesh, field.space.mesh).host
+    fs = face_set(mesh)
+    host = fe.transfer(mesh, field.space.mesh).host
     t = field.space.ref.sample1d
     ns = len(t)
     seg = fs.lo[:, None] + (fs.hi - fs.lo)[:, None] * t[None, :]
@@ -462,11 +470,10 @@ def test_face_normal_derivs_by_class_match_the_pointwise_loop(p):
     for mesh, faces in cases:
         sp = fe.Space(mesh, p)
         f = fe.Field.from_free(sp, rng.standard_normal(sp.n_free))
-        fs = face_set(faces)
         host = fe.transfer(faces, mesh).host
         dls.update((faces.levels - mesh.levels[host]).tolist())
-        got = fe.face_normal_derivs(f, fs)
-        want = loop_face_normal_derivs(f, fs)
+        got = fe.face_normal_derivs(f, faces)
+        want = loop_face_normal_derivs(f, faces)
         assert len(got) == len(want) == 2
         for (sg, lg, rg), (sw, lw, rw) in zip(got, want):
             assert np.array_equal(sg, sw)
@@ -487,17 +494,23 @@ def test_face_classes_are_cached_per_mesh_and_degree():
                   for sp in (fe.Space(src, 2), fe.Space(src, 3))
                   for _ in range(2)]
         # each cold call on a face set of its own, with nothing cached
-        cold = [fe.face_normal_derivs(f, FaceSet(faces)) for f in fields]
+        cold = []
+        for f in fields:
+            faces.release()
+            cold.append(fe.face_normal_derivs(f, faces))
+        faces.release()
         fs = face_set(faces)
         for f, want in zip(fields, cold):
-            got = fe.face_normal_derivs(f, fs)
+            got = fe.face_normal_derivs(f, faces)
             assert len(got) == len(want) == 2
             for g, w in zip(got, want):
                 assert all(np.array_equal(a, b) for a, b in zip(g, w))
-        # keyed by a weak reference to the mesh, which may be fs's own
-        mesh = weakref.ref(src)
-        assert set(fs._classes) == {(mesh, 2), (mesh, 3)}
-        for c2, c3 in zip(fs._classes[(mesh, 2)], fs._classes[(mesh, 3)]):
+        # keyed by the field's mesh, which may be the face set's own, and
+        # then by degree
+        assert list(fs._classes) == [src]
+        groupings = fs._classes[src]
+        assert set(groupings) == {2, 3}
+        for c2, c3 in zip(groupings[2], groupings[3]):
             assert np.array_equal(c2[2], c3[2])         # same grouping
             # each degree's grids along the faces hold its sample points
             for c, sp in ((c2, fields[0].space), (c3, fields[2].space)):
@@ -562,9 +575,27 @@ def test_a_left_space_rebuilds_its_derived_arrays_bit_for_bit():
     assert [u.sample_values(d).tobytes() for d in ("val", "lap")] == before
 
 
+def _meshes_reachable(obj):
+    """The meshes reachable from obj through strong references, not
+    following types, modules or functions."""
+    seen, todo, meshes = set(), [obj], []
+    while todo:
+        o = todo.pop()
+        if id(o) in seen or isinstance(
+                o, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(o))
+        if isinstance(o, Mesh):
+            meshes.append(o)
+        todo.extend(gc.get_referents(o))
+    return meshes
+
+
 def test_a_mesh_is_freed_when_its_last_reference_goes():
     # a mesh's face set, its transfers and a face-class grouping on its
-    # own face set do not hold it, so no reference cycle keeps it alive
+    # own face set do not hold it, so no reference cycle keeps it alive;
+    # nor do those cached on another mesh, whose caches drop their entries
+    # for it when it goes
     gc.disable()
     try:
         m = Mesh.uniform(UNIT, 3)
@@ -575,12 +606,25 @@ def test_a_mesh_is_freed_when_its_last_reference_goes():
         assert ref() is None
         m = hanging_mesh()
         other = m.refine([m.leaves[-1]])
+        tr = fe.transfer(other, m)
         fe.transfer(m, other)
-        fe.transfer(other, m)
-        fe.face_normal_derivs(fe.Field.zeros(fe.Space(m, 2)), face_set(m))
-        refs = [weakref.ref(m), weakref.ref(other)]
-        del m, other
-        assert [r() for r in refs] == [None, None]
+        fe.face_normal_derivs(fe.Field.zeros(fe.Space(m, 2)), m)
+        fe.face_normal_derivs(fe.Field.zeros(fe.Space(m, 2)), other)
+        fe.face_normal_derivs(fe.Field.zeros(fe.Space(other, 3)), other)
+        fs = face_set(other)
+        assert other._transfers[m] is tr
+        assert set(fs._classes) == {m, other}
+        for record in (tr, fs, face_set(m)):
+            assert _meshes_reachable(record) == []
+        assert _meshes_reachable(fe.Space(other, 1)) == [other]
+        ref = weakref.ref(m)
+        del m
+        assert ref() is None
+        assert len(other._transfers) == 0
+        assert list(fs._classes) == [other]
+        ref = weakref.ref(other)
+        del other
+        assert ref() is None
     finally:
         gc.enable()
 
