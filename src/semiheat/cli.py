@@ -125,10 +125,14 @@ def _parse_value(typ, text):
 
 
 def parse_config(text):
-    """Parse config text into a validated RunConfig."""
+    """Parse config text into a validated RunConfig.
+
+    Each key may appear once; a repeated key raises ConfigError naming
+    both lines.
+    """
     cfg = RunConfig()
     section = None
-    seen_problem = False
+    seen = {}       # key -> the line it was set on
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
         if not line:
@@ -144,6 +148,9 @@ def parse_config(text):
         key, value = key.strip(), value.strip()
         if key not in _KEY_SECTION:
             raise ConfigError("unknown key %r" % key, lineno)
+        if key in seen:
+            raise ConfigError("key %r repeated: first set on line %d"
+                              % (key, seen[key]), lineno)
         want = _KEY_SECTION[key]
         if section is not None and section != want:
             raise ConfigError("key %r belongs to section [%s]" % (key, want),
@@ -154,8 +161,8 @@ def parse_config(text):
         except (KeyError, ValueError):
             raise ConfigError("malformed value %r for %r" % (value, key),
                               lineno)
-        seen_problem = seen_problem or key == "name"
-    if not seen_problem:
+        seen[key] = lineno
+    if "name" not in seen:
         raise ConfigError("missing required key `name` in section [problem]")
     _validate(cfg)
     return cfg
@@ -374,8 +381,12 @@ def main(argv=None):
             if args.degree is not None:
                 cfg.degree = args.degree
             _validate(cfg)
+        elif not cfg.sweep_list():
+            raise ConfigError("sweep list is empty")
+        # an unusable output directory fails here, before a run it would lose
+        os.makedirs(cfg.out_dir, exist_ok=True)
+        if args.command == "solve":
             res = _run_one(cfg)
-            os.makedirs(cfg.out_dir, exist_ok=True)
             res.ledger.to_csv(os.path.join(cfg.out_dir, "ledger.csv"))
             with open(os.path.join(cfg.out_dir, "summary.txt"), "w") as fh:
                 fh.write(res.summary() + "\n")
@@ -388,7 +399,6 @@ def main(argv=None):
             return 2 if res.stop_reason.startswith("delta_nonexistent") else 0
         # sweep
         rows = run_sweep(cfg)
-        os.makedirs(cfg.out_dir, exist_ok=True)
         with open(os.path.join(cfg.out_dir, "sweep.csv"), "w") as fh:
             fh.write(sweep_csv_text(rows))
         for i, row in enumerate(rows):
@@ -402,7 +412,7 @@ def main(argv=None):
                           file=sys.stderr)
         write_report(cfg.out_dir)
         return 0 if all(r["result"] is not None for r in rows) else 1
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

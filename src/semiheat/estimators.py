@@ -44,7 +44,9 @@ class LipschitzModulus:
     `kind` is "zero" (reaction independent of u), "additive" (L = a + b,
     which admits a closed-form quadratic for delta) or "generic".  The
     wrapped callable may take (t, a, b) or just (a, b); the time argument
-    is ignored for the latter.
+    is ignored for the latter.  Only the required positional parameters
+    count, so `(a, b, scale=2.0)` takes (a, b); a callable whose
+    signature cannot be read is called with (t, a, b).
     """
 
     def __init__(self, fn=None, kind="generic"):
@@ -60,9 +62,13 @@ class LipschitzModulus:
             if fn is None:
                 raise ValueError("generic modulus needs a callable")
             try:
-                nargs = len(inspect.signature(fn).parameters)
+                params = inspect.signature(fn).parameters.values()
             except (TypeError, ValueError):
-                nargs = 3
+                params = ()
+            positional = (inspect.Parameter.POSITIONAL_ONLY,
+                          inspect.Parameter.POSITIONAL_OR_KEYWORD)
+            nargs = sum(p.kind in positional and p.default is p.empty
+                        for p in params)
             if nargs == 2:
                 self._fn = lambda t, a, b: fn(a, b)
             else:

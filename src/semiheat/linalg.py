@@ -13,8 +13,8 @@ the initial projection's residual check are its cases.
 `assemble_mass` and `assemble_stiffness` keep their names, which the
 benchmark's tracer wraps (`perfbench/spans.py`), and return operators.
 What depends only on the space is built on first use (`_Condensation`):
-P^T, the cells sorted by level, G with G^T, the diagonals of M and S
-and the buffers of the products.  The space holds it
+P^T, the cells sorted by level, G with G^T and the diagonals of M and
+S.  No product writes on it.  The space holds it
 (`fespace.Space.cached`) until the driver releases the space, and a
 space used again rebuilds it.  The tests keep their own oracles (every
 cell's matrix scattered onto the unconstrained dofs, G^T (blocks G)
@@ -102,19 +102,14 @@ class _Condensation:
       one cell of each level and `bounds` the start of each level's
       block, then the end.  `level_matrices` gives the local matrices of
       the level_cells.
-    - The gather G = P[dofmap[order]] and its transpose, both CSR.  Row
+    - G = P[dofmap[order]] and its transpose, both CSR.  Row
       (c, i) of G maps free values to cell c's constrained value at
       local node i, in level order, so G^T sums cellwise values back
       onto the free dofs.
-    - What `gather` needs to compute G @ x without scipy's zero-filled
-      result: the column of each unit row of G (a plain free dof), or
-      the zero appended after x for an empty row (a boundary dof); the
-      hanging rows (constrained dofs) as their own CSR matrix; and the
-      buffers that x plus that zero, G @ x and the level products of an
-      operator's product are written into.  They serve one product at a
-      time (`lock`), so threads stepping on one space stay correct.
     The diagonals of M and the unit S are filled in the first time they
-    are asked for (`BlockOperator.diagonal`).
+    are asked for (`BlockOperator.diagonal`); a thread that fills them
+    at the same time as another writes equal values.  Nothing else is
+    written after construction, so products on one space need no lock.
     """
 
     def __init__(self, space):
@@ -133,30 +128,6 @@ class _Condensation:
         self.G = P[rows]
         self.GT = self.G.T.tocsr()
         self.diagonals = None
-        self.unit = space.free_index[rows]     # -1 for boundary and slaves
-        self.unit[self.unit < 0] = space.n_free
-        self.hanging = np.flatnonzero(space.is_slave[rows])
-        self.G_hanging = self.G[self.hanging]
-        self._x = np.zeros(space.n_free + 1)
-        self.u = np.empty(space.dofmap.shape)
-        self.v = np.empty_like(self.u)
-        self.lock = threading.Lock()
-
-    def gather(self, x):
-        """G @ x, bitwise scipy's product, into the buffer `u`.
-
-        scipy sums each row from 0.0, so a unit row gives 0.0 + x[c],
-        which is x[c] but for -0.0, and an empty row gives 0.0: x + 0.0
-        is copied before the zero slot and the unit and empty rows are
-        read from it.  The hanging rows are scipy's own kernel.  The
-        indices are in range by construction, and `take` copies through
-        a temporary under its default mode="raise".
-        """
-        np.add(x, 0.0, out=self._x[:-1])
-        u = self.u.reshape(-1)
-        np.take(self._x, self.unit, out=u, mode="clip")
-        u[self.hanging] = _csr_matvec(self.G_hanging, x)
-        return self.u
 
     def level_matrices(self, mass, stiff):
         """mass * M + stiff * S on one cell of each level, in level order."""
@@ -188,10 +159,11 @@ class BlockOperator(LinearOperator):
 
     An operator builds only one dense local matrix per level; the rest
     is the space's `_Condensation`, shared by every operator on it.  A
-    product, G^T @ blocks(G @ x), gathers each cell's constrained nodal
-    values (`_Condensation.gather`), multiplies each level's block of
-    cells by its local matrix and sums back onto the free dofs, through
-    the condensation's buffers, so only the result is a new vector.
+    product, G^T @ blocks(G @ x), maps x to each cell's constrained
+    nodal values, multiplies each level's block of cells by its local
+    matrix and sums back onto the free dofs.  Both sparse products are
+    scipy's kernel (`_csr_matvec`), bitwise its `G @ x` and `GT @ v`,
+    and each product writes only arrays of its own.
     `nnz` counts the local-matrix entries one product touches.  The
     coefficients must be finite, non-negative and not both zero.
     """
@@ -213,11 +185,11 @@ class BlockOperator(LinearOperator):
 
     def _matvec(self, x):
         cond = self._cond
-        with cond.lock:
-            u, v = cond.gather(np.ravel(x)), cond.v
-            for start, end, local in self._blocks:
-                np.matmul(u[start:end], local, out=v[start:end])
-            return _csr_matvec(cond.GT, v.reshape(-1))
+        u = _csr_matvec(cond.G, np.ravel(x)).reshape(len(cond.order), -1)
+        v = np.empty_like(u)
+        for start, end, local in self._blocks:
+            np.matmul(u[start:end], local, out=v[start:end])
+        return _csr_matvec(cond.GT, v.reshape(-1))
 
     def diagonal(self):
         """mass diag(M) + stiff diag(S), bitwise from the assembled M and

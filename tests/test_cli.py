@@ -61,6 +61,25 @@ def test_parse_errors_carry_line_numbers():
     assert exc.value.line == 3
 
 
+def test_a_repeated_key_is_rejected_with_both_lines(tmp_path, capsys):
+    text = ("[problem]\nname = heat_decay\n[discretization]\ndegree = 3\n"
+            "k1 = 0.1\n\ndegree = 5\n")
+    with pytest.raises(ConfigError, match="'degree' repeated: first set on "
+                                          "line 4") as exc:
+        parse_config(text)
+    assert exc.value.line == 7
+    # a repeat under a second header of the same section is a repeat too
+    with pytest.raises(ConfigError, match="'name'") as exc:
+        parse_config("[problem]\nname = heat_decay\n[problem]\n"
+                     "name = example1\n")
+    assert exc.value.line == 4
+    cfgpath = tmp_path / "run.cfg"
+    cfgpath.write_text(text)
+    assert main(["solve", "--config", str(cfgpath)]) == 1
+    assert capsys.readouterr().err == ("error: line 7: key 'degree' repeated: "
+                                       "first set on line 4\n")
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("problem", "T", "-1"),
     ("discretization", "c_infinity", "0"),
@@ -398,6 +417,12 @@ def test_cli_error_exit_code(tmp_path, capsys):
     bad.write_text("[problem]\nname = nope\n")
     assert main(["solve", "--config", str(bad)]) == 1
     assert "error" in capsys.readouterr().err
+    # a sweep without a list fails before it makes its output directory
+    bad.write_text("[problem]\nname = heat_decay\n[output]\nout_dir = %s\n"
+                   % (tmp_path / "out"))
+    assert main(["sweep", "--config", str(bad)]) == 1
+    assert capsys.readouterr().err == "error: sweep list is empty\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_reports_hit_caps(tmp_path, capsys, monkeypatch):
@@ -429,3 +454,26 @@ sweep_ttols = 0.01 0.005
     err = capsys.readouterr().err
     assert "row 1 (ttol=0.01): caps hit: first_interval:0" in err
     assert "row 2 (ttol=0.005): caps hit: first_interval:0" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize("under", [False, True])
+def test_an_unusable_output_directory_fails_before_the_run(
+        tmp_path, capsys, monkeypatch, command, under):
+    # --out names an existing file, or a directory under one
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "_run_one", no_run)
+    blocker = tmp_path / "taken"
+    blocker.write_text("kept\n")
+    out = blocker / "out" if under else blocker
+    cfgpath = tmp_path / "run.cfg"
+    cfgpath.write_text("[problem]\nname = heat_decay\n"
+                       "[sweep]\nsweep_ttols = 0.5 0.25\n")
+    assert main([command, "--config", str(cfgpath), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and str(blocker) in captured.err
+    assert captured.out == ""
+    assert sorted(os.listdir(tmp_path)) == ["run.cfg", "taken"]
+    assert blocker.read_text() == "kept\n"

@@ -105,6 +105,11 @@ def test_modulus_time_argument_optional():
     two_arg = LipschitzModulus(lambda a, b: a * b, kind="generic")
     three_arg = LipschitzModulus(lambda t, a, b: a * b, kind="generic")
     assert two_arg(5.0, 2.0, 3.0) == three_arg(5.0, 2.0, 3.0) == 6.0
+    # only required positional parameters count: a defaulted one is not t
+    scaled = LipschitzModulus(lambda a, b, scale=2.0: scale * (a + b))
+    assert scaled(10.0, 1.0, 1.0) == 4.0
+    timed = LipschitzModulus(lambda t, a, b, c=1.0: c * a * b + t)
+    assert timed(5.0, 2.0, 3.0) == 11.0
 
 
 def test_modulus_monotone_spot_checks():
