@@ -10,7 +10,7 @@ refuses a string value that could not).
 decreasing time tolerances and writes a table-shaped CSV, and `report`
 post-processes a sweep directory into summary lines and convergence
 slopes.  Exit codes: 0 completed, 2 stopped by fixed-point nonexistence
-(the expected blow-up signal), 1 error.
+(the expected blow-up signal), 1 error, a failed solver's included.
 """
 
 import argparse
@@ -21,6 +21,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from .linalg import SolverFailure
 from .mesh import Mesh
 from .driver import (Tolerances, DriverOptions, FirstIntervalCache,
                      run_adaptive)
@@ -412,7 +413,7 @@ def main(argv=None):
                           file=sys.stderr)
         write_report(cfg.out_dir)
         return 0 if all(r["result"] is not None for r in rows) else 1
-    except (ConfigError, OSError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError, SolverFailure) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -28,10 +28,13 @@ one Poisson system of the initial projection is solved by static
 condensation (`factor_skeleton`): each level's cell interiors are
 eliminated through a dense Schur complement and only the matrix on the
 cell edges, the skeleton, is assembled, as scipy's product of the three
-sparse factors, and factored by sparse LU.  `solve_skeleton` applies
-S as an operator for one refinement step and the residual check.  Both
-solvers accept a solution only through one shared residual check,
-||Ax - b|| <= 1e-10 ||b||.
+sparse factors, and factored by sparse LU in single precision, which
+holds the factor in two thirds of the double-precision bytes.
+`solve_skeleton` refines the LU's solution in double precision
+(mixed-precision iterative refinement: Moler 1967; Carson and Higham
+2018), applying S as an operator, for as long as each LU solve at least
+halves the residual.  Both solvers accept a solution only through one
+shared residual check, ||Ax - b|| <= 1e-10 ||b||.
 
 glibc keeps freed heap resident, so a run's RSS would stay near the
 size of its largest arrays after they are gone.  `trim_heap` hands the
@@ -304,10 +307,14 @@ def solve_spd(A, b, x0=None):
     Guarantees ||Ax - b||_2 <= _RTOL * ||b||_2 or raises SolverFailure.
     CG's own stopping test watches its recursive residual, which can
     drift above the true one; an iterate that misses the bound restarts
-    CG once from itself.
+    CG once from itself.  A NaN or inf in b or x0 fails at once, with a
+    NaN residual: scipy's `cg` has no exit on NaN and would run its
+    iteration limit twice.
     """
     b = np.asarray(b, dtype=float)
     nb = np.linalg.norm(b)
+    if not (np.isfinite(b).all() and (x0 is None or np.isfinite(x0).all())):
+        raise SolverFailure("conjugate gradients", np.nan, _RTOL * nb)
     if nb == 0.0:
         return np.zeros(A.shape[0])
     d = A.diagonal()
@@ -343,10 +350,17 @@ def factor_skeleton(space):
     diagonal of the Schur complements in full dense rows, is factored
     by sparse LU, ordered by multiple minimum degree on A + A^T, which
     fills far less than column orderings on these symmetric systems.
-    The heap is trimmed (`trim_heap`) just before, so the product's
-    freed temporaries are not resident under the factor.  The interiors
-    are recovered cell by cell.  Nothing is kept on the space; a space
-    without free dofs has nothing to factor.
+    The matrix is cast to float32 and the float64 product dropped before
+    the heap is trimmed (`trim_heap`), so neither it nor the product's
+    freed temporaries are resident under the factor, which SuperLU then
+    holds in single precision.  The returned solve is approximate, to
+    about float32's 6e-8 times the skeleton's condition number, and is
+    meant for `solve_skeleton`'s refinement: its LU solve takes the
+    skeleton right-hand side as float32, scaled to a largest entry of 1
+    so that no load overflows or underflows float32, while the interior
+    elimination before it and the recovery of the interiors cell by
+    cell after it stay in float64.  Nothing is kept on the space; a
+    space without free dofs has nothing to factor.
     """
     if space.n_free == 0:
         return np.zeros_like
@@ -375,7 +389,8 @@ def factor_skeleton(space):
                     np.broadcast_to(cols, (ncells, n, n)).ravel(),
                     np.arange(0, ncells * n * n + 1, n)),
                    shape=(ncells * n, ncells * n))
-    A = (GbT @ (B @ Gb)).tocsc()
+    # the float64 product goes at once: only its float32 copy is factored
+    A = (GbT @ (B @ Gb)).astype(np.float32).tocsc()
     del B
     trim_heap()
     lu = splu(A, permc_spec="MMD_AT_PLUS_A")
@@ -386,7 +401,10 @@ def factor_skeleton(space):
         moved = np.empty((len(rI), len(edge)))     # K_ei K_ii^-1 r_I
         for start, end, kei, inv in blocks:
             moved[start:end] = rI[start:end] @ inv @ kei.T
-        xB = lu.solve(r[skeleton] - GbT @ moved.ravel())
+        rB = r[skeleton] - GbT @ moved.ravel()
+        # scaled to at most 1, so float32 neither overflows nor underflows
+        scale = np.abs(rB).max(initial=0.0) or 1.0
+        xB = lu.solve((rB / scale).astype(np.float32)).astype(float) * scale
         uE = (Gb @ xB).reshape(len(rI), len(edge))
         x = np.empty_like(r)
         x[skeleton] = xB
@@ -401,17 +419,31 @@ def factor_skeleton(space):
 def solve_skeleton(solve, S, b):
     """Solve S x = b with `solve`, the `factor_skeleton` of S's space.
 
-    S, a matrix or an operator (`assemble_stiffness`), serves one step
-    of iterative refinement and the residual check.
-    Guarantees ||Sx - b||_2 <= _RTOL * ||b||_2 or raises SolverFailure.
+    `solve` works in single precision, so x is refined in double from
+    zero: x += solve(b - S x) for as long as the residual ||b - S x||_2
+    at least halves, and the x of the smallest residual is kept.  S, a
+    matrix or an operator (`assemble_stiffness`), serves the residuals.
+    A well-conditioned skeleton reaches rounding level in a few LU
+    solves.
+    Guarantees ||Sx - b||_2 <= _RTOL * ||b||_2 or raises SolverFailure,
+    so a refinement that stalls above the bound fails as a bad factor
+    does.
     """
     b = np.asarray(b, dtype=float)
     nb = np.linalg.norm(b)
     if nb == 0.0:
         return np.zeros(S.shape[0])
-    x = solve(b)
-    x = x + solve(b - S @ x)
-    return _checked("skeleton LU", x, np.linalg.norm(S @ x - b), _RTOL * nb)
+    x, r, res = np.zeros_like(b), b, nb
+    while True:
+        y = x + solve(r)
+        r = b - S @ y
+        new = np.linalg.norm(r)
+        halved = new < res / 2
+        if new < res:
+            x, res = y, new
+        if not halved:
+            break
+    return _checked("skeleton LU", x, res, _RTOL * nb)
 
 
 class _BlasPool(NamedTuple):

@@ -101,9 +101,11 @@ def project_initial(problem, space):
     Solved once per space, by static condensation onto the cell
     skeleton (`linalg.factor_skeleton`) rather than by CG from zero.
     The factor comes first, so the quadrature points, -lap u0 and the
-    load vector are not resident under the LU.  The stiffness operator S
-    serves the refinement step and residual check of
-    `linalg.solve_skeleton`; no S is assembled.  Freed heap goes back to
+    load vector are not resident under the LU.  The LU is single
+    precision; the stiffness operator S serves the residuals of
+    `linalg.solve_skeleton`'s refinement in double precision, which
+    brings U0 to the same residual bound as a double-precision factor,
+    and its residual check; no S is assembled.  Freed heap goes back to
     the system here three times (`linalg.trim_heap`), besides the trim
     inside the factor before its LU: on entry, which returns what the
     superseded first-interval passes freed; between the factor and the

@@ -6,11 +6,12 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from semiheat import cli, driver
+from semiheat import cli, driver, linalg
 from semiheat import scheme as sc
 from semiheat.cli import (parse_config, emit_config, ConfigError,
                           fit_slope, run_sweep, sweep_csv_text,
                           load_problem, main)
+from test_linalg import _GarbageLU
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -477,3 +478,18 @@ def test_an_unusable_output_directory_fails_before_the_run(
     assert captured.out == ""
     assert sorted(os.listdir(tmp_path)) == ["run.cfg", "taken"]
     assert blocker.read_text() == "kept\n"
+
+
+def test_a_solver_failure_is_an_error_line(tmp_path, capsys, monkeypatch):
+    # a garbage skeleton LU fails the first projection's residual check
+    monkeypatch.setattr(linalg, "splu", _GarbageLU)
+    cfgpath = tmp_path / "run.cfg"
+    cfgpath.write_text("[problem]\nname = heat_decay\nT = 0.05\n"
+                       "[discretization]\ndegree = 2\n")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfgpath), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: skeleton LU stalled: residual ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert os.listdir(out) == []

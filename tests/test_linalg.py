@@ -329,6 +329,96 @@ def test_skeleton_solve_rejects_a_bad_factor(monkeypatch):
     assert exc.value.residual > exc.value.tol
 
 
+@contextlib.contextmanager
+def recorded_factors():
+    """Records every factor linalg's `splu` returns meanwhile."""
+    factors = []
+    splu = linalg.splu
+
+    def recording(A, **kwargs):
+        factors.append(splu(A, **kwargs))
+        return factors[-1]
+
+    linalg.splu = recording
+    try:
+        yield factors
+    finally:
+        linalg.splu = splu
+
+
+def _refined_solve(sp, S, b):
+    """solve_skeleton's x on sp's factor, checked: splu returned a single
+    precision factor, refinement took at most 8 LU solves, and x meets
+    the residual bound and agrees with scipy's spsolve."""
+    with recorded_factors() as factors:
+        solve = factor_skeleton(sp)
+    calls = []
+
+    def counted(r):
+        calls.append(1)
+        return solve(r)
+
+    x = solve_skeleton(counted, S, b)
+    assert len(factors) == 1
+    assert factors[0].L.dtype == factors[0].U.dtype == np.float32
+    assert 1 <= len(calls) <= 8
+    assert np.linalg.norm(S @ x - b) <= 1e-10 * np.linalg.norm(b)
+    y = spsolve(assembled(sp, 0.0, 1.0).tocsc(), b)
+    assert np.abs(x - y).max() <= 1e-11 * np.abs(y).max()
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 9])
+@PROPERTY
+@given(OPS)
+def test_single_precision_skeleton_refines_in_few_solves(degree, ops):
+    # random hanging-node meshes on a non-square rectangle
+    sp = fe.Space(build(ops), degree)
+    if sp.n_free == 0:
+        return
+    Xq, Yq, _ = sp.quadrature_points()
+    rhs = np.sin(np.pi * Xq) * np.sin(2.0 * np.pi * Yq) + Xq * Yq
+    _refined_solve(sp, assemble_stiffness(sp, 1.0), load_vector(sp, rhs))
+
+
+@pytest.mark.parametrize("degree", [2, 4])
+def test_single_precision_skeleton_refines_on_a_mesh_graded_to_level_30(
+        degree):
+    mesh = Mesh.uniform(Rectangle(-1.0, 2.0, 0.0, 0.5), 1)
+    for level in range(1, 30):
+        mesh = mesh.refine([(level, 0, 0)])
+    _refined_solve(*_poisson_system(degree, mesh=mesh))
+
+
+@pytest.mark.parametrize("scale", [1e-45, 1e45])
+def test_skeleton_solve_of_a_load_beyond_single_precisions_range(scale):
+    # float32 holds neither scale * b nor its solution: each LU solve
+    # scales its right-hand side first
+    sp, S, b = _poisson_system(4)
+    _refined_solve(sp, S, scale * b)
+
+
+@pytest.mark.parametrize("where", ["b", "x0"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cg_fails_on_a_non_finite_input_without_starting(monkeypatch, where,
+                                                         bad):
+    A, b, _ = _spd_system()
+    x0 = np.zeros(len(b))
+    (b if where == "b" else x0)[3] = bad
+    calls = []
+    real_cg = linalg.cg
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real_cg(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "cg", counted)
+    with pytest.raises(SolverFailure) as exc:
+        solve_spd(A, b, x0=x0)
+    assert calls == []
+    assert str(exc.value).startswith("conjugate gradients stalled")
+    assert not exc.value.residual <= exc.value.tol
+
+
 def _spd_system():
     rng = np.random.default_rng(2)
     B = rng.standard_normal((40, 40))
@@ -583,8 +673,9 @@ def _same_csr(A, B):
 def test_row_blocks_assemble_scipys_product_bit_for_bit(degree, ops):
     # random hanging-node meshes on a non-square rectangle: the skeleton
     # matrix splu receives holds the arrays of scipy's product of G_b^T,
-    # the block diagonal of every cell's level block and G_b, bit for
-    # bit, and the block diagonal holds each block in dense rows
+    # the block diagonal of every cell's level block and G_b, cast to
+    # float32, bit for bit, and the block diagonal holds each block in
+    # dense rows
     sp = fe.Space(build(ops), degree)
     cond = linalg._condensation(sp)
     factored = []
@@ -614,9 +705,9 @@ def test_row_blocks_assemble_scipys_product_bit_for_bit(degree, ops):
         n = 4 * degree
         B = products[0][1]
         schur = B.data.reshape(-1, n, n)[cond.bounds[:-1]]
-        _same_csr(factored[0],
-                  _congruence_oracle(Gb, Gb.T.tocsr(), cond.bounds,
-                                     schur).tocsc())
+        oracle = _congruence_oracle(Gb, Gb.T.tocsr(), cond.bounds,
+                                    schur).tocsc()
+        _same_csr(factored[0], oracle.astype(np.float32))
 
 
 def test_releasing_a_space_frees_its_condensation():
