@@ -173,6 +173,9 @@ def _validate(cfg):
     if cfg.problem not in builtin_names():
         raise ConfigError("unknown problem %r (have: %s)"
                           % (cfg.problem, ", ".join(builtin_names())))
+    if cfg.blowup and cfg.T is not None:
+        raise ConfigError("T = %s and blowup = true exclude each other; "
+                          "set one" % _format(cfg.T))
     for bound, holds, keys in _BOUNDS:
         for key in keys:
             v = getattr(cfg, key)

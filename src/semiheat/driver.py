@@ -2,11 +2,12 @@
 
 Both runners consume one stream of certified slabs (`_certified`): each
 slab (`_Slab`) solves a candidate step, cut to end at the final time T
-if it reaches T, and certifies it.  The adaptive loop controls the step
-with a scaled time indicator, marks cells against a scaled space
-indicator, multiplies all four tolerances by the previous slab's
-fixed-point parameter, and stops at T or when that parameter stops
-existing (the blow-up signal); the fixed-mesh runner keeps k and mesh.
+if it reaches T, and certifies it.  Both stop at T or when the slab's
+fixed-point parameter stops existing (the blow-up signal).  The
+adaptive loop controls the step with a scaled time indicator, marks
+cells against a scaled space indicator and multiplies all four
+tolerances by the previous slab's fixed-point parameter; the fixed-mesh
+runner keeps k and mesh.
 
 The driver owns a run's working set: spaces and meshes keep what they
 derive until it releases them where the run moves past them.  A slab
@@ -244,12 +245,11 @@ class _Slab:
             self._space_estimates = (eta_S, dot_map, xi_prime, xi)
         return self._space_estimates
 
-    def certify(self, ledger, traj, keep_uncertified=False):
+    def certify(self, ledger, traj):
         """Close the current candidate as the slab ending at its t_next.
 
         Records it in the ledger and trajectory and returns the next
-        slab.  Without a delta it records nothing and returns None, unless
-        keep_uncertified is set.
+        slab.  Without a delta it records nothing and returns None.
         """
         problem, opts, ws, k, t = (self.problem, self.opts, self.ws, self.k,
                                    self.t)
@@ -258,10 +258,9 @@ class _Slab:
         psi = est.psi_update(ledger, self.m, self.eta_T, xi, xi_prime,
                              modulus, nodes)
         delta = est.fixed_point_delta(psi, xi, nodes, modulus, c_inf)
-        if delta is None and not keep_uncertified:
+        if delta is None:
             return None
-        r = None if delta is None else est.gronwall_factor(
-            delta, psi, xi, nodes, modulus, c_inf)
+        r = est.gronwall_factor(delta, psi, xi, nodes, modulus, c_inf)
         end = ws.end
         traj.slabs.append(sc.TimeSlab(
             m=self.m, t_prev=t, t_next=self.t_next, k=k,
@@ -349,14 +348,13 @@ def _open_ledger(problem, opts, start):
     return ledger, sc.Trajectory(start.end.u)
 
 
-def _certified(slab, ledger, traj, keep_uncertified=False):
+def _certified(slab, ledger, traj):
     """Certify the candidate `slab` holds, then yield each following slab.
 
     The caller solves the next candidate on each slab it is given.  The
-    stream ends at the first candidate without a delta, unless
-    keep_uncertified is set.
+    stream ends at the first candidate without a delta.
     """
-    while (slab := slab.certify(ledger, traj, keep_uncertified)) is not None:
+    while (slab := slab.certify(ledger, traj)) is not None:
         yield slab
 
 
@@ -513,9 +511,10 @@ def run_fixed(problem, mesh, degree, k, T=None, options=None):
     """Uniform-step run on a fixed mesh with full estimator bookkeeping.
 
     No adaptivity: the mesh never changes and k is constant up to the
-    last step, cut to end at T.  Stops at T or at `max_steps`.  Steps keep
-    running even if some delta does not exist (its ledger column is then
-    empty and the conditional bound unavailable from that step on).
+    last step, cut to end at T.  Stops at T, at `max_steps`, or, as
+    `run_adaptive` does, at the first step whose fixed-point parameter
+    does not exist, which is not recorded: every recorded step carries a
+    delta, so the conditional bound holds through the last one.
     """
     opts = options or DriverOptions()
     problem = replace(problem, T=problem.T if T is None else T)
@@ -528,9 +527,11 @@ def run_fixed(problem, mesh, degree, k, T=None, options=None):
     ledger, traj = _open_ledger(problem, opts, start)
     caps = []
     slab.solve(slab.start.u.space, k)
-    for slab in _certified(slab, ledger, traj, keep_uncertified=True):
+    for slab in _certified(slab, ledger, traj):
         stop = _stop(slab, ledger, opts, caps)
         if stop:
             break
         slab.solve(slab.start.u.space, k)
+    else:       # the stream ended on a candidate without a delta
+        stop = "delta_nonexistent at step %d" % slab.m
     return _result(traj, ledger, stop, slab, caps_hit=caps)

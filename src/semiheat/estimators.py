@@ -5,7 +5,7 @@ the discrete Laplacian plus gradient jumps), its logged two-endpoint
 maximum, a space-derivative estimator evaluated on the overlay meshes, a
 time estimator integrating the temporal residual, the recursively
 accumulated parabolic bound psi, the fixed-point parameter delta (whose
-nonexistence is the adaptive stop signal), and the per-slab Gronwall
+nonexistence is the runs' stop signal), and the per-slab Gronwall
 amplification factor r.  The ledger collects the per-step values and the
 total conditional bound.
 """
@@ -26,7 +26,7 @@ class EstimatorError(RuntimeError):
 
 
 class BoundUnavailableError(RuntimeError):
-    """The conditional bound was requested but some delta does not exist."""
+    """The bound was requested through a step the ledger does not hold."""
 
 
 def log_factor(hmin):
@@ -409,8 +409,9 @@ def psi_update(ledger, m, eta_T, xi, xi_prime, modulus, time_nodes):
     """Accumulated parabolic bound for slab m.
 
     Slab 1 starts from the initial-condition estimator; later slabs start
-    from the Gronwall-amplified previous value.  The reaction term
-    integrates L(s, n, n + C xi) over the slab's `TimeNodes`.
+    from the Gronwall-amplified previous value, which every recorded step
+    has (`EstimatorLedger.add_step`).  The reaction term integrates
+    L(s, n, n + C xi) over the slab's `TimeNodes`.
     """
     c = ledger.c_inf
     if modulus.is_zero:
@@ -423,8 +424,6 @@ def psi_update(ledger, m, eta_T, xi, xi_prime, modulus, time_nodes):
             raise EstimatorError("initial estimator missing from the ledger")
         base = ledger.eta_I
     else:
-        if ledger.r[-1] is None or ledger.psi[-1] is None:
-            return None  # chain broken by an earlier missing delta
         base = ledger.r[-1] * ledger.psi[-1]
     return base + lip + eta_T + c * xi_prime
 
@@ -444,8 +443,6 @@ def fixed_point_delta(psi, xi, time_nodes, modulus, c_inf=1.0, ceiling=1e8):
     k = time_nodes.k
     if modulus.is_zero or k <= 0.0:
         return 1.0
-    if psi is None:
-        return None
 
     def integral(delta):
         def arg(n):
@@ -558,8 +555,10 @@ def gronwall_factor(delta, psi, xi, time_nodes, modulus, c_inf=1.0):
 class EstimatorLedger:
     """Per-step record of the estimator values and the running bound.
 
-    The space estimator is kept by its maximum over the cells, the one
-    value of it the bound reads.
+    Every step carries its fixed-point parameter delta, so the
+    conditional bound holds through each recorded step.  The space
+    estimator is kept by its maximum over the cells, the one value of it
+    the bound reads.
     """
 
     def __init__(self, c_inf=1.0, modulus_is_zero=False):
@@ -599,6 +598,9 @@ class EstimatorLedger:
                  delta, r, eta_S_map, hmin):
         if self.eta_I is None:
             raise EstimatorError("set_initial must run before add_step")
+        if delta is None:
+            raise EstimatorError("step %d has no delta; it is not recorded"
+                                 % m)
         self.m.append(m)
         self.t.append(t)
         self.k.append(k)
@@ -610,22 +612,11 @@ class EstimatorLedger:
         self.psi.append(psi)
         self.delta.append(delta)
         self.r.append(r)
-        if delta is None:
-            self.r_tilde.append(None)
-        else:
-            prev = 1.0
-            for rt in reversed(self.r_tilde):
-                if rt is not None:
-                    prev = rt
-                    break
-            self.r_tilde.append(prev * r)
+        self.r_tilde.append((self.r_tilde[-1] if self.r_tilde else 1.0) * r)
         self.eta_S_max.append(float(np.max(eta_S_map)))
         self.hmin.append(hmin)
         self.log_eta_S.append(log_factor(hmin) * self.eta_S_max[-1])
-        try:
-            self.bound.append(self.bound_through(len(self.m)))
-        except BoundUnavailableError:
-            self.bound.append(None)
+        self.bound.append(self.bound_through(len(self.m)))
 
     def _log_max(self, upto):
         return max([self.log_eta_S0] + self.log_eta_S[:upto])
@@ -651,8 +642,7 @@ class EstimatorLedger:
 
         Zero-modulus data telescopes to
         ||e(0)|| + sum eta_T + C sum xi' + C max log * max eta_S; otherwise
-        the conditional form r_M psi_M + C max log * max eta_S, which needs
-        every delta up to `upto` to exist.
+        the conditional form r_M psi_M + C max log * max eta_S.
         """
         if upto is None:
             upto = len(self.m)
@@ -662,20 +652,17 @@ class EstimatorLedger:
         if self.modulus_is_zero:
             return self.e0 + sum(self.eta_T[:upto]) \
                 + self.c_inf * sum(self.xi_prime[:upto]) + space_term
-        if any(d is None for d in self.delta[:upto]):
-            raise BoundUnavailableError(
-                "delta missing before step %d; bound does not hold" % upto)
         return self.r[upto - 1] * self.psi[upto - 1] + space_term
 
     def to_csv(self, path):
         """Write the bit-specified per-step table.
 
         Columns: m,t_m,k_m,dofs_m,linf_U_m,eta_T,xi,xi_prime,psi,delta,
-        r,r_tilde,bound with empty fields where delta (and anything that
-        needs it) does not exist.
+        r,r_tilde,bound, every field written: each recorded step has a
+        delta, and so its r, r_tilde and bound.
         """
         def fmt(v):
-            return "" if v is None else "%.17g" % v
+            return "%.17g" % v
 
         lines = ["m,t_m,k_m,dofs_m,linf_U_m,eta_T,xi,xi_prime,psi,delta,"
                  "r,r_tilde,bound"]
@@ -684,8 +671,7 @@ class EstimatorLedger:
                 "%d" % self.m[i], fmt(self.t[i]), fmt(self.k[i]),
                 "%d" % self.dofs[i], fmt(self.linf_u[i]), fmt(self.eta_T[i]),
                 fmt(self.xi[i]), fmt(self.xi_prime[i]), fmt(self.psi[i]),
-                fmt(self.delta[i]),
-                fmt(self.r[i] if self.delta[i] is not None else None),
-                fmt(self.r_tilde[i]), fmt(self.bound[i])]))
+                fmt(self.delta[i]), fmt(self.r[i]), fmt(self.r_tilde[i]),
+                fmt(self.bound[i])]))
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")

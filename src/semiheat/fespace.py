@@ -423,8 +423,8 @@ class Field:
 
     def eval(self, x, y, deriv=(0, 0)):
         """Evaluate at arbitrary points inside the closed rectangle."""
-        out = evaluate_multi([self], np.asarray(x, dtype=float),
-                             np.asarray(y, dtype=float), [deriv])[0]
+        out = evaluate_multi(self, np.asarray(x, dtype=float),
+                             np.asarray(y, dtype=float), deriv)
         if np.isscalar(x) or np.ndim(x) == 0:
             return float(out[0])
         return out
@@ -462,40 +462,32 @@ def tensor_grid(mesh, cells, t):
 # -- scattered evaluation -------------------------------------------------------
 
 
-def evaluate_in_cells(fields, cells, x, y, derivs, grid=None):
-    """Evaluate fields of one space at points with known containing cells.
+def evaluate_in_cells(field, cells, x, y, deriv, grid=None):
+    """Evaluate a field at points with known containing cells.
 
-    fields: list of Field on the same space; derivs: list of (dx, dy) or
-    'lap' matching fields.  Returns one value array per field.  The 1-D
-    bases of every needed derivative order come from one Vandermonde
-    matrix per direction (`_Ref1D.eval_orders`).
+    deriv: (dx, dy) or 'lap'.  Returns one value array.  The 1-D bases of
+    the derivative orders it needs come from one Vandermonde matrix per
+    direction (`_Ref1D.eval_orders`).
 
     Scattered points (the default): cells, x, y are flat arrays, one
-    physical point per cell entry, and each value array is flat: per-point
+    physical point per cell entry, and the value array is flat: per-point
     contractions over x, then y.
 
     Shared grids: x (grids, nx) and y (grids, ny) hold the 1-D reference
     coordinates in [0, 1] of tensor grids, and `grid` gives each cell
-    the row of its grid.  Each value array is (cells, ny * nx), y-major:
+    the row of its grid.  The value array is (cells, ny * nx), y-major:
     one gather of the cells' coefficients and two contractions per cell,
     first over the direction with fewer points, with no basis evaluated
     per point.
     """
-    space = fields[0].space
+    space = field.space
     mesh = space.mesh
     cells = np.asarray(cells, dtype=np.int64).ravel()
     p = space.degree
     ref = space.ref
     hx = mesh.hx[cells]
     hy = mesh.hy[cells]
-    local = space.dofmap[cells]
-    orders = set()
-    for d in derivs:
-        if d == "lap":
-            orders.update((0, 2))
-        else:
-            orders.update(d)
-    C_shape = (len(cells), p + 1, p + 1)
+    orders = {0, 2} if deriv == "lap" else set(deriv)
     if grid is not None:
         nx, ny = np.shape(x)[1], np.shape(y)[1]
         BX = ref.eval_orders(x, orders)
@@ -524,32 +516,24 @@ def evaluate_in_cells(fields, cells, x, y, derivs, grid=None):
             return np.einsum("pj,pj->p",
                              np.einsum("pji,pi->pj", C, BX[dx]), BY[dy])
 
-    outs = []
-    cached = {}
-    for fld, dv in zip(fields, derivs):
-        C = cached.get(id(fld))
-        if C is None:
-            C = cached[id(fld)] = fld.coeffs[local].reshape(C_shape)
-        if dv == "lap":
-            v = contract(C, 2, 0) / (hx * hx) + contract(C, 0, 2) / (hy * hy)
-        else:
-            dx, dy = dv
-            v = contract(C, dx, dy)
-            if dx:
-                v = v / hx ** dx
-            if dy:
-                v = v / hy ** dy
-        outs.append(v)
-    return outs
+    C = field.coeffs[space.dofmap[cells]].reshape(len(cells), p + 1, p + 1)
+    if deriv == "lap":
+        return contract(C, 2, 0) / (hx * hx) + contract(C, 0, 2) / (hy * hy)
+    dx, dy = deriv
+    v = contract(C, dx, dy)
+    if dx:
+        v = v / hx ** dx
+    if dy:
+        v = v / hy ** dy
+    return v
 
 
-def evaluate_multi(fields, x, y, derivs):
-    """Evaluate fields of one space at arbitrary points (with location)."""
-    space = fields[0].space
+def evaluate_multi(field, x, y, deriv):
+    """Evaluate a field at arbitrary points (with location)."""
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
-    cells = space.mesh.locate(x, y)
-    return evaluate_in_cells(fields, cells, x, y, derivs)
+    cells = field.space.mesh.locate(x, y)
+    return evaluate_in_cells(field, cells, x, y, deriv)
 
 
 def face_normal_derivs(field, mesh):
@@ -571,7 +555,7 @@ def face_normal_derivs(field, mesh):
     out = []
     for o, dv, grid, xi, eta in _face_classes(mesh, field.space):
         sel, hosts = _face_sides(fs, host, o)
-        vals = evaluate_in_cells([field], hosts, xi, eta, [dv], grid=grid)[0]
+        vals = evaluate_in_cells(field, hosts, xi, eta, dv, grid=grid)
         out.append((sel, vals[:len(sel)], vals[len(sel):]))
     return out
 
@@ -742,8 +726,7 @@ def grid_values(field, mesh, kind, deriv="val"):
             X, Y = tensor_grid(mesh, cells, t)
             x, y = X.ravel(), Y.ravel()
             dv = "lap" if deriv == "lap" else (0, 0)
-            vals = evaluate_in_cells([field], sp.mesh.locate(x, y),
-                                     x, y, [dv])[0]
+            vals = evaluate_in_cells(field, sp.mesh.locate(x, y), x, y, dv)
             out[cells] = vals.reshape(X.shape)
     return out
 

@@ -39,8 +39,10 @@ class DiscreteLaplacian:
     """Pointwise f(x, t_prev, U_prev(x)) - (U_next(x) - U_hat(x)) / k.
 
     U_prev is the untransferred endpoint field of the previous mesh;
-    U_hat its nodal transfer onto the next mesh.  Stored as a closure so
-    estimators can evaluate it anywhere without projection error.
+    U_hat its nodal transfer onto the next mesh.  Stored as a closure
+    over the three fields, which the estimators evaluate on an overlay's
+    sample grid (`estimators.SlabEnd.A_values`) and pass to `values`, so
+    it carries no projection error.
     """
 
     def __init__(self, f, t_prev, k, u_prev, u_next, u_hat):
@@ -55,16 +57,6 @@ class DiscreteLaplacian:
         """The closure at points (x, y) from the three fields' values there."""
         return np.asarray(self.f(x, y, self.t_prev, up), dtype=float) \
             - (un - uh) / self.k
-
-    def __call__(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        shape = x.shape
-        xf, yf = x.ravel(), y.ravel()
-        up = fe.evaluate_multi([self.u_prev], xf, yf, [(0, 0)])[0]
-        un, uh = fe.evaluate_multi([self.u_next, self.u_hat], xf, yf,
-                                   [(0, 0), (0, 0)])
-        return self.values(xf, yf, up, un, uh).reshape(shape)
 
 
 @dataclass

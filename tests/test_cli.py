@@ -81,6 +81,29 @@ def test_a_repeated_key_is_rejected_with_both_lines(tmp_path, capsys):
                                        "first set on line 4\n")
 
 
+def test_a_final_time_and_blowup_are_rejected_together(tmp_path, capsys):
+    # a final time and a run toward blow-up are alternatives; neither is
+    # dropped in favour of the other
+    with open(os.path.join(REPO, "configs", "example3.cfg")) as f:
+        text = f.read() + "[problem]\nblowup = true\n"
+    with pytest.raises(ConfigError, match="T = 0.75 and blowup = true "
+                                          "exclude each other") as exc:
+        parse_config(text)
+    assert exc.value.line is None
+    cfgpath = tmp_path / "run.cfg"
+    cfgpath.write_text(text)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfgpath), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: T = 0.75 and blowup = true "
+                                       "exclude each other; set one\n")
+    assert not out.exists()
+    # either key alone still parses
+    assert parse_config("[problem]\nname = example3\nblowup = true\n").T \
+        is None
+    assert parse_config("[problem]\nname = example3\nT = 0.5\n"
+                        "blowup = false\n").T == 0.5
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("problem", "T", "-1"),
     ("discretization", "c_infinity", "0"),

@@ -714,21 +714,38 @@ def test_idle_adaptive_run_matches_fixed_run(name, monkeypatch):
     prob = replace(builtin(name), T=0.05)
     mesh = Mesh.uniform(prob.rect, 3)
     maps = certified_maps(monkeypatch)
-    fixed = dr.run_fixed(prob, mesh, 2, 0.01, T=0.05).ledger
-    fixed_maps = maps[:]
+    fixed_run = dr.run_fixed(prob, mesh, 2, 0.01, T=0.05)
+    fixed, fixed_maps = fixed_run.ledger, maps[:]
     del maps[:]
-    idle = dr.run_adaptive(
+    idle_run = dr.run_adaptive(
         prob, dr.Tolerances(1e300, 1e-300, 1e300, 1e-300), 2, mesh, 0.01,
-        dr.DriverOptions(scale_tolerances=False)).ledger
-    n = len(idle.m)
-    assert n == (len(fixed.m) if prob.modulus.is_zero else 2)
+        dr.DriverOptions(scale_tolerances=False))
+    idle = idle_run.ledger
+    assert idle_run.stop_reason == fixed_run.stop_reason
     assert (idle.e0, idle.eta_I) == (fixed.e0, fixed.eta_I)
     for col in ("m", "t", "k", "dofs", "linf_u", "eta_T", "xi", "xi_prime",
                 "psi", "delta", "r", "r_tilde", "log_eta_S", "eta_S_max",
                 "hmin", "bound"):
-        assert getattr(idle, col) == getattr(fixed, col)[:n], col
+        assert getattr(idle, col) == getattr(fixed, col), col
     assert len(fixed_maps) == len(fixed.m)
-    assert_maps_equal(maps, fixed_maps[:n])
+    assert_maps_equal(maps, fixed_maps)
+
+
+def test_run_fixed_stops_at_the_first_missing_delta(tmp_path):
+    # example3's third step at k = 0.01 has no delta: the run ends there,
+    # as an adaptive run does, and records only the certified steps
+    prob = builtin("example3")
+    res = dr.run_fixed(prob, Mesh.uniform(prob.rect, 3), 2, 0.01, T=0.05)
+    assert res.stop_reason == "delta_nonexistent at step 3"
+    assert res.steps == len(res.ledger.m) == 2
+    assert res.final_time == res.ledger.t[-1] == pytest.approx(0.02)
+    assert all(d >= 1.0 for d in res.ledger.delta)
+    _assert_slabs_are_the_ledgers_steps(res)
+    path = tmp_path / "ledger.csv"
+    res.ledger.to_csv(str(path))
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    assert len(rows) == 3 and all(len(row) == 13 for row in rows)
+    assert all(field for row in rows for field in row)
 
 
 def _first_interval_halving_run(k1):

@@ -665,10 +665,15 @@ def test_total_bound_dominates_psi():
 
 
 def test_total_bound_requires_delta():
+    # a step without a delta is not recorded, so every recorded step
+    # carries the delta its bound needs
     led = _ledger_with_steps(
-        False, [(0.1, 0.1, 0.2, 0.0, 0.5, None, None, 0.3)])
-    with pytest.raises(est.BoundUnavailableError):
-        led.bound_through()
+        False, [(0.1, 0.1, 0.2, 0.0, 0.5, 1.2, 1.1, 0.3)])
+    with pytest.raises(est.EstimatorError, match="step 2 has no delta"):
+        led.add_step(2, 0.2, 0.1, 10, 1.0, 0.1, 0.2, 0.0, 0.6, None, None,
+                     np.array([0.3]), np.exp(-1.0))
+    assert (led.m, led.delta, led.r_tilde) == ([1], [1.2], [1.1])
+    assert len(led.bound) == 1
 
 
 def test_r_tilde_accumulates_product():

@@ -83,10 +83,8 @@ def test_hanging_face_continuity():
     ys = np.linspace(0.01, 0.24, 20)
     left = mesh.locate(np.full_like(ys, 0.25 - 1e-9), ys)
     right = mesh.locate(np.full_like(ys, 0.25 + 1e-9), ys)
-    va = fe.evaluate_in_cells([f], left, np.full_like(ys, 0.25), ys,
-                              [(0, 0)])[0]
-    vb = fe.evaluate_in_cells([f], right, np.full_like(ys, 0.25), ys,
-                              [(0, 0)])[0]
+    va = fe.evaluate_in_cells(f, left, np.full_like(ys, 0.25), ys, (0, 0))
+    vb = fe.evaluate_in_cells(f, right, np.full_like(ys, 0.25), ys, (0, 0))
     assert np.abs(va - vb).max() < 1e-10
 
 
@@ -235,7 +233,7 @@ def test_grid_values_match_pointwise_evaluation(p):
         for deriv, field in fields.items():
             got = fe.grid_values(field, tgt, kind, deriv)
             dv = "lap" if deriv == "lap" else (0, 0)
-            want = fe.evaluate_multi([field], X.ravel(), Y.ravel(), [dv])[0]
+            want = fe.evaluate_multi(field, X.ravel(), Y.ravel(), dv)
             scale = max(np.abs(want).max(), 1.0)
             assert got.shape == X.shape
             assert np.abs(got.ravel() - want).max() <= 1e-12 * scale, \
@@ -252,8 +250,8 @@ def test_grid_values_identity_transfer_is_the_cell_basis():
     # values located anywhere; the Laplacian, which jumps across cell
     # edges, in each point's own cell
     for deriv, want in (
-            ("val", fe.evaluate_multi([f], x, y, [(0, 0)])[0]),
-            ("lap", fe.evaluate_in_cells([f], cells, x, y, ["lap"])[0])):
+            ("val", fe.evaluate_multi(f, x, y, (0, 0))),
+            ("lap", fe.evaluate_in_cells(f, cells, x, y, "lap"))):
         got = fe.grid_values(f, sp.mesh, "sample", deriv)
         assert np.abs(got.ravel() - want).max() \
             <= 1e-12 * np.abs(want).max()
@@ -401,18 +399,17 @@ def test_shared_grid_evaluation_matches_scattered_points(p):
     derivs = [(0, 0), (1, 0), (0, 1), (2, 1), "lap"]
     for nx, ny in ((1, 5), (5, 1), (3, 2), (2, 3)):
         xi, eta = rng.random((2, nx)), rng.random((2, ny))
-        got = fe.evaluate_in_cells([f] * len(derivs), cells, xi, eta,
-                                   derivs, grid=grid)
         gx = np.tile(xi, ny)[grid]
         gy = np.repeat(eta, nx, axis=1)[grid]
         c = np.repeat(cells, nx * ny)
         x = (mesh.x0[cells, None] + mesh.hx[cells, None] * gx).ravel()
         y = (mesh.y0[cells, None] + mesh.hy[cells, None] * gy).ravel()
-        want = fe.evaluate_in_cells([f] * len(derivs), c, x, y, derivs)
-        for g, w in zip(got, want):
-            assert g.shape == (len(cells), nx * ny)
-            assert np.abs(g.ravel() - w).max() \
-                <= 1e-12 * max(np.abs(w).max(), 1.0)
+        for dv in derivs:
+            got = fe.evaluate_in_cells(f, cells, xi, eta, dv, grid=grid)
+            want = fe.evaluate_in_cells(f, c, x, y, dv)
+            assert got.shape == (len(cells), nx * ny)
+            assert np.abs(got.ravel() - want).max() \
+                <= 1e-12 * max(np.abs(want).max(), 1.0), (nx, ny, dv)
 
 
 def loop_face_normal_derivs(field, mesh):
@@ -436,8 +433,8 @@ def loop_face_normal_derivs(field, mesh):
         x, y = (across, along) if o == 0 else (along, across)
         sides = []
         for side in (fs.left[sel], fs.right[sel]):
-            vals = fe.evaluate_in_cells([field], np.repeat(host[side], ns),
-                                        x, y, [dv])[0]
+            vals = fe.evaluate_in_cells(field, np.repeat(host[side], ns),
+                                        x, y, dv)
             sides.append(vals.reshape(len(sel), ns))
         out.append((sel, sides[0], sides[1]))
     return out

@@ -224,8 +224,11 @@ def test_discrete_laplacian_cases():
     # stationary field with zero reaction: A vanishes
     u = fe.Field.from_callable(sp, lambda x, y: x * (1 - x) * y * (1 - y))
     A = sc.DiscreteLaplacian(prob.f, 0.0, 0.1, u, u, u)
+    X, Y = sp.sample_points()
+    grids = [fe.grid_values(v, sp.mesh, "sample")
+             for v in (A.u_prev, A.u_next, A.u_hat)]
+    assert np.abs(A.values(X, Y, *grids)).max() < 1e-13
     pts = np.random.default_rng(1).random((20, 2))
-    assert np.abs(A(pts[:, 0], pts[:, 1])).max() < 1e-13
     # slab zero: analytic Laplacian of the initial data
     A0 = sc.InitialLaplacian(1.0, prob.lap_u0)
     vals = A0(pts[:, 0], pts[:, 1])
@@ -243,7 +246,8 @@ def test_reconstruction_identity():
     U1, hat = sc.imex_step(prob, U0, sp, k, 0.0)
     A = sc.DiscreteLaplacian(prob.f, 0.0, k, U0, U1, hat)
     Xq, Yq, _ = sp.quadrature_points()
-    b = load_vector(sp, A(Xq, Yq))
+    grids = [fe.grid_values(v, mesh, "quad") for v in (U0, U1, hat)]
+    b = load_vector(sp, A.values(Xq, Yq, *grids))
     S = assemble_stiffness(sp, prob.a)
     resid = np.abs(b - S @ U1.free_values).max()
     assert resid < 1e-8 * max(1.0, np.abs(b).max())
